@@ -78,6 +78,64 @@ void BM_LinearForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearForward)->Arg(64)->Arg(256);
 
+// Minibatch kernels at the DDPG shapes: a 64-transition minibatch through
+// the actor/critic layers (12/13/14 -> 64, 64 -> 64, 64 -> 1/2). Args are
+// {out, in}; items/sec is MACs/sec.
+constexpr int kDdpgBatch = 64;
+
+void ddpg_shapes(benchmark::internal::Benchmark* b) {
+    for (const auto& [out, in] : {std::pair{64, 12}, std::pair{64, 13},
+                                  std::pair{64, 14}, std::pair{64, 64},
+                                  std::pair{1, 64}, std::pair{2, 64}}) {
+        b->Args({out, in});
+    }
+}
+
+void BM_GemmBatch(benchmark::State& state) {
+    const int out = static_cast<int>(state.range(0));
+    const int in = static_cast<int>(state.range(1));
+    const nn::Tensor w = random_activations({out, in}, 15);
+    const nn::Tensor bias = random_activations({out}, 16);
+    const nn::Tensor x = random_activations({kDdpgBatch, in}, 17);
+    nn::Tensor y({kDdpgBatch, out});
+    for (auto _ : state) {
+        nn::kernels::gemm_batch(kDdpgBatch, out, in, w.data(), x.data(),
+                                bias.data(), y.data());
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kDdpgBatch * out * in);
+    state.SetLabel(std::string("macs/s, kernel=") +
+                   to_string(nn::kernels::active_backend()));
+}
+BENCHMARK(BM_GemmBatch)->Apply(ddpg_shapes);
+
+void BM_GemmBackwardBatch(benchmark::State& state) {
+    const int out = static_cast<int>(state.range(0));
+    const int in = static_cast<int>(state.range(1));
+    const nn::Tensor w = random_activations({out, in}, 18);
+    const nn::Tensor x = random_activations({kDdpgBatch, in}, 19);
+    // Half the output gradients zero, as behind a ReLU.
+    nn::Tensor grad_y = random_activations({kDdpgBatch, out}, 20);
+    for (std::int64_t i = 0; i < grad_y.numel(); ++i) {
+        if (grad_y[i] < 0.5F) grad_y[i] = 0.0F;
+    }
+    nn::Tensor grad_x({kDdpgBatch, in});
+    nn::Tensor grad_w({out, in});
+    nn::Tensor grad_b({out});
+    for (auto _ : state) {
+        nn::kernels::gemm_backward_batch(kDdpgBatch, out, in, w.data(),
+                                         x.data(), grad_y.data(),
+                                         grad_x.data(), grad_w.data(),
+                                         grad_b.data());
+        benchmark::DoNotOptimize(grad_w.data());
+    }
+    // grad_x and grad_w: 2x the forward MACs (before the zero skips).
+    state.SetItemsProcessed(state.iterations() * 2 * kDdpgBatch * out * in);
+    state.SetLabel(std::string("macs/s, kernel=") +
+                   to_string(nn::kernels::active_backend()));
+}
+BENCHMARK(BM_GemmBackwardBatch)->Apply(ddpg_shapes);
+
 void BM_PaperGraphFullForward(benchmark::State& state) {
     util::Rng rng(8);
     nn::ExitGraph graph = core::build_paper_graph(rng);

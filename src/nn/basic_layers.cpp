@@ -106,11 +106,7 @@ Tensor Tanh::backward(const Tensor& grad_output) {
 
 Tensor Sigmoid::forward(const Tensor& input) {
     Tensor out = input;
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        const float x = out[i];
-        out[i] = x >= 0.0F ? 1.0F / (1.0F + std::exp(-x))
-                           : std::exp(x) / (1.0F + std::exp(x));
-    }
+    for (std::int64_t i = 0; i < out.numel(); ++i) out[i] = sigmoid(out[i]);
     cached_output_ = out;
     return out;
 }

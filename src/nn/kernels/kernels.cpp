@@ -71,6 +71,46 @@ void gemm_backward(int out_features, int in_features, const float* weight,
     }
 }
 
+void gemm_batch(int batch, int out_features, int in_features,
+                const float* weight, const float* x, const float* bias,
+                float* y) {
+    IMX_EXPECTS(batch > 0 && out_features > 0 && in_features > 0);
+    detail::count_gemm(static_cast<std::uint64_t>(batch) *
+                       static_cast<std::uint64_t>(out_features) *
+                       static_cast<std::uint64_t>(in_features));
+    if (active_backend() == Backend::kAvx2) {
+        detail::avx2_gemm_batch(batch, out_features, in_features, weight, x,
+                                bias, y);
+    } else {
+        detail::scalar_gemm_batch(batch, out_features, in_features, weight, x,
+                                  bias, y);
+    }
+}
+
+void gemm_backward_batch(int batch, int out_features, int in_features,
+                         const float* weight, const float* x,
+                         const float* grad_y, float* grad_x,
+                         float* grad_weight, float* grad_bias) {
+    IMX_EXPECTS(batch > 0 && out_features > 0 && in_features > 0);
+    // One batch*out*in product set per requested output: the MACs the call
+    // performs, not the per-sample kernel's fixed 2x (the zero-gradient
+    // skips are not subtracted).
+    const std::uint64_t outputs =
+        (grad_x != nullptr ? 1U : 0U) + (grad_weight != nullptr ? 1U : 0U);
+    detail::count_gemm(outputs * static_cast<std::uint64_t>(batch) *
+                       static_cast<std::uint64_t>(out_features) *
+                       static_cast<std::uint64_t>(in_features));
+    if (active_backend() == Backend::kAvx2) {
+        detail::avx2_gemm_backward_batch(batch, out_features, in_features,
+                                         weight, x, grad_y, grad_x,
+                                         grad_weight, grad_bias);
+    } else {
+        detail::scalar_gemm_backward_batch(batch, out_features, in_features,
+                                           weight, x, grad_y, grad_x,
+                                           grad_weight, grad_bias);
+    }
+}
+
 void bias_act(std::int64_t n, const float* x, float bias, Act act, float* y) {
     IMX_EXPECTS(n >= 0);
     detail::count_bias_act(static_cast<std::uint64_t>(n));

@@ -1,9 +1,10 @@
 // Runtime-dispatched NN kernels: conv2d forward/backward, GEMV-style GEMM
-// (the single-sample matrix-vector product Linear executes), and a fused
-// bias+activation map. Call sites (Conv2d, Linear, Relu, and through them
-// the exit-graph evaluation path) go through these entry points; the
-// backend — scalar reference or AVX2 — is chosen per dispatch.hpp and every
-// call bumps the counters (counters.hpp).
+// (the single-sample matrix-vector product Linear executes) and its
+// [batch x in] minibatch form (the DDPG MLPs), and a fused bias+activation
+// map. Call sites (Conv2d, Linear, Relu, rl::Mlp, and through them the
+// exit-graph evaluation path) go through these entry points; the backend —
+// scalar reference or AVX2 — is chosen per dispatch.hpp and every call
+// bumps the counters (counters.hpp).
 //
 // Numeric contract (docs/kernels.md):
 //   * scalar is the reference: bitwise identical to the historical
@@ -16,6 +17,9 @@
 //     lanes; agreement with scalar is bounded in ULPs measured at the
 //     magnitude of sum(|terms|) (kGemmUlpBound / kBackwardUlpBound),
 //     enforced by tests/test_kernels_diff.cpp.
+//   * gemm_batch / gemm_backward_batch are bitwise equal to the same
+//     backend's per-sample kernel looped in sample order (no re-pinned
+//     results), enforced by tests/test_ddpg_batch.cpp.
 #ifndef IMX_NN_KERNELS_KERNELS_HPP
 #define IMX_NN_KERNELS_KERNELS_HPP
 
@@ -86,6 +90,27 @@ void gemm_backward(int out_features, int in_features, const float* weight,
                    const float* x, const float* grad_y, float* grad_x,
                    float* grad_weight, float* grad_bias);
 
+/// Minibatch gemm: x is [batch x in] and y [batch x out], both row-major.
+/// Bitwise equal to calling gemm() on the same backend once per sample, in
+/// sample order: every (sample, row) output keeps its own accumulator in
+/// the per-sample kernel's order. `y` is overwritten.
+void gemm_batch(int batch, int out_features, int in_features,
+                const float* weight, const float* x, const float* bias,
+                float* y);
+
+/// Minibatch gemm_backward over [batch x in] inputs and [batch x out]
+/// output gradients. Bitwise equal to calling gemm_backward() on the same
+/// backend once per sample, in sample order: grad_weight and grad_bias see
+/// the per-sample add sequence (samples innermost, zero gradients skipped
+/// as the per-sample kernel skips them), and each grad_x row sums the
+/// output rows in order. Any of grad_x ([batch x in], overwritten),
+/// grad_weight and grad_bias (accumulated) may be null to skip that
+/// output; `x` is only read for grad_weight.
+void gemm_backward_batch(int batch, int out_features, int in_features,
+                         const float* weight, const float* x,
+                         const float* grad_y, float* grad_x,
+                         float* grad_weight, float* grad_bias);
+
 /// y[i] = act(x[i] + bias); pass bias = 0 for a plain activation map.
 /// In-place (y == x) is allowed.
 void bias_act(std::int64_t n, const float* x, float bias, Act act, float* y);
@@ -104,6 +129,12 @@ void scalar_gemm(int out_f, int in_f, const float* w, const float* x,
                  const float* b, float* y);
 void scalar_gemm_backward(int out_f, int in_f, const float* w, const float* x,
                           const float* gy, float* gx, float* gw, float* gb);
+void scalar_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                       const float* x, const float* b, float* y);
+void scalar_gemm_backward_batch(int batch, int out_f, int in_f,
+                                const float* w, const float* x,
+                                const float* gy, float* gx, float* gw,
+                                float* gb);
 void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
                      float* y);
 
@@ -115,6 +146,11 @@ void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
                const float* b, float* y);
 void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,
                         const float* gy, float* gx, float* gw, float* gb);
+void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                     const float* x, const float* b, float* y);
+void avx2_gemm_backward_batch(int batch, int out_f, int in_f, const float* w,
+                              const float* x, const float* gy, float* gx,
+                              float* gw, float* gb);
 void avx2_bias_act(std::int64_t n, const float* x, float bias, Act act,
                    float* y);
 }  // namespace detail

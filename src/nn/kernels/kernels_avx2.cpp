@@ -14,8 +14,14 @@
 //   * backward kernels: grad_input/grad_weight updates are lane-
 //     independent but the tap order differs from scalar, and grad_bias /
 //     grad_weight reductions fold 8 lanes — bounded by kBackwardUlpBound.
+//   * gemm_batch / gemm_backward_batch: bitwise equal to avx2_gemm /
+//     avx2_gemm_backward looped over the samples. Forward keeps one
+//     accumulator per (sample, row) and reduces eight rows at a time with
+//     a lane-exact hsum; backward holds up to 64 gradient columns in
+//     registers while the (nonzero) samples or rows stream past in order.
 #include "nn/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -76,6 +82,114 @@ inline float hsum(__m256 v) {
     s = _mm_add_ps(s, _mm_movehl_ps(s, s));
     s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
     return _mm_cvtss_f32(s);
+}
+
+/// hsum of eight vectors at once: lane k is bitwise hsum(a[k]). Pairing
+/// a[k] with a[k+4] folds lo+hi for two inputs per 256-bit add; the in-lane
+/// 4x4 transpose then lines up each input's four partial sums s0..s3, so
+/// the (s0+s2) + (s1+s3) adds happen in hsum's order, lane by lane.
+inline __m256 hsum8(const __m256 a[8]) {
+    __m256 s[4];
+    for (int k = 0; k < 4; ++k) {
+        s[k] = _mm256_add_ps(_mm256_permute2f128_ps(a[k], a[k + 4], 0x20),
+                             _mm256_permute2f128_ps(a[k], a[k + 4], 0x31));
+    }
+    const __m256 t0 = _mm256_unpacklo_ps(s[0], s[1]);
+    const __m256 t1 = _mm256_unpacklo_ps(s[2], s[3]);
+    const __m256 t2 = _mm256_unpackhi_ps(s[0], s[1]);
+    const __m256 t3 = _mm256_unpackhi_ps(s[2], s[3]);
+    const __m256 c0 = _mm256_shuffle_ps(t0, t1, 0x44);
+    const __m256 c1 = _mm256_shuffle_ps(t0, t1, 0xEE);
+    const __m256 c2 = _mm256_shuffle_ps(t2, t3, 0x44);
+    const __m256 c3 = _mm256_shuffle_ps(t2, t3, 0xEE);
+    return _mm256_add_ps(_mm256_add_ps(c0, c2), _mm256_add_ps(c1, c3));
+}
+
+/// One gemm dot product without the bias: the 8-lane partial sums, hsum,
+/// then the scalar tail in column order.
+inline float dot1(const float* wrow, const float* x, int in_f) {
+    __m256 acc = _mm256_setzero_ps();
+    int c = 0;
+    for (; c + 8 <= in_f; c += 8) {
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_loadu_ps(wrow + c),
+                                               _mm256_loadu_ps(x + c)));
+    }
+    float sum = hsum(acc);
+    for (; c < in_f; ++c) sum += wrow[c] * x[c];
+    return sum;
+}
+
+/// One term of a gradient accumulation: `scale * row[c]`.
+struct Term {
+    float scale;
+    const float* row;
+};
+
+std::vector<Term>& term_scratch() {
+    thread_local std::vector<Term> terms;
+    return terms;
+}
+
+/// Lanes [0, count) set.
+inline __m256i tail_mask(int count) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(count),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// dst[c] += terms[i].scale * terms[i].row[c] for i in order, over the
+/// columns [c0, c0 + 8*NV) plus `tail` masked columns when kTail. The
+/// block lives in NV (+1) registers across the whole term list — one
+/// dependency chain per register — and every lane performs exactly the
+/// per-sample kernel's `dst + scale*row` sequence.
+template <int NV, bool kTail>
+void accumulate_block(const Term* terms, int n, int c0, int tail,
+                      float* dst) {
+    constexpr int kVecs = NV + (kTail ? 1 : 0);
+    static_assert(kVecs > 0 && NV <= 8, "block of 1..8 vectors (+ tail)");
+    const __m256i mask = tail_mask(tail);
+    __m256 acc[kVecs];
+    for (int v = 0; v < NV; ++v) acc[v] = _mm256_loadu_ps(dst + c0 + 8 * v);
+    if constexpr (kTail) acc[NV] = _mm256_maskload_ps(dst + c0 + 8 * NV, mask);
+    for (int i = 0; i < n; ++i) {
+        const __m256 scale = _mm256_set1_ps(terms[i].scale);
+        const float* row = terms[i].row + c0;
+        for (int v = 0; v < NV; ++v) {
+            acc[v] = _mm256_add_ps(
+                acc[v], _mm256_mul_ps(scale, _mm256_loadu_ps(row + 8 * v)));
+        }
+        if constexpr (kTail) {
+            acc[NV] = _mm256_add_ps(
+                acc[NV],
+                _mm256_mul_ps(scale, _mm256_maskload_ps(row + 8 * NV, mask)));
+        }
+    }
+    for (int v = 0; v < NV; ++v) _mm256_storeu_ps(dst + c0 + 8 * v, acc[v]);
+    if constexpr (kTail) _mm256_maskstore_ps(dst + c0 + 8 * NV, mask, acc[NV]);
+}
+
+/// The last (< 64 column) block: `nv` full vectors plus `tail` columns.
+template <int NV>
+void accumulate_last_block(int nv, int tail, const Term* terms, int n, int c0,
+                           float* dst) {
+    if constexpr (NV < 8) {
+        if (nv != NV) {
+            accumulate_last_block<NV + 1>(nv, tail, terms, n, c0, dst);
+        } else if (tail > 0) {
+            accumulate_block<NV, true>(terms, n, c0, tail, dst);
+        } else if constexpr (NV > 0) {
+            accumulate_block<NV, false>(terms, n, c0, 0, dst);
+        }
+    }
+}
+
+/// dst[0..width) += sum_i terms[i].scale * terms[i].row[...], terms in order.
+void accumulate_columns(const Term* terms, int n, int width, float* dst) {
+    int c = 0;
+    for (; c + 64 <= width; c += 64) {
+        accumulate_block<8, false>(terms, n, c, 0, dst);
+    }
+    const int rest = width - c;
+    accumulate_last_block<0>(rest / 8, rest % 8, terms, n, c, dst);
 }
 
 }  // namespace
@@ -240,16 +354,60 @@ void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
     for (int r = 0; r < out_f; ++r) {
         const float* wrow =
             w + static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        __m256 acc = _mm256_setzero_ps();
-        int c = 0;
-        for (; c + 8 <= in_f; c += 8) {
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(_mm256_loadu_ps(wrow + c),
-                                   _mm256_loadu_ps(x + c)));
+        y[r] = b[r] + dot1(wrow, x, in_f);
+    }
+}
+
+void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                     const float* x, const float* b, float* y) {
+    const std::size_t in = static_cast<std::size_t>(in_f);
+    const std::size_t out = static_cast<std::size_t>(out_f);
+    const int body = in_f / 8 * 8;
+    const int ntail = in_f - body;
+    // Rows in blocks of eight, the samples streaming past: lane k of a
+    // block is row r+k's dot1(), the scalar tail vectorized across the
+    // rows from pre-packed tail columns. The bias add comes after the whole
+    // dot product, as in avx2_gemm.
+    int r8 = 0;
+    for (; r8 + 8 <= out_f; r8 += 8) {
+        const float* w0 = w + static_cast<std::size_t>(r8) * in;
+        __m256 tail[7];
+        for (int j = 0; j < ntail; ++j) {
+            const float* col = w0 + body + j;
+            tail[j] = _mm256_setr_ps(col[0], col[in], col[2 * in], col[3 * in],
+                                     col[4 * in], col[5 * in], col[6 * in],
+                                     col[7 * in]);
         }
-        float sum = hsum(acc);
-        for (; c < in_f; ++c) sum += wrow[c] * x[c];
-        y[r] = b[r] + sum;
+        const __m256 bias = _mm256_loadu_ps(b + r8);
+        for (int s = 0; s < batch; ++s) {
+            const float* xs = x + static_cast<std::size_t>(s) * in;
+            __m256 acc[8];
+            for (int k = 0; k < 8; ++k) acc[k] = _mm256_setzero_ps();
+            for (int c = 0; c < body; c += 8) {
+                const __m256 xv = _mm256_loadu_ps(xs + c);
+                for (int k = 0; k < 8; ++k) {
+                    acc[k] = _mm256_add_ps(
+                        acc[k],
+                        _mm256_mul_ps(_mm256_loadu_ps(w0 + k * in + c), xv));
+                }
+            }
+            __m256 sum = hsum8(acc);
+            for (int j = 0; j < ntail; ++j) {
+                sum = _mm256_add_ps(
+                    sum, _mm256_mul_ps(tail[j], _mm256_set1_ps(xs[body + j])));
+            }
+            _mm256_storeu_ps(y + static_cast<std::size_t>(s) * out + r8,
+                             _mm256_add_ps(bias, sum));
+        }
+    }
+    // Rows left over from the 8-blocks (all of them for the 1- and
+    // 2-output heads).
+    for (int r = r8; r < out_f; ++r) {
+        const float* wrow = w + static_cast<std::size_t>(r) * in;
+        for (int s = 0; s < batch; ++s) {
+            y[static_cast<std::size_t>(s) * out + static_cast<std::size_t>(r)] =
+                b[r] + dot1(wrow, x + static_cast<std::size_t>(s) * in, in_f);
+        }
     }
 }
 
@@ -280,6 +438,65 @@ void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,
         for (; c < in_f; ++c) {
             gwrow[c] += go * x[c];
             gx[c] += go * wrow[c];
+        }
+    }
+}
+
+void avx2_gemm_backward_batch(int batch, int out_f, int in_f, const float* w,
+                              const float* x, const float* gy, float* gx,
+                              float* gw, float* gb) {
+    const std::size_t in = static_cast<std::size_t>(in_f);
+    const std::size_t out = static_cast<std::size_t>(out_f);
+    if (gb != nullptr) {
+        // Lanes carry rows; each lane adds the samples' gradients in order.
+        int r = 0;
+        for (; r + 8 <= out_f; r += 8) {
+            __m256 acc = _mm256_loadu_ps(gb + r);
+            for (int s = 0; s < batch; ++s) {
+                const float* gys = gy + static_cast<std::size_t>(s) * out;
+                acc = _mm256_add_ps(acc, _mm256_loadu_ps(gys + r));
+            }
+            _mm256_storeu_ps(gb + r, acc);
+        }
+        for (; r < out_f; ++r) {
+            for (int s = 0; s < batch; ++s) {
+                gb[r] += gy[static_cast<std::size_t>(s) * out +
+                            static_cast<std::size_t>(r)];
+            }
+        }
+    }
+    // The zero-gradient skip becomes a compacted term list, so the
+    // accumulation loops run branch-free over the terms that contribute.
+    std::vector<Term>& terms = term_scratch();
+    terms.resize(static_cast<std::size_t>(std::max(batch, out_f)));
+    if (gw != nullptr) {
+        // grad_w row r: the samples' x rows scaled by grad_y[s, r].
+        for (int r = 0; r < out_f; ++r) {
+            int n = 0;
+            for (int s = 0; s < batch; ++s) {
+                const float go = gy[static_cast<std::size_t>(s) * out +
+                                    static_cast<std::size_t>(r)];
+                terms[static_cast<std::size_t>(n)] = {
+                    go, x + static_cast<std::size_t>(s) * in};
+                n += go != 0.0F ? 1 : 0;
+            }
+            accumulate_columns(terms.data(), n, in_f,
+                               gw + static_cast<std::size_t>(r) * in);
+        }
+    }
+    if (gx != nullptr) {
+        // grad_x row s: the weight rows scaled by grad_y[s, r], from zero.
+        for (int s = 0; s < batch; ++s) {
+            const float* gys = gy + static_cast<std::size_t>(s) * out;
+            int n = 0;
+            for (int r = 0; r < out_f; ++r) {
+                terms[static_cast<std::size_t>(n)] = {
+                    gys[r], w + static_cast<std::size_t>(r) * in};
+                n += gys[r] != 0.0F ? 1 : 0;
+            }
+            float* gxs = gx + static_cast<std::size_t>(s) * in;
+            std::fill(gxs, gxs + in, 0.0F);
+            accumulate_columns(terms.data(), n, in_f, gxs);
         }
     }
 }
@@ -330,6 +547,16 @@ void avx2_gemm(int, int, const float*, const float*, const float*, float*) {
 
 void avx2_gemm_backward(int, int, const float*, const float*, const float*,
                         float*, float*, float*) {
+    IMX_ASSERT(!"avx2 kernels not compiled");
+}
+
+void avx2_gemm_batch(int, int, int, const float*, const float*, const float*,
+                     float*) {
+    IMX_ASSERT(!"avx2 kernels not compiled");
+}
+
+void avx2_gemm_backward_batch(int, int, int, const float*, const float*,
+                              const float*, float*, float*, float*) {
     IMX_ASSERT(!"avx2 kernels not compiled");
 }
 

@@ -125,6 +125,51 @@ void scalar_gemm_backward(int out_f, int in_f, const float* w, const float* x,
     }
 }
 
+// The batched kernels replay the per-sample loops above sample by sample:
+// each output element sees the same operations in the same order, only
+// the loop nest around them changes.
+void scalar_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                       const float* x, const float* b, float* y) {
+    const std::size_t in = static_cast<std::size_t>(in_f);
+    const std::size_t out = static_cast<std::size_t>(out_f);
+    for (int s = 0; s < batch; ++s) {
+        scalar_gemm(out_f, in_f, w, x + static_cast<std::size_t>(s) * in, b,
+                    y + static_cast<std::size_t>(s) * out);
+    }
+}
+
+void scalar_gemm_backward_batch(int batch, int out_f, int in_f,
+                                const float* w, const float* x,
+                                const float* gy, float* gx, float* gw,
+                                float* gb) {
+    const std::size_t in = static_cast<std::size_t>(in_f);
+    const std::size_t out = static_cast<std::size_t>(out_f);
+    for (int r = 0; r < out_f; ++r) {
+        const std::size_t off = static_cast<std::size_t>(r) * in;
+        for (int s = 0; s < batch; ++s) {
+            const float go = gy[static_cast<std::size_t>(s) * out +
+                                static_cast<std::size_t>(r)];
+            if (gb != nullptr) gb[r] += go;
+            if (gw == nullptr || go == 0.0F) continue;
+            const float* xs = x + static_cast<std::size_t>(s) * in;
+            float* gwrow = gw + off;
+            for (int c = 0; c < in_f; ++c) gwrow[c] += go * xs[c];
+        }
+    }
+    if (gx == nullptr) return;
+    for (int s = 0; s < batch; ++s) {
+        const float* gys = gy + static_cast<std::size_t>(s) * out;
+        float* gxs = gx + static_cast<std::size_t>(s) * in;
+        for (int c = 0; c < in_f; ++c) gxs[c] = 0.0F;
+        for (int r = 0; r < out_f; ++r) {
+            const float go = gys[r];
+            if (go == 0.0F) continue;
+            const float* wrow = w + static_cast<std::size_t>(r) * in;
+            for (int c = 0; c < in_f; ++c) gxs[c] += go * wrow[c];
+        }
+    }
+}
+
 void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
                      float* y) {
     if (act == Act::kRelu) {

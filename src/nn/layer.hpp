@@ -1,8 +1,11 @@
 // Layer interface: single-sample forward/backward with cached activations.
 //
-// Minibatch training accumulates gradients across per-sample backward calls;
-// this matches the MCU deployment model (inference is always batch-1) and
-// keeps every kernel readable.
+// ExitGraph training accumulates a minibatch's gradients across per-sample
+// backward calls; this matches the MCU deployment model (inference is
+// always batch-1). The DDPG MLPs run whole minibatches instead
+// (rl::Mlp::forward_batch / backward_batch over the Linear layers'
+// weights, through kernels::gemm_batch / gemm_backward_batch), bitwise
+// equal to these per-sample calls in sample order.
 #ifndef IMX_NN_LAYER_HPP
 #define IMX_NN_LAYER_HPP
 

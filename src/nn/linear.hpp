@@ -30,6 +30,8 @@ public:
     [[nodiscard]] const Tensor& weight() const { return weight_; }
     [[nodiscard]] Tensor& bias() { return bias_; }
     [[nodiscard]] const Tensor& bias() const { return bias_; }
+    [[nodiscard]] Tensor& grad_weight() { return grad_weight_; }
+    [[nodiscard]] Tensor& grad_bias() { return grad_bias_; }
 
     /// L1 importance of each input feature (column sums, paper Eq. 2).
     [[nodiscard]] std::vector<double> input_importance() const;

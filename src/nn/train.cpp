@@ -81,16 +81,28 @@ void Adam::step(const std::vector<Tensor*>& params,
     ++t_;
     const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
     const float bc2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
+    // Locals, not members, in the loop: a store through a float* could
+    // alias a float member, which would force a reload per element and
+    // keep the loop from vectorizing. Same arithmetic either way.
+    const float lr = lr_;
+    const float beta1 = beta1_;
+    const float beta2 = beta2_;
+    const float eps = eps_;
     for (std::size_t i = 0; i < params.size(); ++i) {
-        Tensor& p = *params[i];
-        const Tensor& g = *grads[i];
-        for (std::int64_t j = 0; j < p.numel(); ++j) {
+        const std::int64_t n = params[i]->numel();
+        IMX_EXPECTS(grads[i]->numel() == n && m_[i].numel() == n);
+        // Raw pointers: the sizes are checked once above, not per element.
+        float* p = params[i]->data();
+        const float* g = grads[i]->data();
+        float* m = m_[i].data();
+        float* v = v_[i].data();
+        for (std::int64_t j = 0; j < n; ++j) {
             const float grad_j = g[j] * scale;
-            m_[i][j] = beta1_ * m_[i][j] + (1.0F - beta1_) * grad_j;
-            v_[i][j] = beta2_ * v_[i][j] + (1.0F - beta2_) * grad_j * grad_j;
-            const float m_hat = m_[i][j] / bc1;
-            const float v_hat = v_[i][j] / bc2;
-            p[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+            m[j] = beta1 * m[j] + (1.0F - beta1) * grad_j;
+            v[j] = beta2 * v[j] + (1.0F - beta2) * grad_j * grad_j;
+            const float m_hat = m[j] / bc1;
+            const float v_hat = v[j] / bc2;
+            p[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
         }
     }
 }

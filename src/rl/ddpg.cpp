@@ -94,31 +94,10 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
     critic_target_.copy_weights_from(critic_);
 }
 
-nn::Tensor DdpgAgent::to_tensor(const std::vector<float>& v) const {
-    return nn::Tensor({static_cast<int>(v.size())}, v);
-}
-
-nn::Tensor DdpgAgent::critic_input(const std::vector<float>& state,
-                                   const std::vector<float>& action) const {
-    std::vector<float> joined;
-    joined.reserve(state.size() + action.size());
-    joined.insert(joined.end(), state.begin(), state.end());
-    joined.insert(joined.end(), action.begin(), action.end());
-    // Size must be read before the move: argument evaluation order is
-    // unspecified, so passing joined.size() and std::move(joined) in one
-    // call would be a use-after-move hazard.
-    const int size = static_cast<int>(joined.size());
-    return nn::Tensor({size}, std::move(joined));
-}
-
 std::vector<double> DdpgAgent::act(const std::vector<float>& state) {
     IMX_EXPECTS(static_cast<int>(state.size()) == config_.state_dim);
-    const nn::Tensor out = actor_.forward(to_tensor(state));
-    std::vector<double> action(static_cast<std::size_t>(out.numel()));
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        action[static_cast<std::size_t>(i)] = static_cast<double>(out[i]);
-    }
-    return action;
+    const float* out = actor_.forward_batch(1, state.data());
+    return std::vector<double>(out, out + config_.action_dim);
 }
 
 std::vector<double> DdpgAgent::act_noisy(const std::vector<float>& state) {
@@ -132,51 +111,106 @@ std::vector<double> DdpgAgent::act_noisy(const std::vector<float>& state) {
 
 void DdpgAgent::remember(Transition t) { replay_.push(std::move(t)); }
 
+namespace {
+
+/// Append one [state | action] critic-input row.
+float* put_row(float* dst, const std::vector<float>& state,
+               const float* action, std::size_t action_dim) {
+    dst = std::copy(state.begin(), state.end(), dst);
+    return std::copy(action, action + action_dim, dst);
+}
+
+}  // namespace
+
+void DdpgAgent::compute_targets(const std::vector<const Transition*>& batch) {
+    targets_.resize(batch.size());
+    live_.clear();
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+        targets_[s] = batch[s]->reward;
+        if (config_.gamma > 0.0F && !batch[s]->terminal) live_.push_back(s);
+    }
+    if (live_.empty()) return;
+    const std::size_t sd = static_cast<std::size_t>(config_.state_dim);
+    const std::size_t ad = static_cast<std::size_t>(config_.action_dim);
+    const int live = static_cast<int>(live_.size());
+    next_states_.resize(live_.size() * sd);
+    float* dst = next_states_.data();
+    for (const std::size_t s : live_) {
+        const std::vector<float>& next = batch[s]->next_state;
+        IMX_EXPECTS(next.size() == sd);
+        dst = std::copy(next.begin(), next.end(), dst);
+    }
+    const float* next_action =
+        actor_target_.forward_batch(live, next_states_.data());
+    next_critic_in_.resize(live_.size() * (sd + ad));
+    dst = next_critic_in_.data();
+    for (std::size_t k = 0; k < live_.size(); ++k) {
+        dst = put_row(dst, batch[live_[k]]->next_state, next_action + k * ad,
+                      ad);
+    }
+    const float* q_next =
+        critic_target_.forward_batch(live, next_critic_in_.data());
+    for (std::size_t k = 0; k < live_.size(); ++k) {
+        targets_[live_[k]] += config_.gamma * q_next[k];
+    }
+}
+
 void DdpgAgent::train_step() {
     if (replay_.size() < config_.batch_size) return;
     const auto batch = replay_.sample(config_.batch_size);
     const float inv_batch = 1.0F / static_cast<float>(batch.size());
+    const int n = static_cast<int>(batch.size());
+    const std::size_t sd = static_cast<std::size_t>(config_.state_dim);
+    const std::size_t ad = static_cast<std::size_t>(config_.action_dim);
+    const std::size_t cd = sd + ad;
+
+    states_.resize(batch.size() * sd);
+    critic_in_.resize(batch.size() * cd);
+    float* state_row = states_.data();
+    float* critic_row = critic_in_.data();
+    for (const Transition* t : batch) {
+        IMX_EXPECTS(t->state.size() == sd && t->action.size() == ad);
+        state_row = std::copy(t->state.begin(), t->state.end(), state_row);
+        critic_row = put_row(critic_row, t->state, t->action.data(), ad);
+    }
 
     // Critic regression toward y = r (+ gamma * Q_target(s', mu_target(s'))).
+    compute_targets(batch);
     critic_.zero_grad();
-    for (const Transition* t : batch) {
-        float y = t->reward;
-        if (config_.gamma > 0.0F && !t->terminal) {
-            const nn::Tensor next_action =
-                actor_target_.forward(to_tensor(t->next_state));
-            std::vector<float> na(next_action.storage());
-            const nn::Tensor q_next =
-                critic_target_.forward(critic_input(t->next_state, na));
-            y += config_.gamma * q_next[0];
-        }
-        const nn::Tensor q = critic_.forward(critic_input(t->state, t->action));
-        nn::Tensor grad({1});
-        grad[0] = 2.0F * (q[0] - y);  // d/dq of (q - y)^2
-        critic_.backward(grad);
+    const float* q = critic_.forward_batch(n, critic_in_.data());
+    grad_q_.resize(batch.size());
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+        grad_q_[s] = 2.0F * (q[s] - targets_[s]);  // d/dq of (q - y)^2
     }
+    critic_.backward_batch(grad_q_.data(), /*param_grads=*/true,
+                           /*input_grad=*/false);
     critic_opt_.step(critic_.parameters(), critic_.gradients(), inv_batch);
 
-    // Actor ascent on Q(s, mu(s)) (Eq. 15 sampled policy gradient).
+    // Actor ascent on Q(s, mu(s)) (Eq. 15 sampled policy gradient): the
+    // critic only supplies dQ/da, so its parameter gradients are skipped.
     actor_.zero_grad();
-    for (const Transition* t : batch) {
-        const nn::Tensor action = actor_.forward(to_tensor(t->state));
-        std::vector<float> av(action.storage());
-        critic_.zero_grad();  // scratch use of critic for dQ/da only
-        critic_.forward(critic_input(t->state, av));
-        nn::Tensor grad_q({1});
-        grad_q[0] = -1.0F;  // maximize Q -> descend on -Q
-        const nn::Tensor grad_input = critic_.backward(grad_q);
-        nn::Tensor grad_action({config_.action_dim});
-        for (int i = 0; i < config_.action_dim; ++i) {
-            grad_action[i] = grad_input[config_.state_dim + i];
-        }
-        actor_.backward(grad_action);
+    const float* action = actor_.forward_batch(n, states_.data());
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+        std::copy(action + s * ad, action + (s + 1) * ad,
+                  critic_in_.data() + s * cd + sd);
     }
-    critic_.zero_grad();  // discard the dQ/da scratch gradients
+    critic_.forward_batch(n, critic_in_.data());
+    std::fill(grad_q_.begin(), grad_q_.end(), -1.0F);  // maximize Q
+    const float* grad_input = critic_.backward_batch(
+        grad_q_.data(), /*param_grads=*/false, /*input_grad=*/true);
+    grad_action_.resize(batch.size() * ad);
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+        std::copy(grad_input + s * cd + sd, grad_input + (s + 1) * cd,
+                  grad_action_.data() + s * ad);
+    }
+    actor_.backward_batch(grad_action_.data(), /*param_grads=*/true,
+                          /*input_grad=*/false);
     actor_opt_.step(actor_.parameters(), actor_.gradients(), inv_batch);
 
-    actor_target_.soft_update_from(actor_, config_.tau);
-    critic_target_.soft_update_from(critic_, config_.tau);
+    if (config_.gamma > 0.0F) {
+        actor_target_.soft_update_from(actor_, config_.tau);
+        critic_target_.soft_update_from(critic_, config_.tau);
+    }
 }
 
 void DdpgAgent::end_episode() {

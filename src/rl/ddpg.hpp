@@ -91,7 +91,11 @@ public:
     void remember(Transition t);
 
     /// One gradient step on critic (Eq. 14) and actor (Eq. 15) plus target
-    /// soft updates. No-op until the buffer holds a full batch.
+    /// soft updates. No-op until the buffer holds a full batch. The
+    /// minibatch runs through the MLPs whole (Mlp::forward_batch /
+    /// backward_batch), bitwise equal to looping over its samples. With
+    /// gamma == 0 the targets are never read, so their soft updates are
+    /// skipped.
     void train_step();
 
     /// Episode boundary: reset and decay exploration noise.
@@ -99,10 +103,14 @@ public:
 
     [[nodiscard]] const DdpgConfig& config() const { return config_; }
 
+    [[nodiscard]] const Mlp& actor() const { return actor_; }
+    [[nodiscard]] const Mlp& critic() const { return critic_; }
+    [[nodiscard]] const Mlp& actor_target() const { return actor_target_; }
+    [[nodiscard]] const Mlp& critic_target() const { return critic_target_; }
+
 private:
-    nn::Tensor to_tensor(const std::vector<float>& v) const;
-    nn::Tensor critic_input(const std::vector<float>& state,
-                            const std::vector<float>& action) const;
+    /// y = r (+ gamma * Q_target(s', mu_target(s')) for non-terminal s').
+    void compute_targets(const std::vector<const Transition*>& batch);
 
     DdpgConfig config_;
     util::Rng rng_;
@@ -114,6 +122,16 @@ private:
     nn::Adam critic_opt_;
     ReplayBuffer replay_;
     OuNoise noise_;
+
+    // Minibatch scratch, reused across train_step() calls.
+    std::vector<float> states_;       ///< [batch x state_dim]
+    std::vector<float> critic_in_;    ///< [batch x (state_dim + action_dim)]
+    std::vector<float> targets_;      ///< [batch]
+    std::vector<float> grad_q_;       ///< [batch]
+    std::vector<float> grad_action_;  ///< [batch x action_dim]
+    std::vector<std::size_t> live_;   ///< non-terminal samples (gamma > 0)
+    std::vector<float> next_states_;  ///< their next states
+    std::vector<float> next_critic_in_;
 };
 
 }  // namespace imx::rl

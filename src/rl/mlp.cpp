@@ -1,15 +1,27 @@
 #include "rl/mlp.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
+#include "nn/kernels/kernels.hpp"
 #include "util/contracts.hpp"
 
 namespace imx::rl {
 
 Mlp::Mlp(const std::vector<int>& dims, OutputActivation out_act,
-         util::Rng& rng) {
+         util::Rng& rng)
+    : dims_(dims), out_act_(out_act) {
     IMX_EXPECTS(dims.size() >= 2);
     for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-        layers_.push_back(std::make_unique<nn::Linear>(
-            dims[i], dims[i + 1], "fc" + std::to_string(i), rng));
+        auto linear = std::make_unique<nn::Linear>(
+            dims[i], dims[i + 1], "fc" + std::to_string(i), rng);
+        linears_.push_back(linear.get());
+        params_.push_back(&linear->weight());
+        params_.push_back(&linear->bias());
+        grads_.push_back(&linear->grad_weight());
+        grads_.push_back(&linear->grad_bias());
+        layers_.push_back(std::move(linear));
         if (i + 2 < dims.size()) {
             layers_.push_back(std::make_unique<nn::Relu>());
         }
@@ -23,6 +35,7 @@ Mlp::Mlp(const std::vector<int>& dims, OutputActivation out_act,
             layers_.push_back(std::make_unique<nn::Sigmoid>());
             break;
     }
+    acts_.resize(dims.size());
 }
 
 nn::Tensor Mlp::forward(const nn::Tensor& input) {
@@ -39,45 +52,104 @@ nn::Tensor Mlp::backward(const nn::Tensor& grad_output) {
     return g;
 }
 
-std::vector<nn::Tensor*> Mlp::parameters() {
-    std::vector<nn::Tensor*> out;
-    for (auto& layer : layers_) {
-        for (nn::Tensor* p : layer->parameters()) out.push_back(p);
+const float* Mlp::forward_batch(int batch, const float* input) {
+    IMX_EXPECTS(batch > 0);
+    batch_ = batch;
+    const std::size_t rows = static_cast<std::size_t>(batch);
+    for (std::size_t i = 0; i < acts_.size(); ++i) {
+        acts_[i].resize(rows * static_cast<std::size_t>(dims_[i]));
     }
-    return out;
+    std::copy(input, input + acts_[0].size(), acts_[0].begin());
+    const std::size_t last = linears_.size();
+    for (std::size_t i = 0; i < last; ++i) {
+        nn::Linear& fc = *linears_[i];
+        float* y = acts_[i + 1].data();
+        nn::kernels::gemm_batch(batch, fc.out_features(), fc.in_features(),
+                                fc.weight().data(), acts_[i].data(),
+                                fc.bias().data(), y);
+        if (i + 1 < last) {
+            const auto n = static_cast<std::int64_t>(acts_[i + 1].size());
+            nn::kernels::bias_act(n, y, 0.0F, nn::kernels::Act::kRelu, y);
+        }
+    }
+    // Output activations, elementwise as nn::Tanh / nn::Sigmoid compute them.
+    std::vector<float>& out = acts_.back();
+    if (out_act_ == OutputActivation::kTanh) {
+        for (float& v : out) v = std::tanh(v);
+    } else if (out_act_ == OutputActivation::kSigmoid) {
+        for (float& v : out) v = nn::sigmoid(v);
+    }
+    return out.data();
 }
 
-std::vector<nn::Tensor*> Mlp::gradients() {
-    std::vector<nn::Tensor*> out;
-    for (auto& layer : layers_) {
-        for (nn::Tensor* g : layer->gradients()) out.push_back(g);
+const float* Mlp::backward_batch(const float* grad_output, bool param_grads,
+                                 bool input_grad) {
+    IMX_EXPECTS(batch_ > 0);
+    const std::size_t rows = static_cast<std::size_t>(batch_);
+    const std::size_t widest = static_cast<std::size_t>(
+        *std::max_element(dims_.begin(), dims_.end()));
+    grad_cur_.resize(rows * widest);
+    grad_next_.resize(rows * widest);
+
+    // Gradient w.r.t. the last Linear's output, through the output
+    // activation (the nn::Tanh / nn::Sigmoid backward expressions).
+    const std::vector<float>& out = acts_.back();
+    for (std::size_t k = 0; k < out.size(); ++k) {
+        const float y = out[k];
+        float g = grad_output[k];
+        if (out_act_ == OutputActivation::kTanh) {
+            g *= 1.0F - y * y;
+        } else if (out_act_ == OutputActivation::kSigmoid) {
+            g *= y * (1.0F - y);
+        }
+        grad_cur_[k] = g;
     }
-    return out;
+
+    for (std::size_t i = linears_.size(); i-- > 0;) {
+        const bool want_gx = i > 0 || input_grad;
+        if (!want_gx && !param_grads) break;
+        nn::Linear& fc = *linears_[i];
+        float* gx = want_gx ? grad_next_.data() : nullptr;
+        nn::kernels::gemm_backward_batch(
+            batch_, fc.out_features(), fc.in_features(), fc.weight().data(),
+            acts_[i].data(), grad_cur_.data(), gx,
+            param_grads ? fc.grad_weight().data() : nullptr,
+            param_grads ? fc.grad_bias().data() : nullptr);
+        if (!want_gx) break;
+        if (i > 0) {
+            // Hidden ReLU: pass the gradient where the activation is > 0.
+            // A select rather than a branch: the sign pattern is random.
+            const std::vector<float>& act = acts_[i];
+            for (std::size_t k = 0; k < act.size(); ++k) {
+                gx[k] = act[k] > 0.0F ? gx[k] : 0.0F;
+            }
+        }
+        std::swap(grad_cur_, grad_next_);
+    }
+    return input_grad ? grad_cur_.data() : nullptr;
 }
 
 void Mlp::zero_grad() {
-    for (nn::Tensor* g : gradients()) g->fill(0.0F);
+    for (nn::Tensor* g : grads_) g->fill(0.0F);
 }
 
-void Mlp::copy_weights_from(Mlp& source) {
-    auto dst = parameters();
-    auto src = source.parameters();
-    IMX_EXPECTS(dst.size() == src.size());
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-        IMX_EXPECTS(dst[i]->numel() == src[i]->numel());
-        *dst[i] = *src[i];
+void Mlp::copy_weights_from(const Mlp& source) {
+    IMX_EXPECTS(params_.size() == source.params_.size());
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+        IMX_EXPECTS(params_[i]->numel() == source.params_[i]->numel());
+        *params_[i] = *source.params_[i];
     }
 }
 
-void Mlp::soft_update_from(Mlp& source, float tau) {
+void Mlp::soft_update_from(const Mlp& source, float tau) {
     IMX_EXPECTS(tau >= 0.0F && tau <= 1.0F);
-    auto dst = parameters();
-    auto src = source.parameters();
-    IMX_EXPECTS(dst.size() == src.size());
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-        nn::Tensor& d = *dst[i];
-        const nn::Tensor& s = *src[i];
-        for (std::int64_t j = 0; j < d.numel(); ++j) {
+    IMX_EXPECTS(params_.size() == source.params_.size());
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+        float* d = params_[i]->data();
+        const float* s = source.params_[i]->data();
+        const std::int64_t n = params_[i]->numel();
+        IMX_EXPECTS(source.params_[i]->numel() == n);
+        for (std::int64_t j = 0; j < n; ++j) {
             d[j] = tau * s[j] + (1.0F - tau) * d[j];
         }
     }

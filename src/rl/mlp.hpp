@@ -1,4 +1,12 @@
 // Small fully-connected network used by the DDPG actor and critic.
+//
+// Two ways through it: the single-sample Layer API (forward/backward, a
+// fresh Tensor per layer) and the minibatch path (forward_batch /
+// backward_batch over [batch x features] rows in reused member buffers,
+// through kernels::gemm_batch / gemm_backward_batch). Each sample of the
+// minibatch path is bitwise what the single-sample path computes for it,
+// and its parameter gradients are bitwise the per-sample backward calls
+// accumulated in sample order.
 #ifndef IMX_RL_MLP_HPP
 #define IMX_RL_MLP_HPP
 
@@ -23,18 +31,54 @@ public:
     /// dQ/daction from the critic).
     nn::Tensor backward(const nn::Tensor& grad_output);
 
-    std::vector<nn::Tensor*> parameters();
-    std::vector<nn::Tensor*> gradients();
+    /// Minibatch forward of `batch` row-major input rows of in_features()
+    /// floats. Returns the [batch x out_features()] output, valid until the
+    /// next forward_batch().
+    const float* forward_batch(int batch, const float* input);
+
+    /// Backward through the last forward_batch() from its
+    /// [batch x out_features()] output gradient. Accumulates the parameter
+    /// gradients when `param_grads`; returns the [batch x in_features()]
+    /// input gradient when `input_grad` (valid until the next call), else
+    /// nullptr. Work for an output nobody asked for is skipped.
+    const float* backward_batch(const float* grad_output, bool param_grads,
+                                bool input_grad);
+
+    [[nodiscard]] int in_features() const { return dims_.front(); }
+    [[nodiscard]] int out_features() const { return dims_.back(); }
+
+    /// Parameter / matching gradient tensors, in layer order. Built once at
+    /// construction, so the optimizer and target updates never rebuild them.
+    [[nodiscard]] const std::vector<nn::Tensor*>& parameters() const {
+        return params_;
+    }
+    [[nodiscard]] const std::vector<nn::Tensor*>& gradients() const {
+        return grads_;
+    }
     void zero_grad();
 
     /// Hard copy of another MLP's weights (target-network initialization).
-    void copy_weights_from(Mlp& source);
+    void copy_weights_from(const Mlp& source);
 
     /// Polyak averaging: theta_target <- tau * theta + (1 - tau) * theta_target.
-    void soft_update_from(Mlp& source, float tau);
+    void soft_update_from(const Mlp& source, float tau);
 
 private:
+    std::vector<int> dims_;
+    OutputActivation out_act_;
     std::vector<nn::LayerPtr> layers_;
+    std::vector<nn::Linear*> linears_;  ///< the Linear layers of layers_
+    std::vector<nn::Tensor*> params_;
+    std::vector<nn::Tensor*> grads_;
+
+    // Minibatch buffers, grown on demand and reused. acts_[i] holds the
+    // [batch x dims_[i]] input of Linear i (acts_.back() the output); the
+    // activations are applied in place, and ReLU's backward mask is read
+    // back from its output (out > 0 exactly when in > 0).
+    int batch_ = 0;
+    std::vector<std::vector<float>> acts_;
+    std::vector<float> grad_cur_;
+    std::vector<float> grad_next_;
 };
 
 }  // namespace imx::rl
