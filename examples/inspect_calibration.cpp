@@ -10,6 +10,7 @@
 #include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
 #include "core/oracle_model.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/qlearning.hpp"
 #include "sim/policies/greedy.hpp"
 #include "sim/simulator.hpp"
@@ -92,9 +93,8 @@ int main() {
         for (int ep = 0; ep < 16; ++ep) {
             core::SetupConfig ec;
             ec.event_seed = 1000 + static_cast<std::uint64_t>(ep);
-            auto events = sim::generate_events(
-                {500, setup.trace.duration(), sim::ArrivalKind::kUniform,
-                 ec.event_seed});
+            auto events = sim::generate_arrivals(
+                "uniform", {500, setup.trace.duration(), ec.event_seed});
             auto r = s.run(events, model, policy);
             std::printf("  QL ep%02d acc_all %.1f%%\n", ep,
                         100 * r.accuracy_all_events());

@@ -11,6 +11,7 @@
 #include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
 #include "core/oracle_model.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/qlearning.hpp"
 #include "sim/simulator.hpp"
 
@@ -38,9 +39,9 @@ int main() {
 
     // Learn for a few episodes, then evaluate greedily.
     for (int episode = 0; episode < 8; ++episode) {
-        const auto events = sim::generate_events(
-            {500, setup.trace.duration(), sim::ArrivalKind::kUniform,
-             100 + static_cast<std::uint64_t>(episode)});
+        const auto events = sim::generate_arrivals(
+            "uniform", {500, setup.trace.duration(),
+                        100 + static_cast<std::uint64_t>(episode)});
         (void)simulator.run(events, deployed, runtime);
     }
     runtime.set_eval_mode(true);

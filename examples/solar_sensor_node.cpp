@@ -10,6 +10,7 @@
 #include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
 #include "core/oracle_model.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/qlearning.hpp"
 #include "sim/simulator.hpp"
 #include "util/table.hpp"
@@ -25,9 +26,9 @@ int main() {
     sim::Simulator simulator(setup.trace, setup.multi_exit_sim);
     // Warm up the runtime policy on a few prior "days".
     for (int episode = 0; episode < 8; ++episode) {
-        const auto events = sim::generate_events(
-            {500, setup.trace.duration(), sim::ArrivalKind::kUniform,
-             7000 + static_cast<std::uint64_t>(episode)});
+        const auto events = sim::generate_arrivals(
+            "uniform", {500, setup.trace.duration(),
+                        7000 + static_cast<std::uint64_t>(episode)});
         (void)simulator.run(events, model, policy);
     }
     policy.set_eval_mode(true);

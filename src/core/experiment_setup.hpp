@@ -31,7 +31,7 @@ struct SetupConfig {
     /// Request workload, resolved through the arrival registry
     /// (sim/arrivals/registry.hpp). The default — "uniform" with an empty
     /// parameter map — is the paper's Sec. V-A stream, bitwise identical to
-    /// the pre-registry ArrivalKind::kUniform schedule.
+    /// the pre-registry uniform schedule.
     std::string arrival_source = "uniform";
     sim::ArrivalParams arrival_params;
     /// Harvesting environment, resolved through the energy trace registry

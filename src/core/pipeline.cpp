@@ -5,6 +5,7 @@
 #include "core/oracle_model.hpp"
 #include "core/trace_eval.hpp"
 #include "mcu/device.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/greedy.hpp"
 #include "sim/simulator.hpp"
 
@@ -57,10 +58,10 @@ PipelineReport run_pipeline(const PipelineConfig& config) {
         sim::QLearningExitPolicy policy(setup.network.num_exits,
                                         config.runtime);
         for (int ep = 0; ep < config.learning_episodes; ++ep) {
-            const auto events = sim::generate_events(
-                {static_cast<int>(setup.events.size()), setup.trace.duration(),
-                 sim::ArrivalKind::kUniform,
-                 2000 + static_cast<std::uint64_t>(ep)});
+            const auto events = sim::generate_arrivals(
+                "uniform", {static_cast<int>(setup.events.size()),
+                            setup.trace.duration(),
+                            2000 + static_cast<std::uint64_t>(ep)});
             const auto r = simulator.run(events, model, policy);
             report.learning_curve.push_back(100.0 * r.accuracy_all_events());
         }

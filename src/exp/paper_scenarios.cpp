@@ -274,26 +274,24 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
                 // regardless of the evaluation workload (pinned: matches the
                 // historical Q-learning path bitwise; the bench goldens
                 // train-on-uniform / evaluate-on-cell by design). Episode
-                // buffers come from the workspace when one is attached, so a
-                // worker's steady-state training loop never heap-allocates.
-                sim::ScenarioWorkspace* const ws = ctx.workspace;
-                std::vector<sim::Event> train_events_local;
-                sim::SimResult train_result_local;
-                std::vector<sim::Event>& train_events =
-                    ws != nullptr ? ws->train_events : train_events_local;
-                sim::SimResult& train_result =
-                    ws != nullptr ? ws->train_result : train_result_local;
+                // buffers come from the worker's workspace (a local one when
+                // none is attached), so a worker's steady-state training loop
+                // never heap-allocates.
+                sim::ScenarioWorkspace local_workspace;
+                sim::ScenarioWorkspace& ws = ctx.workspace != nullptr
+                                                 ? *ctx.workspace
+                                                 : local_workspace;
                 const auto uniform = sim::make_arrival_source("uniform");
                 for (int ep = 0; ep < system.train_episodes; ++ep) {
                     uniform->generate_into(
                         {static_cast<int>(setup.events.size()),
                          setup.trace.duration(), train_seed(ctx, ep)},
-                        train_events);
-                    simulator.run_into(train_events, model, *policy,
-                                       train_result, ws);
+                        ws.train_events);
+                    simulator.run_into(ws.train_events, model, *policy,
+                                       ws.train_result, &ws);
                     if (learning_curve != nullptr) {
                         learning_curve->push_back(
-                            100.0 * train_result.accuracy_all_events());
+                            100.0 * ws.train_result.accuracy_all_events());
                     }
                 }
                 learner->set_eval_mode(true);

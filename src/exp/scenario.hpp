@@ -43,8 +43,8 @@ struct ScenarioContext {
     int replica = 0;         ///< seed-replica index within the group
     /// Per-worker reusable buffers (and optional profiler), lent by the
     /// runner for the duration of this scenario — confinement, no locking.
-    /// Null (e.g. a scenario run standalone in a test) restores the
-    /// historical allocate-per-run behaviour, bit for bit.
+    /// Null (e.g. a scenario run standalone in a test) runs on a local
+    /// workspace, with the same results.
     sim::ScenarioWorkspace* workspace = nullptr;
 };
 

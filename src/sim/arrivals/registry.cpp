@@ -29,7 +29,7 @@ struct ArrivalSourceEntry {
 /// The paper's Sec. V-A stream: `count` arrival times drawn independently
 /// and uniformly over the duration. The sampling order (one uniform() draw
 /// per event, before the shared sort) MUST stay in lockstep with the
-/// historical ArrivalKind::kUniform switch branch: the "uniform" source is
+/// pre-registry uniform generator: the "uniform" source is
 /// the canonical event schedule, bitwise (tests/test_arrivals.cpp pins it).
 class UniformArrivalSource final : public ArrivalSource {
 public:

@@ -7,11 +7,11 @@
 // parameter with defaults):
 //  * "uniform" — the paper's Sec. V-A stream ("randomly distributed across
 //                the duration"); with default parameters it is bitwise
-//                identical to the historical ArrivalKind::kUniform stream.
+//                identical to the pre-registry uniform stream.
 //  * "poisson" — exponential inter-arrivals at the mean rate implied by the
 //                requested count (optionally scaled).
-//  * "bursty"  — uniformly placed bursts of jittered arrivals (the historical
-//                ArrivalKind::kBursty stress stream, parameters exposed).
+//  * "bursty"  — uniformly placed bursts of jittered arrivals (the
+//                pre-registry bursty stress stream, parameters exposed).
 //  * "mmpp"    — Markov-modulated Poisson process: exponential idle/burst
 //                dwells with a rate multiplier during bursts.
 //  * "diurnal" — Poisson process whose rate follows a day-cycle profile

@@ -1,11 +1,8 @@
-// Event arrivals ("interesting events" the sensor must classify).
+// Event arrivals ("interesting events" the sensor must classify). The
+// arrival processes that generate them live in the arrival-source registry
+// (sim/arrivals/registry.hpp).
 #ifndef IMX_SIM_EVENT_GEN_HPP
 #define IMX_SIM_EVENT_GEN_HPP
-
-#include <cstdint>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace imx::sim {
 
@@ -13,31 +10,6 @@ struct Event {
     int id = 0;
     double time_s = 0.0;
 };
-
-/// Legacy arrival-process selector. Each value is sugar for an arrival
-/// registry name (sim/arrivals/registry.hpp) — see arrival_kind_name();
-/// generate_events() delegates to the registry, which owns the generators
-/// (plus the newer "mmpp" / "diurnal" / "csv" sources the enum never had).
-enum class ArrivalKind {
-    kUniform,  ///< "uniform": paper Sec. V-A, random across the duration
-    kPoisson,  ///< "poisson": exponential inter-arrivals at the mean rate
-    kBursty,   ///< "bursty": bursts of 2-5 events (reservation stress test)
-};
-
-/// The arrival-registry name an ArrivalKind is sugar for.
-[[nodiscard]] const char* arrival_kind_name(ArrivalKind kind);
-
-struct EventGenConfig {
-    int count = 500;
-    double duration_s = 13000.0;
-    ArrivalKind kind = ArrivalKind::kUniform;
-    std::uint64_t seed = 99;
-};
-
-/// Generate time-sorted events over [0, duration_s). Sugar for
-/// generate_arrivals(arrival_kind_name(kind), ...) with default parameters,
-/// and bitwise identical to the pre-registry generators.
-std::vector<Event> generate_events(const EventGenConfig& config);
 
 }  // namespace imx::sim
 

@@ -13,10 +13,6 @@
 ///  * incremental table — state = (confidence bin x energy bin), actions =
 ///    {emit, continue}; decides whether to propagate a low-confidence result
 ///    to the next exit (second decision of Sec. IV).
-///
-/// Historically this lived in core/runtime.hpp as
-/// `core::QLearningExitPolicy`; core/runtime.hpp now aliases the names here
-/// so existing call sites keep compiling.
 #ifndef IMX_SIM_POLICIES_QLEARNING_HPP
 #define IMX_SIM_POLICIES_QLEARNING_HPP
 

@@ -11,9 +11,9 @@
 ///  * queue     — arrival scan, bounded-queue admission/pickup, deadline
 ///                drops.
 ///  * policy    — ExitPolicy::select_exit / continue_inference decisions.
-///  * inference — execution bookkeeping: segment starts/finishes, hops,
+///  * inference — execution bookkeeping: unit starts/finishes, hops,
 ///                model evaluation, checkpointed compute steps.
-///  * commit    — recovery-mode unit machinery: commit writes, deaths,
+///  * commit    — unit commits (free without the failure model), deaths,
 ///                reboots/restores, stall drain.
 ///
 /// Off is the default and costs exactly one null-pointer test per hook

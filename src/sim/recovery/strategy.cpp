@@ -68,4 +68,17 @@ void recovery_units_into(const InferenceModel& model, int from_exit,
     if (units.empty()) units.push_back(total);
 }
 
+void plan_units_into(const InferenceModel& model, int from_exit, int to_exit,
+                     const RecoveryConfig& recovery,
+                     std::vector<std::int64_t>& units) {
+    if (recovery.enabled) {
+        recovery_units_into(model, from_exit, to_exit, recovery.granularity,
+                            units);
+        return;
+    }
+    IMX_EXPECTS(from_exit >= -1);
+    IMX_EXPECTS(to_exit > from_exit && to_exit < model.num_exits());
+    units.assign(1, model.incremental_macs(from_exit, to_exit));
+}
+
 }  // namespace imx::sim

@@ -1,13 +1,14 @@
 /// \file
 /// \brief Power-failure and recovery model of the intermittent runtime.
 ///
-/// The recovery-enabled simulator executes a committed exit as a sequence of
-/// *units* (per-layer or per-exit checkpoints of the exit's path). Each unit
-/// is pre-paid and atomic — it starts only once its full energy cost is
-/// buffered, exactly like the paper's pre-buffered runtime, so execution
-/// itself never browns out. Between units the powered device idles, drawing
-/// leakage plus RecoveryConfig::active_power_mw; when the buffer sags below
-/// energy::StorageConfig::death_threshold_mj the run *dies*: committed
+/// The simulator executes every committed exit (and every hop) as a sequence
+/// of pre-paid atomic *units* (plan_units_into). Each unit starts only once
+/// its full energy cost is buffered, so execution itself never browns out.
+/// Without the failure model the plan is a single unit: the paper's
+/// pre-buffered runtime. With it, units are per-layer or per-exit
+/// checkpoints of the exit's path. Between units the powered device idles,
+/// drawing leakage plus RecoveryConfig::active_power_mw; when the buffer sags
+/// below energy::StorageConfig::death_threshold_mj the run *dies*: committed
 /// progress survives (or not) according to the RecoveryStrategy, the device
 /// charges back to the turn-on threshold, pays the reboot/restore cost, and
 /// resumes from the last surviving unit.
@@ -47,8 +48,9 @@ std::string granularity_name(CheckpointGranularity granularity);
 /// The death threshold itself lives with the other power thresholds in
 /// energy::StorageConfig::death_threshold_mj.
 struct RecoveryConfig {
-    /// Master switch. Off (the default) keeps the simulator on the historical
-    /// pre-buffered atomic path, bit for bit.
+    /// Master switch. Off (the default), every commit and hop is one
+    /// pre-paid unit with a free commit: the paper's pre-buffered runtime,
+    /// which never stalls mid-inference and so never dies.
     bool enabled = false;
     /// Recovery-strategy registry name (sim/recovery/registry.hpp).
     std::string strategy = "restart";
@@ -107,6 +109,17 @@ std::vector<std::int64_t> recovery_units(const InferenceModel& model,
 void recovery_units_into(const InferenceModel& model, int from_exit,
                          int to_exit, CheckpointGranularity granularity,
                          std::vector<std::int64_t>& units);
+
+/// \brief The simulator's execution plan for advancing from `from_exit` (-1
+/// = from scratch) to `to_exit`, written into `units` (capacity reused).
+///
+/// With the failure model on, the plan is recovery_units_into() under
+/// `recovery.granularity`. Off, it is a single unit of
+/// incremental_macs(from_exit, to_exit): the paper's pre-buffered runtime,
+/// which starts an exit (or hop) only once all of it is affordable.
+void plan_units_into(const InferenceModel& model, int from_exit, int to_exit,
+                     const RecoveryConfig& recovery,
+                     std::vector<std::int64_t>& units);
 
 }  // namespace imx::sim
 

@@ -16,36 +16,27 @@ namespace imx::sim {
 
 namespace {
 
-/// In-flight work for one event. The recovery unit plan is deliberately NOT
-/// part of the job: it lives in a run-level buffer (reused through the
+/// In-flight work for one event. The unit plan is deliberately NOT part of
+/// the job: it lives in a run-level buffer (reused through the
 /// ScenarioWorkspace) so starting a job never heap-allocates.
 struct Job {
     int event_id = -1;
     double arrival_s = 0.0;
     // Multi-exit bookkeeping.
     bool committed = false;
-    int committed_exit = -1;
-    int reached_exit = -1;
+    int reached_exit = -1;  ///< deepest exit whose plan has completed
     EnergyState state_at_selection{};
+    int units_done = 0;  ///< units of the current plan committed so far
+    int target_exit = -1;  ///< exit the current plan executes toward
+    bool dead = false;  ///< powered off after a mid-inference death
     // Execution bookkeeping (both modes).
     bool executing = false;
-    double exec_finish_s = 0.0;   ///< for atomic multi-exit segments
+    double exec_finish_s = 0.0;   ///< for atomic multi-exit units
     std::int64_t remaining_macs = 0;  ///< for checkpointed mode
     double inference_start_s = -1.0;
     double energy_spent_mj = 0.0;
     std::int64_t macs_done = 0;
     int hops = 0;
-    // Historical multi-exit path: the committed exit's start cost, computed
-    // once at commit time. Both inputs (exit MACs, per-MMAC energy) are
-    // constant while the job waits, and the expression is the same one the
-    // step loop used to re-evaluate every step, so the value is bitwise
-    // identical.
-    std::int64_t pending_macs = 0;
-    double pending_cost_mj = 0.0;
-    // Recovery-mode bookkeeping (SimConfig::recovery.enabled only).
-    int units_done = 0;  ///< units of the current plan committed so far
-    int target_exit = -1;  ///< exit the current plan executes toward
-    bool dead = false;  ///< powered off after a mid-inference death
 };
 
 using Clock = std::chrono::steady_clock;
@@ -100,19 +91,23 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     util::Ema charge_rate(config_.charge_rate_ema_alpha);
     charge_rate.update(0.0);
 
-    // Failure model: constructed only when enabled, so the historical
-    // execution path below stays untouched (and bit-identical) by default.
+    // Failure model: the strategy exists only when it is enabled. Without
+    // it every plan is one unit, so nothing can die, and commits are free.
     std::unique_ptr<RecoveryStrategy> strategy;
     if (config_.recovery.enabled) {
         strategy =
             make_recovery_strategy(config_.recovery.strategy, config_.recovery);
     }
+    const double commit_mj =
+        strategy != nullptr ? strategy->commit_cost_mj() : 0.0;
 
-    ScenarioWorkspace* const ws = workspace;
-    Profiler* const prof = ws != nullptr ? ws->profiler : nullptr;
+    ScenarioWorkspace local_workspace;
+    ScenarioWorkspace& ws =
+        workspace != nullptr ? *workspace : local_workspace;
+    Profiler* const prof = ws.profiler;
     // Reset up front (not at exit) so an exception can never leave a stale
     // cursor for the next scenario that borrows this workspace.
-    if (ws != nullptr) ws->arena.reset();
+    ws.arena.reset();
 
     SimResult& result = out;
     result.records.clear();
@@ -148,21 +143,13 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     };
 
     // Bounded FIFO request queue (indices into events/records), held as a
-    // fixed-capacity ring: arena-backed per-worker scratch under a
-    // workspace, a one-off local buffer otherwise. Never touched when
+    // fixed-capacity ring in the workspace arena. Never touched when
     // queue_capacity == 0 — the historical single-context model.
     const int cap = config_.queue_capacity;
-    std::vector<std::size_t> queue_fallback;
-    std::size_t* queue_slots = nullptr;
-    if (cap > 0) {
-        if (ws != nullptr) {
-            queue_slots =
-                ws->arena.allocate_array<std::size_t>(static_cast<std::size_t>(cap));
-        } else {
-            queue_fallback.resize(static_cast<std::size_t>(cap));
-            queue_slots = queue_fallback.data();
-        }
-    }
+    std::size_t* queue_slots =
+        cap > 0 ? ws.arena.allocate_array<std::size_t>(
+                      static_cast<std::size_t>(cap))
+                : nullptr;
     std::size_t queue_head = 0;
     int queue_count = 0;
     auto queue_push = [&](std::size_t index) {
@@ -177,11 +164,9 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         return index;
     };
 
-    // Run-level recovery unit plan (see Job). At most one job is in flight,
-    // and every plan is rewritten via recovery_units_into() before use.
-    std::vector<std::int64_t> units_fallback;
-    std::vector<std::int64_t>& units =
-        ws != nullptr ? ws->units : units_fallback;
+    // Run-level unit plan (see Job). At most one job is in flight, and every
+    // plan is rewritten via plan_units_into() before use.
+    std::vector<std::int64_t>& units = ws.units;
 
     auto energy_state = [&](double now) {
         EnergyState s;
@@ -221,13 +206,13 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         busy = false;
     };
 
-    // -- Recovery-mode helpers (used only when a strategy is constructed) --
-
-    // A death: wasted progress is whatever the strategy does not preserve
-    // (plus the in-flight unit on a failed checkpoint commit). macs_done and
-    // energy_spent_mj are *not* rolled back — they record work actually
-    // executed, including work that later has to be redone.
+    // A death (failure model only): wasted progress is whatever the strategy
+    // does not preserve (plus the in-flight unit on a failed checkpoint
+    // commit). macs_done and energy_spent_mj are *not* rolled back — they
+    // record work actually executed, including work that later has to be
+    // redone.
     auto die = [&](bool lose_inflight_unit) {
+        IMX_EXPECTS(strategy != nullptr);
         ++result.deaths;
         if (lose_inflight_unit) {
             result.wasted_macs += units[static_cast<std::size_t>(job.units_done)];
@@ -257,7 +242,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         const double cost =
             macs_cost_mj(unit_macs) +
             (first_start ? config_.mcu.wakeup_energy_mj : 0.0);
-        if (storage.level() < cost + strategy->commit_cost_mj()) return false;
+        if (storage.level() < cost + commit_mj) return false;
         if (!storage.try_consume(cost)) return false;
         job.energy_spent_mj += cost;
         job.macs_done += unit_macs;
@@ -268,8 +253,12 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                                 config_.mcu.wakeup_time_s +
                                 device.compute_time(unit_macs);
         } else {
-            // Seamless after a unit that completed this step (exec_finish_s
-            // is still ahead of now); a fresh start after a stall or reboot.
+            // Chains from exec_finish_s when the previous unit ends inside
+            // the step that detects it (exec_finish_s >= now). A unit that
+            // ended inside its own start step (exec_finish_s < now) is only
+            // detected a step later, so the next unit starts at `now`: the
+            // gap overstates latency (docs/recovery.md). After a stall or
+            // reboot `now` is the true start.
             job.exec_finish_s = std::max(now, job.exec_finish_s) +
                                 device.compute_time(unit_macs);
         }
@@ -297,8 +286,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         charge_rate.update(std::max(stored, 0.0) / dt);
     };
 
-    // One full simulation step — the historical loop body verbatim (with
-    // `return` where it said `continue`), instrumented with phase scopes.
+    // One full simulation step, instrumented with phase scopes.
     auto full_step = [&](double now) {
         {
             ScopedPhase phase(prof, Profiler::Phase::kHarvest);
@@ -358,159 +346,80 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         }
 
         if (config_.mode == ExecutionMode::kMultiExit) {
-            // Recovery-enabled execution (pre-paid atomic units with
-            // death/reboot). Entirely separate from the historical path
-            // below, which stays bit-identical when the model is disabled.
-            if (strategy) {
-                // r1. Dead: recharge to the turn-on threshold, then reboot —
-                // wakeup plus the strategy's restore cost — and fall through
-                // to resume within this same step.
-                if (job.dead) {
-                    ScopedPhase phase(prof, Profiler::Phase::kCommit);
-                    if (!storage.can_turn_on()) return;
-                    const double restore =
-                        strategy->restore_cost_mj(job.units_done);
-                    if (!storage.try_consume(config_.mcu.wakeup_energy_mj +
-                                             restore)) {
-                        return;
-                    }
-                    job.energy_spent_mj += config_.mcu.wakeup_energy_mj;
-                    result.recovery_energy_mj += restore;
-                    job.dead = false;
-                }
+            // Every commit and hop executes as a plan of pre-paid atomic
+            // units (plan_units_into). Without the failure model the plan is
+            // one unit, which is the paper's runtime: the whole exit is
+            // buffered before it starts, then finishes in one power cycle.
 
-                // r0. Complete the in-flight unit: pay the checkpoint commit
-                // (a failed commit write is itself a death that loses the
-                // unit), then either evaluate/hop/finish at the end of the
-                // plan or chain straight into the next unit.
-                if (job.executing) {
-                    if (now + dt >= job.exec_finish_s) {
-                        job.executing = false;
-                        bool commit_ok = false;
-                        {
-                            ScopedPhase phase(prof, Profiler::Phase::kCommit);
-                            const double commit = strategy->commit_cost_mj();
-                            if (!storage.try_consume(commit)) {
-                                die(/*lose_inflight_unit=*/true);
-                            } else {
-                                result.recovery_energy_mj += commit;
-                                ++job.units_done;
-                                commit_ok = true;
-                            }
-                        }
-                        if (!commit_ok) return;
-                        if (job.units_done == static_cast<int>(units.size())) {
-                            ScopedPhase phase(prof,
-                                              Profiler::Phase::kInference);
-                            job.reached_exit = job.target_exit;
-                            const ExitOutcome outcome = model.evaluate(
-                                job.event_id, job.reached_exit);
-                            const int next_exit = job.reached_exit + 1;
-                            bool advanced = false;
-                            if (next_exit < model.num_exits() &&
-                                policy.continue_inference(
-                                    energy_state(now), model,
-                                    job.reached_exit, outcome.confidence)) {
-                                // Hop: plan the incremental advance. As in
-                                // the historical path the hop is
-                                // opportunistic — if even its first unit is
-                                // unaffordable right now, keep the result.
-                                recovery_units_into(
-                                    model, job.reached_exit, next_exit,
-                                    config_.recovery.granularity, units);
-                                job.units_done = 0;
-                                job.target_exit = next_exit;
-                                if (try_start_unit(now)) {
-                                    ++job.hops;
-                                    advanced = true;
-                                }
-                            }
-                            if (!advanced) {
-                                finish_event(record, outcome,
-                                             job.exec_finish_s);
-                            }
-                        } else {
-                            ScopedPhase phase(prof, Profiler::Phase::kCommit);
-                            (void)try_start_unit(now);
-                        }
-                    }
+            // r1. Dead: recharge to the turn-on threshold, then reboot —
+            // wakeup plus the strategy's restore cost — and fall through to
+            // resume within this same step.
+            if (job.dead) {
+                ScopedPhase phase(prof, Profiler::Phase::kCommit);
+                if (!storage.can_turn_on()) return;
+                const double restore =
+                    strategy->restore_cost_mj(job.units_done);
+                if (!storage.try_consume(config_.mcu.wakeup_energy_mj +
+                                         restore)) {
                     return;
                 }
-
-                // r2. Not yet committed: ask the policy, then plan the
-                // committed exit's execution as commit units.
-                if (!job.committed) {
-                    ScopedPhase phase(prof, Profiler::Phase::kPolicy);
-                    const EnergyState s = energy_state(now);
-                    const int choice = policy.select_exit(s, model);
-                    if (choice >= 0) {
-                        IMX_EXPECTS(choice < model.num_exits());
-                        job.committed = true;
-                        job.committed_exit = choice;
-                        job.state_at_selection = s;
-                        job.target_exit = choice;
-                        recovery_units_into(model, -1, choice,
-                                            config_.recovery.granularity,
-                                            units);
-                        job.units_done = 0;
-                    }
-                }
-                if (job.committed) {
-                    ScopedPhase phase(prof, Profiler::Phase::kCommit);
-                    // r3. Stalled mid-inference: the powered device draws
-                    // active_power_mw while waiting to afford its next unit,
-                    // and dies if the buffer sags below the death threshold.
-                    // Before the first unit the device is still asleep, as in
-                    // the historical wait path — no draw, no death.
-                    if (job.inference_start_s >= 0.0) {
-                        storage.drain(config_.recovery.active_power_mw * dt);
-                        if (storage.below_death_threshold()) {
-                            die(/*lose_inflight_unit=*/false);
-                            return;
-                        }
-                    }
-                    // r4. Start the next unit once it is affordable.
-                    (void)try_start_unit(now);
-                }
-                return;
+                job.energy_spent_mj += config_.mcu.wakeup_energy_mj;
+                result.recovery_energy_mj += restore;
+                job.dead = false;
             }
 
-            // 3a. Finish an atomic execution segment.
+            // r0. Complete the in-flight unit: pay the checkpoint commit (a
+            // failed commit write is itself a death that loses the unit),
+            // then either evaluate/hop/finish at the end of the plan or chain
+            // straight into the next unit.
             if (job.executing) {
                 if (now + dt >= job.exec_finish_s) {
-                    ScopedPhase phase(prof, Profiler::Phase::kInference);
                     job.executing = false;
-                    const ExitOutcome outcome =
-                        model.evaluate(job.event_id, job.reached_exit);
-                    const int next_exit = job.reached_exit + 1;
-                    bool advanced = false;
-                    if (next_exit < model.num_exits() &&
-                        policy.continue_inference(energy_state(now), model,
-                                                  job.reached_exit,
-                                                  outcome.confidence)) {
-                        const std::int64_t inc_macs =
-                            model.incremental_macs(job.reached_exit, next_exit);
-                        const double cost = macs_cost_mj(inc_macs);
-                        if (storage.try_consume(cost)) {
-                            job.energy_spent_mj += cost;
-                            job.macs_done += inc_macs;
-                            job.reached_exit = next_exit;
-                            ++job.hops;
-                            job.executing = true;
-                            job.exec_finish_s =
-                                job.exec_finish_s + device.compute_time(inc_macs);
-                            advanced = true;
+                    {
+                        ScopedPhase phase(prof, Profiler::Phase::kCommit);
+                        if (!storage.try_consume(commit_mj)) {
+                            die(/*lose_inflight_unit=*/true);
+                            return;
                         }
+                        result.recovery_energy_mj += commit_mj;
+                        ++job.units_done;
                     }
-                    if (!advanced) {
-                        finish_event(record, outcome, job.exec_finish_s);
+                    ScopedPhase phase(prof, Profiler::Phase::kInference);
+                    if (job.units_done == static_cast<int>(units.size())) {
+                        job.reached_exit = job.target_exit;
+                        const ExitOutcome outcome =
+                            model.evaluate(job.event_id, job.reached_exit);
+                        const int next_exit = job.reached_exit + 1;
+                        bool advanced = false;
+                        if (next_exit < model.num_exits() &&
+                            policy.continue_inference(
+                                energy_state(now), model, job.reached_exit,
+                                outcome.confidence)) {
+                            // Hop: plan the incremental advance. The hop is
+                            // opportunistic — if even its first unit is
+                            // unaffordable right now, keep the result.
+                            plan_units_into(model, job.reached_exit,
+                                            next_exit, config_.recovery,
+                                            units);
+                            job.units_done = 0;
+                            job.target_exit = next_exit;
+                            if (try_start_unit(now)) {
+                                ++job.hops;
+                                advanced = true;
+                            }
+                        }
+                        if (!advanced) {
+                            finish_event(record, outcome, job.exec_finish_s);
+                        }
+                    } else {
+                        (void)try_start_unit(now);
                     }
                 }
                 return;
             }
 
-            // 3b. Waiting: ask (or re-ask) the policy, then start when the
-            // committed exit is affordable.
+            // r2. Not yet committed: ask (or re-ask) the policy, then plan
+            // the committed exit's execution.
             if (!job.committed) {
                 ScopedPhase phase(prof, Profiler::Phase::kPolicy);
                 const EnergyState s = energy_state(now);
@@ -518,28 +427,32 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                 if (choice >= 0) {
                     IMX_EXPECTS(choice < model.num_exits());
                     job.committed = true;
-                    job.committed_exit = choice;
                     job.state_at_selection = s;
-                    job.pending_macs = model.exit_macs(choice);
-                    job.pending_cost_mj = macs_cost_mj(job.pending_macs) +
-                                          config_.mcu.wakeup_energy_mj;
+                    job.target_exit = choice;
+                    plan_units_into(model, -1, choice, config_.recovery,
+                                    units);
+                    job.units_done = 0;
                 }
             }
             if (job.committed) {
-                ScopedPhase phase(prof, Profiler::Phase::kInference);
-                if (storage.try_consume(job.pending_cost_mj)) {
-                    job.energy_spent_mj += job.pending_cost_mj;
-                    job.macs_done += job.pending_macs;
-                    job.reached_exit = job.committed_exit;
-                    job.hops = 1;
-                    // Execution can begin within the arrival step; the start
-                    // time is never earlier than the arrival itself.
-                    job.inference_start_s = std::max(now, job.arrival_s);
-                    job.executing = true;
-                    job.exec_finish_s = job.inference_start_s +
-                                        config_.mcu.wakeup_time_s +
-                                        device.compute_time(job.pending_macs);
+                // r3. Stalled mid-inference: the powered device draws
+                // active_power_mw while waiting to afford its next unit, and
+                // dies if the buffer sags below the death threshold. Only a
+                // multi-unit plan can stall, so only the failure model gets
+                // here. Before the first unit the device is still asleep —
+                // no draw, no death.
+                if (job.inference_start_s >= 0.0) {
+                    IMX_EXPECTS(strategy != nullptr);
+                    ScopedPhase phase(prof, Profiler::Phase::kCommit);
+                    storage.drain(config_.recovery.active_power_mw * dt);
+                    if (storage.below_death_threshold()) {
+                        die(/*lose_inflight_unit=*/false);
+                        return;
+                    }
                 }
+                // r4. Start the next unit once it is affordable.
+                ScopedPhase phase(prof, Profiler::Phase::kInference);
+                (void)try_start_unit(now);
             }
             return;
         }
@@ -615,10 +528,10 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                    now + dt < job.exec_finish_s &&
                    (next_event == num_events ||
                     events[next_event].time_s >= now + dt)) {
-            // Executing drain: while an atomic segment (or recovery unit) is
-            // mid-flight and no arrival lands in the step, the full step does
-            // nothing but harvest — the finish check fails, and recovery's
-            // stall drain/death only runs between units.
+            // Executing drain: while a unit is mid-flight and no arrival
+            // lands in the step, the full step does nothing but harvest —
+            // the finish check fails, and the stall drain/death only runs
+            // between units.
             const auto t0 =
                 prof != nullptr ? Clock::now() : Clock::time_point{};
             std::uint64_t steps = 0;

@@ -6,7 +6,9 @@
 //    energy cost is buffered, then completes the inference *within one power
 //    cycle* (result guaranteed before any power failure). Afterwards the
 //    policy may run incremental inference hops to deeper exits while energy
-//    allows.
+//    allows. Every commit and hop executes as a plan of pre-paid atomic
+//    units (sim::plan_units_into): one unit normally, one per checkpoint
+//    when the power-failure model (SimConfig::recovery) is on.
 //  * kCheckpointed — the SONIC-style baseline runtime [Gobieski et al.]:
 //    a single-exit network executes across as many power cycles as needed,
 //    paying checkpoint overhead per task and wakeup overhead per power
@@ -67,12 +69,13 @@ struct SimConfig {
     /// like the historical waiting job. Policies observe the backlog as
     /// EnergyState::queue_depth / queue_backlog.
     int queue_capacity = 0;
-    /// Power-failure model (sim/recovery/). Disabled by default, in which
-    /// case the simulator's behaviour and output are bitwise identical to
-    /// builds that predate the failure model. When enabled (kMultiExit mode
-    /// only), committed inferences execute as pre-paid atomic units, the run
-    /// can die below StorageConfig::death_threshold_mj while stalled between
-    /// units, and the named recovery strategy decides what survives a reboot.
+    /// Power-failure model (sim/recovery/). Disabled by default: each commit
+    /// or hop is then one pre-paid unit with a free commit, so the device
+    /// never stalls mid-inference and cannot die. When enabled (kMultiExit
+    /// mode only), the work is cut into per-layer or per-exit checkpoint
+    /// units, the run can die below StorageConfig::death_threshold_mj while
+    /// stalled between units, and the named recovery strategy decides what
+    /// survives a reboot.
     RecoveryConfig recovery{};
 };
 
@@ -84,12 +87,11 @@ public:
     /// The policy may be learning (its observe() hooks fire); run() does not
     /// reset policy state, so successive runs implement learning episodes.
     ///
-    /// `events` is a span view (std::vector<Event> converts implicitly, so
-    /// historical call sites compile unchanged) — arena-backed buffers and
-    /// sub-ranges flow through without copies. `workspace`, when non-null,
-    /// provides reusable per-worker buffers (queue ring, recovery unit
-    /// plan) and the optional profiler; null reproduces the historical
-    /// allocate-per-run behaviour bit for bit.
+    /// `events` is a span view (std::vector<Event> converts implicitly) —
+    /// arena-backed buffers and sub-ranges flow through without copies.
+    /// `workspace`, when non-null, provides reusable per-worker buffers
+    /// (queue ring, unit plan) and the optional profiler; null runs on a
+    /// local ScenarioWorkspace. Either way the results are the same.
     SimResult run(util::Span<const Event> events, InferenceModel& model,
                   ExitPolicy& policy, ScenarioWorkspace* workspace = nullptr);
 

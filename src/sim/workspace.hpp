@@ -12,11 +12,11 @@
 ///
 /// Ownership and threading: exp::run_sweep keeps a pool of workspaces and
 /// hands each scenario exactly one for the duration of its execution
-/// (confinement — no locking inside). Passing a null workspace anywhere
-/// restores the historical allocate-per-run behaviour, bit for bit: the
-/// workspace only changes *where* buffers live, never the values written
-/// through them (tests/test_hotpath.cpp pins SimResult and CSV equality
-/// workspace-on vs workspace-off across every registered experiment).
+/// (confinement — no locking inside). A caller that passes no workspace
+/// gets a local one for that call. The workspace only changes *where*
+/// buffers live, never the values written through them
+/// (tests/test_hotpath.cpp pins SimResult and CSV equality with and without
+/// a pooled workspace across every registered experiment).
 #ifndef IMX_SIM_WORKSPACE_HPP
 #define IMX_SIM_WORKSPACE_HPP
 
@@ -46,8 +46,8 @@ struct ScenarioWorkspace {
     /// immediately (Simulator::run_into reuses records capacity).
     SimResult train_result;
 
-    /// Reused recovery unit plan (recovery_units_into writes over it each
-    /// time a scenario's job commits or hops).
+    /// Reused unit plan (plan_units_into writes over it each time a
+    /// scenario's job commits or hops).
     std::vector<std::int64_t> units;
 
     /// Per-worker profiler; null (the default) means profiling is off and

@@ -55,7 +55,7 @@ std::vector<sim::Event> sort_and_number(std::vector<sim::Event> events) {
 // --- Bitwise pins of the historical generators -----------------------------
 
 TEST(ArrivalPins, UniformReproducesTheHistoricalStreamBitwise) {
-    // The pre-registry ArrivalKind::kUniform body, verbatim.
+    // The pre-registry uniform generator body, verbatim.
     util::Rng rng(99);
     std::vector<sim::Event> expected;
     for (int i = 0; i < 500; ++i) {
@@ -67,7 +67,7 @@ TEST(ArrivalPins, UniformReproducesTheHistoricalStreamBitwise) {
 }
 
 TEST(ArrivalPins, PoissonReproducesTheHistoricalStreamBitwise) {
-    // The pre-registry ArrivalKind::kPoisson body, verbatim.
+    // The pre-registry Poisson generator body, verbatim.
     util::Rng rng(7);
     std::vector<sim::Event> expected;
     const double rate = 200.0 / 5000.0;
@@ -83,7 +83,7 @@ TEST(ArrivalPins, PoissonReproducesTheHistoricalStreamBitwise) {
 }
 
 TEST(ArrivalPins, BurstyReproducesTheHistoricalStreamBitwise) {
-    // The pre-registry ArrivalKind::kBursty body, verbatim (bursts of 2-5
+    // The pre-registry bursty generator body, verbatim (bursts of 2-5
     // events jittered within 5 s).
     util::Rng rng(123);
     std::vector<sim::Event> expected;
@@ -100,22 +100,6 @@ TEST(ArrivalPins, BurstyReproducesTheHistoricalStreamBitwise) {
     expected = sort_and_number(std::move(expected));
     expect_same_events(sim::generate_arrivals("bursty", {150, 4000.0, 123}),
                        expected);
-}
-
-TEST(ArrivalPins, GenerateEventsIsSugarForTheRegistry) {
-    for (const auto kind :
-         {sim::ArrivalKind::kUniform, sim::ArrivalKind::kPoisson,
-          sim::ArrivalKind::kBursty}) {
-        sim::EventGenConfig config;
-        config.kind = kind;
-        config.count = 64;
-        config.duration_s = 900.0;
-        config.seed = 17;
-        expect_same_events(
-            sim::generate_events(config),
-            sim::generate_arrivals(sim::arrival_kind_name(kind),
-                                   {64, 900.0, 17}));
-    }
 }
 
 // --- Registry API and parameter validation ---------------------------------

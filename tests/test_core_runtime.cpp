@@ -6,6 +6,7 @@
 #include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
 #include "core/oracle_model.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/qlearning.hpp"
 #include "core/trace_eval.hpp"
 #include "sim/simulator.hpp"
@@ -195,7 +196,7 @@ TEST(QLearningPolicy, IncrementalDisabledByConfig) {
 TEST(StaticTraceEvaluator, AbundantEnergySelectsDeepestExitAlways) {
     const auto trace = energy::PowerTrace::constant(10.0, 1000.0, 1.0);
     const auto events =
-        sim::generate_events({100, 900.0, sim::ArrivalKind::kUniform, 3});
+        sim::generate_arrivals("uniform", {100, 900.0, 3});
     energy::StorageConfig storage;
     storage.capacity_mj = 1000.0;
     storage.initial_mj = 500.0;
@@ -210,7 +211,7 @@ TEST(StaticTraceEvaluator, AbundantEnergySelectsDeepestExitAlways) {
 TEST(StaticTraceEvaluator, NoEnergyMissesEverything) {
     const auto trace = energy::PowerTrace::constant(0.0001, 100.0, 1.0);
     const auto events =
-        sim::generate_events({20, 90.0, sim::ArrivalKind::kUniform, 4});
+        sim::generate_arrivals("uniform", {20, 90.0, 4});
     energy::StorageConfig storage;
     storage.capacity_mj = 10.0;
     storage.initial_mj = 0.0;

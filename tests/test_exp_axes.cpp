@@ -21,6 +21,7 @@
 #include "energy/solar.hpp"
 #include "exp/paper_scenarios.hpp"
 #include "exp/runner.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/greedy.hpp"
 #include "sim/simulator.hpp"
 
@@ -370,10 +371,10 @@ TEST(PortedScenarios, LearningCurveMatchesHandRolledTrainingLoop) {
     sim::Simulator simulator(setup->trace, setup->multi_exit_sim);
     std::vector<double> curve;
     for (int ep = 0; ep < episodes; ++ep) {
-        const auto train_events = sim::generate_events(
-            {static_cast<int>(setup->events.size()), setup->trace.duration(),
-             sim::ArrivalKind::kUniform,
-             2000 + static_cast<std::uint64_t>(ep)});
+        const auto train_events = sim::generate_arrivals(
+            "uniform", {static_cast<int>(setup->events.size()),
+                        setup->trace.duration(),
+                        2000 + static_cast<std::uint64_t>(ep)});
         const auto r = simulator.run(train_events, model, policy);
         curve.push_back(100.0 * r.accuracy_all_events());
     }

@@ -1,10 +1,11 @@
 // Tests for the declarative experiment API: the kvfile parser, the
 // experiment registry, spec-file round-trips against the registered
 // built-ins (ids / dims / seeds of the expanded grids must be identical),
-// malformed-spec diagnostics, and the --base-seed / --replicas resolution
-// rules.
+// malformed-spec diagnostics, the --base-seed / --replicas resolution
+// rules, and the coverage of the --quick stdout goldens.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -17,6 +18,9 @@
 
 #ifndef IMX_SPEC_DIR
 #error "IMX_SPEC_DIR must point at examples/experiments"
+#endif
+#ifndef IMX_QUICK_STDOUT_GOLDENS
+#error "IMX_QUICK_STDOUT_GOLDENS must point at the stdout golden list"
 #endif
 
 namespace {
@@ -59,6 +63,37 @@ TEST(KvFile, RejectsMalformedLines) {
         FAIL() << "expected KvParseError";
     } catch (const util::KvParseError& e) {
         EXPECT_NE(std::string(e.what()).find("my.ini:2"), std::string::npos);
+    }
+}
+
+// --- --quick stdout goldens -----------------------------------------------
+
+/// The experiment names listed in tests/goldens/quick_stdout.sha256 (each
+/// line becomes one QuickStdout.<name> ctest at configure time).
+std::set<std::string> stdout_golden_names() {
+    std::ifstream in(IMX_QUICK_STDOUT_GOLDENS);
+    EXPECT_TRUE(in.good()) << IMX_QUICK_STDOUT_GOLDENS;
+    std::set<std::string> names;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') continue;
+        names.insert(line.substr(0, line.find(' ')));
+    }
+    return names;
+}
+
+// Runs before ExperimentRegistry.CustomExperimentsRegisterAndResolve adds a
+// test-only name to the registry.
+TEST(QuickStdoutGoldens, EveryRegisteredExperimentIsPinned) {
+    const std::set<std::string> pinned = stdout_golden_names();
+    for (const std::string& name : exp::experiment_names()) {
+        EXPECT_EQ(pinned.count(name), 1u)
+            << "experiment '" << name
+            << "' has no line in tests/goldens/quick_stdout.sha256";
+    }
+    for (const std::string& name : pinned) {
+        EXPECT_TRUE(exp::has_experiment(name))
+            << "stale stdout golden for unregistered '" << name << "'";
     }
 }
 

@@ -12,6 +12,7 @@
 #include "sim/policies/qlearning.hpp"
 #include "data/synth_cifar.hpp"
 #include "nn/train.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/greedy.hpp"
 #include "sim/simulator.hpp"
 
@@ -89,9 +90,9 @@ TEST(Integration, QLearningImprovesOverStaticLut) {
     sim::QLearningExitPolicy policy(3, sim::RuntimeConfig{});
     sim::Simulator simulator(setup.trace, setup.multi_exit_sim);
     for (int episode = 0; episode < 12; ++episode) {
-        const auto events = sim::generate_events(
-            {500, setup.trace.duration(), sim::ArrivalKind::kUniform,
-             2000 + static_cast<std::uint64_t>(episode)});
+        const auto events = sim::generate_arrivals(
+            "uniform", {500, setup.trace.duration(),
+                        2000 + static_cast<std::uint64_t>(episode)});
         (void)simulator.run(events, model, policy);
     }
     policy.set_eval_mode(true);

@@ -6,6 +6,7 @@
 #include "core/multi_exit_spec.hpp"
 #include "core/oracle_model.hpp"
 #include "mcu/device.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/event_gen.hpp"
 #include "sim/metrics.hpp"
 #include "sim/policies/greedy.hpp"
@@ -48,10 +49,8 @@ TEST(McuModel, FlashFit) {
 }
 
 TEST(EventGen, CountSortedAndInRange) {
-    for (const auto kind : {sim::ArrivalKind::kUniform, sim::ArrivalKind::kPoisson,
-                            sim::ArrivalKind::kBursty}) {
-        const auto events =
-            sim::generate_events({100, 500.0, kind, 42});
+    for (const char* source : {"uniform", "poisson", "bursty"}) {
+        const auto events = sim::generate_arrivals(source, {100, 500.0, 42});
         ASSERT_EQ(events.size(), 100u);
         for (std::size_t i = 0; i < events.size(); ++i) {
             EXPECT_GE(events[i].time_s, 0.0);
@@ -65,10 +64,13 @@ TEST(EventGen, CountSortedAndInRange) {
 }
 
 TEST(EventGen, DeterministicBySeed) {
-    const auto a = sim::generate_events({50, 100.0, sim::ArrivalKind::kUniform, 7});
-    const auto b = sim::generate_events({50, 100.0, sim::ArrivalKind::kUniform, 7});
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].time_s, b[i].time_s);
+    for (const char* source : {"uniform", "poisson", "bursty"}) {
+        const auto a = sim::generate_arrivals(source, {50, 100.0, 7});
+        const auto b = sim::generate_arrivals(source, {50, 100.0, 7});
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].time_s, b[i].time_s);
+        }
     }
 }
 
