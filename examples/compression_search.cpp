@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,10 +35,16 @@ int main(int argc, char** argv) {
         // would be silently ignored, so reject it like the other flags.
         std::fprintf(stderr,
                      "error: --replicas/--csv/--base-seed are not supported "
-                     "by this example (see the bench_* binaries)\n");
+                     "by this example (see `imx_sweep ablation-search`)\n");
         return 2;
     }
-    const int episodes = exp::positional_int(cli, 0, cli.quick ? 60 : 300);
+    int episodes = 0;
+    try {
+        episodes = exp::positional_int(cli, 0, cli.quick ? 60 : 300);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 
     const auto setup = std::make_shared<const core::ExperimentSetup>(
         core::make_paper_setup());

@@ -173,18 +173,16 @@ int positional_int(const SweepCli& options, std::size_t index, int fallback) {
     const long value = std::strtol(text.c_str(), &end, 10);
     if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
         value < INT_MIN || value > INT_MAX) {
-        std::fprintf(stderr, "error: expected an integer argument, got '%s'\n",
-                     text.c_str());
-        std::exit(2);
+        throw std::invalid_argument("expected an integer argument, got '" +
+                                    text + "'");
     }
     return static_cast<int>(value);
 }
 
 void require_no_positional(const SweepCli& options) {
     if (options.positional.empty()) return;
-    std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                 options.positional.front().c_str());
-    std::exit(2);
+    throw std::invalid_argument("unexpected argument '" +
+                                options.positional.front() + "'");
 }
 
 }  // namespace imx::exp

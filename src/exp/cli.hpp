@@ -1,6 +1,6 @@
 /// \file
 /// \brief Shared CLI surface for sweep-driven binaries — one flag table,
-/// consumed identically by `imx_sweep` and every bench shim:
+/// consumed identically by `imx_sweep` and the examples:
 ///
 ///   flag         value  meaning
 ///   --quick      —      smoke mode: shorter trace, fewer episodes
@@ -96,13 +96,14 @@ struct SweepCli {
 ///   with --shard/--journal/--resume).
 SweepCli parse_sweep_cli(int argc, char** argv);
 
-/// Positional argument `index` as an int, or `fallback` when absent.
-/// Non-numeric or out-of-range text is a hard error, like flag parsing.
+/// \brief Positional argument `index` as an int, or `fallback` when absent.
+/// \throws std::invalid_argument on non-numeric or out-of-range text.
 int positional_int(const SweepCli& options, std::size_t index, int fallback);
 
-/// For binaries that accept no positional arguments: reject strays so a
-/// forgotten flag (`bench 8` instead of `bench --replicas 8`) cannot
-/// silently run with defaults.
+/// \brief For experiments that accept no positional arguments: reject
+/// strays so a forgotten flag (`fig5-iepmj 8` instead of
+/// `fig5-iepmj --replicas 8`) cannot silently run with defaults.
+/// \throws std::invalid_argument naming the first stray argument.
 void require_no_positional(const SweepCli& options);
 
 }  // namespace imx::exp

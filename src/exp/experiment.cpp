@@ -14,6 +14,7 @@
 #include "exp/journal.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "exp/spec_parser.hpp"
 #include "sim/policies/registry.hpp"
 #include "sim/profiler.hpp"
 #include "util/contracts.hpp"
@@ -55,6 +56,28 @@ std::map<std::string, ExperimentFactory>& registry_locked() {
 }
 
 }  // namespace
+
+namespace detail {
+
+ExperimentSpec embedded_spec(const std::string& file) {
+    return parse_experiment_spec(embedded_spec_text(file),
+                                 "examples/experiments/" + file);
+}
+
+void register_spec_file(
+    std::map<std::string, ExperimentFactory>& into, const std::string& file,
+    std::function<int(const ExperimentRunContext&)> report) {
+    ExperimentSpec spec = embedded_spec(file);
+    const std::string name = spec.name;
+    into[name] = [spec = std::move(spec), report = std::move(report)] {
+        Experiment experiment;
+        experiment.spec = spec;
+        experiment.report = report;
+        return experiment;
+    };
+}
+
+}  // namespace detail
 
 SystemKind parse_system_kind(const std::string& kind) {
     if (kind == "ours-qlearning") return SystemKind::kOursQLearning;
@@ -426,16 +449,6 @@ int run_experiment(const Experiment& experiment, const SweepCli& options) {
                          : generic_report(context);
     if (resolved.profile) emit_profile(profiler);
     return code;
-}
-
-int experiment_main(const std::string& name, int argc, char** argv) {
-    const SweepCli options = parse_sweep_cli(argc, argv);
-    try {
-        return run_experiment(make_experiment(name), options);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-    }
 }
 
 }  // namespace imx::exp

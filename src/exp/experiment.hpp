@@ -1,7 +1,7 @@
 /// \file
 /// \brief Declarative experiment API: a value type that fully describes a
 /// sweep, a string -> factory experiment registry, and the shared driver
-/// the bench shims and the universal `imx_sweep` binary run through.
+/// the `imx_sweep` binary runs every experiment through.
 ///
 /// An ExperimentSpec names everything a factorial paper sweep needs —
 /// traces, systems (label + kind + exit policy + train episodes), the
@@ -11,12 +11,11 @@
 /// hand-written PaperSweep expand through identical code paths.
 ///
 /// The registry mirrors sim/policies/registry.hpp: mutex-guarded
-/// string -> factory, built-ins seeded on first use. Every fig*/ablation_*
-/// bench grid is registered as a named built-in; grids the declarative
-/// spec cannot express (custom traces, search scenarios, learning curves)
-/// register a custom `build` function instead, and benches with bespoke
-/// tables register a custom `report` — the bench binaries themselves are
-/// one-line shims over experiment_main().
+/// string -> factory, built-ins seeded on first use. The declarative
+/// built-in grids are the shipped examples/experiments/*.ini files,
+/// compiled into the library and registered with a C++ report; grids the
+/// declarative spec cannot express (custom traces, search scenarios,
+/// learning curves) register a custom `build` function instead.
 #ifndef IMX_EXP_EXPERIMENT_HPP
 #define IMX_EXP_EXPERIMENT_HPP
 
@@ -96,15 +95,15 @@ SystemKind parse_system_kind(const std::string& kind);
 /// smoke scale are left alone (shrink only, never inflate).
 core::SetupConfig quick_setup_config(core::SetupConfig config);
 
-/// The canonical bench setup config (shrunk when options.quick).
+/// The canonical paper setup config (shrunk when options.quick).
 core::SetupConfig sweep_setup_config(const SweepCli& options);
 
-/// Q-learning training episodes for a bench run (4 under --quick).
+/// Q-learning training episodes for a full run (4 under --quick).
 int sweep_episodes(const SweepCli& options, int full_default);
 
 /// \brief Resolve CLI options against a spec's defaults: flags that were
 /// given on the command line win, otherwise the spec's replicas/base_seed
-/// apply. Bench shims (spec defaults == CLI defaults) are unaffected.
+/// apply.
 SweepCli resolve_options(const ExperimentSpec& spec, const SweepCli& options);
 
 /// \brief Expand a declarative spec into the PaperSweep it denotes.
@@ -133,7 +132,8 @@ struct ExperimentRunContext {
 struct Experiment {
     ExperimentSpec spec;
     /// Accept positional CLI arguments (e.g. an episode count)? When false
-    /// the driver rejects strays exactly like require_no_positional().
+    /// build_experiment_scenarios() rejects strays via
+    /// require_no_positional().
     bool allow_positional = false;
     /// Custom grid builder; empty = expand_experiment(spec, options).
     std::function<std::vector<ScenarioSpec>(const ExperimentSpec&,
@@ -169,6 +169,8 @@ void register_experiment(const std::string& name, ExperimentFactory factory);
 
 /// \brief Expand an experiment's grid without running it (used by the
 /// driver's --dry-run and by run_experiment). Resolves options first.
+/// \throws std::invalid_argument on a stray or malformed positional
+///   argument, or on a spec the expansion rejects.
 std::vector<ScenarioSpec> build_experiment_scenarios(
     const Experiment& experiment, const SweepCli& options);
 
@@ -180,11 +182,6 @@ std::vector<ScenarioSpec> build_experiment_scenarios(
 /// report through the generic aggregate table (see ExperimentRunContext).
 /// \return the process exit code.
 int run_experiment(const Experiment& experiment, const SweepCli& options);
-
-/// \brief Entry point for the bench shims: parse argv, fetch the named
-/// experiment, run it. Never throws — registry/spec errors print to stderr
-/// and return a nonzero code.
-int experiment_main(const std::string& name, int argc, char** argv);
 
 }  // namespace imx::exp
 

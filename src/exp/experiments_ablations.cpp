@@ -1,11 +1,9 @@
 /// \file
-/// \brief Built-in ablation experiments (harvester / recovery / runtime /
-/// search / trace / storage-deadline / deadline-policy). Like
-/// experiments_figs.cpp, every grid ported from a bench main keeps its
-/// replica-0 output byte-identical; harvester-ablation and recovery-ablation
-/// are registry-native (traces from the energy trace registry, recovery
-/// cells from the recovery-strategy registry, mirrored by the shipped
-/// harvester_ablation.ini / recovery_ablation.ini specs).
+/// \brief Built-in ablation experiments. The harvester, recovery, traffic
+/// and storage-deadline grids are the embedded examples/experiments/*.ini
+/// files registered with the reports below; runtime, search, trace and
+/// deadline-policy build their grids in C++. Every table stays
+/// byte-identical to the pinned --quick goldens.
 #include "exp/experiments_builtin.hpp"
 
 #include <algorithm>
@@ -26,7 +24,6 @@
 #include "core/search.hpp"
 #include "core/trace_eval.hpp"
 #include "energy/solar.hpp"
-#include "energy/trace_registry.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/report.hpp"
 #include "sim/policies/qlearning.hpp"
@@ -75,32 +72,13 @@ int storage_deadline_report(const ExperimentRunContext& ctx) {
     return 0;
 }
 
-Experiment storage_deadline_experiment() {
-    Experiment e;
-    e.spec.name = "ablation-storage-deadline";
-    e.spec.description =
-        "Design-space sweep: energy-storage capacity x inference deadline x "
-        "every registered exit policy";
-    // One multi-exit system; the policy axis picks the exit policy per cell
-    // (train_episodes only applies to the learning policies).
-    e.spec.systems = {{"ours", "ours-policy", "", 12, 4}};
-    e.spec.storage_mj = {3.0, 6.0, 12.0};
-    e.spec.deadline_s = {60.0, 240.0, kInf};
-    e.spec.policies = queueless_policy_names();
-    e.spec.metrics = {"iepmj", "processed", "deadline_miss_pct",
-                      "acc_all_pct", "event_latency_s"};
-    e.report = storage_deadline_report;
-    return e;
-}
-
 // --- ablation-deadline-policy ---------------------------------------------
 
 std::vector<std::string> parse_policy_list(const SweepCli& options) {
     if (options.positional.empty()) return queueless_policy_names();
     if (options.positional.size() > 1) {
-        std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                     options.positional[1].c_str());
-        std::exit(2);
+        throw std::invalid_argument("unexpected argument '" +
+                                    options.positional[1] + "'");
     }
     std::vector<std::string> names;
     const std::string& list = options.positional[0];
@@ -119,27 +97,15 @@ std::vector<std::string> parse_policy_list(const SweepCli& options) {
         // group label and silently skew the aggregation's replica counts.
         for (std::size_t j = 0; j < i; ++j) {
             if (names[i] == names[j]) {
-                std::fprintf(stderr, "error: duplicate policy '%s'\n",
-                             names[i].c_str());
-                std::exit(2);
+                throw std::invalid_argument("duplicate policy '" + names[i] +
+                                            "'");
             }
         }
-        const std::string& name = names[i];
-        if (!sim::has_policy(name)) {
-            // Reuse the registry's own diagnostic (it lists every
-            // registered name) instead of duplicating the format here.
-            try {
-                (void)sim::make_policy(name);
-            } catch (const std::invalid_argument& e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-            }
-            std::exit(2);
-        }
+        // An unknown name throws the registry's own diagnostic (it lists
+        // every registered name).
+        if (!sim::has_policy(names[i])) (void)sim::make_policy(names[i]);
     }
-    if (names.empty()) {
-        std::fprintf(stderr, "error: empty policy list\n");
-        std::exit(2);
-    }
+    if (names.empty()) throw std::invalid_argument("empty policy list");
     return names;
 }
 
@@ -263,44 +229,6 @@ int harvester_report(const ExperimentRunContext& ctx) {
     return code;
 }
 
-Experiment harvester_experiment() {
-    Experiment e;
-    e.spec.name = "harvester-ablation";
-    e.spec.description =
-        "Harvesting-environment ablation: solar / RF-bursty / OU-wind / "
-        "duty-cycle sources x every exit policy at one energy budget";
-    e.spec.title =
-        "Harvesting source x exit policy (same budget, 60 s deadline)";
-    const auto trace = [](const char* label, const char* source,
-                          energy::TraceParams params) {
-        TraceEntry entry;
-        entry.label = label;
-        entry.config.trace_source = source;
-        entry.config.trace_params = std::move(params);
-        return entry;
-    };
-    // Keep these parameter maps in lockstep with the shipped spec
-    // examples/experiments/harvester_ablation.ini — the round-trip test
-    // pins the expanded grids against each other.
-    e.spec.traces = {
-        TraceEntry{},  // the canonical paper-solar environment
-        trace("rf-bursty", "rf-bursty",
-              {{"burst_power_mw", "0.6"},
-               {"mean_on_s", "2"},
-               {"mean_off_s", "18"}}),
-        trace("ou-wind", "ou-wind", {}),
-        trace("duty-cycle", "duty-cycle",
-              {{"period_s", "120"}, {"duty", "0.25"}}),
-    };
-    e.spec.systems = {{"ours", "ours-policy", "", 12, 4}};
-    e.spec.deadline_s = {60.0};
-    e.spec.policies = queueless_policy_names();
-    e.spec.metrics = {"iepmj", "deadline_miss_pct", "acc_all_pct",
-                      "processed"};
-    e.report = harvester_report;
-    return e;
-}
-
 // --- recovery-ablation ----------------------------------------------------
 
 int recovery_report(const ExperimentRunContext& ctx) {
@@ -320,74 +248,7 @@ int recovery_report(const ExperimentRunContext& ctx) {
     return code;
 }
 
-Experiment recovery_experiment() {
-    Experiment e;
-    e.spec.name = "recovery-ablation";
-    e.spec.description =
-        "Power-failure ablation: recovery strategy (restart / checkpoint / "
-        "checkpoint-free) x harvesting source x deadline";
-    e.spec.title =
-        "Recovery strategy x harvesting source x deadline (greedy policy)";
-    const auto trace = [](const char* label, const char* source,
-                          energy::TraceParams params) {
-        TraceEntry entry;
-        entry.label = label;
-        entry.config.trace_source = source;
-        entry.config.trace_params = std::move(params);
-        return entry;
-    };
-    // Keep traces and cells in lockstep with the shipped spec
-    // examples/experiments/recovery_ablation.ini — the round-trip test pins
-    // the expanded grids against each other. rf-bursty's dead gaps are what
-    // make mid-inference brown-outs likely; paper-solar is the benign
-    // diurnal envelope.
-    e.spec.traces = {
-        TraceEntry{},  // the canonical paper-solar environment
-        trace("rf-bursty", "rf-bursty",
-              {{"burst_power_mw", "0.6"},
-               {"mean_on_s", "2"},
-               {"mean_off_s", "18"}}),
-    };
-    e.spec.systems = {{"ours", "ours-policy", "greedy", 12, 4}};
-    e.spec.deadline_s = {120.0, kInf};
-    const auto cell = [](const char* label, const char* strategy,
-                         sim::CheckpointGranularity granularity) {
-        RecoveryCell c;
-        c.label = label;
-        if (std::string(strategy) == "none") return c;  // disabled baseline
-        c.config.enabled = true;
-        c.config.strategy = strategy;
-        c.config.granularity = granularity;
-        // The stalled device's static draw and the brown-out line: deep
-        // enough below on_threshold (0.5 mJ) that short income gaps are
-        // survivable, high enough that rf-bursty's long gaps kill.
-        c.config.active_power_mw = 0.02;
-        c.death_threshold_mj = 0.3;
-        return c;
-    };
-    e.spec.recoveries = {
-        cell("none", "none", sim::CheckpointGranularity::kPerLayer),
-        cell("restart", "restart", sim::CheckpointGranularity::kPerLayer),
-        cell("ckpt-layer", "checkpoint",
-             sim::CheckpointGranularity::kPerLayer),
-        cell("ckpt-exit", "checkpoint", sim::CheckpointGranularity::kPerExit),
-        cell("ckpt-free", "checkpoint-free",
-             sim::CheckpointGranularity::kPerLayer),
-    };
-    e.spec.metrics = {"deaths",      "wasted_macs_m", "recovery_mj",
-                      "iepmj",       "processed",     "deadline_miss_pct"};
-    e.report = recovery_report;
-    return e;
-}
-
 // --- traffic-ablation -----------------------------------------------------
-
-/// The arrival-cell labels and bounded capacities both the spec and the
-/// report walk — one constant so the queue-aware-vs-blind comparison can
-/// never look up cells the sweep did not register.
-const char* const kTrafficArrivalLabels[] = {"uniform", "flash-crowd", "mmpp",
-                                             "diurnal"};
-constexpr int kTrafficBoundedCapacities[] = {4, 16};
 
 int traffic_report(const ExperimentRunContext& ctx) {
     const int code = generic_report(ctx);
@@ -397,11 +258,11 @@ int traffic_report(const ExperimentRunContext& ctx) {
     // policy's backlog awareness (q0 is the historical unbuffered model,
     // where the two policies coincide by construction).
     std::printf("\nqueue-aware vs queue-blind (ddl60s, canonical run):\n");
-    for (const char* arrival : kTrafficArrivalLabels) {
-        for (const int capacity : kTrafficBoundedCapacities) {
-            const std::string prefix = "paper-solar/ours/arr-" +
-                                       std::string(arrival) + "+ddl60s+q" +
-                                       std::to_string(capacity);
+    for (const auto& arrival : ctx.spec.arrivals) {
+        for (const int capacity : ctx.spec.queue_capacity) {
+            if (capacity == 0) continue;
+            const std::string prefix = "paper-solar/ours/arr-" + arrival.label +
+                                       "+ddl60s+q" + std::to_string(capacity);
             const auto& blind = canonical_metrics(ctx.specs, ctx.outcomes,
                                                   prefix +
                                                       "+pol-slack-greedy");
@@ -414,7 +275,7 @@ int traffic_report(const ExperimentRunContext& ctx) {
             std::printf(
                 "  %-12s q%-3d miss %5.1f%% -> %5.1f%%  p95 %6.1fs -> "
                 "%6.1fs  dropped %3.0f -> %3.0f  %s\n",
-                arrival, capacity, blind.at("deadline_miss_pct"),
+                arrival.label.c_str(), capacity, blind.at("deadline_miss_pct"),
                 aware.at("deadline_miss_pct"), blind_p95, aware_p95,
                 blind_drop, aware_drop,
                 aware_p95 < blind_p95 || aware_drop < blind_drop
@@ -438,46 +299,6 @@ int traffic_report(const ExperimentRunContext& ctx) {
         "examples/experiments/traffic_ablation.ini, or register a custom "
         "arrival source, without recompiling.\n");
     return code;
-}
-
-Experiment traffic_experiment() {
-    Experiment e;
-    e.spec.name = "traffic-ablation";
-    e.spec.description =
-        "Request-traffic ablation: arrival source x bounded queue capacity "
-        "x queue-aware vs queue-blind slack policy";
-    e.spec.title =
-        "Arrival source x queue capacity x policy (60 s deadline)";
-    // One multi-exit system; the policy axis picks the exit policy per cell.
-    e.spec.systems = {{"ours", "ours-policy", "", 12, 4}};
-    const auto cell = [](const char* label, const char* source,
-                         sim::ArrivalParams params) {
-        ArrivalCell c;
-        c.label = label;
-        c.source = source;
-        c.params = std::move(params);
-        return c;
-    };
-    // Keep cells in lockstep with the shipped spec
-    // examples/experiments/traffic_ablation.ini — the round-trip test pins
-    // the expanded grids against each other. flash-crowd's oversized bursts
-    // are what make the bounded queue (and backlog shedding) bite;
-    // mmpp/diurnal probe correlated and slowly-varying load.
-    e.spec.arrivals = {
-        cell(kTrafficArrivalLabels[0], "uniform", {}),
-        cell(kTrafficArrivalLabels[1], "bursty",
-             {{"burst_min", "6"}, {"burst_max", "12"}, {"jitter_s", "2"}}),
-        cell(kTrafficArrivalLabels[2], "mmpp", {}),
-        cell(kTrafficArrivalLabels[3], "diurnal", {}),
-    };
-    e.spec.deadline_s = {60.0};
-    e.spec.queue_capacity = {0, kTrafficBoundedCapacities[0],
-                             kTrafficBoundedCapacities[1]};
-    e.spec.policies = {"slack-greedy", "queue-slack-greedy"};
-    e.spec.metrics = {"deadline_miss_pct", "p95_latency_s", "dropped",
-                      "processed", "iepmj"};
-    e.report = traffic_report;
-    return e;
 }
 
 // --- ablation-runtime -----------------------------------------------------
@@ -886,14 +707,15 @@ Experiment trace_experiment() {
 
 void register_ablation_experiments(
     std::map<std::string, ExperimentFactory>& into) {
-    into["harvester-ablation"] = harvester_experiment;
+    register_spec_file(into, "harvester_ablation.ini", harvester_report);
+    register_spec_file(into, "recovery_ablation.ini", recovery_report);
+    register_spec_file(into, "storage_deadline_policy.ini",
+                       storage_deadline_report);
+    register_spec_file(into, "traffic_ablation.ini", traffic_report);
     into["ablation-deadline-policy"] = deadline_policy_experiment;
     into["ablation-runtime"] = runtime_experiment;
     into["ablation-search"] = search_experiment;
-    into["ablation-storage-deadline"] = storage_deadline_experiment;
     into["ablation-trace"] = trace_experiment;
-    into["recovery-ablation"] = recovery_experiment;
-    into["traffic-ablation"] = traffic_experiment;
 }
 
 }  // namespace imx::exp::detail

@@ -6,6 +6,7 @@
 #ifndef IMX_EXP_EXPERIMENTS_BUILTIN_HPP
 #define IMX_EXP_EXPERIMENTS_BUILTIN_HPP
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -13,12 +14,26 @@
 
 namespace imx::exp::detail {
 
+/// \brief The text of examples/experiments/<file>, compiled into the
+/// library at build time (the generated embedded_specs.cpp).
+/// \throws std::invalid_argument when no such file was embedded.
+const std::string& embedded_spec_text(const std::string& file);
+
+/// \brief Parse the embedded spec file `file`.
+ExperimentSpec embedded_spec(const std::string& file);
+
+/// \brief Register the grid the embedded spec file `file` declares under
+/// its `[sweep] name`, reporting through `report`.
+void register_spec_file(std::map<std::string, ExperimentFactory>& into,
+                        const std::string& file,
+                        std::function<int(const ExperimentRunContext&)> report);
+
 /// The figure reproductions: fig1b, fig4, fig5, fig6, fig7a, fig7b, and
 /// the Sec. V-D latency table.
 void register_fig_experiments(std::map<std::string, ExperimentFactory>& into);
 
-/// The ablations: harvester (trace-registry sources), runtime, search,
-/// trace, storage-deadline, deadline-policy.
+/// The ablations: harvester, recovery, traffic, runtime, search, trace,
+/// storage-deadline, deadline-policy.
 void register_ablation_experiments(
     std::map<std::string, ExperimentFactory>& into);
 

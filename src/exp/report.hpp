@@ -3,9 +3,8 @@
 /// outcome lookup, the seed-replica aggregation table, the generic
 /// experiment report, and the --dry-run grid listing.
 ///
-/// These used to live in bench/bench_common.hpp; they moved into the
-/// library so registered experiments (src/exp/experiments_*.cpp) can print
-/// the exact tables the bench binaries have always printed.
+/// Registered experiments (src/exp/experiments_*.cpp) print their tables
+/// through these.
 #ifndef IMX_EXP_REPORT_HPP
 #define IMX_EXP_REPORT_HPP
 
@@ -60,7 +59,7 @@ void print_scenario_grid(const std::vector<ScenarioSpec>& specs,
 /// sources, arrival sources, recovery strategies — one "  name description"
 /// section each with its spec-section/doc heading. This IS the `imx_sweep
 /// --list` body (the driver adds only its trailing usage hint), kept in the
-/// library so shims and tools list the world identically.
+/// library so every tool lists the world identically.
 void describe_all(std::FILE* out);
 
 }  // namespace imx::exp

@@ -1,9 +1,8 @@
 // Arrival-source registry suite: bitwise pins of the historical
 // uniform/poisson/bursty streams, registry and parameter-reader error
 // paths, the new mmpp/diurnal/csv sources, [arrivals.<label>] /
-// [patch.queue] spec sections, the traffic-ablation round-trip, the
-// bounded-queue conservation law, and thread/shard invariance of the new
-// queue and latency metrics.
+// [patch.queue] spec sections, the bounded-queue conservation law, and
+// thread/shard invariance of the new queue and latency metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -363,33 +362,6 @@ TEST(ArrivalSpec, SchemaErrorsAreHardAndAnchored) {
                            "[patch.queue]\ncapacity = 1\n"
                            "[patch.queue]\ncapacity = 2\n",
                        "duplicate [patch.queue]");
-}
-
-TEST(ArrivalSpec, TrafficAblationSpecRoundTripsTheRegisteredExperiment) {
-    ASSERT_TRUE(exp::has_experiment("traffic-ablation"));
-    const auto spec = exp::load_experiment_spec(std::string(IMX_SPEC_DIR) +
-                                                "/traffic_ablation.ini");
-    EXPECT_EQ(spec.name, "traffic-ablation");
-    ASSERT_EQ(spec.arrivals.size(), 4u);
-    EXPECT_EQ(spec.queue_capacity, (std::vector<int>{0, 4, 16}));
-
-    for (const bool quick : {false, true}) {
-        exp::SweepCli cli;
-        cli.quick = quick;
-        cli.replicas = 2;
-        cli.replicas_given = true;
-        const auto from_spec = exp::expand_experiment(spec, cli);
-        const auto from_registry = exp::build_experiment_scenarios(
-            exp::make_experiment("traffic-ablation"), cli);
-        ASSERT_EQ(from_spec.size(), from_registry.size());
-        for (std::size_t i = 0; i < from_spec.size(); ++i) {
-            EXPECT_EQ(from_spec[i].id, from_registry[i].id);
-            EXPECT_EQ(from_spec[i].group, from_registry[i].group);
-            EXPECT_EQ(from_spec[i].dims, from_registry[i].dims);
-            EXPECT_EQ(from_spec[i].replica, from_registry[i].replica);
-            EXPECT_EQ(from_spec[i].seed, from_registry[i].seed);
-        }
-    }
 }
 
 // --- Bounded-queue conservation --------------------------------------------

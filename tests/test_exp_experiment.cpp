@@ -1,8 +1,8 @@
 // Tests for the declarative experiment API: the kvfile parser, the
-// experiment registry, spec-file round-trips against the registered
-// built-ins (ids / dims / seeds of the expanded grids must be identical),
-// malformed-spec diagnostics, the --base-seed / --replicas resolution
-// rules, and the coverage of the --quick stdout goldens.
+// experiment registry (including the grids compiled in from the shipped
+// spec files), the shipped unregistered spec files, malformed-spec
+// diagnostics, positional-argument errors, the --base-seed / --replicas
+// resolution rules, and the coverage of the --quick stdout goldens.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -142,48 +142,69 @@ TEST(ExperimentRegistry, CustomExperimentsRegisterAndResolve) {
     EXPECT_EQ(specs[0].id, "paper-solar/s#0");
 }
 
-// --- spec-file round-trips ------------------------------------------------
-
-void expect_same_grid(const std::vector<exp::ScenarioSpec>& from_spec,
-                      const std::vector<exp::ScenarioSpec>& from_registry) {
-    ASSERT_EQ(from_spec.size(), from_registry.size());
-    for (std::size_t i = 0; i < from_spec.size(); ++i) {
-        EXPECT_EQ(from_spec[i].id, from_registry[i].id);
-        EXPECT_EQ(from_spec[i].group, from_registry[i].group);
-        EXPECT_EQ(from_spec[i].dims, from_registry[i].dims);
-        EXPECT_EQ(from_spec[i].replica, from_registry[i].replica);
-        EXPECT_EQ(from_spec[i].seed, from_registry[i].seed);
+TEST(ExperimentRegistry, EveryNameBuildsAnExperimentOfThatName) {
+    for (const std::string& name : exp::experiment_names()) {
+        EXPECT_EQ(exp::make_experiment(name).spec.name, name);
     }
 }
 
-TEST(SpecRoundTrip, StorageDeadlinePolicyMatchesRegisteredExperiment) {
-    const auto spec = exp::load_experiment_spec(
-        std::string(IMX_SPEC_DIR) + "/storage_deadline_policy.ini");
-    EXPECT_EQ(spec.name, "ablation-storage-deadline");
-
+TEST(ExperimentRegistry, LatencyTableRunsTheFig5Grid) {
     for (const bool quick : {false, true}) {
         exp::SweepCli cli;
         cli.quick = quick;
         cli.replicas = 2;
         cli.replicas_given = true;
-        expect_same_grid(
-            exp::expand_experiment(spec, cli),
-            exp::build_experiment_scenarios(
-                exp::make_experiment("ablation-storage-deadline"), cli));
+        const auto fig5 = exp::build_experiment_scenarios(
+            exp::make_experiment("fig5-iepmj"), cli);
+        const auto latency = exp::build_experiment_scenarios(
+            exp::make_experiment("latency-table"), cli);
+        ASSERT_EQ(fig5.size(), latency.size());
+        for (std::size_t i = 0; i < fig5.size(); ++i) {
+            EXPECT_EQ(fig5[i].id, latency[i].id);
+            EXPECT_EQ(fig5[i].seed, latency[i].seed);
+        }
     }
 }
 
-TEST(SpecRoundTrip, PaperBaselinesMatchesFig5Grid) {
-    const auto spec = exp::load_experiment_spec(std::string(IMX_SPEC_DIR) +
-                                                "/paper_baselines.ini");
+// --- positional arguments -------------------------------------------------
+
+exp::SweepCli with_positional(const std::string& arg) {
     exp::SweepCli cli;
     cli.quick = true;
-    cli.replicas = 3;
-    cli.replicas_given = true;
-    expect_same_grid(exp::expand_experiment(spec, cli),
-                     exp::build_experiment_scenarios(
-                         exp::make_experiment("fig5-iepmj"), cli));
+    cli.positional = {arg};
+    return cli;
 }
+
+void expect_invalid_argument(const std::string& name, const exp::SweepCli& cli,
+                             const std::string& message) {
+    try {
+        (void)exp::build_experiment_scenarios(exp::make_experiment(name), cli);
+        FAIL() << "expected invalid_argument: " << message;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(message, 0), 0u) << e.what();
+    }
+}
+
+TEST(PositionalArguments, ErrorsThrowInsteadOfExiting) {
+    expect_invalid_argument("fig5-iepmj", with_positional("8"),
+                            "unexpected argument '8'");
+    expect_invalid_argument("ablation-search", with_positional("abc"),
+                            "expected an integer argument, got 'abc'");
+    expect_invalid_argument("ablation-deadline-policy",
+                            with_positional("greedy,greedy"),
+                            "duplicate policy 'greedy'");
+    expect_invalid_argument("ablation-deadline-policy",
+                            with_positional("greedy,nope"),
+                            "unknown exit policy 'nope'");
+    expect_invalid_argument("ablation-deadline-policy", with_positional(","),
+                            "empty policy list");
+    auto two = with_positional("greedy");
+    two.positional.push_back("qlearning");
+    expect_invalid_argument("ablation-deadline-policy", two,
+                            "unexpected argument 'qlearning'");
+}
+
+// --- shipped unregistered spec files --------------------------------------
 
 TEST(SpecRoundTrip, BurstySlackGridParsesAndExpands) {
     const auto spec = exp::load_experiment_spec(std::string(IMX_SPEC_DIR) +
@@ -217,27 +238,6 @@ void expect_parse_error(const std::string& text, const std::string& needle) {
     } catch (const std::exception& e) {
         EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
             << e.what();
-    }
-}
-
-TEST(SpecRoundTrip, HarvesterAblationMatchesRegisteredExperiment) {
-    const auto spec = exp::load_experiment_spec(std::string(IMX_SPEC_DIR) +
-                                                "/harvester_ablation.ini");
-    EXPECT_EQ(spec.name, "harvester-ablation");
-    ASSERT_EQ(spec.traces.size(), 4u);
-    EXPECT_EQ(spec.traces[1].label, "rf-bursty");
-    EXPECT_EQ(spec.traces[1].config.trace_source, "rf-bursty");
-    EXPECT_EQ(spec.traces[1].config.trace_params.at("burst_power_mw"), "0.6");
-    EXPECT_EQ(spec.traces[2].config.trace_source, "ou-wind");
-
-    for (const bool quick : {false, true}) {
-        exp::SweepCli cli;
-        cli.quick = quick;
-        cli.replicas = 2;
-        cli.replicas_given = true;
-        expect_same_grid(exp::expand_experiment(spec, cli),
-                         exp::build_experiment_scenarios(
-                             exp::make_experiment("harvester-ablation"), cli));
     }
 }
 

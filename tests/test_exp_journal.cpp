@@ -2,8 +2,8 @@
 // streaming-vs-batch aggregation bitwise equality, shard index arithmetic,
 // the JSONL journal round-trip (bit-exact doubles), resume after a torn
 // journal, and the exact-merge invariant — shard + merge is byte-identical
-// to a single-process run, on a synthetic grid, a registry grid, and a
-// spec-file grid.
+// to a single-process run, on a synthetic grid, a registry grid, and an
+// unregistered spec-file grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -490,8 +490,10 @@ TEST(ShardMergeEndToEnd, RegistryGridIsByteExact) {
 }
 
 TEST(ShardMergeEndToEnd, SpecFileGridIsByteExact) {
+    // An unregistered grid with storage and deadline axes, so this leg
+    // covers more than the registry leg above.
     const auto spec = exp::load_experiment_spec(std::string(IMX_SPEC_DIR) +
-                                                "/paper_baselines.ini");
+                                                "/bursty_slack_grid.ini");
     const auto options = quick_options();
     const auto specs = exp::expand_experiment(spec, options);
     ASSERT_FALSE(specs.empty());

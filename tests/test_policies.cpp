@@ -2,7 +2,7 @@
 // shallowing as slack shrinks), the slack-binned Q-state layout (StateGrid
 // round-trips, historical-index compatibility), the name registry, the
 // exp::policy_patch axis, and the sweep-level pin that the extended
-// bench_ablation_storage_deadline grid reproduces the pre-policy-axis cells
+// ablation-storage-deadline grid reproduces the pre-policy-axis cells
 // bitwise at replica 0 for the pre-existing greedy/qlearning slices.
 #include <gtest/gtest.h>
 
@@ -292,7 +292,7 @@ TEST(PolicyPatch, CrossWithDeadlineKeepsPolicyAndDims) {
 
 // --- Sweep-level replica-0 pinning ----------------------------------------
 
-/// The extended bench_ablation_storage_deadline grid shape at mini scale:
+/// The extended ablation-storage-deadline grid shape at mini scale:
 /// one kOursPolicy system crossed with storage x deadline x policy patches.
 exp::PaperSweep mini_factorial(const std::vector<std::string>& policies,
                                int episodes) {
