@@ -17,9 +17,9 @@
 ///   --merge      PATH   repeatable; fold shard journals back into the
 ///                       exact single-process aggregate table/CSV without
 ///                       running anything
-///   --profile    —      per-phase simulator hot-path breakdown: print the
-///                       sim::Profiler table after the report and write
-///                       BENCH_profile.json (docs/profiling.md)
+///   --profile    —      after the report, print the simulator work
+///                       counters and per-scenario wall time
+///                       (docs/profiling.md)
 ///
 /// Flags are consumed; anything else lands in `positional` in order, so
 /// callers can accept e.g. an episode count before or after the flags.
@@ -79,9 +79,9 @@ struct SweepCli {
     /// single-process aggregate output. Non-empty selects merge mode — no
     /// scenarios are executed.
     std::vector<std::string> merge;
-    /// --profile: run with per-worker sim::Profilers, print the merged
-    /// per-phase table after the report, write BENCH_profile.json. Ignored
-    /// in --merge mode (nothing executes there).
+    /// --profile: after the report, print the sweep's summed simulator
+    /// counters and per-scenario wall times (exp::SweepProfile). Ignored in
+    /// --merge mode (nothing executes there).
     bool profile = false;
     bool replicas_given = false;   ///< --replicas appeared on the command line
     bool base_seed_given = false;  ///< --base-seed appeared on the command line

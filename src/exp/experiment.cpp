@@ -1,10 +1,13 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <iostream>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -16,8 +19,8 @@
 #include "exp/runner.hpp"
 #include "exp/spec_parser.hpp"
 #include "sim/policies/registry.hpp"
-#include "sim/profiler.hpp"
 #include "util/contracts.hpp"
+#include "util/stats.hpp"
 
 namespace imx::exp {
 
@@ -373,23 +376,38 @@ void write_csv_if_requested(const SweepCli& resolved,
     }
 }
 
-/// The --profile epilogue: merged per-phase table to stdout (after the
-/// report, so golden-pinned tables stay byte-identical without the flag)
-/// plus the BENCH_profile.json artifact CI's perf lane uploads next to
-/// BENCH_sweep.json. Format: docs/profiling.md.
-void emit_profile(const sim::Profiler& profiler) {
-    std::printf("\nsimulator hot-path profile (docs/profiling.md):\n%s",
-                profiler.table().c_str());
-    const char* path = "BENCH_profile.json";
-    std::FILE* file = std::fopen(path, "w");
-    if (file == nullptr) {
-        std::fprintf(stderr, "warning: cannot write %s\n", path);
-        return;
+/// The --profile epilogue, printed after the report so the report itself
+/// is byte-identical with and without the flag. Format: docs/profiling.md.
+void emit_profile(SweepProfile profile) {
+    const sim::SimCounters& c = profile.counters;
+    const std::pair<const char*, std::uint64_t> rows[] = {
+        {"runs", c.runs},
+        {"full_steps", c.full_steps},
+        {"drained_steps", c.drained_steps},
+        {"decisions", c.decisions},
+        {"unit_starts", c.unit_starts},
+        {"evaluations", c.evaluations},
+        {"queue_pushes", c.queue_pushes},
+        {"queue_pops", c.queue_pops},
+    };
+    std::printf("\nsimulator work counters (docs/profiling.md):\n");
+    std::printf("%-14s %16s %12s\n", "counter", "total", "per run");
+    for (const auto& [name, total] : rows) {
+        const double per_run = c.runs > 0 ? static_cast<double>(total) /
+                                                static_cast<double>(c.runs)
+                                          : 0.0;
+        std::printf("%-14s %16" PRIu64 " %12.2f\n", name, total, per_run);
     }
-    std::fputs(profiler.json().c_str(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
-    std::printf("profile JSON written to %s\n", path);
+    std::vector<double>& times = profile.scenario_s;
+    std::sort(times.begin(), times.end());
+    std::printf("%zu scenario(s), wall time total %.3f s", times.size(),
+                std::accumulate(times.begin(), times.end(), 0.0));
+    if (!times.empty()) {
+        std::printf(", p50 %.3f ms, p99 %.3f ms, max %.3f ms",
+                    1e3 * util::percentile(times, 0.50),
+                    1e3 * util::percentile(times, 0.99), 1e3 * times.back());
+    }
+    std::printf("\n");
 }
 
 }  // namespace
@@ -426,8 +444,8 @@ int run_experiment(const Experiment& experiment, const SweepCli& options) {
 
     RunnerConfig runner;
     runner.threads = resolved.threads;
-    sim::Profiler profiler;
-    if (resolved.profile) runner.profiler = &profiler;
+    SweepProfile profile;
+    if (resolved.profile) runner.profile = &profile;
     const ShardRunResult shard_run =
         run_shard(specs, header, runner, resolved.journal, resolved.resume);
     if (shard_run.reused > 0) {
@@ -447,7 +465,7 @@ int run_experiment(const Experiment& experiment, const SweepCli& options) {
     const int code = full_grid && experiment.report
                          ? experiment.report(context)
                          : generic_report(context);
-    if (resolved.profile) emit_profile(profiler);
+    if (resolved.profile) emit_profile(std::move(profile));
     return code;
 }
 

@@ -1,6 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -10,64 +11,57 @@
 #include <vector>
 
 #include "exp/thread_pool.hpp"
-#include "sim/profiler.hpp"
 #include "sim/workspace.hpp"
 
 namespace imx::exp {
 
 namespace {
 
-/// Checkout pool of per-worker scenario workspaces (each with its private
-/// profiler). The thread pool exposes no worker identity, so workspaces are
-/// leased per task from a mutex-guarded freelist instead of indexed by
-/// worker: a task checks one out, runs its scenario with exclusive access
-/// (confinement), and returns it. Steady state holds exactly one workspace
-/// per concurrently running task — i.e. per worker thread — each already
-/// warmed to the largest scenario it has seen.
+using Clock = std::chrono::steady_clock;
+
+/// Checkout pool of per-worker scenario workspaces. The thread pool exposes
+/// no worker identity, so workspaces are leased per task from a
+/// mutex-guarded freelist instead of indexed by worker: a task checks one
+/// out, runs its scenario with exclusive access (confinement), and returns
+/// it. Steady state holds exactly one workspace per concurrently running
+/// task — i.e. per worker thread — each already warmed to the largest
+/// scenario it has seen.
 class WorkspacePool {
 public:
-    explicit WorkspacePool(bool with_profiler)
-        : with_profiler_(with_profiler) {}
-
-    struct Lease {
-        sim::ScenarioWorkspace workspace;
-        sim::Profiler profiler;
-    };
-
-    Lease* acquire() {
+    sim::ScenarioWorkspace* acquire() {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (!free_.empty()) {
-                Lease* lease = free_.back();
+                sim::ScenarioWorkspace* workspace = free_.back();
                 free_.pop_back();
-                return lease;
+                return workspace;
             }
         }
-        auto lease = std::make_unique<Lease>();
-        if (with_profiler_) lease->workspace.profiler = &lease->profiler;
-        Lease* raw = lease.get();
+        auto workspace = std::make_unique<sim::ScenarioWorkspace>();
+        sim::ScenarioWorkspace* raw = workspace.get();
         std::lock_guard<std::mutex> lock(mutex_);
-        all_.push_back(std::move(lease));
+        all_.push_back(std::move(workspace));
         return raw;
     }
 
-    void release(Lease* lease) {
+    void release(sim::ScenarioWorkspace* workspace) {
         std::lock_guard<std::mutex> lock(mutex_);
-        free_.push_back(lease);
+        free_.push_back(workspace);
     }
 
-    /// Fold every workspace's profiler into `target` (post-sweep, after
-    /// wait_idle — no leases are outstanding).
-    void merge_profiles(sim::Profiler& target) {
+    /// Every workspace's counters, summed (post-sweep, after wait_idle — no
+    /// workspace is checked out).
+    sim::SimCounters counters() {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto& lease : all_) target.merge(lease->profiler);
+        sim::SimCounters total;
+        for (const auto& workspace : all_) total += workspace->counters;
+        return total;
     }
 
 private:
-    bool with_profiler_;
     std::mutex mutex_;
-    std::vector<std::unique_ptr<Lease>> all_;
-    std::vector<Lease*> free_;
+    std::vector<std::unique_ptr<sim::ScenarioWorkspace>> all_;
+    std::vector<sim::ScenarioWorkspace*> free_;
 };
 
 }  // namespace
@@ -84,7 +78,10 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
                               : std::max(1u, std::thread::hardware_concurrency());
     threads = std::min(threads, specs.size());
 
-    WorkspacePool workspaces(config.profiler != nullptr);
+    WorkspacePool workspaces;
+    // One slot per scenario, each written by its own task only.
+    std::vector<double> scenario_s(config.profile != nullptr ? specs.size()
+                                                             : 0);
 
     // Completed-but-undelivered outcomes wait in their slots; the cursor
     // walks them in index order so the sink sees a deterministic stream.
@@ -99,23 +96,28 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
     ThreadPool pool(threads);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         pool.submit([&specs, &sink, &slots, &errors, &delivery_mutex, &cursor,
-                     &blocked, &workspaces, i] {
+                     &blocked, &workspaces, &scenario_s, i] {
             std::optional<ScenarioOutcome> outcome;
             std::exception_ptr error;
-            WorkspacePool::Lease* lease = workspaces.acquire();
+            sim::ScenarioWorkspace* workspace = workspaces.acquire();
             try {
                 ScenarioContext ctx;
                 ctx.seed = specs[i].seed;
                 ctx.replica = specs[i].replica;
-                ctx.workspace = &lease->workspace;
+                ctx.workspace = workspace;
+                const bool timed = !scenario_s.empty();
+                const Clock::time_point start =
+                    timed ? Clock::now() : Clock::time_point{};
                 outcome = specs[i].run(ctx);
-                if (lease->workspace.profiler != nullptr) {
-                    lease->workspace.profiler->count_scenario();
+                if (timed) {
+                    scenario_s[i] =
+                        std::chrono::duration<double>(Clock::now() - start)
+                            .count();
                 }
             } catch (...) {
                 error = std::current_exception();
             }
-            workspaces.release(lease);
+            workspaces.release(workspace);
 
             std::lock_guard<std::mutex> lock(delivery_mutex);
             slots[i] = std::move(outcome);
@@ -142,8 +144,11 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
     }
     pool.wait_idle();
 
-    if (config.profiler != nullptr) {
-        workspaces.merge_profiles(*config.profiler);
+    if (config.profile != nullptr) {
+        config.profile->counters += workspaces.counters();
+        config.profile->scenario_s.insert(config.profile->scenario_s.end(),
+                                          scenario_s.begin(),
+                                          scenario_s.end());
     }
 
     for (const auto& error : errors) {

@@ -16,21 +16,27 @@
 
 #include "exp/scenario.hpp"
 #include "exp/sink.hpp"
-
-namespace imx::sim {
-class Profiler;
-}  // namespace imx::sim
+#include "sim/metrics.hpp"
 
 namespace imx::exp {
+
+/// What a profiled sweep measured (docs/profiling.md).
+struct SweepProfile {
+    /// Simulator work summed over every run of the sweep, Q-learning
+    /// training episodes included.
+    sim::SimCounters counters;
+    /// Wall time of each executed scenario, s, in spec order.
+    std::vector<double> scenario_s;
+};
 
 struct RunnerConfig {
     /// Worker threads; 0 means std::thread::hardware_concurrency().
     int threads = 0;
-    /// When non-null, every worker profiles its scenarios into a private
-    /// sim::Profiler (through its ScenarioWorkspace) and the runner merges
-    /// them all into this one after the sweep. Null (the default) keeps
-    /// profiling off — each simulator hook is a single pointer test.
-    sim::Profiler* profiler = nullptr;
+    /// When non-null, the runner times every scenario (two clock reads
+    /// around its run function) and, after the sweep, appends the times and
+    /// adds every workspace's simulator counters to it. Outcomes are the
+    /// same either way.
+    SweepProfile* profile = nullptr;
 };
 
 /// \brief Run every scenario in parallel, streaming outcomes to `sink`.

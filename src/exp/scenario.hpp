@@ -41,7 +41,7 @@ struct ScenarioOutcome {
 struct ScenarioContext {
     std::uint64_t seed = 0;  ///< per-scenario RNG stream seed
     int replica = 0;         ///< seed-replica index within the group
-    /// Per-worker reusable buffers (and optional profiler), lent by the
+    /// Per-worker reusable buffers and work counters, lent by the
     /// runner for the duration of this scenario — confinement, no locking.
     /// Null (e.g. a scenario run standalone in a test) runs on a local
     /// workspace, with the same results.

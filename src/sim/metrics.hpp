@@ -23,6 +23,32 @@ struct EventRecord {
     std::int64_t macs = 0;          ///< MACs actually executed
 };
 
+/// Work the simulator did in a run, counted as it happens (docs/profiling.md).
+/// Always on: each count is one integer add, with no clock read. Outcomes
+/// such as deaths, drops and wasted MACs stay in SimResult, not here.
+struct SimCounters {
+    std::uint64_t runs = 0;           ///< Simulator::run_into calls
+    std::uint64_t full_steps = 0;     ///< steps through the full step body
+    std::uint64_t drained_steps = 0;  ///< harvest-only steps of the drains
+    std::uint64_t decisions = 0;      ///< select_exit + continue_inference
+    std::uint64_t unit_starts = 0;    ///< execution units started
+    std::uint64_t evaluations = 0;    ///< InferenceModel::evaluate calls
+    std::uint64_t queue_pushes = 0;   ///< arrivals admitted to the queue
+    std::uint64_t queue_pops = 0;     ///< requests taken off the queue head
+
+    SimCounters& operator+=(const SimCounters& other) noexcept {
+        runs += other.runs;
+        full_steps += other.full_steps;
+        drained_steps += other.drained_steps;
+        decisions += other.decisions;
+        unit_starts += other.unit_starts;
+        evaluations += other.evaluations;
+        queue_pushes += other.queue_pushes;
+        queue_pops += other.queue_pops;
+        return *this;
+    }
+};
+
 struct SimResult {
     std::vector<EventRecord> records;
     double total_harvested_mj = 0.0;  ///< gross EH energy over the run
@@ -54,6 +80,8 @@ struct SimResult {
     /// (deadline/energy losses, the only ones the policy's observe_missed()
     /// hook sees besides drops). tests/test_arrivals.cpp pins it.
     int in_flight = 0;
+    /// The work this run did (runs == 1).
+    SimCounters counters;
 
     [[nodiscard]] int total_events() const {
         return static_cast<int>(records.size());

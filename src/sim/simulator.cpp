@@ -1,13 +1,11 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
 
-#include "sim/profiler.hpp"
 #include "sim/recovery/registry.hpp"
 #include "util/contracts.hpp"
 #include "util/stats.hpp"
@@ -38,14 +36,6 @@ struct Job {
     std::int64_t macs_done = 0;
     int hops = 0;
 };
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_since(Clock::time_point t0) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-            .count());
-}
 
 }  // namespace
 
@@ -104,7 +94,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     ScenarioWorkspace local_workspace;
     ScenarioWorkspace& ws =
         workspace != nullptr ? *workspace : local_workspace;
-    Profiler* const prof = ws.profiler;
     // Reset up front (not at exit) so an exception can never leave a stale
     // cursor for the next scenario that borrows this workspace.
     ws.arena.reset();
@@ -131,6 +120,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     bool busy = false;
     Job job;
     bool device_on = false;  // checkpointed-mode power state (hysteresis)
+    SimCounters counters;
 
     // The start-deadline bound of steps 2b/3 — constant over the run.
     const double wait_limit = std::min(config_.max_wait_s, config_.deadline_s);
@@ -156,11 +146,13 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         queue_slots[(queue_head + static_cast<std::size_t>(queue_count)) %
                     static_cast<std::size_t>(cap)] = index;
         ++queue_count;
+        ++counters.queue_pushes;
     };
     auto queue_pop = [&]() {
         const std::size_t index = queue_slots[queue_head];
         queue_head = (queue_head + 1) % static_cast<std::size_t>(cap);
         --queue_count;
+        ++counters.queue_pops;
         return index;
     };
 
@@ -263,6 +255,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                                 device.compute_time(unit_macs);
         }
         job.executing = true;
+        ++counters.unit_starts;
         return true;
     };
 
@@ -286,48 +279,41 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         charge_rate.update(std::max(stored, 0.0) / dt);
     };
 
-    // One full simulation step, instrumented with phase scopes.
+    // One full simulation step.
     auto full_step = [&](double now) {
-        {
-            ScopedPhase phase(prof, Profiler::Phase::kHarvest);
-            harvest_step(now);
+        harvest_step(now);
+
+        // 2. Event arrivals: an arrival is picked up immediately if the
+        // device is idle (and no older request waits ahead of it); otherwise
+        // it queues while there is room, and is lost — a plain miss without
+        // a queue, a counted drop with one — when there is none.
+        while (next_event < num_events &&
+               events[next_event].time_s < now + dt) {
+            const Event& ev = events[next_event];
+            const std::size_t index = next_event;
+            ++next_event;
+            if (busy || queue_count != 0) {
+                if (queue_count < cap) {
+                    queue_push(index);
+                } else {
+                    if (cap > 0) ++result.dropped;
+                    policy.observe_missed();  // record stays processed=false
+                }
+                continue;
+            }
+            start_job(ev);
         }
 
-        {
-            ScopedPhase phase(prof, Profiler::Phase::kQueue);
-            // 2. Event arrivals: an arrival is picked up immediately if the
-            // device is idle (and no older request waits ahead of it);
-            // otherwise it queues while there is room, and is lost — a plain
-            // miss without a queue, a counted drop with one — when there is
-            // none.
-            while (next_event < num_events &&
-                   events[next_event].time_s < now + dt) {
-                const Event& ev = events[next_event];
-                const std::size_t index = next_event;
-                ++next_event;
-                if (busy || queue_count != 0) {
-                    if (queue_count < cap) {
-                        queue_push(index);
-                    } else {
-                        if (cap > 0) ++result.dropped;
-                        policy.observe_missed();  // record stays processed=false
-                    }
-                    continue;
-                }
-                start_job(ev);
+        // 2b. Idle pickup from the queue head (FIFO). A request whose
+        // wait/completion deadline passed while it queued is hopeless and is
+        // dropped at the head, exactly like the waiting job in step 3.
+        while (!busy && queue_count != 0) {
+            const Event& ev = events[queue_pop()];
+            if (now - ev.time_s > wait_limit) {
+                policy.observe_missed();
+                continue;
             }
-
-            // 2b. Idle pickup from the queue head (FIFO). A request whose
-            // wait/completion deadline passed while it queued is hopeless and
-            // is dropped at the head, exactly like the waiting job in step 3.
-            while (!busy && queue_count != 0) {
-                const Event& ev = events[queue_pop()];
-                if (now - ev.time_s > wait_limit) {
-                    policy.observe_missed();
-                    continue;
-                }
-                start_job(ev);
-            }
+            start_job(ev);
         }
 
         if (!busy) return;
@@ -339,7 +325,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         // it can now only miss — is dropped so the device frees up.
         if (!job.executing && job.inference_start_s < 0.0 &&
             now - job.arrival_s > wait_limit) {
-            ScopedPhase phase(prof, Profiler::Phase::kQueue);
             policy.observe_missed();
             busy = false;
             return;
@@ -355,7 +340,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             // wakeup plus the strategy's restore cost — and fall through to
             // resume within this same step.
             if (job.dead) {
-                ScopedPhase phase(prof, Profiler::Phase::kCommit);
                 if (!storage.can_turn_on()) return;
                 const double restore =
                     strategy->restore_cost_mj(job.units_done);
@@ -375,37 +359,36 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             if (job.executing) {
                 if (now + dt >= job.exec_finish_s) {
                     job.executing = false;
-                    {
-                        ScopedPhase phase(prof, Profiler::Phase::kCommit);
-                        if (!storage.try_consume(commit_mj)) {
-                            die(/*lose_inflight_unit=*/true);
-                            return;
-                        }
-                        result.recovery_energy_mj += commit_mj;
-                        ++job.units_done;
+                    if (!storage.try_consume(commit_mj)) {
+                        die(/*lose_inflight_unit=*/true);
+                        return;
                     }
-                    ScopedPhase phase(prof, Profiler::Phase::kInference);
+                    result.recovery_energy_mj += commit_mj;
+                    ++job.units_done;
                     if (job.units_done == static_cast<int>(units.size())) {
                         job.reached_exit = job.target_exit;
                         const ExitOutcome outcome =
                             model.evaluate(job.event_id, job.reached_exit);
+                        ++counters.evaluations;
                         const int next_exit = job.reached_exit + 1;
                         bool advanced = false;
-                        if (next_exit < model.num_exits() &&
-                            policy.continue_inference(
-                                energy_state(now), model, job.reached_exit,
-                                outcome.confidence)) {
-                            // Hop: plan the incremental advance. The hop is
-                            // opportunistic — if even its first unit is
-                            // unaffordable right now, keep the result.
-                            plan_units_into(model, job.reached_exit,
-                                            next_exit, config_.recovery,
-                                            units);
-                            job.units_done = 0;
-                            job.target_exit = next_exit;
-                            if (try_start_unit(now)) {
-                                ++job.hops;
-                                advanced = true;
+                        if (next_exit < model.num_exits()) {
+                            ++counters.decisions;
+                            if (policy.continue_inference(
+                                    energy_state(now), model,
+                                    job.reached_exit, outcome.confidence)) {
+                                // Hop: plan the incremental advance. The hop
+                                // is opportunistic — if even its first unit
+                                // is unaffordable right now, keep the result.
+                                plan_units_into(model, job.reached_exit,
+                                                next_exit, config_.recovery,
+                                                units);
+                                job.units_done = 0;
+                                job.target_exit = next_exit;
+                                if (try_start_unit(now)) {
+                                    ++job.hops;
+                                    advanced = true;
+                                }
                             }
                         }
                         if (!advanced) {
@@ -421,9 +404,9 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             // r2. Not yet committed: ask (or re-ask) the policy, then plan
             // the committed exit's execution.
             if (!job.committed) {
-                ScopedPhase phase(prof, Profiler::Phase::kPolicy);
                 const EnergyState s = energy_state(now);
                 const int choice = policy.select_exit(s, model);
+                ++counters.decisions;
                 if (choice >= 0) {
                     IMX_EXPECTS(choice < model.num_exits());
                     job.committed = true;
@@ -443,7 +426,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                 // no draw, no death.
                 if (job.inference_start_s >= 0.0) {
                     IMX_EXPECTS(strategy != nullptr);
-                    ScopedPhase phase(prof, Profiler::Phase::kCommit);
                     storage.drain(config_.recovery.active_power_mw * dt);
                     if (storage.below_death_threshold()) {
                         die(/*lose_inflight_unit=*/false);
@@ -451,14 +433,12 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                     }
                 }
                 // r4. Start the next unit once it is affordable.
-                ScopedPhase phase(prof, Profiler::Phase::kInference);
                 (void)try_start_unit(now);
             }
             return;
         }
 
         // Checkpointed (baseline) mode -------------------------------------
-        ScopedPhase phase(prof, Profiler::Phase::kInference);
         // Hysteresis power state.
         if (!device_on && storage.can_turn_on()) {
             device_on = true;
@@ -488,6 +468,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         job.remaining_macs -= step_macs;
         if (job.remaining_macs <= 0) {
             const ExitOutcome outcome = model.evaluate(job.event_id, 0);
+            ++counters.evaluations;
             finish_event(record, outcome, now + dt);
         }
     };
@@ -510,17 +491,13 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             // Idle drain: harvest-only steps until the next arrival's step.
             const double arrival = events[next_event].time_s;
             if (arrival >= now + dt) {
-                const auto t0 =
-                    prof != nullptr ? Clock::now() : Clock::time_point{};
                 std::uint64_t steps = 0;
                 do {
                     harvest_step(now);
                     now += dt;
                     ++steps;
                 } while (now < duration && arrival >= now + dt);
-                if (prof != nullptr) {
-                    prof->add(Profiler::Phase::kHarvest, steps, ns_since(t0));
-                }
+                counters.drained_steps += steps;
                 continue;
             }
         } else if (busy && job.executing &&
@@ -532,8 +509,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             // lands in the step, the full step does nothing but harvest —
             // the finish check fails, and the stall drain/death only runs
             // between units.
-            const auto t0 =
-                prof != nullptr ? Clock::now() : Clock::time_point{};
             std::uint64_t steps = 0;
             do {
                 harvest_step(now);
@@ -542,12 +517,11 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             } while (now < duration && now + dt < job.exec_finish_s &&
                      (next_event == num_events ||
                       events[next_event].time_s >= now + dt));
-            if (prof != nullptr) {
-                prof->add(Profiler::Phase::kHarvest, steps, ns_since(t0));
-            }
+            counters.drained_steps += steps;
             continue;
         }
         full_step(now);
+        ++counters.full_steps;
         now += dt;
     }
 
@@ -555,7 +529,11 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     // reported separately from misses so traffic accounting stays exact:
     // total_events == processed + dropped + in_flight + misses.
     result.in_flight = queue_count + (busy ? 1 : 0);
-    if (prof != nullptr) prof->count_run();
+    IMX_ENSURES(counters.queue_pushes ==
+                counters.queue_pops + static_cast<std::uint64_t>(queue_count));
+    counters.runs = 1;
+    result.counters = counters;
+    ws.counters += counters;
 }
 
 }  // namespace imx::sim

@@ -90,8 +90,8 @@ public:
     /// `events` is a span view (std::vector<Event> converts implicitly) —
     /// arena-backed buffers and sub-ranges flow through without copies.
     /// `workspace`, when non-null, provides reusable per-worker buffers
-    /// (queue ring, unit plan) and the optional profiler; null runs on a
-    /// local ScenarioWorkspace. Either way the results are the same.
+    /// (queue ring, unit plan) and sums the run's SimCounters; null runs on
+    /// a local ScenarioWorkspace. Either way the results are the same.
     SimResult run(util::Span<const Event> events, InferenceModel& model,
                   ExitPolicy& policy, ScenarioWorkspace* workspace = nullptr);
 

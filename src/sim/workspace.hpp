@@ -10,6 +10,10 @@
 /// sized by the largest scenario seen so far, so a worker's steady state
 /// performs no heap allocation at all.
 ///
+/// It also sums the SimCounters of every run made through it. Training
+/// episodes' results never leave the workspace, so this sum is the only
+/// place a sweep can see their work (docs/profiling.md).
+///
 /// Ownership and threading: exp::run_sweep keeps a pool of workspaces and
 /// hands each scenario exactly one for the duration of its execution
 /// (confinement — no locking inside). A caller that passes no workspace
@@ -26,7 +30,6 @@
 
 #include "sim/event_gen.hpp"
 #include "sim/metrics.hpp"
-#include "sim/profiler.hpp"
 #include "util/arena.hpp"
 
 namespace imx::sim {
@@ -50,9 +53,10 @@ struct ScenarioWorkspace {
     /// scenario's job commits or hops).
     std::vector<std::int64_t> units;
 
-    /// Per-worker profiler; null (the default) means profiling is off and
-    /// every hook reduces to a pointer test.
-    Profiler* profiler = nullptr;
+    /// Work summed over every run made through this workspace, training
+    /// episodes included (Simulator::run_into adds each run's counters at
+    /// its end). The runner folds these into exp::SweepProfile.
+    SimCounters counters;
 };
 
 }  // namespace imx::sim

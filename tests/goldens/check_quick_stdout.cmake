@@ -10,14 +10,20 @@ foreach(var SWEEP NAME EXPECTED OUT)
     endif()
 endforeach()
 
+# The output goes to a file of this run's own first, so two ctest runs in one
+# build tree never hash each other's half-written output; the atomic rename
+# then leaves the latest complete output at OUT.
+string(RANDOM LENGTH 16 run_id)
+set(capture "${OUT}.${run_id}")
 execute_process(COMMAND "${SWEEP}" "${NAME}" --quick
-                OUTPUT_FILE "${OUT}"
+                OUTPUT_FILE "${capture}"
                 RESULT_VARIABLE status)
+file(SHA256 "${capture}" actual)
+file(RENAME "${capture}" "${OUT}")
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "imx_sweep ${NAME} --quick failed: ${status}")
 endif()
 
-file(SHA256 "${OUT}" actual)
 if(NOT actual STREQUAL EXPECTED)
     message(FATAL_ERROR
         "imx_sweep ${NAME} --quick stdout moved\n"

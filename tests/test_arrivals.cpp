@@ -19,6 +19,7 @@
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec_parser.hpp"
+#include "scratch_dir.hpp"
 #include "sim/arrivals/registry.hpp"
 #include "sim/event_gen.hpp"
 #include "sim/policies/greedy.hpp"
@@ -247,7 +248,7 @@ TEST(ArrivalSources, MmppIsBurstierThanUniform) {
 }
 
 TEST(ArrivalSources, CsvReplaysScalesAndFilters) {
-    const std::string path = ::testing::TempDir() + "imx_arrivals_test.csv";
+    const std::string path = test::scratch_dir() + "imx_arrivals_test.csv";
     {
         std::ofstream file(path);
         file << "# request log\n"
@@ -590,7 +591,7 @@ TEST(TrafficInvariance, MetricsSurviveShardJournalAndMergeByteExactly) {
     };
     std::vector<std::string> paths;
     for (int i = 0; i < 3; ++i) {
-        const std::string path = ::testing::TempDir() + "imx_traffic_shard_" +
+        const std::string path = test::scratch_dir() + "imx_traffic_shard_" +
                                  std::to_string(i) + ".jsonl";
         (void)exp::run_shard(specs, header_for({i, 3}), {1}, path,
                              /*resume=*/false);

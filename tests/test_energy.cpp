@@ -7,6 +7,7 @@
 #include "energy/power_trace.hpp"
 #include "energy/solar.hpp"
 #include "energy/storage.hpp"
+#include "scratch_dir.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -55,7 +56,7 @@ TEST(PowerTrace, RejectsNegativePower) {
 }
 
 TEST(PowerTrace, CsvRoundTrip) {
-    const std::string path = "/tmp/imx_trace_test.csv";
+    const std::string path = test::scratch_dir() + "imx_trace_test.csv";
     {
         util::CsvWriter w(path);
         w.write_header({"time_s", "power_mw"});

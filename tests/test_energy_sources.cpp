@@ -18,6 +18,7 @@
 #include "energy/rf.hpp"
 #include "energy/solar.hpp"
 #include "energy/trace_registry.hpp"
+#include "scratch_dir.hpp"
 
 namespace {
 
@@ -282,7 +283,7 @@ TEST(CsvSource, RoundTripsATraceWrittenByToCsv) {
     ctx.duration_s = 300.0;
     ctx.seed = 3;
     const auto original = energy::make_trace("rf-bursty", ctx, {});
-    const std::string path = testing::TempDir() + "/imx_trace_roundtrip.csv";
+    const std::string path = test::scratch_dir() + "imx_trace_roundtrip.csv";
     original.to_csv(path);
 
     const auto replayed = energy::make_trace("csv", {}, {{"path", path}});
@@ -297,7 +298,7 @@ TEST(CsvSource, RejectsNonUniformOrNonIncreasingTimeGrids) {
     // An irregular logger export (dropped samples) must fail loudly: the
     // trace representation is a uniform grid, so replaying it at the
     // first-two-rows dt would silently use the wrong time base.
-    const std::string path = testing::TempDir() + "/imx_nonuniform.csv";
+    const std::string path = test::scratch_dir() + "imx_nonuniform.csv";
     {
         std::ofstream file(path);
         file << "time_s,power_mw\n0,0.1\n1,0.1\n5,0.1\n6,0.1\n";

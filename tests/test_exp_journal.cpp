@@ -22,6 +22,7 @@
 #include "exp/scenario.hpp"
 #include "exp/sink.hpp"
 #include "exp/spec_parser.hpp"
+#include "scratch_dir.hpp"
 #include "util/rng.hpp"
 
 #ifndef IMX_SPEC_DIR
@@ -33,7 +34,7 @@ namespace {
 using namespace imx;
 
 std::string temp_path(const std::string& name) {
-    return ::testing::TempDir() + name;
+    return test::scratch_dir() + name;
 }
 
 std::string read_file(const std::string& path) {

@@ -15,6 +15,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/thread_pool.hpp"
+#include "scratch_dir.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 
@@ -219,7 +220,7 @@ TEST(Aggregate, CsvRoundTripsGroupsAndColumns) {
         outcome.metrics["iepmj"] = 0.5 + 0.1 * r;
         outcomes.push_back(std::move(outcome));
     }
-    const std::string path = "test_exp_sweep_agg.csv";
+    const std::string path = test::scratch_dir() + "test_exp_sweep_agg.csv";
     exp::write_aggregate_csv(path, exp::aggregate(specs, outcomes));
     const auto table = util::read_csv(path);
     std::remove(path.c_str());

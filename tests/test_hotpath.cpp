@@ -13,10 +13,12 @@
 //     reuse change where state lives, never the values written through it.
 //  3. Scheduling invariance with the workspace enabled: thread count and a
 //     3-way shard/journal/merge split leave the aggregate byte-identical.
-//  4. Profiler neutrality: profiling hooks are off-by-default pointer
-//     tests; a profiled run produces bitwise-identical outcomes while
-//     accumulating per-phase counters, and batched stepping feeds run() and
-//     run_into() the exact same values with or without a workspace.
+//  4. Measurement neutrality: the simulator's work counters are always on
+//     and equal with or without a workspace; a profiled sweep (per-scenario
+//     wall time plus summed counters) produces bitwise-identical outcomes
+//     and the same counters at any thread count; and batched stepping feeds
+//     run() and run_into() the exact same values with or without a
+//     workspace.
 //
 // (The batched-vs-historical stepping equality itself is pinned stronger
 // than any in-process compare could: tests/test_kernels_dispatch.cpp hashes
@@ -24,7 +26,6 @@
 // single-step-dispatch implementation.)
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +34,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,8 +45,8 @@
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "scratch_dir.hpp"
 #include "sim/policies/greedy.hpp"
-#include "sim/profiler.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workspace.hpp"
 #include "util/arena.hpp"
@@ -201,57 +201,7 @@ TEST(ParamReader, RejectsMalformedAndOutOfRangeNumbers) {
     EXPECT_THROW((void)missing.required_text("name"), std::invalid_argument);
 }
 
-// --- sim::Profiler ---------------------------------------------------------
-
-// The off path must stay free: hooks are noexcept pointer tests, and the
-// scoped timer carries no state beyond the pointer, the phase tag and the
-// (conditionally read) start time.
-static_assert(noexcept(std::declval<sim::Profiler&>().add(
-                  sim::Profiler::Phase::kHarvest, 1, 1)),
-              "profiler hooks must not be able to throw");
-static_assert(noexcept(std::declval<sim::Profiler&>().count_run()),
-              "profiler hooks must not be able to throw");
-static_assert(noexcept(sim::ScopedPhase(nullptr,
-                                        sim::Profiler::Phase::kHarvest)),
-              "the profiler-off constructor must not be able to throw");
-static_assert(sizeof(sim::ScopedPhase) <=
-                  sizeof(void*) + sizeof(int) +
-                      sizeof(std::chrono::steady_clock::time_point) +
-                      alignof(std::chrono::steady_clock::time_point),
-              "ScopedPhase must stay a trivial stack token");
-
-TEST(Profiler, AccumulatesMergesAndRenders) {
-    sim::Profiler a;
-    a.add(sim::Profiler::Phase::kHarvest, 10, 500);
-    a.add(sim::Profiler::Phase::kPolicy, 2, 100);
-    a.count_run();
-    a.count_scenario();
-    sim::Profiler b;
-    b.add(sim::Profiler::Phase::kHarvest, 5, 250);
-    b.count_run();
-    a.merge(b);
-    EXPECT_EQ(a.stats(sim::Profiler::Phase::kHarvest).calls, 15u);
-    EXPECT_EQ(a.stats(sim::Profiler::Phase::kHarvest).ns, 750u);
-    EXPECT_EQ(a.stats(sim::Profiler::Phase::kPolicy).calls, 2u);
-    EXPECT_EQ(a.runs(), 2u);
-    EXPECT_EQ(a.scenarios(), 1u);
-    EXPECT_EQ(a.total_ns(), 850u);
-    for (const char* name :
-         {"harvest", "queue", "policy", "inference", "commit"}) {
-        EXPECT_NE(a.table().find(name), std::string::npos) << name;
-        EXPECT_NE(a.json().find(name), std::string::npos) << name;
-    }
-}
-
-TEST(Profiler, ScopedPhaseRecordsOnlyWhenAttached) {
-    sim::Profiler profiler;
-    { sim::ScopedPhase off(nullptr, sim::Profiler::Phase::kQueue); }
-    EXPECT_EQ(profiler.stats(sim::Profiler::Phase::kQueue).calls, 0u);
-    { sim::ScopedPhase on(&profiler, sim::Profiler::Phase::kQueue); }
-    EXPECT_EQ(profiler.stats(sim::Profiler::Phase::kQueue).calls, 1u);
-}
-
-// --- workspace / profiler transparency over the sweep engine ---------------
+// --- workspace / profile transparency over the sweep engine ----------------
 
 void expect_metrics_bitwise(const exp::MetricMap& a, const exp::MetricMap& b) {
     ASSERT_EQ(a.size(), b.size());
@@ -263,6 +213,18 @@ void expect_metrics_bitwise(const exp::MetricMap& a, const exp::MetricMap& b) {
         EXPECT_EQ(std::memcmp(&ia->second, &ib->second, sizeof(double)), 0)
             << ia->first << ": " << ia->second << " vs " << ib->second;
     }
+}
+
+void expect_counters_equal(const sim::SimCounters& a,
+                           const sim::SimCounters& b) {
+    EXPECT_EQ(a.runs, b.runs);
+    EXPECT_EQ(a.full_steps, b.full_steps);
+    EXPECT_EQ(a.drained_steps, b.drained_steps);
+    EXPECT_EQ(a.decisions, b.decisions);
+    EXPECT_EQ(a.unit_starts, b.unit_starts);
+    EXPECT_EQ(a.evaluations, b.evaluations);
+    EXPECT_EQ(a.queue_pushes, b.queue_pushes);
+    EXPECT_EQ(a.queue_pops, b.queue_pops);
 }
 
 void expect_sim_bitwise(const sim::SimResult& a, const sim::SimResult& b) {
@@ -289,6 +251,7 @@ void expect_sim_bitwise(const sim::SimResult& a, const sim::SimResult& b) {
     EXPECT_EQ(a.wasted_macs, b.wasted_macs);
     EXPECT_EQ(a.dropped, b.dropped);
     EXPECT_EQ(a.in_flight, b.in_flight);
+    expect_counters_equal(a.counters, b.counters);
 }
 
 void expect_outcomes_bitwise(const std::vector<exp::ScenarioOutcome>& a,
@@ -329,7 +292,8 @@ std::vector<exp::ScenarioOutcome> run_without_workspace(
 std::string aggregate_csv_bytes(const std::vector<exp::ScenarioSpec>& specs,
                                 const std::vector<exp::ScenarioOutcome>& o,
                                 const std::string& tag) {
-    const std::string path = testing::TempDir() + "imx_hotpath_" + tag + ".csv";
+    const std::string path =
+        test::scratch_dir() + "imx_hotpath_" + tag + ".csv";
     exp::write_aggregate_csv(path, exp::aggregate(specs, o));
     std::ifstream in(path, std::ios::binary);
     std::ostringstream buf;
@@ -374,7 +338,7 @@ TEST(WorkspaceEquality, ThreeShardJournalMergeMatchesUnsharded) {
     for (int i = 0; i < 3; ++i) {
         exp::JournalHeader shard_header = header;
         shard_header.shard = {i, 3};
-        const std::string path = testing::TempDir() + "imx_hotpath_shard" +
+        const std::string path = test::scratch_dir() + "imx_hotpath_shard" +
                                  std::to_string(i) + ".jsonl";
         (void)exp::run_shard(specs, shard_header, exp::RunnerConfig{2}, path,
                              false);
@@ -390,19 +354,20 @@ TEST(WorkspaceEquality, ThreeShardJournalMergeMatchesUnsharded) {
         aggregate_csv_bytes(specs, merged, "merged"));
 }
 
-TEST(ProfilerEquality, ProfiledSweepIsBitwiseIdenticalAndCounts) {
+TEST(SweepProfile, ProfiledSweepIsBitwiseIdenticalAtOneAndFourThreads) {
     const auto specs = quick_specs("harvester-ablation");
     const auto plain = exp::run_sweep(specs, exp::RunnerConfig{1});
-    sim::Profiler profiler;
-    exp::RunnerConfig config;
-    config.threads = 1;
-    config.profiler = &profiler;
-    const auto profiled = exp::run_sweep(specs, config);
-    expect_outcomes_bitwise(plain, profiled);
-    EXPECT_EQ(profiler.scenarios(), specs.size());
-    EXPECT_GE(profiler.runs(), profiler.scenarios());
-    EXPECT_GT(profiler.total_ns(), 0u);
-    EXPECT_GT(profiler.stats(sim::Profiler::Phase::kHarvest).calls, 0u);
+    exp::SweepProfile one;
+    expect_outcomes_bitwise(plain,
+                            exp::run_sweep(specs, exp::RunnerConfig{1, &one}));
+    exp::SweepProfile four;
+    expect_outcomes_bitwise(plain,
+                            exp::run_sweep(specs, exp::RunnerConfig{4, &four}));
+    expect_counters_equal(one.counters, four.counters);
+    EXPECT_EQ(one.scenario_s.size(), specs.size());
+    EXPECT_EQ(four.scenario_s.size(), specs.size());
+    EXPECT_GE(one.counters.runs, specs.size());
+    EXPECT_GT(one.counters.full_steps, 0u);
 }
 
 // --- direct Simulator equivalences -----------------------------------------
@@ -428,6 +393,10 @@ TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     sim::Simulator simulator(trace, cfg);
     baselines::FixedBaselineModel model = baselines::make_lenet_cifar();
     const sim::SimResult base = simulator.run(events, model, policy_a);
+    EXPECT_EQ(base.counters.runs, 1u);
+    EXPECT_GT(base.counters.drained_steps, 0u);
+    EXPECT_EQ(base.counters.evaluations,
+              static_cast<std::uint64_t>(base.processed_count()));
 
     // run() with a workspace: arena-backed queue ring, same values.
     sim::ScenarioWorkspace workspace;
@@ -447,6 +416,11 @@ TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     baselines::FixedBaselineModel model_d = baselines::make_lenet_cifar();
     simulator.run_into(events, model_d, policy_d, reused, &workspace);
     expect_sim_bitwise(base, reused);
+
+    // The workspace sums the counters of all three runs made through it.
+    sim::SimCounters three_runs;
+    for (int i = 0; i < 3; ++i) three_runs += base.counters;
+    expect_counters_equal(workspace.counters, three_runs);
 }
 
 }  // namespace

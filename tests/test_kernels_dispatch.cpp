@@ -19,6 +19,7 @@
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
 #include "nn/kernels/kernels.hpp"
+#include "scratch_dir.hpp"
 
 namespace {
 
@@ -154,7 +155,7 @@ std::string quick_aggregate_hash(const std::string& name) {
     const std::vector<exp::ScenarioOutcome> outcomes = exp::run_sweep(
         specs, exp::RunnerConfig{cli.threads});
     const std::string path =
-        testing::TempDir() + "imx_kernels_golden_" + name + ".csv";
+        test::scratch_dir() + "imx_kernels_golden_" + name + ".csv";
     exp::write_aggregate_csv(path, exp::aggregate(specs, outcomes));
     std::ifstream in(path, std::ios::binary);
     std::ostringstream buf;

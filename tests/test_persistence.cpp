@@ -7,6 +7,7 @@
 #include "energy/power_trace.hpp"
 #include "energy/solar.hpp"
 #include "rl/qtable.hpp"
+#include "scratch_dir.hpp"
 #include "util/contracts.hpp"
 
 namespace {
@@ -23,7 +24,7 @@ TEST(QTablePersistence, SaveLoadRoundTrip) {
             original.update_terminal(s, a, static_cast<double>(s * 10 + a));
         }
     }
-    const std::string path = "/tmp/imx_qtable_test.csv";
+    const std::string path = test::scratch_dir() + "imx_qtable_test.csv";
     original.save(path);
 
     rl::QTable restored(4, 3, cfg, 2);
@@ -40,7 +41,7 @@ TEST(QTablePersistence, SaveLoadRoundTrip) {
 TEST(QTablePersistence, LoadRejectsWrongShape) {
     rl::QLearningConfig cfg;
     rl::QTable small(2, 2, cfg);
-    const std::string path = "/tmp/imx_qtable_shape.csv";
+    const std::string path = test::scratch_dir() + "imx_qtable_shape.csv";
     small.save(path);
     rl::QTable big(4, 4, cfg);
     EXPECT_THROW(big.load(path), util::ContractViolation);
@@ -53,7 +54,7 @@ TEST(TracePersistence, CsvRoundTripIsExact) {
     cfg.window_start_hour = 8.0;
     cfg.window_end_hour = 16.0;
     const energy::PowerTrace original = energy::make_solar_trace(cfg);
-    const std::string path = "/tmp/imx_trace_roundtrip.csv";
+    const std::string path = test::scratch_dir() + "imx_trace_roundtrip.csv";
     original.to_csv(path);
     const energy::PowerTrace restored = energy::PowerTrace::from_csv(path);
     ASSERT_EQ(restored.size(), original.size());

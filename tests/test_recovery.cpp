@@ -34,6 +34,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/spec_parser.hpp"
+#include "scratch_dir.hpp"
 #include "sim/policies/greedy.hpp"
 #include "sim/recovery/registry.hpp"
 #include "sim/recovery/strategy.hpp"
@@ -792,7 +793,7 @@ TEST(RecoveryInvariance, MetricsSurviveShardJournalAndMergeByteExactly) {
     };
     std::vector<std::string> paths;
     for (int i = 0; i < 2; ++i) {
-        const std::string path = ::testing::TempDir() + "imx_recovery_shard_" +
+        const std::string path = test::scratch_dir() + "imx_recovery_shard_" +
                                  std::to_string(i) + ".jsonl";
         (void)exp::run_shard(specs, header_for({i, 2}), {1}, path,
                              /*resume=*/false);

@@ -3,6 +3,8 @@
 // commitment semantics, empty/degenerate inputs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baselines/baseline_models.hpp"
 #include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
@@ -247,6 +249,38 @@ TEST(SimulatorEdges, HopAfterAUnitThatEndsInItsStartStepStartsAtDetection) {
     EXPECT_EQ(r.records[0].macs, 750000);
     // 0.25 MMAC x 1.5 + 0.25 wakeup, then 0.5 MMAC x 1.5.
     EXPECT_EQ(r.records[0].energy_spent_mj, 0.625 + 0.75);
+    // Work counters. Steps 0-4 are one idle drain; the full steps are 5
+    // (select exit 0, start its unit), 6 (evaluate exit 0, continue, start
+    // the hop's unit) and 7 (evaluate exit 1, the last exit, so no
+    // continue_inference call); then the run stops early.
+    EXPECT_EQ(r.counters.runs, 1u);
+    EXPECT_EQ(r.counters.drained_steps, 5u);
+    EXPECT_EQ(r.counters.full_steps, 3u);
+    EXPECT_EQ(r.counters.decisions, 2u);
+    EXPECT_EQ(r.counters.unit_starts, 2u);
+    EXPECT_EQ(r.counters.evaluations, 2u);
+    EXPECT_EQ(r.counters.queue_pushes, 0u);
+    EXPECT_EQ(r.counters.queue_pops, 0u);
+}
+
+TEST(SimulatorEdges, StepCountersCoverEveryStepOfARunThatDoesNotStopEarly) {
+    const auto trace = energy::PowerTrace::constant(1.0, 50.0, 1.0);
+    const sim::SimConfig cfg = rich_config();
+    sim::Simulator simulator(trace, cfg);
+    auto model = baselines::FixedBaselineModel("m", 0.1, 90.0, 1.0);
+    sim::GreedyAffordablePolicy policy;
+    std::vector<sim::Event> events = {{0, 10.0}, {1, 49.9}};
+    const auto r = simulator.run(events, model, policy);
+    // Event 1 is still executing when the trace ends, so every step runs.
+    ASSERT_EQ(r.in_flight, 1);
+    std::uint64_t trace_steps = 0;
+    for (double now = 0.0; now < trace.duration(); now += cfg.dt_s) {
+        ++trace_steps;
+    }
+    EXPECT_EQ(r.counters.full_steps + r.counters.drained_steps, trace_steps);
+    EXPECT_GT(r.counters.drained_steps, 0u);
+    EXPECT_EQ(r.counters.unit_starts, 2u);
+    EXPECT_EQ(r.counters.evaluations, 1u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "scratch_dir.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/math.hpp"
@@ -419,7 +420,7 @@ TEST(Csv, MissingColumnThrows) {
 }
 
 TEST(Csv, WriterRoundTrip) {
-    const std::string path = "/tmp/imx_csv_test.csv";
+    const std::string path = imx::test::scratch_dir() + "imx_csv_test.csv";
     {
         CsvWriter w(path);
         w.write_header({"time_s", "power_mw"});
