@@ -16,6 +16,8 @@ struct AtomicCounters {
     std::atomic<std::uint64_t> gemm_macs{0};
     std::atomic<std::uint64_t> bias_act_calls{0};
     std::atomic<std::uint64_t> bias_act_elems{0};
+    std::atomic<std::uint64_t> adam_calls{0};
+    std::atomic<std::uint64_t> adam_lanes{0};
 };
 
 AtomicCounters& counters() {
@@ -38,6 +40,8 @@ KernelCounters counters_snapshot() {
     out.gemm_macs = c.gemm_macs.load(kRelaxed);
     out.bias_act_calls = c.bias_act_calls.load(kRelaxed);
     out.bias_act_elems = c.bias_act_elems.load(kRelaxed);
+    out.adam_calls = c.adam_calls.load(kRelaxed);
+    out.adam_lanes = c.adam_lanes.load(kRelaxed);
     return out;
 }
 
@@ -51,6 +55,8 @@ void counters_reset() {
     c.gemm_macs.store(0, kRelaxed);
     c.bias_act_calls.store(0, kRelaxed);
     c.bias_act_elems.store(0, kRelaxed);
+    c.adam_calls.store(0, kRelaxed);
+    c.adam_lanes.store(0, kRelaxed);
 }
 
 std::string counters_report(const KernelCounters& c) {
@@ -63,7 +69,9 @@ std::string counters_report(const KernelCounters& c) {
         << "  gemm:            " << c.gemm_calls << " call(s), " << c.gemm_macs
         << " MACs\n"
         << "  bias_act:        " << c.bias_act_calls << " call(s), "
-        << c.bias_act_elems << " element(s)\n";
+        << c.bias_act_elems << " element(s)\n"
+        << "  adam:            " << c.adam_calls << " call(s), "
+        << c.adam_lanes << " lane(s)\n";
     return out.str();
 }
 
@@ -87,6 +95,11 @@ void count_gemm(std::uint64_t macs) {
 void count_bias_act(std::uint64_t elems) {
     counters().bias_act_calls.fetch_add(1, kRelaxed);
     counters().bias_act_elems.fetch_add(elems, kRelaxed);
+}
+
+void count_adam(std::uint64_t lanes) {
+    counters().adam_calls.fetch_add(1, kRelaxed);
+    counters().adam_lanes.fetch_add(lanes, kRelaxed);
 }
 
 }  // namespace detail

@@ -1,10 +1,10 @@
 // Runtime-dispatched NN kernels: conv2d forward/backward, GEMV-style GEMM
 // (the single-sample matrix-vector product Linear executes) and its
-// [batch x in] minibatch form (the DDPG MLPs), and a fused bias+activation
-// map. Call sites (Conv2d, Linear, Relu, rl::Mlp, and through them the
-// exit-graph evaluation path) go through these entry points; the backend —
-// scalar reference or AVX2 — is chosen per dispatch.hpp and every call
-// bumps the counters (counters.hpp).
+// [batch x in] minibatch form (the DDPG MLPs), a fused bias+activation
+// map, and the Adam update. Call sites (Conv2d, Linear, Relu, rl::Mlp,
+// nn::Adam, and through them the exit-graph evaluation path) go through
+// these entry points; the backend — scalar reference or AVX2 — is chosen
+// per dispatch.hpp and every call bumps the counters (counters.hpp).
 //
 // Numeric contract (docs/kernels.md):
 //   * scalar is the reference: bitwise identical to the historical
@@ -19,7 +19,8 @@
 //     enforced by tests/test_kernels_diff.cpp.
 //   * gemm_batch / gemm_backward_batch are bitwise equal to the same
 //     backend's per-sample kernel looped in sample order (no re-pinned
-//     results), enforced by tests/test_ddpg_batch.cpp.
+//     results), and adam_update is bitwise equal across backends, all
+//     enforced by tests/test_ddpg_batch.cpp.
 #ifndef IMX_NN_KERNELS_KERNELS_HPP
 #define IMX_NN_KERNELS_KERNELS_HPP
 
@@ -102,18 +103,44 @@ void gemm_batch(int batch, int out_features, int in_features,
 /// output gradients. Bitwise equal to calling gemm_backward() on the same
 /// backend once per sample, in sample order: grad_weight and grad_bias see
 /// the per-sample add sequence (samples innermost, zero gradients skipped
-/// as the per-sample kernel skips them), and each grad_x row sums the
-/// output rows in order. Any of grad_x ([batch x in], overwritten),
+/// as the per-sample kernel skips them), and each grad_x element sums the
+/// output rows in order. grad_x holds only the input columns
+/// [grad_x_first, in): it is [batch x (in - grad_x_first)], overwritten;
+/// each column's sum is independent of the others, so the columns it
+/// holds are bitwise those of the full gradient. Any of grad_x,
 /// grad_weight and grad_bias (accumulated) may be null to skip that
 /// output; `x` is only read for grad_weight.
 void gemm_backward_batch(int batch, int out_features, int in_features,
                          const float* weight, const float* x,
                          const float* grad_y, float* grad_x,
-                         float* grad_weight, float* grad_bias);
+                         float* grad_weight, float* grad_bias,
+                         int grad_x_first = 0);
 
 /// y[i] = act(x[i] + bias); pass bias = 0 for a plain activation map.
 /// In-place (y == x) is allowed.
 void bias_act(std::int64_t n, const float* x, float bias, Act act, float* y);
+
+/// The per-step constants of one Adam update: the hyper-parameters, the
+/// bias corrections bc1 = 1 - beta1^t and bc2 = 1 - beta2^t, and the
+/// gradient multiplier.
+struct AdamStep {
+    float lr;
+    float beta1;
+    float beta2;
+    float eps;
+    float bc1;
+    float bc2;
+    float scale;
+};
+
+/// One Adam update of n lanes in place (nn::Adam::step): per lane, with
+/// grad = g*scale, m = beta1*m + (1-beta1)*grad, v = beta2*v +
+/// (1-beta2)*grad*grad, p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), each
+/// operation one float rounding in that order. Bitwise equal on every
+/// backend; AVX2 never hands the FPU a subnormal operand (docs/kernels.md,
+/// "Adam without subnormal operands").
+void adam_update(const AdamStep& step, std::int64_t n, float* p,
+                 const float* g, float* m, float* v);
 
 namespace detail {
 // Backend implementations (kernels_scalar.cpp / kernels_avx2.cpp). The
@@ -134,9 +161,11 @@ void scalar_gemm_batch(int batch, int out_f, int in_f, const float* w,
 void scalar_gemm_backward_batch(int batch, int out_f, int in_f,
                                 const float* w, const float* x,
                                 const float* gy, float* gx, float* gw,
-                                float* gb);
+                                float* gb, int gx_first);
 void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
                      float* y);
+void scalar_adam_update(const AdamStep& s, std::int64_t n, float* p,
+                        const float* g, float* m, float* v);
 
 void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
                          const float* b, float* out);
@@ -150,9 +179,11 @@ void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
                      const float* x, const float* b, float* y);
 void avx2_gemm_backward_batch(int batch, int out_f, int in_f, const float* w,
                               const float* x, const float* gy, float* gx,
-                              float* gw, float* gb);
+                              float* gw, float* gb, int gx_first);
 void avx2_bias_act(std::int64_t n, const float* x, float bias, Act act,
                    float* y);
+void avx2_adam_update(const AdamStep& s, std::int64_t n, float* p,
+                      const float* g, float* m, float* v);
 }  // namespace detail
 
 }  // namespace imx::nn::kernels

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/kernels/kernels.hpp"
 #include "util/contracts.hpp"
 #include "util/math.hpp"
 
@@ -64,6 +65,9 @@ void Sgd::step(const std::vector<Tensor*>& params,
 Adam::Adam(float lr, float beta1, float beta2, float eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
     IMX_EXPECTS(lr > 0.0F);
+    IMX_EXPECTS(beta1 >= 0.0F && beta1 < 1.0F);
+    IMX_EXPECTS(beta2 >= 0.0F && beta2 < 1.0F);
+    IMX_EXPECTS(eps > 0.0F);
 }
 
 void Adam::step(const std::vector<Tensor*>& params,
@@ -81,29 +85,12 @@ void Adam::step(const std::vector<Tensor*>& params,
     ++t_;
     const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
     const float bc2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
-    // Locals, not members, in the loop: a store through a float* could
-    // alias a float member, which would force a reload per element and
-    // keep the loop from vectorizing. Same arithmetic either way.
-    const float lr = lr_;
-    const float beta1 = beta1_;
-    const float beta2 = beta2_;
-    const float eps = eps_;
+    const kernels::AdamStep step{lr_, beta1_, beta2_, eps_, bc1, bc2, scale};
     for (std::size_t i = 0; i < params.size(); ++i) {
         const std::int64_t n = params[i]->numel();
         IMX_EXPECTS(grads[i]->numel() == n && m_[i].numel() == n);
-        // Raw pointers: the sizes are checked once above, not per element.
-        float* p = params[i]->data();
-        const float* g = grads[i]->data();
-        float* m = m_[i].data();
-        float* v = v_[i].data();
-        for (std::int64_t j = 0; j < n; ++j) {
-            const float grad_j = g[j] * scale;
-            m[j] = beta1 * m[j] + (1.0F - beta1) * grad_j;
-            v[j] = beta2 * v[j] + (1.0F - beta2) * grad_j * grad_j;
-            const float m_hat = m[j] / bc1;
-            const float v_hat = v[j] / bc2;
-            p[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-        }
+        kernels::adam_update(step, n, params[i]->data(), grads[i]->data(),
+                             m_[i].data(), v_[i].data());
     }
 }
 

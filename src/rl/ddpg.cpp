@@ -196,14 +196,11 @@ void DdpgAgent::train_step() {
     }
     critic_.forward_batch(n, critic_in_.data());
     std::fill(grad_q_.begin(), grad_q_.end(), -1.0F);  // maximize Q
-    const float* grad_input = critic_.backward_batch(
-        grad_q_.data(), /*param_grads=*/false, /*input_grad=*/true);
-    grad_action_.resize(batch.size() * ad);
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-        std::copy(grad_input + s * cd + sd, grad_input + (s + 1) * cd,
-                  grad_action_.data() + s * ad);
-    }
-    actor_.backward_batch(grad_action_.data(), /*param_grads=*/true,
+    // dQ/da: the critic's input gradient at the action columns only.
+    const float* grad_action = critic_.backward_batch(
+        grad_q_.data(), /*param_grads=*/false, /*input_grad=*/true,
+        /*input_grad_first=*/config_.state_dim);
+    actor_.backward_batch(grad_action, /*param_grads=*/true,
                           /*input_grad=*/false);
     actor_opt_.step(actor_.parameters(), actor_.gradients(), inv_batch);
 

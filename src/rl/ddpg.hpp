@@ -128,7 +128,6 @@ private:
     std::vector<float> critic_in_;    ///< [batch x (state_dim + action_dim)]
     std::vector<float> targets_;      ///< [batch]
     std::vector<float> grad_q_;       ///< [batch]
-    std::vector<float> grad_action_;  ///< [batch x action_dim]
     std::vector<std::size_t> live_;   ///< non-terminal samples (gamma > 0)
     std::vector<float> next_states_;  ///< their next states
     std::vector<float> next_critic_in_;

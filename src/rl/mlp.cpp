@@ -83,8 +83,9 @@ const float* Mlp::forward_batch(int batch, const float* input) {
 }
 
 const float* Mlp::backward_batch(const float* grad_output, bool param_grads,
-                                 bool input_grad) {
+                                 bool input_grad, int input_grad_first) {
     IMX_EXPECTS(batch_ > 0);
+    IMX_EXPECTS(input_grad_first >= 0 && input_grad_first < in_features());
     const std::size_t rows = static_cast<std::size_t>(batch_);
     const std::size_t widest = static_cast<std::size_t>(
         *std::max_element(dims_.begin(), dims_.end()));
@@ -114,7 +115,8 @@ const float* Mlp::backward_batch(const float* grad_output, bool param_grads,
             batch_, fc.out_features(), fc.in_features(), fc.weight().data(),
             acts_[i].data(), grad_cur_.data(), gx,
             param_grads ? fc.grad_weight().data() : nullptr,
-            param_grads ? fc.grad_bias().data() : nullptr);
+            param_grads ? fc.grad_bias().data() : nullptr,
+            i == 0 ? input_grad_first : 0);
         if (!want_gx) break;
         if (i > 0) {
             // Hidden ReLU: pass the gradient where the activation is > 0.

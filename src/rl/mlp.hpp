@@ -38,11 +38,14 @@ public:
 
     /// Backward through the last forward_batch() from its
     /// [batch x out_features()] output gradient. Accumulates the parameter
-    /// gradients when `param_grads`; returns the [batch x in_features()]
-    /// input gradient when `input_grad` (valid until the next call), else
-    /// nullptr. Work for an output nobody asked for is skipped.
+    /// gradients when `param_grads`. When `input_grad`, returns the input
+    /// gradient's columns [input_grad_first, in_features()) as a
+    /// [batch x (in_features() - input_grad_first)] buffer, valid until the
+    /// next call (the DDPG actor update reads only the critic's action
+    /// columns); else nullptr. Work for an output nobody asked for, or for
+    /// an input column before input_grad_first, is skipped.
     const float* backward_batch(const float* grad_output, bool param_grads,
-                                bool input_grad);
+                                bool input_grad, int input_grad_first = 0);
 
     [[nodiscard]] int in_features() const { return dims_.front(); }
     [[nodiscard]] int out_features() const { return dims_.back(); }

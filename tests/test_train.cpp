@@ -91,6 +91,16 @@ TEST(AdamOptimizer, DescendsQuadratic) {
     EXPECT_NEAR(w[1], -2.0F, 0.02F);
 }
 
+TEST(AdamOptimizer, RejectsHyperParametersOutsideTheirRanges) {
+    EXPECT_THROW(nn::Adam(0.0F), util::ContractViolation);
+    EXPECT_THROW(nn::Adam(1e-3F, 1.0F), util::ContractViolation);
+    EXPECT_THROW(nn::Adam(1e-3F, -0.1F), util::ContractViolation);
+    EXPECT_THROW(nn::Adam(1e-3F, 0.9F, 1.0F), util::ContractViolation);
+    EXPECT_THROW(nn::Adam(1e-3F, 0.9F, 0.999F, 0.0F),
+                 util::ContractViolation);
+    EXPECT_NO_THROW(nn::Adam(1e-3F, 0.0F, 0.0F, 1e-8F));
+}
+
 TEST(TrainMultiExit, LossDecreasesAndAccuracyBeatsChance) {
     util::Rng rng(42);
     nn::ExitGraph graph = core::build_tiny_graph(rng);
