@@ -108,6 +108,81 @@ void BM_FullTraceSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_FullTraceSimulation);
 
+// The three kinds of energy wait the quiet-stretch drain skips, one full
+// 13,000-step run each.
+
+void BM_FullTraceRecoveryGreedy(benchmark::State& state) {
+    // Dead waits: per-layer checkpointing on the bursty RF trace, whose
+    // dark gaps kill stalled inferences that then recharge to reboot.
+    static const auto setup = [] {
+        core::SetupConfig cfg;
+        cfg.trace_source = "rf-bursty";
+        cfg.trace_params = {{"burst_power_mw", "0.6"},
+                            {"mean_on_s", "2"},
+                            {"mean_off_s", "18"}};
+        return core::make_paper_setup(cfg);
+    }();
+    sim::SimConfig config = setup.multi_exit_sim;
+    config.recovery.enabled = true;
+    config.recovery.strategy = "checkpoint";
+    config.recovery.granularity = sim::CheckpointGranularity::kPerLayer;
+    config.recovery.active_power_mw = 0.02;
+    config.storage.death_threshold_mj = 0.3;
+    core::OracleInferenceModel model(setup.network, setup.deployed_policy,
+                                     setup.exit_accuracy);
+    sim::GreedyAffordablePolicy policy;
+    sim::Simulator simulator(setup.trace, config);
+    sim::ScenarioWorkspace workspace;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            simulator.run(setup.events, model, policy, &workspace));
+    }
+}
+BENCHMARK(BM_FullTraceRecoveryGreedy);
+
+void BM_FullTraceQueueSlackGreedy(benchmark::State& state) {
+    // Uncommitted waits: a bounded queue under MMPP bursts and a 60 s
+    // deadline; the greedy family's commit floor drains the waits.
+    static const auto setup = core::make_paper_setup();
+    static const auto events = sim::generate_arrivals(
+        "mmpp", {static_cast<int>(setup.events.size()), setup.trace.duration(),
+                 setup.config.event_seed});
+    sim::SimConfig config = setup.multi_exit_sim;
+    config.queue_capacity = 16;
+    config.deadline_s = 60.0;
+    core::OracleInferenceModel model(setup.network, setup.deployed_policy,
+                                     setup.exit_accuracy);
+    sim::QueueSlackGreedyPolicy policy;
+    sim::Simulator simulator(setup.trace, config);
+    sim::ScenarioWorkspace workspace;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            simulator.run(events, model, policy, &workspace));
+    }
+}
+BENCHMARK(BM_FullTraceQueueSlackGreedy);
+
+void BM_FullTraceQLearningEval(benchmark::State& state) {
+    // Committed waits: a frozen Q-table commits as soon as an event is
+    // picked up, then the device charges for the committed exit.
+    static const auto setup = core::make_paper_setup();
+    core::OracleInferenceModel model(setup.network, setup.deployed_policy,
+                                     setup.exit_accuracy);
+    sim::QLearningExitPolicy policy(setup.network.num_exits,
+                                    sim::RuntimeConfig{});
+    sim::Simulator simulator(setup.trace, setup.multi_exit_sim);
+    sim::ScenarioWorkspace workspace;
+    for (int episode = 0; episode < 12; ++episode) {
+        (void)simulator.run(setup.events, model, policy, &workspace);
+    }
+    policy.set_eval_mode(true);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            simulator.run(setup.events, model, policy, &workspace));
+    }
+}
+BENCHMARK(BM_FullTraceQLearningEval);
+
 }  // namespace
 
 BENCHMARK_MAIN();

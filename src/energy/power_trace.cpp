@@ -11,10 +11,13 @@
 namespace imx::energy {
 
 PowerTrace::PowerTrace(double dt_s, std::vector<double> power_mw)
-    : dt_s_(dt_s), power_mw_(std::move(power_mw)) {
+    : dt_s_(dt_s),
+      power_mw_(std::move(power_mw)),
+      income_cache_(fresh_income_cache()) {
     IMX_EXPECTS(dt_s > 0.0);
     IMX_EXPECTS(!power_mw_.empty());
     for (const double p : power_mw_) IMX_EXPECTS(p >= 0.0);
+    total_mj_ = sum_energy();
 }
 
 double PowerTrace::energy_between(double t0, double t1) const {
@@ -38,7 +41,7 @@ double PowerTrace::energy_between(double t0, double t1) const {
     return energy;
 }
 
-double PowerTrace::total_energy() const {
+double PowerTrace::sum_energy() const {
     double sum = 0.0;
     for (const double p : power_mw_) sum += p;
     return sum * dt_s_;
@@ -54,6 +57,8 @@ void PowerTrace::rescale_total_energy(double target_mj) {
     IMX_EXPECTS(current > 0.0);
     const double factor = target_mj / current;
     for (double& p : power_mw_) p *= factor;
+    total_mj_ = sum_energy();
+    income_cache_ = fresh_income_cache();
 }
 
 PowerTrace PowerTrace::constant(double power_mw, double duration_s,

@@ -3,10 +3,14 @@
 #ifndef IMX_ENERGY_POWER_TRACE_HPP
 #define IMX_ENERGY_POWER_TRACE_HPP
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace imx::energy {
+
+struct IncomeKey;
+class IncomeTable;
 
 /// Piecewise-constant power trace sampled every dt_s seconds.
 class PowerTrace {
@@ -33,8 +37,9 @@ public:
     /// integral, exact for this representation).
     [[nodiscard]] double energy_between(double t0, double t1) const;
 
-    /// Total energy over the whole trace (mJ).
-    [[nodiscard]] double total_energy() const;
+    /// Total energy over the whole trace (mJ). Summed once at construction
+    /// (and again by rescale_total_energy), so reading it is free.
+    [[nodiscard]] double total_energy() const { return total_mj_; }
 
     /// Mean power (mW).
     [[nodiscard]] double mean_power() const;
@@ -43,6 +48,13 @@ public:
 
     /// Scale all samples so total_energy() becomes the requested value.
     void rescale_total_energy(double target_mj);
+
+    /// The per-step income table of this trace under `key`
+    /// (energy/income.hpp), built on first request and kept for the
+    /// trace's lifetime. Copies of a trace share their tables until one of
+    /// them is rescaled. Thread-safe.
+    [[nodiscard]] std::shared_ptr<const IncomeTable> income(
+        const IncomeKey& key) const;
 
     // Factories -------------------------------------------------------------
     static PowerTrace constant(double power_mw, double duration_s, double dt_s);
@@ -61,8 +73,14 @@ public:
     void to_csv(const std::string& path) const;
 
 private:
+    struct IncomeCache;
+    static std::shared_ptr<IncomeCache> fresh_income_cache();
+    [[nodiscard]] double sum_energy() const;
+
     double dt_s_;
     std::vector<double> power_mw_;
+    double total_mj_ = 0.0;
+    std::shared_ptr<IncomeCache> income_cache_;
 };
 
 }  // namespace imx::energy

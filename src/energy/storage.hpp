@@ -38,6 +38,18 @@ struct StorageConfig {
     double death_threshold_mj = 0.05;
 };
 
+/// \brief Charging efficiency in [0, efficiency_max] at the given input
+/// power: efficiency_max * p / (p + half_power), 0 at p == 0. The one
+/// expression behind EnergyStorage::efficiency_at() and
+/// energy::IncomeTable.
+[[nodiscard]] inline double charging_efficiency(double efficiency_max,
+                                                double half_power_mw,
+                                                double power_mw) {
+    IMX_EXPECTS(power_mw >= 0.0);
+    if (power_mw == 0.0) return 0.0;
+    return efficiency_max * power_mw / (power_mw + half_power_mw);
+}
+
 /// \brief Stateful energy buffer: harvest in, inference energy out.
 class EnergyStorage {
 public:
@@ -57,20 +69,31 @@ public:
         IMX_EXPECTS(power_mw >= 0.0 && dt_s >= 0.0);
         const double gross = power_mw * dt_s;               // mJ harvested
         const double net = gross * efficiency_at(power_mw); // after converter
-        const double leak = config_.leakage_mw * dt_s;
+        return harvest_net(net, config_.leakage_mw * dt_s);
+    }
+
+    /// \brief The level one step leaves behind: converter output net_mj in,
+    /// leakage leak_mj out, clamped to [0, capacity]. The single expression
+    /// behind harvest(), so a caller that precomputed net_mj
+    /// (energy::IncomeTable) can look a step ahead bit for bit.
+    [[nodiscard]] double level_after(double net_mj, double leak_mj) const {
+        return std::clamp(level_mj_ + net_mj - leak_mj, 0.0,
+                          config_.capacity_mj);
+    }
+
+    /// \brief harvest() with the converter output already computed.
+    /// \return the energy actually stored.
+    double harvest_net(double net_mj, double leak_mj) {
         const double before = level_mj_;
-        level_mj_ =
-            std::clamp(level_mj_ + net - leak, 0.0, config_.capacity_mj);
+        level_mj_ = level_after(net_mj, leak_mj);
         return level_mj_ - before;
     }
 
     /// \return charging efficiency in [0, efficiency_max] at the given
     ///   input power.
     [[nodiscard]] double efficiency_at(double power_mw) const {
-        IMX_EXPECTS(power_mw >= 0.0);
-        if (power_mw == 0.0) return 0.0;
-        return config_.efficiency_max * power_mw /
-               (power_mw + config_.efficiency_half_power_mw);
+        return charging_efficiency(config_.efficiency_max,
+                                   config_.efficiency_half_power_mw, power_mw);
     }
 
     /// \brief Attempt to withdraw amount_mj.

@@ -1,5 +1,7 @@
 #include "exp/scenario.hpp"
 
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace imx::exp {
@@ -27,9 +29,10 @@ MetricMap sim_metrics(const sim::SimResult& result) {
     m["processed"] = static_cast<double>(result.processed_count());
     m["missed"] = static_cast<double>(result.missed_count());
     m["event_latency_s"] = result.mean_event_latency_s();
-    m["p50_latency_s"] = result.latency_percentile_s(0.50);
-    m["p95_latency_s"] = result.latency_percentile_s(0.95);
-    m["p99_latency_s"] = result.latency_percentile_s(0.99);
+    const std::vector<double> latencies = result.sorted_latencies_s();
+    m["p50_latency_s"] = sim::SimResult::latency_percentile_s(latencies, 0.50);
+    m["p95_latency_s"] = sim::SimResult::latency_percentile_s(latencies, 0.95);
+    m["p99_latency_s"] = sim::SimResult::latency_percentile_s(latencies, 0.99);
     m["inference_latency_s"] = result.mean_inference_latency_s();
     m["inference_macs_m"] = result.mean_inference_macs() / 1e6;
     m["deadline_miss_pct"] = 100.0 * result.deadline_miss_rate();

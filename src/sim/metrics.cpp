@@ -54,6 +54,10 @@ double SimResult::mean_event_latency_s() const {
 }
 
 double SimResult::latency_percentile_s(double q) const {
+    return latency_percentile_s(sorted_latencies_s(), q);
+}
+
+std::vector<double> SimResult::sorted_latencies_s() const {
     std::vector<double> latencies;
     latencies.reserve(records.size());
     for (const auto& r : records) {
@@ -61,9 +65,14 @@ double SimResult::latency_percentile_s(double q) const {
         IMX_ASSERT(r.completion_time_s >= r.arrival_time_s);
         latencies.push_back(r.completion_time_s - r.arrival_time_s);
     }
-    if (latencies.empty()) return 0.0;
     std::sort(latencies.begin(), latencies.end());
-    return util::percentile(latencies, q);
+    return latencies;
+}
+
+double SimResult::latency_percentile_s(const std::vector<double>& sorted,
+                                       double q) {
+    if (sorted.empty()) return 0.0;
+    return util::percentile(sorted, q);
 }
 
 double SimResult::mean_inference_latency_s() const {

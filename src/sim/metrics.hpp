@@ -108,6 +108,14 @@ struct SimResult {
     /// was processed (mirrors mean_event_latency_s()).
     [[nodiscard]] double latency_percentile_s(double q) const;
 
+    /// The per-event latencies latency_percentile_s() ranks, sorted
+    /// ascending: sort once, then read any number of percentiles from it.
+    [[nodiscard]] std::vector<double> sorted_latencies_s() const;
+
+    /// latency_percentile_s() over a sorted_latencies_s() vector.
+    [[nodiscard]] static double latency_percentile_s(
+        const std::vector<double>& sorted, double q);
+
     /// Mean per-inference latency (execution start -> result), s.
     [[nodiscard]] double mean_inference_latency_s() const;
 

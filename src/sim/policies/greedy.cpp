@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -24,6 +25,17 @@ int deepest_affordable(const EnergyState& state, const InferenceModel& model,
 }
 
 }  // namespace
+
+double cheapest_commit_mj(const EnergyState& state,
+                          const InferenceModel& model,
+                          double safety_margin_mj) {
+    double floor = std::numeric_limits<double>::infinity();
+    for (int e = 0; e < model.num_exits(); ++e) {
+        const double cost = macs_energy_mj(state, model.exit_macs(e));
+        floor = std::min(floor, cost + safety_margin_mj);
+    }
+    return floor;
+}
 
 int GreedyAffordablePolicy::select_exit(const EnergyState& state,
                                         const InferenceModel& model) {

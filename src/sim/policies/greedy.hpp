@@ -9,6 +9,13 @@
 
 namespace imx::sim {
 
+/// \brief min over exits e of (cost of e + safety_margin_mj), with the
+/// expressions the greedy LUTs test affordability with: the
+/// ExitPolicy::commit_floor_mj() of all three.
+[[nodiscard]] double cheapest_commit_mj(const EnergyState& state,
+                                        const InferenceModel& model,
+                                        double safety_margin_mj);
+
 /// \brief The static-LUT baseline of Sec. IV / Fig. 7.
 ///
 /// Greedily selects the deepest exit whose from-scratch energy cost fits the
@@ -26,6 +33,12 @@ public:
     bool continue_inference(const EnergyState&, const InferenceModel&, int,
                             double) override {
         return false;
+    }
+    /// The cheapest exit's cost plus the safety margin: no exit is
+    /// affordable below it, under any depth cap.
+    [[nodiscard]] double commit_floor_mj(
+        const EnergyState& state, const InferenceModel& model) const override {
+        return cheapest_commit_mj(state, model, safety_margin_mj_);
     }
 
 private:
@@ -53,6 +66,11 @@ public:
     bool continue_inference(const EnergyState&, const InferenceModel&, int,
                             double) override {
         return false;
+    }
+    /// Greedy's floor: the depth cap only removes candidates.
+    [[nodiscard]] double commit_floor_mj(
+        const EnergyState& state, const InferenceModel& model) const override {
+        return cheapest_commit_mj(state, model, safety_margin_mj_);
     }
 
     /// \brief The schedule's depth cap for a slack value (exposed so tests
@@ -90,6 +108,11 @@ public:
     bool continue_inference(const EnergyState&, const InferenceModel&, int,
                             double) override {
         return false;
+    }
+    /// Greedy's floor: the depth cap only removes candidates.
+    [[nodiscard]] double commit_floor_mj(
+        const EnergyState& state, const InferenceModel& model) const override {
+        return cheapest_commit_mj(state, model, safety_margin_mj_);
     }
 
     /// \brief The backlog-driven depth cap (exposed so tests can pin the

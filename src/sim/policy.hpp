@@ -85,6 +85,22 @@ public:
                                     const InferenceModel& model,
                                     int current_exit, double confidence) = 0;
 
+    /// \brief The stored energy below which select_exit() is sure to wait.
+    ///
+    /// A promise the simulator uses to skip steps: for every state s that
+    /// agrees with `state` in capacity_mj, energy_per_mmac_mj, queue_depth
+    /// and queue_backlog, s.level_mj < commit_floor_mj(state, model) implies
+    /// that select_exit(s, model) returns -1 and changes no policy state —
+    /// whatever s's charge rate and deadline slack. While harvesting is all
+    /// that happens, the simulator then does not call select_exit() until
+    /// the level reaches the floor; a commit below it fails an IMX_ENSURES.
+    /// \return the floor in mJ; the default, -infinity, promises nothing
+    ///   (select_exit() is asked at every step).
+    [[nodiscard]] virtual double commit_floor_mj(
+        const EnergyState& /*state*/, const InferenceModel& /*model*/) const {
+        return -std::numeric_limits<double>::infinity();
+    }
+
     /// \brief Feedback after the event resolves (reward = outcome
     /// correctness per paper Sec. IV, plus timeliness for deadline-aware
     /// learners). Default: stateless policy ignores it.

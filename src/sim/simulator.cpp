@@ -40,11 +40,13 @@ struct Job {
 }  // namespace
 
 Simulator::Simulator(const energy::PowerTrace& trace, const SimConfig& config)
-    : trace_(&trace),
-      config_(config),
+    : config_(config),
       trace_duration_s_(trace.duration()),
       trace_total_energy_mj_(trace.total_energy()) {
     IMX_EXPECTS(config.dt_s > 0.0);
+    const auto key = energy::IncomeKey::of(config.dt_s, config.storage);
+    income_ = trace.income(key);
+    IMX_EXPECTS(income_->key() == key);
     IMX_EXPECTS(config.charge_rate_ema_alpha > 0.0 &&
                 config.charge_rate_ema_alpha <= 1.0);
     IMX_EXPECTS(config.queue_capacity >= 0);
@@ -115,6 +117,8 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     result.in_flight = 0;
 
     const double dt = config_.dt_s;
+    const energy::IncomeTable& income = *income_;
+    const double leak_mj = config_.storage.leakage_mw * dt;
     const std::size_t num_events = events.size();
     std::size_t next_event = 0;
     bool busy = false;
@@ -219,6 +223,17 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         job.dead = true;
     };
 
+    // Energy the next unit's start consumes: its compute, plus the one-off
+    // wakeup on the very first start.
+    auto next_unit_cost_mj = [&]() {
+        IMX_EXPECTS(job.units_done < static_cast<int>(units.size()));
+        const std::int64_t unit_macs =
+            units[static_cast<std::size_t>(job.units_done)];
+        const bool first_start = job.inference_start_s < 0.0;
+        return macs_cost_mj(unit_macs) +
+               (first_start ? config_.mcu.wakeup_energy_mj : 0.0);
+    };
+
     // Pre-paid atomic unit start: the unit begins only once its full compute
     // energy (plus the one-off wakeup on the very first start) is buffered,
     // so execution itself can never brown out. The gate also requires the
@@ -227,14 +242,11 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     // completion, so income lost to leakage while the unit runs can still
     // (rarely) fail the write and kill the run.
     auto try_start_unit = [&](double now) {
-        IMX_EXPECTS(job.units_done < static_cast<int>(units.size()));
+        const double cost = next_unit_cost_mj();
+        if (storage.level() < cost + commit_mj) return false;
         const std::int64_t unit_macs =
             units[static_cast<std::size_t>(job.units_done)];
         const bool first_start = job.inference_start_s < 0.0;
-        const double cost =
-            macs_cost_mj(unit_macs) +
-            (first_start ? config_.mcu.wakeup_energy_mj : 0.0);
-        if (storage.level() < cost + commit_mj) return false;
         if (!storage.try_consume(cost)) return false;
         job.energy_spent_mj += cost;
         job.macs_done += unit_macs;
@@ -272,16 +284,18 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         }
     };
 
-    // Per-step energy income; track the net charging rate the runtime sees.
-    auto harvest_step = [&](double now) {
-        const double power = trace_->power_at(now);
-        const double stored = storage.harvest(power, dt);
+    // Per-step energy income (the table holds exactly the converter output
+    // EnergyStorage::harvest() would compute at this step's `now`); track
+    // the net charging rate the runtime sees.
+    auto harvest_step = [&](std::size_t step) {
+        const double stored =
+            storage.harvest_net(income.net_mj(step), leak_mj);
         charge_rate.update(std::max(stored, 0.0) / dt);
     };
 
     // One full simulation step.
-    auto full_step = [&](double now) {
-        harvest_step(now);
+    auto full_step = [&](double now, std::size_t step) {
+        harvest_step(step);
 
         // 2. Event arrivals: an arrival is picked up immediately if the
         // device is idle (and no older request waits ahead of it); otherwise
@@ -409,6 +423,9 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                 ++counters.decisions;
                 if (choice >= 0) {
                     IMX_EXPECTS(choice < model.num_exits());
+                    // The promise the quiet-stretch drain skipped calls on.
+                    IMX_ENSURES(
+                        !(s.level_mj < policy.commit_floor_mj(s, model)));
                     job.committed = true;
                     job.state_at_selection = s;
                     job.target_exit = choice;
@@ -473,56 +490,84 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         }
     };
 
-    // Batched event-drain loop. The fast paths below skip straight through
-    // runs of steps whose full-step body provably reduces to the harvest
-    // line, performing the identical harvest/EMA updates at the identical
-    // `now` values — the `now += dt` accumulation sequence is exactly the
-    // historical one — so every observable value stays bitwise equal to the
-    // step-at-a-time loop (tests/test_hotpath.cpp and the --quick goldens
-    // pin this).
+    // The wake level of the state between steps: a step whose harvest
+    // leaves the level below it runs nothing but that harvest. Each finite
+    // value is the exact negation of the guard the step body tests, built
+    // from the same expressions. +inf: no level wakes the state (idle, or a
+    // unit mid-flight; only time does). -inf: every step runs in full.
+    constexpr double kNever = std::numeric_limits<double>::infinity();
+    auto wake_level_mj = [&](double now) {
+        if (!busy) return queue_count == 0 ? kNever : -kNever;
+        if (config_.mode != ExecutionMode::kMultiExit) return -kNever;
+        if (job.executing) return kNever;  // r0 waits for exec_finish_s
+        if (job.dead) {
+            // r1: can_turn_on() and the reboot's try_consume().
+            return std::max(config_.storage.on_threshold_mj,
+                            config_.mcu.wakeup_energy_mj +
+                                strategy->restore_cost_mj(job.units_done));
+        }
+        // r2: the policy's promise that select_exit() keeps waiting.
+        if (!job.committed) {
+            return policy.commit_floor_mj(energy_state(now), model);
+        }
+        // r4 before the first unit: try_start_unit()'s affordability gate.
+        if (job.inference_start_s < 0.0) {
+            return next_unit_cost_mj() + commit_mj;
+        }
+        return -kNever;  // r3: a stalled plan drains active power every step
+    };
+
+    // Quiet-stretch drain. Before each full step, run the harvest-only
+    // steps that precede it in one tight loop: it stops at the step of the
+    // next arrival, at the step the in-flight unit finishes, at the step a
+    // not-yet-started job passes its wait limit, and one step before the
+    // harvested level would reach the wake level (looked ahead with the
+    // harvest's own clamp, so the crossing step runs the full body
+    // unchanged). Drained steps perform the identical harvest/EMA updates
+    // at the identical `now` values — the `now += dt` accumulation sequence
+    // is exactly the step-at-a-time one — so every observable value stays
+    // bitwise equal to running every step in full (tests/test_hotpath.cpp
+    // and the stdout goldens pin this).
     const double duration = trace_duration_s_;
     double now = 0.0;
+    std::size_t step = 0;
     while (now < duration) {
-        if (!busy && queue_count == 0) {
-            // Nothing in flight and nothing queued. With no arrivals left
-            // either, no SimResult field can change any more (the remaining
-            // harvest-only steps are unobservable), so stop early.
-            if (next_event == num_events) break;
-            // Idle drain: harvest-only steps until the next arrival's step.
-            const double arrival = events[next_event].time_s;
-            if (arrival >= now + dt) {
-                std::uint64_t steps = 0;
-                do {
-                    harvest_step(now);
-                    now += dt;
-                    ++steps;
-                } while (now < duration && arrival >= now + dt);
-                counters.drained_steps += steps;
-                continue;
-            }
-        } else if (busy && job.executing &&
-                   config_.mode == ExecutionMode::kMultiExit &&
-                   now + dt < job.exec_finish_s &&
-                   (next_event == num_events ||
-                    events[next_event].time_s >= now + dt)) {
-            // Executing drain: while a unit is mid-flight and no arrival
-            // lands in the step, the full step does nothing but harvest —
-            // the finish check fails, and the stall drain/death only runs
-            // between units.
+        // Nothing in flight, queued or still to arrive: no SimResult field
+        // can change any more (the remaining harvest-only steps are
+        // unobservable), so stop early.
+        if (!busy && queue_count == 0 && next_event == num_events) break;
+        const double wake_mj = wake_level_mj(now);
+        if (wake_mj > -kNever) {
+            const double arrival_s =
+                next_event < num_events ? events[next_event].time_s : kNever;
+            const double finish_s =
+                busy && job.executing ? job.exec_finish_s : kNever;
+            const double max_wait_s =
+                busy && job.inference_start_s < 0.0 ? wait_limit : kNever;
+            const double job_arrival_s = job.arrival_s;
             std::uint64_t steps = 0;
-            do {
-                harvest_step(now);
-                now += dt;
+            while (now < duration) {
+                const double next = now + dt;
+                if (arrival_s < next || next >= finish_s ||
+                    now - job_arrival_s > max_wait_s) {
+                    break;
+                }
+                if (!(storage.level_after(income.net_mj(step), leak_mj) <
+                      wake_mj)) {
+                    break;
+                }
+                harvest_step(step);
+                now = next;
+                ++step;
                 ++steps;
-            } while (now < duration && now + dt < job.exec_finish_s &&
-                     (next_event == num_events ||
-                      events[next_event].time_s >= now + dt));
+            }
             counters.drained_steps += steps;
-            continue;
+            if (!(now < duration)) break;
         }
-        full_step(now);
+        full_step(now, step);
         ++counters.full_steps;
         now += dt;
+        ++step;
     }
 
     // Unfinished in-flight work at trace end produced no result; it is

@@ -22,12 +22,23 @@
 // insufficient energy". SimConfig::queue_capacity > 0 relaxes this to a
 // bounded FIFO request queue (drop-on-full) for the traffic-serving
 // experiments; capacity 0 keeps the historical model bitwise.
+//
+// Stepping: the run advances in fixed dt steps over the whole trace, and
+// most steps only harvest. Those — idle, a unit mid-flight, a dead device
+// recharging to reboot, a job charging for its first unit, an uncommitted
+// job below its policy's ExitPolicy::commit_floor_mj() — run in one drain
+// loop on the trace's per-step income table (energy/income.hpp): a load,
+// the level clamp and the charge-rate EMA per step. Every output is bitwise
+// what running each step in full gives (docs/profiling.md lists the wake
+// levels).
 #ifndef IMX_SIM_SIMULATOR_HPP
 #define IMX_SIM_SIMULATOR_HPP
 
 #include <limits>
+#include <memory>
 #include <vector>
 
+#include "energy/income.hpp"
 #include "energy/power_trace.hpp"
 #include "energy/storage.hpp"
 #include "mcu/device.hpp"
@@ -81,6 +92,9 @@ struct SimConfig {
 
 class Simulator {
 public:
+    /// Fetches the trace's income table for config.dt_s and the storage's
+    /// efficiency curve (PowerTrace::income() builds it on first use and
+    /// shares it with every later Simulator on that trace and key).
     Simulator(const energy::PowerTrace& trace, const SimConfig& config);
 
     /// Run the event schedule through the model under the policy.
@@ -105,13 +119,14 @@ public:
     [[nodiscard]] const SimConfig& config() const { return config_; }
 
 private:
-    const energy::PowerTrace* trace_;
     SimConfig config_;
-    /// Cached at construction (the trace is immutable while a Simulator
-    /// views it): total_energy() is an O(samples) scan, and the sweep hot
-    /// path calls run() hundreds of times per Simulator for training
-    /// episodes. Same summation as the per-run call, so the recorded
-    /// SimResult values are bitwise unchanged.
+    /// The trace's per-step income under this config's dt and storage
+    /// efficiency (energy/income.hpp), shared read-only with every other
+    /// Simulator on the same trace and key; the Simulator does not refer to
+    /// the trace itself after construction.
+    std::shared_ptr<const energy::IncomeTable> income_;
+    /// Read at construction; PowerTrace caches its total energy, so this
+    /// costs no pass over the samples.
     double trace_duration_s_ = 0.0;
     double trace_total_energy_mj_ = 0.0;
 };

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
+#include "energy/income.hpp"
 #include "energy/power_trace.hpp"
 #include "energy/solar.hpp"
 #include "energy/storage.hpp"
@@ -227,6 +229,69 @@ TEST(Storage, RandomScheduleNeverViolatesInvariants) {
         EXPECT_GE(s.level(), 0.0);
         EXPECT_LE(s.level(), cfg.capacity_mj + 1e-12);
     }
+}
+
+// --- per-step income tables -------------------------------------------------
+
+TEST(IncomeTable, StepsFollowTheAccumulatedClockBitwise) {
+    // At dt = 0.1 the simulator's running sum of steps drifts from k * dt,
+    // and the drift decides which sample power_at() reads at a sample
+    // boundary (0.1 x 10 sums to 0.9999999999999999, in sample 0). The
+    // table must replay exactly that sum, and harvesting its entries must
+    // leave the buffer bitwise where harvest() at the same times does.
+    std::vector<double> samples;
+    for (int i = 0; i < 40; ++i) samples.push_back(0.05 * (i % 7));
+    const PowerTrace trace(1.0, samples);
+    energy::StorageConfig config;
+    config.capacity_mj = 0.8;
+    const double dt = 0.1;
+    const auto table = trace.income(energy::IncomeKey::of(dt, config));
+    energy::EnergyStorage reference(config);
+    energy::EnergyStorage tabled(config);
+    std::size_t step = 0;
+    bool drift_changes_a_sample = false;
+    for (double now = 0.0; now < trace.duration(); now += dt, ++step) {
+        ASSERT_LT(step, table->steps());
+        drift_changes_a_sample =
+            drift_changes_a_sample ||
+            trace.power_at(now) !=
+                trace.power_at(static_cast<double>(step) * dt);
+        const double stored = reference.harvest(trace.power_at(now), dt);
+        EXPECT_EQ(tabled.harvest_net(table->net_mj(step),
+                                     config.leakage_mw * dt),
+                  stored);
+        EXPECT_EQ(tabled.level(), reference.level());
+    }
+    EXPECT_EQ(step, table->steps());
+    EXPECT_TRUE(drift_changes_a_sample);
+}
+
+TEST(IncomeTable, BuiltOncePerKeyAndSharedByCopiesUntilRescaled) {
+    PowerTrace trace = PowerTrace::square_wave(1.0, 10.0, 0.5, 100.0, 1.0);
+    energy::StorageConfig config;
+    const auto key = energy::IncomeKey::of(1.0, config);
+    const auto table = trace.income(key);
+    EXPECT_EQ(table->key(), key);
+    EXPECT_EQ(trace.income(key), table);
+    const PowerTrace copy = trace;
+    EXPECT_EQ(copy.income(key), table);
+    config.efficiency_max = 0.5;
+    const auto other = trace.income(energy::IncomeKey::of(1.0, config));
+    EXPECT_NE(other, table);
+    const double p0 = trace.power_at(0.0);
+    EXPECT_EQ(other->net_mj(0),
+              p0 * 1.0 * energy::charging_efficiency(0.5, 0.15, p0));
+
+    // Rescaling changes the samples: the trace gets fresh tables and a
+    // fresh total, and the copy keeps the old ones.
+    const double total = trace.total_energy();
+    trace.rescale_total_energy(2.0 * total);
+    EXPECT_EQ(trace.total_energy(), 2.0 * total);
+    const auto rescaled = trace.income(key);
+    EXPECT_NE(rescaled, table);
+    EXPECT_GT(rescaled->net_mj(0), table->net_mj(0));
+    EXPECT_EQ(copy.income(key), table);
+    EXPECT_EQ(copy.total_energy(), total);
 }
 
 }  // namespace

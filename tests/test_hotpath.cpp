@@ -19,6 +19,11 @@
 //     and the same counters at any thread count; and batched stepping feeds
 //     run() and run_into() the exact same values with or without a
 //     workspace.
+//  5. The commit floor: draining an uncommitted wait on a greedy policy's
+//     ExitPolicy::commit_floor_mj() promise gives bitwise the results of
+//     asking select_exit() at every step, over a grid of queue, deadline,
+//     recovery, capacity, trace and arrival configs; and the greedy
+//     policies keep that promise on random states.
 //
 // (The batched-vs-historical stepping equality itself is pinned stronger
 // than any in-process compare could: tests/test_kernels_dispatch.cpp hashes
@@ -26,11 +31,14 @@
 // single-step-dispatch implementation.)
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,7 +46,11 @@
 #include <vector>
 
 #include "baselines/baseline_models.hpp"
+#include "core/experiment_setup.hpp"
+#include "core/multi_exit_spec.hpp"
+#include "core/oracle_model.hpp"
 #include "energy/power_trace.hpp"
+#include "energy/trace_registry.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/cli.hpp"
 #include "exp/experiment.hpp"
@@ -47,11 +59,13 @@
 #include "exp/scenario.hpp"
 #include "scratch_dir.hpp"
 #include "sim/policies/greedy.hpp"
+#include "sim/policies/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workspace.hpp"
 #include "util/arena.hpp"
 #include "util/param_reader.hpp"
 #include "util/registry.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -227,7 +241,8 @@ void expect_counters_equal(const sim::SimCounters& a,
     EXPECT_EQ(a.queue_pops, b.queue_pops);
 }
 
-void expect_sim_bitwise(const sim::SimResult& a, const sim::SimResult& b) {
+/// Every SimResult field except the work counters.
+void expect_outputs_bitwise(const sim::SimResult& a, const sim::SimResult& b) {
     ASSERT_EQ(a.records.size(), b.records.size());
     for (std::size_t i = 0; i < a.records.size(); ++i) {
         const sim::EventRecord& ra = a.records[i];
@@ -251,6 +266,10 @@ void expect_sim_bitwise(const sim::SimResult& a, const sim::SimResult& b) {
     EXPECT_EQ(a.wasted_macs, b.wasted_macs);
     EXPECT_EQ(a.dropped, b.dropped);
     EXPECT_EQ(a.in_flight, b.in_flight);
+}
+
+void expect_sim_bitwise(const sim::SimResult& a, const sim::SimResult& b) {
+    expect_outputs_bitwise(a, b);
     expect_counters_equal(a.counters, b.counters);
 }
 
@@ -421,6 +440,174 @@ TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     sim::SimCounters three_runs;
     for (int i = 0; i < 3; ++i) three_runs += base.counters;
     expect_counters_equal(workspace.counters, three_runs);
+}
+
+// --- the commit floor: skipping select_exit() is invisible -----------------
+
+/// Forwards every call to a policy but keeps ExitPolicy's default commit
+/// floor (no promise), so the simulator asks select_exit() at every step of
+/// an uncommitted wait instead of draining it.
+class NoFloor final : public sim::ExitPolicy {
+public:
+    explicit NoFloor(std::unique_ptr<sim::ExitPolicy> inner)
+        : inner_(std::move(inner)) {}
+    int select_exit(const sim::EnergyState& state,
+                    const sim::InferenceModel& model) override {
+        return inner_->select_exit(state, model);
+    }
+    bool continue_inference(const sim::EnergyState& state,
+                            const sim::InferenceModel& model, int exit,
+                            double confidence) override {
+        return inner_->continue_inference(state, model, exit, confidence);
+    }
+    void observe(const sim::EnergyState& state, int exit, bool correct,
+                 bool deadline_met) override {
+        inner_->observe(state, exit, correct, deadline_met);
+    }
+    void observe_missed() override { inner_->observe_missed(); }
+
+private:
+    std::unique_ptr<sim::ExitPolicy> inner_;
+};
+
+const char* const kGreedyFamily[] = {"greedy", "slack-greedy",
+                                     "queue-slack-greedy"};
+
+/// A dark-gap trace: 400 s of income, then 600 s of nothing, repeated.
+energy::PowerTrace dark_gap_trace(double duration_s) {
+    std::vector<double> samples(static_cast<std::size_t>(duration_s));
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        samples[i] = i % 1000 < 400 ? 0.06 : 0.0;
+    }
+    return energy::PowerTrace(1.0, std::move(samples));
+}
+
+TEST(CommitFloor, GreedyFamilyDrainsBitwiseLikeAskingEveryStep) {
+    constexpr double kDuration = 3000.0;
+    std::vector<std::pair<std::string, energy::PowerTrace>> traces;
+    for (const char* source : {"solar", "rf-bursty"}) {
+        energy::PowerTrace trace =
+            energy::make_trace(source, {kDuration, 1.0, 11});
+        trace.rescale_total_energy(90.0);
+        traces.emplace_back(source, std::move(trace));
+    }
+    traces.emplace_back("dark-gap", dark_gap_trace(kDuration));
+
+    std::vector<std::pair<std::string, std::vector<sim::Event>>> arrivals;
+    for (const char* source : {"uniform", "mmpp", "bursty"}) {
+        arrivals.emplace_back(
+            source, sim::generate_arrivals(source, {80, kDuration, 5}));
+    }
+
+    std::vector<std::pair<std::string, sim::RecoveryConfig>> recoveries;
+    recoveries.emplace_back("off", sim::RecoveryConfig{});
+    sim::RecoveryConfig failing;
+    failing.enabled = true;
+    failing.active_power_mw = 0.02;
+    failing.strategy = "restart";
+    recoveries.emplace_back("restart", failing);
+    failing.strategy = "checkpoint";
+    recoveries.emplace_back("ckpt-layer", failing);
+    failing.granularity = sim::CheckpointGranularity::kPerExit;
+    recoveries.emplace_back("ckpt-exit", failing);
+
+    const auto desc = core::make_paper_network_desc();
+    core::OracleInferenceModel model(desc, core::reference_nonuniform_policy(),
+                                     {60.0, 68.0, 70.0});
+    sim::PolicyContext context;
+    context.num_exits = model.num_exits();
+    sim::ScenarioWorkspace workspace;
+    std::uint64_t drained_by_floor = 0;
+    int runs = 0;
+    for (const auto& [trace_name, trace] : traces) {
+        for (const auto& [arrival_name, events] : arrivals) {
+            for (const auto& [recovery_name, recovery] : recoveries) {
+                for (const int queue : {0, 4, 16}) {
+                    for (const double deadline :
+                         {std::numeric_limits<double>::infinity(), 60.0}) {
+                        for (const double capacity : {1.5, 6.0}) {
+                            sim::SimConfig cfg;
+                            cfg.storage = core::paper_storage_config();
+                            cfg.storage.capacity_mj = capacity;
+                            cfg.storage.death_threshold_mj = 0.3;
+                            cfg.mcu = core::paper_mcu_config();
+                            cfg.queue_capacity = queue;
+                            cfg.deadline_s = deadline;
+                            cfg.recovery = recovery;
+                            sim::Simulator simulator(trace, cfg);
+                            for (const char* policy_name : kGreedyFamily) {
+                                SCOPED_TRACE(trace_name + "/" + arrival_name +
+                                             "/" + recovery_name + "/q" +
+                                             std::to_string(queue) + "/ddl" +
+                                             std::to_string(deadline) +
+                                             "/cap" + std::to_string(capacity) +
+                                             "/" + policy_name);
+                                const auto floored =
+                                    sim::make_policy(policy_name, context);
+                                NoFloor asking(
+                                    sim::make_policy(policy_name, context));
+                                const sim::SimResult a = simulator.run(
+                                    events, model, *floored, &workspace);
+                                const sim::SimResult b = simulator.run(
+                                    events, model, asking, &workspace);
+                                expect_outputs_bitwise(a, b);
+                                EXPECT_EQ(
+                                    a.counters.full_steps +
+                                        a.counters.drained_steps,
+                                    b.counters.full_steps +
+                                        b.counters.drained_steps);
+                                EXPECT_LE(a.counters.decisions,
+                                          b.counters.decisions);
+                                drained_by_floor += a.counters.drained_steps -
+                                                    b.counters.drained_steps;
+                                ++runs;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(runs, 3 * 3 * 4 * 3 * 2 * 2 * 3);
+    // The floor did skip steps; otherwise this compared nothing.
+    EXPECT_GT(drained_by_floor, 0u);
+}
+
+TEST(CommitFloor, GreedyFamilyWaitsBelowItsFloor) {
+    const auto desc = core::make_paper_network_desc();
+    core::OracleInferenceModel model(desc, core::reference_nonuniform_policy(),
+                                     {60.0, 68.0, 70.0});
+    util::Rng rng(2024);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const double margin = trial % 4 == 0 ? 0.0 : rng.uniform(0.0, 0.5);
+        sim::SlackSchedule schedule;
+        schedule.min_slack_s = {0.0, rng.uniform(0.0, 60.0),
+                                rng.uniform(60.0, 200.0)};
+        std::unique_ptr<sim::ExitPolicy> policies[] = {
+            std::make_unique<sim::GreedyAffordablePolicy>(margin),
+            std::make_unique<sim::SlackGreedyPolicy>(margin, schedule),
+            std::make_unique<sim::QueueSlackGreedyPolicy>(margin, schedule)};
+        sim::EnergyState state;
+        state.capacity_mj = rng.uniform(1.0, 10.0);
+        state.energy_per_mmac_mj = rng.uniform(0.5, 3.0);
+        state.charge_rate_mw = rng.uniform(0.0, 0.1);
+        state.deadline_slack_s = trial % 3 == 0
+                                     ? std::numeric_limits<double>::infinity()
+                                     : rng.uniform(0.0, 300.0);
+        state.queue_depth = static_cast<int>(rng.uniform_int(0, 16));
+        state.queue_backlog = rng.uniform(0.0, 1.0);
+        for (auto& policy : policies) {
+            const double floor = policy->commit_floor_mj(state, model);
+            ASSERT_TRUE(std::isfinite(floor));
+            // Just below the floor, and anywhere under it.
+            for (const double level :
+                 {std::nextafter(floor, 0.0), rng.uniform(0.0, floor)}) {
+                state.level_mj = level;
+                EXPECT_EQ(policy->select_exit(state, model), -1)
+                    << "level " << level << " floor " << floor;
+            }
+        }
+    }
 }
 
 }  // namespace
