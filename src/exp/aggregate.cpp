@@ -22,8 +22,15 @@ void GroupAggregator::add(const ScenarioSpec& spec,
     }
     const std::size_t gi = it->second;
     groups_[gi].replicas += 1;
+    // Both maps are sorted by name, so walk them in lockstep: the hint is
+    // the accumulator after the previous name, which is this name's
+    // accumulator whenever the group's metric set is unchanged.
+    auto& accumulators = accumulators_[gi];
+    auto hint = accumulators.begin();
     for (const auto& [name, value] : outcome.metrics) {
-        accumulators_[gi][name].add(value);
+        hint = accumulators.try_emplace(hint, name);
+        hint->second.add(value);
+        ++hint;
     }
 }
 

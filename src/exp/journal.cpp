@@ -1,6 +1,7 @@
 #include "exp/journal.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,8 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -29,45 +32,91 @@ std::string shard_text(const ShardSpec& shard) {
 }
 
 void append_escaped(std::string& out, const std::string& text) {
-    for (const char c : text) {
+    std::size_t run = 0;  // start of the characters not yet appended
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
         const auto byte = static_cast<unsigned char>(c);
+        if (c != '"' && c != '\\' && byte >= 0x20) continue;
+        out.append(text, run, i - run);
+        run = i + 1;
         if (c == '"') {
             out += "\\\"";
         } else if (c == '\\') {
             out += "\\\\";
-        } else if (byte < 0x20) {
+        } else {
             char buf[8];
             std::snprintf(buf, sizeof buf, "\\u%04x", byte);
             out += buf;
-        } else {
-            out += c;
         }
     }
+    out.append(text, run, std::string::npos);
 }
 
-/// The JSON subset journals are written in: one flat object per line whose
-/// values are strings, numbers, booleans, or (for "metrics") one nested
-/// object of string -> number. Anything else is a parse error — the reader
-/// only has to understand what journal_*_line() emits.
+std::size_t require_count(double num, const char* what) {
+    if (!(num >= 0.0) || num != std::floor(num) || num > 9.0e15) {
+        throw std::runtime_error(std::string(what) +
+                                 " is not a non-negative integer");
+    }
+    return static_cast<std::size_t>(num);
+}
+
+/// The JSON subset the header line is written in: one flat object whose
+/// values are strings, numbers or booleans. Anything else is a parse error —
+/// the reader only has to understand what journal_header_line() emits.
 struct JsonValue {
-    enum class Kind { String, Number, Bool, Object };
+    enum class Kind { String, Number, Bool };
     Kind kind = Kind::Number;
     std::string str;
     double num = 0.0;
     bool boolean = false;
-    MetricMap object;
 };
 using JsonObject = std::map<std::string, JsonValue>;
 
+/// Reads one journal line in place. Numbers are parsed with from_chars,
+/// the exact inverse of the writer's to_chars text.
 class LineParser {
 public:
-    explicit LineParser(const std::string& line) : s_(line) {}
+    explicit LineParser(std::string_view line) : s_(line) {}
 
+    /// The header line: a flat object, fields in any order.
     JsonObject parse_object_line() {
         JsonObject object = parse_object();
-        skip_ws();
-        if (pos_ != s_.size()) fail("trailing characters after the object");
+        expect_end();
         return object;
+    }
+
+    /// An entry line, fields in the order journal_entry_line() writes them.
+    JournalEntry parse_entry_line() {
+        JournalEntry entry;
+        expect('{');
+        expect_key("spec_index");
+        entry.spec_index = require_count(parse_number(), "spec_index");
+        expect(',');
+        expect_key("id");
+        entry.id = parse_string();
+        expect(',');
+        expect_key("replica");
+        entry.replica =
+            static_cast<int>(require_count(parse_number(), "replica"));
+        expect(',');
+        expect_key("metrics");
+        expect('{');
+        if (!consume('}')) {
+            while (true) {
+                std::string name = parse_string();
+                expect(':');
+                // The writer emits names in map order, so each lands at the
+                // end in constant time.
+                entry.metrics.emplace_hint(entry.metrics.end(),
+                                           std::move(name), parse_number());
+                if (consume(',')) continue;
+                expect('}');
+                break;
+            }
+        }
+        expect('}');
+        expect_end();
+        return entry;
     }
 
 private:
@@ -75,10 +124,15 @@ private:
         throw std::runtime_error(why);
     }
 
+    static bool is_space(char c) { return c == ' ' || c == '\t'; }
+
+    /// Where a number token ends.
+    static bool is_delimiter(char c) {
+        return c == ',' || c == '}' || is_space(c);
+    }
+
     void skip_ws() {
-        while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t')) {
-            ++pos_;
-        }
+        while (pos_ < s_.size() && is_space(s_[pos_])) ++pos_;
     }
 
     bool consume(char c) {
@@ -92,6 +146,23 @@ private:
 
     void expect(char c) {
         if (!consume(c)) fail(std::string("expected '") + c + "'");
+    }
+
+    void expect_end() {
+        skip_ws();
+        if (pos_ != s_.size()) fail("trailing characters after the object");
+    }
+
+    /// `"key":`, spelled exactly as the writer spells it.
+    void expect_key(std::string_view key) {
+        skip_ws();
+        if (s_.size() - pos_ < key.size() + 2 || s_[pos_] != '"' ||
+            s_.compare(pos_ + 1, key.size(), key) != 0 ||
+            s_[pos_ + 1 + key.size()] != '"') {
+            fail("missing field '" + std::string(key) + "'");
+        }
+        pos_ += key.size() + 2;
+        expect(':');
     }
 
     JsonObject parse_object() {
@@ -116,16 +187,14 @@ private:
         if (c == '"') {
             value.kind = JsonValue::Kind::String;
             value.str = parse_string();
-        } else if (c == '{') {
-            value.kind = JsonValue::Kind::Object;
-            value.object = parse_metrics();
         } else if (c == 't' || c == 'f') {
             value.kind = JsonValue::Kind::Bool;
             value.boolean = (c == 't');
-            const char* literal = value.boolean ? "true" : "false";
-            const std::size_t len = value.boolean ? 4 : 5;
-            if (s_.compare(pos_, len, literal) != 0) fail("bad literal");
-            pos_ += len;
+            const std::string_view literal = value.boolean ? "true" : "false";
+            if (s_.compare(pos_, literal.size(), literal) != 0) {
+                fail("bad literal");
+            }
+            pos_ += literal.size();
         } else {
             value.kind = JsonValue::Kind::Number;
             value.num = parse_number();
@@ -133,31 +202,20 @@ private:
         return value;
     }
 
-    MetricMap parse_metrics() {
-        MetricMap metrics;
-        expect('{');
-        if (consume('}')) return metrics;
-        while (true) {
-            std::string key = parse_string();
-            expect(':');
-            metrics.emplace(std::move(key), parse_number());
-            if (consume(',')) continue;
-            expect('}');
-            return metrics;
-        }
-    }
-
     std::string parse_string() {
         expect('"');
         std::string out;
         while (true) {
-            if (pos_ >= s_.size()) fail("unterminated string");
-            const char c = s_[pos_++];
-            if (c == '"') return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
+            // Copy everything up to the next quote or escape at once.
+            const std::size_t quote = s_.find('"', pos_);
+            if (quote == std::string_view::npos) fail("unterminated string");
+            const std::size_t escape =
+                s_.substr(pos_, quote - pos_).find('\\');
+            const std::size_t stop =
+                escape == std::string_view::npos ? quote : pos_ + escape;
+            out.append(s_.substr(pos_, stop - pos_));
+            pos_ = stop + 1;
+            if (s_[stop] == '"') return out;
             if (pos_ >= s_.size()) fail("unterminated escape");
             const char e = s_[pos_++];
             switch (e) {
@@ -198,22 +256,22 @@ private:
 
     double parse_number() {
         skip_ws();
-        const std::size_t start = pos_;
-        while (pos_ < s_.size() && s_[pos_] != ',' && s_[pos_] != '}' &&
-               s_[pos_] != ' ' && s_[pos_] != '\t') {
-            ++pos_;
+        const char* first = s_.data() + pos_;
+        const char* last = s_.data() + s_.size();
+        double value = 0.0;
+        const auto [end, ec] = std::from_chars(first, last, value);
+        if (ec != std::errc{} || (end != last && !is_delimiter(*end))) {
+            std::size_t stop = pos_;
+            while (stop < s_.size() && !is_delimiter(s_[stop])) ++stop;
+            if (stop == pos_) fail("expected a number");
+            fail("'" + std::string(s_.substr(pos_, stop - pos_)) +
+                 "' is not a number");
         }
-        const std::string token = s_.substr(start, pos_ - start);
-        if (token.empty()) fail("expected a number");
-        char* end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-            fail("'" + token + "' is not a number");
-        }
+        pos_ = static_cast<std::size_t>(end - s_.data());
         return value;
     }
 
-    const std::string& s_;
+    std::string_view s_;
     std::size_t pos_ = 0;
 };
 
@@ -225,14 +283,6 @@ const JsonValue& require_field(const JsonObject& object, const char* key,
                                  key + "' (expected a " + kind_name + ")");
     }
     return it->second;
-}
-
-std::size_t require_count(double num, const char* what) {
-    if (!(num >= 0.0) || num != std::floor(num) || num > 9.0e15) {
-        throw std::runtime_error(std::string(what) +
-                                 " is not a non-negative integer");
-    }
-    return static_cast<std::size_t>(num);
 }
 
 JournalHeader header_from_object(const JsonObject& object) {
@@ -278,23 +328,6 @@ JournalHeader header_from_object(const JsonObject& object) {
             .num,
         "replicas"));
     return header;
-}
-
-JournalEntry entry_from_object(JsonObject object) {
-    JournalEntry entry;
-    entry.spec_index = require_count(
-        require_field(object, "spec_index", JsonValue::Kind::Number, "number")
-            .num,
-        "spec_index");
-    entry.id =
-        require_field(object, "id", JsonValue::Kind::String, "string").str;
-    entry.replica = static_cast<int>(require_count(
-        require_field(object, "replica", JsonValue::Kind::Number, "number")
-            .num,
-        "replica"));
-    require_field(object, "metrics", JsonValue::Kind::Object, "object");
-    entry.metrics = std::move(object.find("metrics")->second.object);
-    return entry;
 }
 
 /// Reject a journal whose identity fields disagree with the run in hand.
@@ -380,7 +413,10 @@ std::string journal_header_line(const JournalHeader& header) {
 }
 
 std::string journal_entry_line(const JournalEntry& entry) {
-    std::string line = "{\"spec_index\": ";
+    std::string line;
+    // Room for the fixed text plus a typical name and number per metric.
+    line.reserve(64 + entry.id.size() + 48 * entry.metrics.size());
+    line += "{\"spec_index\": ";
     line += std::to_string(entry.spec_index);
     line += ", \"id\": \"";
     append_escaped(line, entry.id);
@@ -395,10 +431,12 @@ std::string journal_entry_line(const JournalEntry& entry) {
         append_escaped(line, name);
         line += "\": ";
         // 17 significant digits round-trip any IEEE double bit-exactly —
-        // the property the byte-identical merge guarantee rests on.
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-        line += buf;
+        // the property the byte-identical merge guarantee rests on. This
+        // to_chars form is specified to print what "%.17g" prints.
+        char buf[32];
+        const auto printed = std::to_chars(
+            buf, buf + sizeof buf, value, std::chars_format::general, 17);
+        line.append(buf, printed.ptr);
     }
     line += "}}";
     return line;
@@ -409,31 +447,28 @@ JournalFile read_journal(const std::string& path) {
     if (!in) {
         throw std::runtime_error("cannot open journal '" + path + "'");
     }
-    std::vector<std::string> lines;
     std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-    if (lines.empty()) {
+    if (!std::getline(in, line)) {
         throw std::runtime_error("journal '" + path +
                                  "' is empty (no header line)");
     }
     JournalFile file;
     try {
-        file.header = header_from_object(LineParser(lines[0]).parse_object_line());
+        file.header = header_from_object(LineParser(line).parse_object_line());
     } catch (const std::exception& e) {
         throw std::runtime_error(path + ":1: bad journal header: " + e.what());
     }
-    for (std::size_t i = 1; i < lines.size(); ++i) {
+    for (std::size_t number = 2; std::getline(in, line); ++number) {
         try {
-            file.entries.push_back(
-                entry_from_object(LineParser(lines[i]).parse_object_line()));
+            file.entries.push_back(LineParser(line).parse_entry_line());
         } catch (const std::exception& e) {
-            if (i + 1 == lines.size()) {
+            if (in.peek() == std::ifstream::traits_type::eof()) {
                 // A torn final line is what a crash mid-write leaves behind;
                 // the valid prefix is still usable (--resume rewrites it).
                 file.truncated = true;
                 break;
             }
-            throw std::runtime_error(path + ":" + std::to_string(i + 1) +
+            throw std::runtime_error(path + ":" + std::to_string(number) +
                                      ": " + e.what());
         }
     }

@@ -15,8 +15,10 @@
 /// journal belongs to; readers reject mismatches instead of merging apples
 /// into oranges. Entries carry the *global* spec index plus the scenario id
 /// as a cross-check against the re-expanded grid. Metric doubles are
-/// printed with enough digits (%.17g) to round-trip bit-exactly, which is
-/// what makes a merged table/CSV byte-identical to a single-process run.
+/// printed with enough digits to round-trip bit-exactly (std::to_chars at
+/// 17 significant digits, the same text as %.17g; read back with
+/// std::from_chars), which is what makes a merged table/CSV byte-identical
+/// to a single-process run.
 ///
 /// The JournalWriter is a ResultSink: because the runner delivers outcomes
 /// in spec-index order, a journal is always an in-order prefix of its

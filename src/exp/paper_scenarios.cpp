@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "baselines/baseline_models.hpp"
@@ -19,6 +20,7 @@
 #include "sim/workspace.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/span.hpp"
 
 namespace imx::exp {
 
@@ -56,7 +58,7 @@ baselines::FixedBaselineModel make_baseline(SystemKind kind) {
 ScenarioOutcome outcome_from(sim::SimResult result) {
     ScenarioOutcome outcome;
     outcome.metrics = sim_metrics(result);
-    outcome.sim = std::move(result);
+    outcome.sim = std::make_shared<const sim::SimResult>(std::move(result));
     return outcome;
 }
 
@@ -227,16 +229,18 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
                                     const SystemSpec& system,
                                     const ScenarioContext& ctx,
                                     std::vector<double>* learning_curve) {
-    // Replica 0 evaluates on the canonical event schedule; later replicas
-    // draw an independent arrival stream over the same trace.
-    std::vector<sim::Event> events = setup.events;
+    // Replica 0 evaluates on the canonical event schedule, read in place;
+    // later replicas draw an independent arrival stream over the same trace.
+    std::vector<sim::Event> generated;
+    util::Span<const sim::Event> events(setup.events);
     if (ctx.replica != 0) {
         std::uint64_t state = ctx.seed ^ 0x6576656eULL;  // "even"
-        events = sim::generate_arrivals(
+        generated = sim::generate_arrivals(
             setup.config.arrival_source,
             {static_cast<int>(setup.events.size()), setup.trace.duration(),
              util::splitmix64(state)},
             setup.config.arrival_params);
+        events = util::Span<const sim::Event>(generated);
     }
 
     switch (system.kind) {

@@ -19,7 +19,7 @@ const sim::SimResult& canonical_sim(
     const std::vector<ScenarioOutcome>& outcomes, const std::string& group) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (specs[i].group == group && specs[i].replica == 0 &&
-            outcomes[i].sim.has_value()) {
+            outcomes[i].sim != nullptr) {
             return *outcomes[i].sim;
         }
     }

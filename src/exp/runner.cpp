@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -86,17 +87,25 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
     // Completed-but-undelivered outcomes wait in their slots; the cursor
     // walks them in index order so the sink sees a deterministic stream.
     // A slot is released as soon as it is delivered, bounding memory to the
-    // out-of-order window instead of the whole grid.
+    // out-of-order window instead of the whole grid. The mutex guards the
+    // slots and the cursor only: the sink runs outside it, on whichever
+    // worker found no delivery in progress, so a slow sink does not hold up
+    // a worker that merely stores its slot — until the sink is
+    // `max_pending` outcomes behind: then finishing workers wait for it
+    // rather than pile up more results than the sink can take.
     std::vector<std::optional<ScenarioOutcome>> slots(specs.size());
     std::vector<std::exception_ptr> errors(specs.size());
     std::mutex delivery_mutex;
+    std::condition_variable caught_up;  // delivery ended or pending fell
+    const std::size_t max_pending = 16 * threads;
+    std::size_t pending = 0;  // outcomes stored but not yet handed over
     std::size_t cursor = 0;
-    bool blocked = false;  // first error (in index order) stops the stream
+    bool delivering = false;  // one deliverer at a time keeps calls serial
+    bool blocked = false;     // first error (in index order) stops the stream
 
     ThreadPool pool(threads);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        pool.submit([&specs, &sink, &slots, &errors, &delivery_mutex, &cursor,
-                     &blocked, &workspaces, &scenario_s, i] {
+        pool.submit([&, i] {
             std::optional<ScenarioOutcome> outcome;
             std::exception_ptr error;
             sim::ScenarioWorkspace* workspace = workspaces.acquire();
@@ -119,27 +128,49 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
             }
             workspaces.release(workspace);
 
-            std::lock_guard<std::mutex> lock(delivery_mutex);
+            std::unique_lock<std::mutex> lock(delivery_mutex);
+            if (outcome.has_value()) ++pending;
             slots[i] = std::move(outcome);
             errors[i] = error;
+            if (delivering) {
+                // The active deliverer will reach this slot.
+                caught_up.wait(lock, [&] {
+                    return !delivering || pending <= max_pending;
+                });
+                return;
+            }
+            delivering = true;
+            // Slots stored while the sink runs are seen at the re-check
+            // under the lock, so none is left behind when this loop ends.
             while (!blocked && cursor < specs.size() &&
                    (slots[cursor].has_value() || errors[cursor])) {
                 if (errors[cursor]) {
                     blocked = true;
                     break;
                 }
+                const std::size_t index = cursor;
+                ScenarioOutcome ready = std::move(*slots[index]);
+                slots[index].reset();
+                if (--pending == max_pending) caught_up.notify_all();
+                lock.unlock();
+                std::exception_ptr sink_error;
                 try {
-                    sink.on_outcome(cursor, std::move(*slots[cursor]));
+                    sink.on_outcome(index, std::move(ready));
                 } catch (...) {
                     // A sink failure (e.g. journal disk full) is surfaced
                     // like a scenario failure at the same index.
-                    errors[cursor] = std::current_exception();
+                    sink_error = std::current_exception();
+                }
+                lock.lock();
+                if (sink_error) {
+                    errors[index] = sink_error;
                     blocked = true;
                     break;
                 }
-                slots[cursor].reset();
                 ++cursor;
             }
+            delivering = false;
+            caught_up.notify_all();
         });
     }
     pool.wait_idle();

@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 
 #include "sim/metrics.hpp"
@@ -31,8 +31,10 @@ using MetricMap = std::map<std::string, double>;
 /// What a scenario hands back to the runner.
 struct ScenarioOutcome {
     MetricMap metrics;
-    /// Full per-event record when the scenario is simulation-based.
-    std::optional<sim::SimResult> sim;
+    /// Full per-event record when the scenario is simulation-based; null
+    /// otherwise. Immutable once the scenario returns, so copies of the
+    /// outcome (TeeSink) share it instead of duplicating every record.
+    std::shared_ptr<const sim::SimResult> sim;
     /// Escape hatch for rich results (e.g. a searched compression policy).
     std::any payload;
 };

@@ -26,7 +26,7 @@ TeeSink::TeeSink(std::vector<ResultSink*> sinks) : sinks_(std::move(sinks)) {
 void TeeSink::on_outcome(std::size_t spec_index, ScenarioOutcome outcome) {
     if (sinks_.empty()) return;
     for (std::size_t i = 0; i + 1 < sinks_.size(); ++i) {
-        sinks_[i]->on_outcome(spec_index, outcome);  // copy
+        sinks_[i]->on_outcome(spec_index, outcome);  // shares outcome.sim
     }
     sinks_.back()->on_outcome(spec_index, std::move(outcome));
 }

@@ -12,9 +12,13 @@
 ///
 /// Delivery happens on worker threads but is serialized by the runner:
 /// on_outcome()/finish() never run concurrently with themselves or each
-/// other, so sinks need no locking of their own. A sink that throws aborts
-/// the stream: no further outcomes are delivered, finish() is not called,
-/// and run_sweep rethrows the error after the pool drains.
+/// other, so sinks need no locking of their own. The runner calls the sink
+/// outside its slot lock, so a slow sink delays only the worker delivering
+/// to it, not the workers finishing other scenarios — until it falls 16
+/// outcomes per worker behind, when they wait for it to catch up. A sink
+/// that throws aborts the stream: no further outcomes are delivered,
+/// finish() is not called, and run_sweep rethrows the error after the pool
+/// drains.
 #ifndef IMX_EXP_SINK_HPP
 #define IMX_EXP_SINK_HPP
 
@@ -64,8 +68,10 @@ private:
 };
 
 /// Fan one outcome stream out to several sinks (e.g. collect + journal).
-/// Children receive deliveries in constructor order; the outcome is copied
-/// for all but the last child, which receives the original.
+/// Children receive deliveries in constructor order; all but the last child
+/// get a copy of the metrics and payload, the last the original. Every
+/// child sees the same shared SimResult: the per-event records are never
+/// copied.
 class TeeSink final : public ResultSink {
 public:
     explicit TeeSink(std::vector<ResultSink*> sinks);

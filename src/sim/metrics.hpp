@@ -10,13 +10,15 @@
 
 namespace imx::sim {
 
+/// Field order leaves no padding hole (56 bytes): a sweep that collects its
+/// outcomes retains one record per event of every scenario.
 struct EventRecord {
     int event_id = -1;
+    int hops = 0;                   ///< 1 + number of incremental advances
     double arrival_time_s = 0.0;
     bool processed = false;
     bool correct = false;
     int exit_taken = -1;            ///< final exit index; -1 if missed
-    int hops = 0;                   ///< 1 + number of incremental advances
     double completion_time_s = 0.0; ///< when the result was produced
     double inference_start_s = 0.0; ///< when execution (not waiting) began
     double energy_spent_mj = 0.0;

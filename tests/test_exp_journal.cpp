@@ -1,17 +1,29 @@
-// Tests for the streaming-sink sweep pipeline: ordered ResultSink delivery,
-// streaming-vs-batch aggregation bitwise equality, shard index arithmetic,
-// the JSONL journal round-trip (bit-exact doubles), resume after a torn
-// journal, and the exact-merge invariant — shard + merge is byte-identical
-// to a single-process run, on a synthetic grid, a registry grid, and an
-// unregistered spec-file grid.
+// Tests for the streaming-sink sweep pipeline: ordered ResultSink delivery
+// (serialized, yet no stall for the workers until a lagging sink's backlog
+// reaches its bound), TeeSink sharing the SimResult, streaming-vs-batch
+// aggregation bitwise equality, shard index arithmetic, the JSONL journal
+// round-trip (bit-exact doubles, number text identical to "%.17g"), resume
+// after a torn journal, and the exact-merge invariant — shard + merge is
+// byte-identical to a single-process run, on a synthetic grid, a registry
+// grid, and an unregistered spec-file grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/aggregate.hpp"
@@ -23,6 +35,7 @@
 #include "exp/sink.hpp"
 #include "exp/spec_parser.hpp"
 #include "scratch_dir.hpp"
+#include "sim/metrics.hpp"
 #include "util/rng.hpp"
 
 #ifndef IMX_SPEC_DIR
@@ -184,6 +197,150 @@ TEST(ResultSink, SinkExceptionAbortsStreamWithoutFinish) {
     EXPECT_EQ(sink.finish_calls, 0);
 }
 
+/// Blocks its first delivery until every scenario's run function has
+/// executed (or 30 s pass, so a stalled runner fails instead of hanging).
+struct BlockingSink final : exp::ResultSink {
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::size_t total = 0;
+    std::size_t ran = 0;            ///< run functions finished (guarded)
+    bool delivery_started = false;  ///< first on_outcome entered (guarded)
+    bool timed_out = false;
+    std::vector<std::size_t> indices;
+
+    void on_outcome(std::size_t spec_index, exp::ScenarioOutcome) override {
+        if (indices.empty()) {
+            std::unique_lock<std::mutex> lock(mutex);
+            delivery_started = true;
+            changed.notify_all();
+            timed_out = !changed.wait_for(lock, std::chrono::seconds(30),
+                                          [this] { return ran == total; });
+        }
+        indices.push_back(spec_index);
+    }
+    void finish() override {}
+};
+
+TEST(ResultSink, SlowSinkDoesNotStallWorkers) {
+    // Every scenario but the first waits for the first delivery to begin, so
+    // scenarios are still queued while the sink blocks. A runner that called
+    // the sink under its slot lock would park the other worker behind it and
+    // never run them.
+    auto specs = synthetic_grid(1, 6, 31);
+    BlockingSink sink;
+    sink.total = specs.size();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].run = [inner = specs[i].run, &sink,
+                        i](const exp::ScenarioContext& ctx) {
+            if (i != 0) {
+                std::unique_lock<std::mutex> lock(sink.mutex);
+                sink.changed.wait_for(lock, std::chrono::seconds(30), [&sink] {
+                    return sink.delivery_started;
+                });
+            }
+            exp::ScenarioOutcome outcome = inner(ctx);
+            std::lock_guard<std::mutex> lock(sink.mutex);
+            ++sink.ran;
+            sink.changed.notify_all();
+            return outcome;
+        };
+    }
+    exp::run_sweep(specs, sink, {2});
+    EXPECT_FALSE(sink.timed_out);
+    ASSERT_EQ(sink.indices.size(), specs.size());
+    for (std::size_t i = 0; i < sink.indices.size(); ++i) {
+        EXPECT_EQ(sink.indices[i], i);
+    }
+}
+
+/// Sleeps in every delivery and records how far the finished scenarios ran
+/// ahead of it.
+struct LaggingSink final : exp::ResultSink {
+    std::mutex mutex;
+    std::size_t ran = 0;  ///< run functions finished (guarded)
+    std::size_t delivered = 0;
+    std::size_t max_ahead = 0;
+
+    void on_outcome(std::size_t, exp::ScenarioOutcome) override {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(mutex);
+        ++delivered;
+        max_ahead = std::max(max_ahead, ran - delivered);
+    }
+    void finish() override {}
+};
+
+TEST(ResultSink, SinkThatFallsBehindBoundsUndeliveredOutcomes) {
+    // Workers outrun a sink this slow; past 16 undelivered outcomes per
+    // worker they wait for it instead of piling up more results.
+    const int threads = 2;
+    auto specs = synthetic_grid(1, 300, 43);
+    LaggingSink sink;
+    for (auto& spec : specs) {
+        spec.run = [inner = spec.run, &sink](const exp::ScenarioContext& ctx) {
+            exp::ScenarioOutcome outcome = inner(ctx);
+            std::lock_guard<std::mutex> lock(sink.mutex);
+            ++sink.ran;
+            return outcome;
+        };
+    }
+    exp::run_sweep(specs, sink, {threads});
+    EXPECT_EQ(sink.delivered, specs.size());
+    // Each worker may hold one finished outcome beyond the bound.
+    EXPECT_LE(sink.max_ahead, static_cast<std::size_t>(17 * threads));
+}
+
+/// Records which SimResult object each delivery carried, then forwards.
+struct SimSpySink final : exp::ResultSink {
+    exp::ResultSink& next;
+    std::vector<const sim::SimResult*> seen;
+    explicit SimSpySink(exp::ResultSink& forward_to) : next(forward_to) {}
+    void on_outcome(std::size_t spec_index,
+                    exp::ScenarioOutcome outcome) override {
+        seen.push_back(outcome.sim.get());
+        next.on_outcome(spec_index, std::move(outcome));
+    }
+    void finish() override { next.finish(); }
+};
+
+TEST(TeeSink, ChildrenShareTheSimResult) {
+    auto specs = synthetic_grid(1, 4, 37);
+    std::vector<const sim::SimResult*> made(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].run = [inner = specs[i].run, &made,
+                        i](const exp::ScenarioContext& ctx) {
+            exp::ScenarioOutcome outcome = inner(ctx);
+            auto result = std::make_shared<sim::SimResult>();
+            result->records.resize(i + 3);
+            made[i] = result.get();
+            outcome.sim = std::move(result);
+            return outcome;
+        };
+    }
+    std::vector<std::size_t> indices(specs.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    const std::string path = temp_path("imx_tee_shared.jsonl");
+    exp::JournalWriter journal(path, header_for(specs, {0, 1}, 37), specs,
+                               indices);
+    SimSpySink spy(journal);
+    exp::CollectSink collect(specs.size());
+    exp::TeeSink tee({&collect, &spy});
+    exp::run_sweep(specs, tee, {2});
+
+    ASSERT_TRUE(collect.finished());
+    ASSERT_EQ(spy.seen.size(), specs.size());
+    const auto file = exp::read_journal(path);
+    ASSERT_EQ(file.entries.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const exp::ScenarioOutcome& kept = collect.outcomes()[i];
+        ASSERT_NE(kept.sim, nullptr) << i;
+        EXPECT_EQ(kept.sim->records.size(), i + 3);
+        EXPECT_EQ(kept.sim.get(), made[i]) << i;
+        EXPECT_EQ(spy.seen[i], made[i]) << i;
+        EXPECT_EQ(file.entries[i].metrics, kept.metrics) << i;
+    }
+}
+
 // --- Streaming vs batch aggregation ---------------------------------------
 
 TEST(AggregateSink, BitwiseMatchesBatchAggregate) {
@@ -249,6 +406,89 @@ TEST(Journal, RoundTripIsBitExact) {
     EXPECT_EQ(file.entries[0].replica, entry.replica);
     // The %.17g round-trip must be bit-exact, not approximately equal.
     EXPECT_EQ(file.entries[0].metrics, entry.metrics);
+}
+
+std::string printf_17g(double value) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    return buf;
+}
+
+std::uint64_t bits_of(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+TEST(Journal, NumberTextMatchesPercent17g) {
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0, -0.0, limits::infinity(), -limits::infinity(),
+        limits::quiet_NaN(), -limits::quiet_NaN(), limits::max(),
+        -limits::max(), limits::min(), -limits::min(),
+        limits::denorm_min(), -limits::denorm_min(), limits::min() / 3.0,
+        limits::min() - limits::denorm_min(), 1.0 / 3.0, 0.1, 1e21, 1e-7,
+        123456789012345678.0, 1.0, -1.0, 5e-324 * 12345.0};
+    std::uint64_t state = 0x6e756d62ULL;  // "numb"
+    while (values.size() < 100000) {
+        const std::uint64_t bits = util::splitmix64(state);
+        double value = 0.0;
+        std::memcpy(&value, &bits, sizeof value);
+        values.push_back(value);
+    }
+
+    // 100 metrics per entry line; the writer's text for each must be
+    // exactly what printf prints.
+    const std::size_t per_line = 100;
+    const auto specs = synthetic_grid(1, 1, 41);
+    std::string text =
+        exp::journal_header_line(header_for(specs, {0, 1}, 41)) + "\n";
+    std::vector<exp::JournalEntry> entries;
+    for (std::size_t first = 0; first < values.size(); first += per_line) {
+        exp::JournalEntry entry;
+        entry.spec_index = entries.size();
+        entry.id = "numbers";
+        for (std::size_t k = first; k < first + per_line && k < values.size();
+             ++k) {
+            char name[32];
+            std::snprintf(name, sizeof name, "v%06zu", k);
+            entry.metrics[name] = values[k];
+        }
+        std::string expected = "{\"spec_index\": " +
+                               std::to_string(entry.spec_index) +
+                               ", \"id\": \"numbers\", \"replica\": 0, "
+                               "\"metrics\": {";
+        for (const auto& [name, value] : entry.metrics) {
+            if (expected.back() != '{') expected += ", ";
+            expected += "\"" + name + "\": " + printf_17g(value);
+        }
+        expected += "}}";
+        const std::string line = exp::journal_entry_line(entry);
+        ASSERT_EQ(line, expected) << "entry " << entry.spec_index;
+        text += line + "\n";
+        entries.push_back(std::move(entry));
+    }
+
+    // The reader must return the very bits that were written.
+    const std::string path = temp_path("imx_journal_numbers.jsonl");
+    write_file(path, text);
+    const auto file = exp::read_journal(path);
+    ASSERT_FALSE(file.truncated);
+    ASSERT_EQ(file.entries.size(), entries.size());
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+        ASSERT_EQ(file.entries[e].metrics.size(), entries[e].metrics.size());
+        auto read = file.entries[e].metrics.begin();
+        for (const auto& [name, value] : entries[e].metrics) {
+            ASSERT_EQ(read->first, name);
+            if (std::isnan(value)) {
+                EXPECT_TRUE(std::isnan(read->second)) << name;
+            } else {
+                EXPECT_EQ(bits_of(read->second), bits_of(value))
+                    << name << " = " << printf_17g(value);
+            }
+            ++read;
+        }
+    }
 }
 
 TEST(Journal, TornFinalLineIsToleratedAsTruncation) {

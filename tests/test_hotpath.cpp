@@ -278,8 +278,8 @@ void expect_outcomes_bitwise(const std::vector<exp::ScenarioOutcome>& a,
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         expect_metrics_bitwise(a[i].metrics, b[i].metrics);
-        ASSERT_EQ(a[i].sim.has_value(), b[i].sim.has_value());
-        if (a[i].sim.has_value()) expect_sim_bitwise(*a[i].sim, *b[i].sim);
+        ASSERT_EQ(a[i].sim != nullptr, b[i].sim != nullptr);
+        if (a[i].sim != nullptr) expect_sim_bitwise(*a[i].sim, *b[i].sim);
     }
 }
 
@@ -390,6 +390,12 @@ TEST(SweepProfile, ProfiledSweepIsBitwiseIdenticalAtOneAndFourThreads) {
 }
 
 // --- direct Simulator equivalences -----------------------------------------
+
+// A sweep retains one record per event of every scenario it collects, so
+// the record's field order must leave no padding hole.
+TEST(EventRecordLayout, PacksIntoFiftySixBytes) {
+    EXPECT_LE(sizeof(sim::EventRecord), 56u);
+}
 
 TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     // A trace with dark stretches exercises both batched drains (idle
