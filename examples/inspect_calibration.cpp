@@ -105,7 +105,7 @@ int main() {
     // Baselines (checkpointed runtime).
     {
         auto sonic = baselines::make_sonic_net();
-        sim::GreedyAffordablePolicy policy;
+        baselines::CommitAtPickupPolicy policy;
         auto s = setup.make_checkpointed_simulator();
         report("SonicNet", s.run(setup.events, sonic, policy), 1);
         auto sparse = baselines::make_sparse_net();

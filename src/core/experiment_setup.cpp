@@ -1,5 +1,6 @@
 #include "core/experiment_setup.hpp"
 
+#include "baselines/baseline_models.hpp"
 #include "core/multi_exit_spec.hpp"
 #include "energy/trace_registry.hpp"
 
@@ -25,7 +26,6 @@ mcu::McuConfig paper_mcu_config() {
     m.mmacs_per_second = 0.2;                 // ~10 s for SonicNet's 2 MFLOPs
     m.flash_budget_bytes = kSizeTargetBytes;
     m.checkpoint_energy_mj = 0.008;
-    m.checkpoint_time_s = 0.05;
     m.macs_per_task = 50000;
     m.wakeup_energy_mj = 0.005;
     m.wakeup_time_s = 0.01;
@@ -68,13 +68,12 @@ ExperimentSetup make_paper_setup(const SetupConfig& config) {
         config,
     };
 
-    setup.multi_exit_sim.mode = sim::ExecutionMode::kMultiExit;
     setup.multi_exit_sim.dt_s = 1.0;
     setup.multi_exit_sim.storage = paper_storage_config();
     setup.multi_exit_sim.mcu = paper_mcu_config();
 
-    setup.checkpointed_sim = setup.multi_exit_sim;
-    setup.checkpointed_sim.mode = sim::ExecutionMode::kCheckpointed;
+    setup.checkpointed_sim =
+        baselines::checkpointed_sim_config(setup.multi_exit_sim);
 
     const AccuracyModel oracle(setup.network,
                                {kPaperFullPrecisionAcc.begin(),

@@ -49,7 +49,7 @@ struct ExperimentSetup {
     energy::PowerTrace trace;
     std::vector<sim::Event> events;
     sim::SimConfig multi_exit_sim;    ///< config for our runtime
-    sim::SimConfig checkpointed_sim;  ///< config for the baseline runtime
+    sim::SimConfig checkpointed_sim;  ///< baselines::checkpointed_sim_config
     compress::NetworkDesc network;
     compress::Policy deployed_policy;       ///< reference nonuniform policy
     std::vector<double> exit_accuracy;      ///< oracle accuracy (%) per exit

@@ -194,8 +194,8 @@ PaperSweep make_sweep(const ExperimentSpec& spec, const SweepCli& options) {
         if (!multi_exit && has_recovery_axis) {
             throw std::invalid_argument(
                 "system '" + entry.label + "': a [recovery.*] axis cannot "
-                "cross a checkpointed baseline (it models its own intrinsic "
-                "checkpointing)");
+                "cross a checkpointed baseline (its runtime is itself a "
+                "recovery configuration)");
         }
         if (kind == SystemKind::kOursPolicy && entry.policy.empty() &&
             !has_policy_axis) {

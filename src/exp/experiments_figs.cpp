@@ -1,9 +1,10 @@
 /// \file
 /// \brief Built-in figure experiments. Fig. 5 and the Sec. V-D latency
 /// table both run the grid of the embedded
-/// examples/experiments/paper_baselines.ini; the other figures build their
-/// grids in C++. Every table stays byte-identical to the pinned --quick
-/// goldens and the replica-0 pins in tests/test_exp_axes.cpp.
+/// examples/experiments/paper_baselines.ini, and Fig. 7b that of
+/// exit_distribution.ini; the other figures build their grids in C++. Every
+/// table stays byte-identical to the pinned --quick goldens and the
+/// replica-0 pins in tests/test_exp_axes.cpp.
 #include "exp/experiments_builtin.hpp"
 
 #include <any>
@@ -216,18 +217,6 @@ int fig7b_report(const ExperimentRunContext& ctx) {
                             {"processed", "acc_all_pct", "iepmj"},
                             ctx.options);
     return 0;
-}
-
-Experiment fig7b_experiment() {
-    Experiment e;
-    e.spec.name = "fig7b-exit-distribution";
-    e.spec.description =
-        "Fig. 7b processed events per exit: learned Q-policy vs static LUT";
-    e.spec.systems = {{"Q-learning", "ours-qlearning", "", 16, 4},
-                      {"static LUT", "ours-static", "", 0, 0}};
-    e.spec.metrics = {"processed", "acc_all_pct", "iepmj"};
-    e.report = fig7b_report;
-    return e;
 }
 
 // --- fig1b ----------------------------------------------------------------
@@ -568,7 +557,7 @@ void register_fig_experiments(
     register_spec_file(into, "paper_baselines.ini", fig5_report);
     into["fig6-flops"] = fig6_experiment;
     into["fig7a-runtime-learning"] = fig7a_experiment;
-    into["fig7b-exit-distribution"] = fig7b_experiment;
+    register_spec_file(into, "exit_distribution.ini", fig7b_report);
     into["latency-table"] = latency_experiment;
 }
 

@@ -13,7 +13,6 @@
 #include "core/oracle_model.hpp"
 #include "core/trace_eval.hpp"
 #include "sim/arrivals/registry.hpp"
-#include "sim/policies/greedy.hpp"
 #include "sim/policies/registry.hpp"
 #include "sim/recovery/registry.hpp"
 #include "sim/simulator.hpp"
@@ -44,14 +43,22 @@ std::uint64_t train_seed(const ScenarioContext& ctx, int episode) {
     return util::splitmix64(state);
 }
 
-baselines::FixedBaselineModel make_baseline(SystemKind kind) {
+bool is_baseline(SystemKind kind) {
+    return kind == SystemKind::kSonicNet || kind == SystemKind::kSpArSeNet ||
+           kind == SystemKind::kLeNetCifar;
+}
+
+/// The baseline network, cut into units of one simulation step of `config`.
+baselines::FixedBaselineModel make_baseline(SystemKind kind,
+                                            const sim::SimConfig& config) {
+    const std::int64_t unit = baselines::step_unit_macs(config.mcu, config.dt_s);
     switch (kind) {
         case SystemKind::kSonicNet:
-            return baselines::make_sonic_net();
+            return baselines::make_sonic_net(1234, unit);
         case SystemKind::kSpArSeNet:
-            return baselines::make_sparse_net();
+            return baselines::make_sparse_net(1234, unit);
         default:
-            return baselines::make_lenet_cifar();
+            return baselines::make_lenet_cifar(1234, unit);
     }
 }
 
@@ -133,10 +140,6 @@ SimPatch recovery_patch(const RecoveryCell& cell) {
     patch.dims = {{"recovery", label}};
     patch.apply = [config = cell.config,
                    death = cell.death_threshold_mj](sim::SimConfig& cfg) {
-        // The failure model only exists on the multi-exit runtime; a
-        // checkpointed baseline sharing the cell keeps its own intrinsic
-        // checkpointing model.
-        if (cfg.mode != sim::ExecutionMode::kMultiExit) return;
         cfg.recovery = config;
         if (death >= 0.0) cfg.storage.death_threshold_mj = death;
     };
@@ -305,8 +308,8 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
         }
         default: {
             IMX_EXPECTS(system.policy.empty());
-            auto model = make_baseline(system.kind);
-            sim::GreedyAffordablePolicy policy;
+            auto model = make_baseline(system.kind, setup.checkpointed_sim);
+            baselines::CommitAtPickupPolicy policy;
             sim::Simulator simulator(setup.trace, setup.checkpointed_sim);
             return outcome_from(
                 simulator.run(events, model, policy, ctx.workspace));
@@ -343,15 +346,15 @@ std::vector<ScenarioSpec> build_paper_scenarios(const PaperSweep& sweep) {
             }
             for (const auto& base_system : systems) {
                 SystemSpec system = base_system;
-                if (!patch.policy.empty()) {
-                    // A policy override only makes sense on the multi-exit
-                    // runtime; crossing it with a checkpointed baseline is a
-                    // grid-construction error.
-                    IMX_EXPECTS(system.kind == SystemKind::kOursQLearning ||
-                                system.kind == SystemKind::kOursStatic ||
-                                system.kind == SystemKind::kOursPolicy);
-                    system.policy = patch.policy;
+                if (is_baseline(system.kind)) {
+                    // Crossing a checkpointed baseline with a policy axis (it
+                    // has no exit choice to override) or a recovery axis (its
+                    // runtime is itself a recovery configuration, which the
+                    // axis would overwrite) is a grid-construction error.
+                    IMX_EXPECTS(patch.policy.empty());
+                    IMX_EXPECTS(patch.dims.count("recovery") == 0);
                 }
+                if (!patch.policy.empty()) system.policy = patch.policy;
                 std::string group = trace_spec.label + "/" + system.label;
                 if (!patch.label.empty()) group += "/" + patch.label;
                 for (int replica = 0; replica < sweep.replicas; ++replica) {

@@ -129,10 +129,12 @@ struct RecoveryCell {
 
 /// Power-failure/recovery axis: patches sim::SimConfig::recovery (and
 /// optionally the storage death threshold) onto the multi-exit runtime.
-/// Checkpointed baselines in a crossed cell are left untouched — they model
-/// their own intrinsic checkpointing. The strategy name and cost parameters
-/// are validated at patch construction by trial-building the strategy.
-/// Labels the cell "rec-<label>" with dims {"recovery", <label>}.
+/// The strategy name and cost parameters are validated at patch
+/// construction by trial-building the strategy. Labels the cell
+/// "rec-<label>" with dims {"recovery", <label>}; build_paper_scenarios()
+/// rejects a cell with that dim crossed with a checkpointed baseline, whose
+/// runtime is itself a recovery configuration
+/// (baselines::checkpointed_sim_config).
 SimPatch recovery_patch(const RecoveryCell& cell);
 
 /// One cell of the request-workload axis: an arrival registry source plus

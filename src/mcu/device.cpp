@@ -7,7 +7,6 @@ McuModel::McuModel(const McuConfig& config) : config_(config) {
     IMX_EXPECTS(config.mmacs_per_second > 0.0);
     IMX_EXPECTS(config.flash_budget_bytes > 0.0);
     IMX_EXPECTS(config.checkpoint_energy_mj >= 0.0);
-    IMX_EXPECTS(config.checkpoint_time_s >= 0.0);
     IMX_EXPECTS(config.macs_per_task > 0);
     IMX_EXPECTS(config.wakeup_energy_mj >= 0.0);
 }
@@ -27,16 +26,6 @@ double McuModel::compute_time(std::int64_t macs) const {
 std::int64_t McuModel::checkpoint_count(std::int64_t macs) const {
     IMX_EXPECTS(macs >= 0);
     return (macs + config_.macs_per_task - 1) / config_.macs_per_task;
-}
-
-double McuModel::checkpointed_energy(std::int64_t macs) const {
-    return compute_energy(macs) +
-           static_cast<double>(checkpoint_count(macs)) * config_.checkpoint_energy_mj;
-}
-
-double McuModel::checkpointed_time(std::int64_t macs) const {
-    return compute_time(macs) +
-           static_cast<double>(checkpoint_count(macs)) * config_.checkpoint_time_s;
 }
 
 bool McuModel::fits_flash(double model_bytes) const {

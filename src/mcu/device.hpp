@@ -22,7 +22,6 @@ struct McuConfig {
     // SONIC-style checkpointing of loop indices + partial accumulators into
     // FRAM, paid once per committed task/tile.
     double checkpoint_energy_mj = 0.02;
-    double checkpoint_time_s = 0.005;
     /// Task/tile granularity for intermittent execution: computation between
     /// two consecutive checkpoints (in MACs).
     std::int64_t macs_per_task = 50000;
@@ -48,12 +47,6 @@ public:
 
     /// Number of checkpoints a SONIC-style run of `macs` commits.
     [[nodiscard]] std::int64_t checkpoint_count(std::int64_t macs) const;
-
-    /// Energy including per-task checkpoints (continuous-power case), mJ.
-    [[nodiscard]] double checkpointed_energy(std::int64_t macs) const;
-
-    /// Time including per-task checkpoints (continuous-power case), s.
-    [[nodiscard]] double checkpointed_time(std::int64_t macs) const;
 
     /// Whether a model of the given byte size fits the flash budget.
     [[nodiscard]] bool fits_flash(double model_bytes) const;

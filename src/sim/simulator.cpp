@@ -20,17 +20,14 @@ namespace {
 struct Job {
     int event_id = -1;
     double arrival_s = 0.0;
-    // Multi-exit bookkeeping.
     bool committed = false;
     int reached_exit = -1;  ///< deepest exit whose plan has completed
     EnergyState state_at_selection{};
     int units_done = 0;  ///< units of the current plan committed so far
     int target_exit = -1;  ///< exit the current plan executes toward
     bool dead = false;  ///< powered off after a mid-inference death
-    // Execution bookkeeping (both modes).
     bool executing = false;
-    double exec_finish_s = 0.0;   ///< for atomic multi-exit units
-    std::int64_t remaining_macs = 0;  ///< for checkpointed mode
+    double exec_finish_s = 0.0;  ///< when the in-flight unit completes
     double inference_start_s = -1.0;
     double energy_spent_mj = 0.0;
     std::int64_t macs_done = 0;
@@ -51,10 +48,8 @@ Simulator::Simulator(const energy::PowerTrace& trace, const SimConfig& config)
                 config.charge_rate_ema_alpha <= 1.0);
     IMX_EXPECTS(config.queue_capacity >= 0);
     if (config.recovery.enabled) {
-        // The failure model replaces the multi-exit execution path only; a
-        // reboot waits for can_turn_on(), so the on threshold must sit at or
-        // above the death threshold or the device would re-die instantly.
-        IMX_EXPECTS(config.mode == ExecutionMode::kMultiExit);
+        // A reboot waits for can_turn_on(), so the on threshold must sit at
+        // or above the death threshold or the device would re-die instantly.
         IMX_EXPECTS(config.storage.on_threshold_mj >=
                     config.storage.death_threshold_mj);
     }
@@ -74,9 +69,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                                [](const Event& a, const Event& b) {
                                    return a.time_s < b.time_s;
                                }));
-    if (config_.mode == ExecutionMode::kCheckpointed) {
-        IMX_EXPECTS(model.num_exits() == 1);
-    }
 
     const mcu::McuModel device(config_.mcu);
     energy::EnergyStorage storage(config_.storage);
@@ -123,7 +115,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     std::size_t next_event = 0;
     bool busy = false;
     Job job;
-    bool device_on = false;  // checkpointed-mode power state (hysteresis)
     SimCounters counters;
 
     // The start-deadline bound of steps 2b/3 — constant over the run.
@@ -278,10 +269,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         job = Job{};
         job.event_id = ev.id;
         job.arrival_s = ev.time_s;
-        if (config_.mode == ExecutionMode::kCheckpointed) {
-            job.remaining_macs = model.exit_macs(0);
-            job.reached_exit = 0;
-        }
     };
 
     // Per-step energy income (the table holds exactly the converter output
@@ -344,149 +331,107 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             return;
         }
 
-        if (config_.mode == ExecutionMode::kMultiExit) {
-            // Every commit and hop executes as a plan of pre-paid atomic
-            // units (plan_units_into). Without the failure model the plan is
-            // one unit, which is the paper's runtime: the whole exit is
-            // buffered before it starts, then finishes in one power cycle.
+        // Every commit and hop executes as a plan of pre-paid atomic units
+        // (plan_units_into). Without the failure model the plan is one unit,
+        // which is the paper's runtime: the whole exit is buffered before it
+        // starts, then finishes in one power cycle.
 
-            // r1. Dead: recharge to the turn-on threshold, then reboot —
-            // wakeup plus the strategy's restore cost — and fall through to
-            // resume within this same step.
-            if (job.dead) {
-                if (!storage.can_turn_on()) return;
-                const double restore =
-                    strategy->restore_cost_mj(job.units_done);
-                if (!storage.try_consume(config_.mcu.wakeup_energy_mj +
-                                         restore)) {
-                    return;
-                }
-                job.energy_spent_mj += config_.mcu.wakeup_energy_mj;
-                result.recovery_energy_mj += restore;
-                job.dead = false;
-            }
-
-            // r0. Complete the in-flight unit: pay the checkpoint commit (a
-            // failed commit write is itself a death that loses the unit),
-            // then either evaluate/hop/finish at the end of the plan or chain
-            // straight into the next unit.
-            if (job.executing) {
-                if (now + dt >= job.exec_finish_s) {
-                    job.executing = false;
-                    if (!storage.try_consume(commit_mj)) {
-                        die(/*lose_inflight_unit=*/true);
-                        return;
-                    }
-                    result.recovery_energy_mj += commit_mj;
-                    ++job.units_done;
-                    if (job.units_done == static_cast<int>(units.size())) {
-                        job.reached_exit = job.target_exit;
-                        const ExitOutcome outcome =
-                            model.evaluate(job.event_id, job.reached_exit);
-                        ++counters.evaluations;
-                        const int next_exit = job.reached_exit + 1;
-                        bool advanced = false;
-                        if (next_exit < model.num_exits()) {
-                            ++counters.decisions;
-                            if (policy.continue_inference(
-                                    energy_state(now), model,
-                                    job.reached_exit, outcome.confidence)) {
-                                // Hop: plan the incremental advance. The hop
-                                // is opportunistic — if even its first unit
-                                // is unaffordable right now, keep the result.
-                                plan_units_into(model, job.reached_exit,
-                                                next_exit, config_.recovery,
-                                                units);
-                                job.units_done = 0;
-                                job.target_exit = next_exit;
-                                if (try_start_unit(now)) {
-                                    ++job.hops;
-                                    advanced = true;
-                                }
-                            }
-                        }
-                        if (!advanced) {
-                            finish_event(record, outcome, job.exec_finish_s);
-                        }
-                    } else {
-                        (void)try_start_unit(now);
-                    }
-                }
+        // r1. Dead: recharge to the turn-on threshold, then reboot — wakeup
+        // plus the strategy's restore cost — and fall through to resume
+        // within this same step.
+        if (job.dead) {
+            if (!storage.can_turn_on()) return;
+            const double restore = strategy->restore_cost_mj(job.units_done);
+            if (!storage.try_consume(config_.mcu.wakeup_energy_mj + restore)) {
                 return;
             }
+            job.energy_spent_mj += config_.mcu.wakeup_energy_mj;
+            result.recovery_energy_mj += restore;
+            job.dead = false;
+        }
 
-            // r2. Not yet committed: ask (or re-ask) the policy, then plan
-            // the committed exit's execution.
-            if (!job.committed) {
-                const EnergyState s = energy_state(now);
-                const int choice = policy.select_exit(s, model);
-                ++counters.decisions;
-                if (choice >= 0) {
-                    IMX_EXPECTS(choice < model.num_exits());
-                    // The promise the quiet-stretch drain skipped calls on.
-                    IMX_ENSURES(
-                        !(s.level_mj < policy.commit_floor_mj(s, model)));
-                    job.committed = true;
-                    job.state_at_selection = s;
-                    job.target_exit = choice;
-                    plan_units_into(model, -1, choice, config_.recovery,
-                                    units);
-                    job.units_done = 0;
+        // r0. Complete the in-flight unit: pay the checkpoint commit (a
+        // failed commit write is itself a death that loses the unit),
+        // then either evaluate/hop/finish at the end of the plan or chain
+        // straight into the next unit.
+        if (job.executing) {
+            if (now + dt >= job.exec_finish_s) {
+                job.executing = false;
+                if (!storage.try_consume(commit_mj)) {
+                    die(/*lose_inflight_unit=*/true);
+                    return;
                 }
-            }
-            if (job.committed) {
-                // r3. Stalled mid-inference: the powered device draws
-                // active_power_mw while waiting to afford its next unit, and
-                // dies if the buffer sags below the death threshold. Only a
-                // multi-unit plan can stall, so only the failure model gets
-                // here. Before the first unit the device is still asleep —
-                // no draw, no death.
-                if (job.inference_start_s >= 0.0) {
-                    IMX_EXPECTS(strategy != nullptr);
-                    storage.drain(config_.recovery.active_power_mw * dt);
-                    if (storage.below_death_threshold()) {
-                        die(/*lose_inflight_unit=*/false);
-                        return;
+                result.recovery_energy_mj += commit_mj;
+                ++job.units_done;
+                if (job.units_done == static_cast<int>(units.size())) {
+                    job.reached_exit = job.target_exit;
+                    const ExitOutcome outcome =
+                        model.evaluate(job.event_id, job.reached_exit);
+                    ++counters.evaluations;
+                    const int next_exit = job.reached_exit + 1;
+                    bool advanced = false;
+                    if (next_exit < model.num_exits()) {
+                        ++counters.decisions;
+                        if (policy.continue_inference(
+                                energy_state(now), model,
+                                job.reached_exit, outcome.confidence)) {
+                            // Hop: plan the incremental advance. The hop
+                            // is opportunistic — if even its first unit
+                            // is unaffordable right now, keep the result.
+                            plan_units_into(model, job.reached_exit, next_exit,
+                                            config_.recovery, units);
+                            job.units_done = 0;
+                            job.target_exit = next_exit;
+                            if (try_start_unit(now)) {
+                                ++job.hops;
+                                advanced = true;
+                            }
+                        }
                     }
+                    if (!advanced) {
+                        finish_event(record, outcome, job.exec_finish_s);
+                    }
+                } else {
+                    (void)try_start_unit(now);
                 }
-                // r4. Start the next unit once it is affordable.
-                (void)try_start_unit(now);
             }
             return;
         }
 
-        // Checkpointed (baseline) mode -------------------------------------
-        // Hysteresis power state.
-        if (!device_on && storage.can_turn_on()) {
-            device_on = true;
-            if (!storage.try_consume(config_.mcu.wakeup_energy_mj)) {
-                device_on = false;
-            } else {
-                job.energy_spent_mj += config_.mcu.wakeup_energy_mj;
+        // r2. Not yet committed: ask (or re-ask) the policy, then plan
+        // the committed exit's execution.
+        if (!job.committed) {
+            const EnergyState s = energy_state(now);
+            const int choice = policy.select_exit(s, model);
+            ++counters.decisions;
+            if (choice >= 0) {
+                IMX_EXPECTS(choice < model.num_exits());
+                // The promise the quiet-stretch drain skipped calls on.
+                IMX_ENSURES(!(s.level_mj < policy.commit_floor_mj(s, model)));
+                job.committed = true;
+                job.state_at_selection = s;
+                job.target_exit = choice;
+                plan_units_into(model, -1, choice, config_.recovery, units);
+                job.units_done = 0;
             }
         }
-        if (device_on && storage.must_turn_off()) device_on = false;
-        if (!device_on) return;
-
-        // Execute up to one step of checkpointed compute.
-        const auto step_macs = std::min<std::int64_t>(
-            job.remaining_macs,
-            static_cast<std::int64_t>(config_.mcu.mmacs_per_second * 1e6 * dt));
-        const double step_cost = device.checkpointed_energy(step_macs);
-        if (!storage.try_consume(step_cost)) {
-            device_on = false;  // brown-out; progress kept at last checkpoint
-            return;
-        }
-        if (job.inference_start_s < 0.0) {
-            job.inference_start_s = std::max(now, job.arrival_s);
-        }
-        job.energy_spent_mj += step_cost;
-        job.macs_done += step_macs;
-        job.remaining_macs -= step_macs;
-        if (job.remaining_macs <= 0) {
-            const ExitOutcome outcome = model.evaluate(job.event_id, 0);
-            ++counters.evaluations;
-            finish_event(record, outcome, now + dt);
+        if (job.committed) {
+            // r3. Stalled mid-inference: the powered device draws
+            // active_power_mw while waiting to afford its next unit, and
+            // dies if the buffer sags below the death threshold. Only a
+            // multi-unit plan can stall, so only the failure model gets
+            // here. Before the first unit the device is still asleep —
+            // no draw, no death.
+            if (job.inference_start_s >= 0.0) {
+                IMX_EXPECTS(strategy != nullptr);
+                storage.drain(config_.recovery.active_power_mw * dt);
+                if (storage.below_death_threshold()) {
+                    die(/*lose_inflight_unit=*/false);
+                    return;
+                }
+            }
+            // r4. Start the next unit once it is affordable.
+            (void)try_start_unit(now);
         }
     };
 
@@ -498,7 +443,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     constexpr double kNever = std::numeric_limits<double>::infinity();
     auto wake_level_mj = [&](double now) {
         if (!busy) return queue_count == 0 ? kNever : -kNever;
-        if (config_.mode != ExecutionMode::kMultiExit) return -kNever;
         if (job.executing) return kNever;  // r0 waits for exec_finish_s
         if (job.dead) {
             // r1: can_turn_on() and the reboot's try_consume().
@@ -514,7 +458,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         if (job.inference_start_s < 0.0) {
             return next_unit_cost_mj() + commit_mj;
         }
-        return -kNever;  // r3: a stalled plan drains active power every step
+        return -kNever;  // r3: a stall draws and checks for death every step
     };
 
     // Quiet-stretch drain. Before each full step, run the harvest-only

@@ -1,18 +1,16 @@
 // Event-driven intermittent-inference simulator.
 //
-// Two execution models:
-//  * kMultiExit — the paper's proposed runtime: when an event is picked up
-//    the policy commits to an exit; the device charges until that exit's
-//    energy cost is buffered, then completes the inference *within one power
-//    cycle* (result guaranteed before any power failure). Afterwards the
-//    policy may run incremental inference hops to deeper exits while energy
-//    allows. Every commit and hop executes as a plan of pre-paid atomic
-//    units (sim::plan_units_into): one unit normally, one per checkpoint
-//    when the power-failure model (SimConfig::recovery) is on.
-//  * kCheckpointed — the SONIC-style baseline runtime [Gobieski et al.]:
-//    a single-exit network executes across as many power cycles as needed,
-//    paying checkpoint overhead per task and wakeup overhead per power
-//    cycle; the result arrives only when the whole forward pass finishes.
+// One execution model: when an event is picked up the policy commits to an
+// exit, which then runs as a plan of pre-paid atomic units
+// (sim::plan_units_into); afterwards the policy may hop to deeper exits,
+// each hop a plan of its own. Without the power-failure model
+// (SimConfig::recovery) a plan is one unit: the paper's runtime, which
+// completes an exit *within one power cycle*. With it, plans are cut into
+// checkpoint units, and a device stalled between units can brown out and
+// resume under a recovery strategy. The SONIC-style baselines [Gobieski et
+// al.] are a configuration of it (baselines::checkpointed_sim_config):
+// step-sized units, each committing an NVM checkpoint, across as many power
+// cycles as needed (docs/recovery.md).
 //
 // Missed-event model: the sensor is single-context; by default an event
 // arriving while the device is busy (waiting-to-run or running a previous
@@ -52,10 +50,7 @@
 
 namespace imx::sim {
 
-enum class ExecutionMode { kMultiExit, kCheckpointed };
-
 struct SimConfig {
-    ExecutionMode mode = ExecutionMode::kMultiExit;
     double dt_s = 1.0;  ///< simulation step (paper latency unit: 1 s)
     energy::StorageConfig storage{};
     mcu::McuConfig mcu{};
@@ -82,11 +77,12 @@ struct SimConfig {
     int queue_capacity = 0;
     /// Power-failure model (sim/recovery/). Disabled by default: each commit
     /// or hop is then one pre-paid unit with a free commit, so the device
-    /// never stalls mid-inference and cannot die. When enabled (kMultiExit
-    /// mode only), the work is cut into per-layer or per-exit checkpoint
-    /// units, the run can die below StorageConfig::death_threshold_mj while
-    /// stalled between units, and the named recovery strategy decides what
-    /// survives a reboot.
+    /// never stalls mid-inference and cannot die. When enabled, the work is
+    /// cut into per-layer or per-exit checkpoint units, the run can die
+    /// below StorageConfig::death_threshold_mj while stalled between units,
+    /// and the named recovery strategy decides what survives a reboot. The
+    /// checkpointed baselines run with it on (baselines::
+    /// checkpointed_sim_config).
     RecoveryConfig recovery{};
 };
 

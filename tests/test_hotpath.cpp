@@ -406,7 +406,6 @@ TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     const energy::PowerTrace trace(1.0, std::move(samples));
 
     sim::SimConfig cfg;
-    cfg.mode = sim::ExecutionMode::kMultiExit;
     cfg.dt_s = 1.0;
     cfg.storage.capacity_mj = 8.0;
     cfg.storage.initial_mj = 1.0;

@@ -30,7 +30,7 @@ sim::SimResult run_ours_static(const core::ExperimentSetup& setup) {
 
 sim::SimResult run_baseline(const core::ExperimentSetup& setup,
                             baselines::FixedBaselineModel model) {
-    sim::GreedyAffordablePolicy policy;
+    baselines::CommitAtPickupPolicy policy;
     sim::Simulator simulator(setup.trace, setup.checkpointed_sim);
     return simulator.run(setup.events, model, policy);
 }

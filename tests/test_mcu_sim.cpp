@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baseline_models.hpp"
-#include "core/multi_exit_spec.hpp"
-#include "core/oracle_model.hpp"
 #include "mcu/device.hpp"
 #include "sim/arrivals/registry.hpp"
 #include "sim/event_gen.hpp"
@@ -37,9 +35,12 @@ TEST(McuModel, CheckpointCountIsCeilDiv) {
 }
 
 TEST(McuModel, CheckpointedCostsExceedPlainCosts) {
+    // A checkpointed run pays one FRAM write per task on top of its compute.
     const mcu::McuModel dev = mcu::McuModel::msp432();
-    EXPECT_GT(dev.checkpointed_energy(500000), dev.compute_energy(500000));
-    EXPECT_GT(dev.checkpointed_time(500000), dev.compute_time(500000));
+    const double writes_mj = static_cast<double>(dev.checkpoint_count(500000)) *
+                             dev.config().checkpoint_energy_mj;
+    EXPECT_GT(dev.compute_energy(500000) + writes_mj,
+              dev.compute_energy(500000));
 }
 
 TEST(McuModel, FlashFit) {
@@ -164,7 +165,6 @@ TEST(Metrics, EnergyFeasibilityCheck) {
 
 sim::SimConfig abundant_config() {
     sim::SimConfig cfg;
-    cfg.mode = sim::ExecutionMode::kMultiExit;
     cfg.storage.capacity_mj = 100.0;
     cfg.storage.initial_mj = 100.0;
     cfg.storage.on_threshold_mj = 0.1;
@@ -243,7 +243,6 @@ TEST(Simulator, CheckpointedModeCompletesAcrossPowerCycles) {
     // drains faster than it harvests, so it must span several power cycles.
     const auto trace = energy::PowerTrace::square_wave(0.1, 40.0, 0.5, 2000.0, 1.0);
     sim::SimConfig cfg;
-    cfg.mode = sim::ExecutionMode::kCheckpointed;
     cfg.storage.capacity_mj = 1.0;
     cfg.storage.initial_mj = 0.0;
     cfg.storage.on_threshold_mj = 0.3;
@@ -251,30 +250,16 @@ TEST(Simulator, CheckpointedModeCompletesAcrossPowerCycles) {
     cfg.storage.efficiency_max = 1.0;
     cfg.storage.efficiency_half_power_mw = 0.0;
     cfg.mcu.mmacs_per_second = 0.2;
-    sim::Simulator simulator(trace, cfg);
+    sim::Simulator simulator(trace, baselines::checkpointed_sim_config(cfg));
     auto model = baselines::FixedBaselineModel("sonic", 2.0, 100.0, 1.0);
     std::vector<sim::Event> events = {{0, 1.0}};
-    sim::GreedyAffordablePolicy policy;
+    baselines::CommitAtPickupPolicy policy;
     const auto r = simulator.run(events, model, policy);
     ASSERT_TRUE(r.records[0].processed);
     // Must have spanned multiple power cycles: longer than one on-period.
     EXPECT_GT(r.records[0].completion_time_s, 40.0);
     EXPECT_GE(r.records[0].energy_spent_mj, 3.0);  // compute + overheads
     EXPECT_TRUE(r.energy_feasible(0.0));
-}
-
-TEST(Simulator, CheckpointedRejectsMultiExitModels) {
-    const auto trace = energy::PowerTrace::constant(1.0, 10.0, 1.0);
-    sim::SimConfig cfg;
-    cfg.mode = sim::ExecutionMode::kCheckpointed;
-    sim::Simulator simulator(trace, cfg);
-    const auto desc = core::make_paper_network_desc();
-    const auto policy = compress::Policy::full_precision(desc.num_layers());
-    core::OracleInferenceModel model(desc, policy, {60.0, 70.0, 73.0});
-    sim::GreedyAffordablePolicy exit_policy;
-    std::vector<sim::Event> events = {{0, 1.0}};
-    EXPECT_THROW((void)simulator.run(events, model, exit_policy),
-                 util::ContractViolation);
 }
 
 }  // namespace

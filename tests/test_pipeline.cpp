@@ -23,8 +23,8 @@ TEST(ExperimentSetup, CarriesThePaperBudget) {
 
 TEST(ExperimentSetup, SimConfigsShareEnvironmentDifferInMode) {
     const auto setup = core::make_paper_setup();
-    EXPECT_EQ(setup.multi_exit_sim.mode, sim::ExecutionMode::kMultiExit);
-    EXPECT_EQ(setup.checkpointed_sim.mode, sim::ExecutionMode::kCheckpointed);
+    EXPECT_FALSE(setup.multi_exit_sim.recovery.enabled);
+    EXPECT_TRUE(setup.checkpointed_sim.recovery.enabled);
     EXPECT_EQ(setup.multi_exit_sim.storage.capacity_mj,
               setup.checkpointed_sim.storage.capacity_mj);
     EXPECT_EQ(setup.multi_exit_sim.mcu.energy_per_mmac_mj,

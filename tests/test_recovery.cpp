@@ -23,6 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/baseline_models.hpp"
+#include "checkpointed_reference.hpp"
+#include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
 #include "core/oracle_model.hpp"
 #include "energy/power_trace.hpp"
@@ -137,7 +140,6 @@ energy::PowerTrace dark_then_bright() {
 sim::SimConfig exact_config(const sim::RecoveryConfig& recovery,
                             double death_threshold_mj) {
     sim::SimConfig cfg;
-    cfg.mode = sim::ExecutionMode::kMultiExit;
     cfg.dt_s = 1.0;
     cfg.storage.capacity_mj = 16.0;
     cfg.storage.initial_mj = 2.0;
@@ -544,11 +546,6 @@ TEST(RecoverySim, ZeroDeathThresholdNeverFires) {
 
 TEST(RecoverySim, ContractsRejectInvalidRecoverySetups) {
     const auto trace = energy::PowerTrace::constant(1.0, 10.0, 1.0);
-    // The failure model replaces the multi-exit path only.
-    auto cfg = exact_config(
-        zero_cost("restart", sim::CheckpointGranularity::kPerLayer), 0.03125);
-    cfg.mode = sim::ExecutionMode::kCheckpointed;
-    EXPECT_THROW(sim::Simulator(trace, cfg), util::ContractViolation);
     // A reboot waits for on_threshold, so it must not sit below death.
     auto low = exact_config(
         zero_cost("restart", sim::CheckpointGranularity::kPerLayer), 0.03125);
@@ -560,6 +557,146 @@ TEST(RecoverySim, ContractsRejectInvalidRecoverySetups) {
     EXPECT_THROW(energy::EnergyStorage{storage}, util::ContractViolation);
     storage.death_threshold_mj = storage.capacity_mj + 1.0;
     EXPECT_THROW(energy::EnergyStorage{storage}, util::ContractViolation);
+}
+
+// --- Checkpointed baselines as unit plans ----------------------------------
+
+/// A baseline runtime whose arithmetic is exact in binary: 1-MMAC units of
+/// 1.5 mJ (one step at 1 MMAC/s), one 0.125 mJ checkpoint write per unit, a
+/// 0.25 mJ wakeup, and the exact_config() storage with a 1 mJ on-threshold.
+sim::SimConfig exact_baseline_config() {
+    sim::SimConfig cfg = exact_config(sim::RecoveryConfig{}, 0.125);
+    cfg.storage.initial_mj = 2.125;
+    cfg.storage.on_threshold_mj = 1.0;
+    cfg.mcu.mmacs_per_second = 1.0;
+    cfg.mcu.macs_per_task = 1000000;
+    cfg.mcu.checkpoint_energy_mj = 0.125;
+    cfg.mcu.wakeup_energy_mj = 0.25;
+    return baselines::checkpointed_sim_config(cfg);
+}
+
+TEST(BaselineUnitPlan, ConfigIsTheCheckpointStrategyOnStepSizedUnits) {
+    const auto cfg = exact_baseline_config();
+    EXPECT_TRUE(cfg.recovery.enabled);
+    EXPECT_EQ(cfg.recovery.strategy, "checkpoint");
+    EXPECT_EQ(cfg.recovery.granularity, sim::CheckpointGranularity::kPerLayer);
+    EXPECT_EQ(cfg.recovery.checkpoint_energy_mj, 0.125);
+    EXPECT_EQ(cfg.recovery.restore_energy_mj, 0.0);
+    EXPECT_EQ(cfg.recovery.active_power_mw, 0.0);
+    EXPECT_EQ(baselines::step_unit_macs(cfg.mcu, cfg.dt_s), 1000000);
+
+    // The paper setup: 0.2 MMAC per 1 s step, four 50k-MAC tasks per unit.
+    const auto setup = core::make_paper_setup(exp::quick_setup_config({}));
+    const auto& paper = setup.checkpointed_sim;
+    EXPECT_EQ(baselines::step_unit_macs(paper.mcu, paper.dt_s),
+              baselines::kPaperStepUnitMacs);
+    EXPECT_EQ(paper.recovery.checkpoint_energy_mj,
+              4 * paper.mcu.checkpoint_energy_mj);
+    const auto units = sim::recovery_units(
+        baselines::make_lenet_cifar(), -1, 0,
+        sim::CheckpointGranularity::kPerLayer);
+    EXPECT_EQ(units, (std::vector<std::int64_t>{200000, 200000, 200000,
+                                                120000}));
+}
+
+TEST(BaselineUnitPlan, BrownOutResumesFromTheLastCommittedUnit) {
+    // The first unit runs on stored energy, the dark stretch browns the
+    // stalled device out, and daylight reboots it at the on-threshold.
+    const auto trace = dark_then_bright();
+    sim::Simulator simulator(trace, exact_baseline_config());
+    baselines::FixedBaselineModel model("m", 3.0, 100.0, 1.0, 1234, 1000000);
+    baselines::CommitAtPickupPolicy policy;
+    const auto result =
+        simulator.run(std::vector<sim::Event>{{0, 1.0}}, model, policy);
+
+    ASSERT_TRUE(result.records[0].processed);
+    EXPECT_GE(result.deaths, 1);
+    // Every committed unit survived: nothing recomputed, nothing wasted.
+    EXPECT_EQ(result.wasted_macs, 0);
+    EXPECT_EQ(result.records[0].macs, 3000000);
+    EXPECT_EQ(result.counters.unit_starts, 3u);
+    // One wakeup at the first start and one per reboot; the three commits
+    // are runtime overhead, outside the event's own energy.
+    EXPECT_EQ(result.records[0].energy_spent_mj,
+              3 * 1.5 + 0.25 * (1 + result.deaths));
+    EXPECT_EQ(result.recovery_energy_mj, 3 * 0.125);
+    EXPECT_TRUE(result.energy_feasible(2.125));
+}
+
+TEST(BaselineUnitPlan, InFlightBaselineStepsAreDrained) {
+    // Picked up at t = 0, one unit on stored energy, then darkness until
+    // the trace ends: the job is still in flight at the end, so the run
+    // covers every step, and its dead stretch runs in the drain loop.
+    const energy::PowerTrace trace(1.0, std::vector<double>(200, 0.0));
+    sim::Simulator simulator(trace, exact_baseline_config());
+    baselines::FixedBaselineModel model("m", 3.0, 100.0, 1.0, 1234, 1000000);
+    baselines::CommitAtPickupPolicy policy;
+    const auto result =
+        simulator.run(std::vector<sim::Event>{{0, 0.0}}, model, policy);
+
+    EXPECT_EQ(result.in_flight, 1);
+    EXPECT_EQ(result.deaths, 1);
+    EXPECT_EQ(result.counters.unit_starts, 1u);
+    EXPECT_EQ(result.counters.full_steps + result.counters.drained_steps,
+              200u);
+    EXPECT_GE(result.counters.drained_steps, 190u);
+}
+
+TEST(CheckpointedReference, ReproducesTheHistoricalBaselineRows) {
+    // The Fig. 5 / Sec. V-D baseline rows the step-at-a-time loop printed
+    // (9 decimals, from `imx_sweep latency-table --csv`).
+    struct Row {
+        baselines::FixedBaselineModel model;
+        int processed;
+        int correct;
+        double event_latency_s;
+        double consumed_mj;
+    };
+    Row rows[] = {
+        {baselines::make_sonic_net(), 76, 61, 121.084435965, 263.015},
+        {baselines::make_sparse_net(), 13, 10, 758.685149789, 257.147},
+        {baselines::make_lenet_cifar(), 198, 152, 31.746676928, 244.070},
+    };
+    const auto setup = core::make_paper_setup();
+    for (Row& row : rows) {
+        const auto r = test::run_checkpointed_reference(
+            setup.trace, setup.checkpointed_sim, row.model, setup.events);
+        EXPECT_EQ(r.processed_count(), row.processed) << row.model.name();
+        EXPECT_EQ(r.correct_count(), row.correct) << row.model.name();
+        EXPECT_NEAR(r.mean_event_latency_s(), row.event_latency_s, 1e-8)
+            << row.model.name();
+        EXPECT_NEAR(r.total_consumed_mj(), row.consumed_mj, 1e-8)
+            << row.model.name();
+    }
+}
+
+TEST(CheckpointedReference, UnitPathStaysWithinDocumentedTolerances) {
+    // docs/recovery.md, "Baselines as unit plans", gives these tolerances
+    // and the modelling differences behind them. Paying one wakeup per job
+    // start and reboot instead of one per power-on, the unit path processes
+    // a few more events on the canonical setup, never fewer.
+    using Factory = baselines::FixedBaselineModel (*)(std::uint64_t,
+                                                      std::int64_t);
+    const auto setup = core::make_paper_setup();
+    for (const Factory factory : {&baselines::make_sonic_net,
+                                  &baselines::make_sparse_net,
+                                  &baselines::make_lenet_cifar}) {
+        auto reference_model = factory(1234, baselines::kPaperStepUnitMacs);
+        auto unit_model = factory(1234, baselines::kPaperStepUnitMacs);
+        SCOPED_TRACE(unit_model.name());
+        const auto reference = test::run_checkpointed_reference(
+            setup.trace, setup.checkpointed_sim, reference_model,
+            setup.events);
+        baselines::CommitAtPickupPolicy policy;
+        const auto unit = sim::Simulator(setup.trace, setup.checkpointed_sim)
+                              .run(setup.events, unit_model, policy);
+        EXPECT_GE(unit.processed_count(), reference.processed_count());
+        EXPECT_LE(unit.processed_count(), reference.processed_count() + 5);
+        EXPECT_NEAR(unit.iepmj() / reference.iepmj(), 1.0, 0.05);
+        EXPECT_NEAR(unit.mean_event_latency_s() /
+                        reference.mean_event_latency_s(),
+                    1.0, 0.03);
+    }
 }
 
 // --- Metrics plumbing ------------------------------------------------------
@@ -614,14 +751,28 @@ TEST(RecoveryPatch, AppliesToMultiExitOnlyAndSetsTheDeathThreshold) {
     EXPECT_EQ(multi_exit.recovery.strategy, "checkpoint");
     EXPECT_EQ(multi_exit.storage.death_threshold_mj, 0.25);
 
-    // Checkpointed baselines model their own intrinsic checkpointing and
-    // must pass through a crossed cell untouched.
-    sim::SimConfig baseline;
-    baseline.mode = sim::ExecutionMode::kCheckpointed;
-    const double before = baseline.storage.death_threshold_mj;
-    patch.apply(baseline);
-    EXPECT_FALSE(baseline.recovery.enabled);
-    EXPECT_EQ(baseline.storage.death_threshold_mj, before);
+    // A checkpointed baseline's runtime is itself a recovery configuration,
+    // which the axis would overwrite: the grid builder rejects the cross,
+    // as the spec expansion does (BaselineSystemsCannotCrossARecoveryAxis).
+    const auto setup = std::make_shared<const core::ExperimentSetup>(
+        core::make_paper_setup(exp::quick_setup_config({})));
+    exp::PaperSweep sweep;
+    sweep.traces = {exp::TraceSpec("t", {}, setup)};
+    sweep.patches = {patch};
+    sweep.systems = {{"ours", exp::SystemKind::kOursStatic, 0, {}, ""}};
+    EXPECT_EQ(exp::build_paper_scenarios(sweep).size(), 1u);
+    for (const auto kind : {exp::SystemKind::kSonicNet,
+                            exp::SystemKind::kSpArSeNet,
+                            exp::SystemKind::kLeNetCifar}) {
+        sweep.systems = {{"baseline", kind, 0, {}, ""}};
+        EXPECT_THROW((void)exp::build_paper_scenarios(sweep),
+                     util::ContractViolation);
+    }
+    // Crossed through cross_patches() the dim survives, and so does the
+    // rejection.
+    sweep.patches = exp::cross_patches({patch}, {exp::queue_patch(2)});
+    EXPECT_THROW((void)exp::build_paper_scenarios(sweep),
+                 util::ContractViolation);
 }
 
 TEST(RecoveryPatch, ValidatesAtConstruction) {
