@@ -62,10 +62,24 @@ baselines::FixedBaselineModel make_baseline(SystemKind kind,
     }
 }
 
-ScenarioOutcome outcome_from(sim::SimResult result) {
+/// Evaluate one scenario run. Only replica 0's SimResult is read by a
+/// report (canonical_sim), so only replica 0 keeps one; every other replica
+/// runs into the workspace's reusable result buffer and returns its metrics.
+ScenarioOutcome evaluate(sim::Simulator& simulator,
+                         util::Span<const sim::Event> events,
+                         sim::InferenceModel& model, sim::ExitPolicy& policy,
+                         const ScenarioContext& ctx,
+                         sim::ScenarioWorkspace& ws) {
     ScenarioOutcome outcome;
-    outcome.metrics = sim_metrics(result);
-    outcome.sim = std::make_shared<const sim::SimResult>(std::move(result));
+    if (ctx.replica == 0) {
+        auto result = std::make_shared<const sim::SimResult>(
+            simulator.run(events, model, policy, &ws));
+        outcome.metrics = sim_metrics(*result);
+        outcome.sim = std::move(result);
+    } else {
+        simulator.run_into(events, model, policy, ws.result, &ws);
+        outcome.metrics = sim_metrics(ws.result);
+    }
     return outcome;
 }
 
@@ -246,6 +260,14 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
         events = util::Span<const sim::Event>(generated);
     }
 
+    // Training episodes and non-canonical evaluations write into the
+    // worker's workspace (a local one when none is attached), so the
+    // outcome is the same either way and a worker's steady state allocates
+    // no SimResult.
+    sim::ScenarioWorkspace local_workspace;
+    sim::ScenarioWorkspace& ws =
+        ctx.workspace != nullptr ? *ctx.workspace : local_workspace;
+
     switch (system.kind) {
         case SystemKind::kOursQLearning:
         case SystemKind::kOursStatic:
@@ -280,14 +302,7 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
                 // Training episodes draw the canonical uniform stream
                 // regardless of the evaluation workload (pinned: matches the
                 // historical Q-learning path bitwise; the bench goldens
-                // train-on-uniform / evaluate-on-cell by design). Episode
-                // buffers come from the worker's workspace (a local one when
-                // none is attached), so a worker's steady-state training loop
-                // never heap-allocates.
-                sim::ScenarioWorkspace local_workspace;
-                sim::ScenarioWorkspace& ws = ctx.workspace != nullptr
-                                                 ? *ctx.workspace
-                                                 : local_workspace;
+                // train-on-uniform / evaluate-on-cell by design).
                 const auto uniform = sim::make_arrival_source("uniform");
                 for (int ep = 0; ep < system.train_episodes; ++ep) {
                     uniform->generate_into(
@@ -295,24 +310,22 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
                          setup.trace.duration(), train_seed(ctx, ep)},
                         ws.train_events);
                     simulator.run_into(ws.train_events, model, *policy,
-                                       ws.train_result, &ws);
+                                       ws.result, &ws);
                     if (learning_curve != nullptr) {
                         learning_curve->push_back(
-                            100.0 * ws.train_result.accuracy_all_events());
+                            100.0 * ws.result.accuracy_all_events());
                     }
                 }
                 learner->set_eval_mode(true);
             }
-            return outcome_from(
-                simulator.run(events, model, *policy, ctx.workspace));
+            return evaluate(simulator, events, model, *policy, ctx, ws);
         }
         default: {
             IMX_EXPECTS(system.policy.empty());
             auto model = make_baseline(system.kind, setup.checkpointed_sim);
             baselines::CommitAtPickupPolicy policy;
             sim::Simulator simulator(setup.trace, setup.checkpointed_sim);
-            return outcome_from(
-                simulator.run(events, model, policy, ctx.workspace));
+            return evaluate(simulator, events, model, policy, ctx, ws);
         }
     }
 }

@@ -21,7 +21,8 @@ namespace imx::exp {
 struct ExperimentRunContext;
 
 /// \brief The replica-0 simulation result for a scenario group (the
-/// canonical run every figure table is built from).
+/// canonical run every figure table is built from; the only replica whose
+/// outcome carries a SimResult).
 /// \note Aborts with a diagnostic when the group has no canonical
 ///   simulation outcome — a grid-construction bug, not a runtime condition.
 const sim::SimResult& canonical_sim(

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -20,51 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Checkout pool of per-worker scenario workspaces. The thread pool exposes
-/// no worker identity, so workspaces are leased per task from a
-/// mutex-guarded freelist instead of indexed by worker: a task checks one
-/// out, runs its scenario with exclusive access (confinement), and returns
-/// it. Steady state holds exactly one workspace per concurrently running
-/// task — i.e. per worker thread — each already warmed to the largest
-/// scenario it has seen.
-class WorkspacePool {
-public:
-    sim::ScenarioWorkspace* acquire() {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!free_.empty()) {
-                sim::ScenarioWorkspace* workspace = free_.back();
-                free_.pop_back();
-                return workspace;
-            }
-        }
-        auto workspace = std::make_unique<sim::ScenarioWorkspace>();
-        sim::ScenarioWorkspace* raw = workspace.get();
-        std::lock_guard<std::mutex> lock(mutex_);
-        all_.push_back(std::move(workspace));
-        return raw;
-    }
-
-    void release(sim::ScenarioWorkspace* workspace) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        free_.push_back(workspace);
-    }
-
-    /// Every workspace's counters, summed (post-sweep, after wait_idle — no
-    /// workspace is checked out).
-    sim::SimCounters counters() {
-        std::lock_guard<std::mutex> lock(mutex_);
-        sim::SimCounters total;
-        for (const auto& workspace : all_) total += workspace->counters;
-        return total;
-    }
-
-private:
-    std::mutex mutex_;
-    std::vector<std::unique_ptr<sim::ScenarioWorkspace>> all_;
-    std::vector<sim::ScenarioWorkspace*> free_;
-};
-
 }  // namespace
 
 void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
@@ -79,41 +33,51 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
                               : std::max(1u, std::thread::hardware_concurrency());
     threads = std::min(threads, specs.size());
 
-    WorkspacePool workspaces;
-    // One slot per scenario, each written by its own task only.
+    // One workspace per worker loop, owned by it for the whole sweep
+    // (confinement, no locking), each warmed to the largest scenario that
+    // loop has run.
+    std::vector<sim::ScenarioWorkspace> workspaces(threads);
+    // One slot per scenario, each written by its own loop only.
     std::vector<double> scenario_s(config.profile != nullptr ? specs.size()
                                                              : 0);
 
     // Completed-but-undelivered outcomes wait in their slots; the cursor
     // walks them in index order so the sink sees a deterministic stream.
-    // A slot is released as soon as it is delivered, bounding memory to the
-    // out-of-order window instead of the whole grid. The mutex guards the
-    // slots and the cursor only: the sink runs outside it, on whichever
-    // worker found no delivery in progress, so a slow sink does not hold up
-    // a worker that merely stores its slot — until the sink is
-    // `max_pending` outcomes behind: then finishing workers wait for it
-    // rather than pile up more results than the sink can take.
+    // A slot is released as soon as it is delivered. The mutex guards the
+    // slots, the cursor and the next index to hand out; the sink runs
+    // outside it, on whichever worker found no delivery in progress, so a
+    // slow sink does not hold up a worker that merely stores its slot. No
+    // worker takes an index `window` or more past the cursor: it waits for
+    // the deliverer instead, so undelivered outcomes never exceed the
+    // window, whether the sink is slow or the scenario at the cursor is.
     std::vector<std::optional<ScenarioOutcome>> slots(specs.size());
     std::vector<std::exception_ptr> errors(specs.size());
     std::mutex delivery_mutex;
-    std::condition_variable caught_up;  // delivery ended or pending fell
-    const std::size_t max_pending = 16 * threads;
-    std::size_t pending = 0;  // outcomes stored but not yet handed over
+    std::condition_variable caught_up;  // cursor moved or the stream stopped
+    const std::size_t window = 16 * threads;
+    std::size_t next = 0;  // the next index to hand out
     std::size_t cursor = 0;
     bool delivering = false;  // one deliverer at a time keeps calls serial
     bool blocked = false;     // first error (in index order) stops the stream
 
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        pool.submit([&, i] {
+    auto worker = [&](sim::ScenarioWorkspace& workspace) {
+        std::unique_lock<std::mutex> lock(delivery_mutex);
+        for (;;) {
+            caught_up.wait(lock, [&] {
+                return blocked || next == specs.size() ||
+                       next < cursor + window;
+            });
+            if (blocked || next == specs.size()) return;
+            const std::size_t i = next++;
+            lock.unlock();
+
             std::optional<ScenarioOutcome> outcome;
             std::exception_ptr error;
-            sim::ScenarioWorkspace* workspace = workspaces.acquire();
             try {
                 ScenarioContext ctx;
                 ctx.seed = specs[i].seed;
                 ctx.replica = specs[i].replica;
-                ctx.workspace = workspace;
+                ctx.workspace = &workspace;
                 const bool timed = !scenario_s.empty();
                 const Clock::time_point start =
                     timed ? Clock::now() : Clock::time_point{};
@@ -126,19 +90,12 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
             } catch (...) {
                 error = std::current_exception();
             }
-            workspaces.release(workspace);
 
-            std::unique_lock<std::mutex> lock(delivery_mutex);
-            if (outcome.has_value()) ++pending;
+            lock.lock();
             slots[i] = std::move(outcome);
             errors[i] = error;
-            if (delivering) {
-                // The active deliverer will reach this slot.
-                caught_up.wait(lock, [&] {
-                    return !delivering || pending <= max_pending;
-                });
-                return;
-            }
+            // The active deliverer, if any, will reach this slot.
+            if (delivering) continue;
             delivering = true;
             // Slots stored while the sink runs are seen at the re-check
             // under the lock, so none is left behind when this loop ends.
@@ -151,7 +108,6 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
                 const std::size_t index = cursor;
                 ScenarioOutcome ready = std::move(*slots[index]);
                 slots[index].reset();
-                if (--pending == max_pending) caught_up.notify_all();
                 lock.unlock();
                 std::exception_ptr sink_error;
                 try {
@@ -168,15 +124,24 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
                     break;
                 }
                 ++cursor;
+                caught_up.notify_all();
             }
             delivering = false;
-            caught_up.notify_all();
-        });
+            if (blocked) caught_up.notify_all();
+        }
+    };
+
+    ThreadPool pool(threads);
+    for (sim::ScenarioWorkspace& workspace : workspaces) {
+        sim::ScenarioWorkspace* owned = &workspace;
+        pool.submit([&worker, owned] { worker(*owned); });
     }
     pool.wait_idle();
 
     if (config.profile != nullptr) {
-        config.profile->counters += workspaces.counters();
+        for (const sim::ScenarioWorkspace& workspace : workspaces) {
+            config.profile->counters += workspace.counters;
+        }
         config.profile->scenario_s.insert(config.profile->scenario_s.end(),
                                           scenario_s.begin(),
                                           scenario_s.end());

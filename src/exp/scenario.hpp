@@ -31,9 +31,11 @@ using MetricMap = std::map<std::string, double>;
 /// What a scenario hands back to the runner.
 struct ScenarioOutcome {
     MetricMap metrics;
-    /// Full per-event record when the scenario is simulation-based; null
-    /// otherwise. Immutable once the scenario returns, so copies of the
-    /// outcome (TeeSink) share it instead of duplicating every record.
+    /// Full per-event record, set for replica 0 of a simulation scenario
+    /// only: the canonical run the reports read (canonical_sim). Every
+    /// other replica, and every simulation-free scenario, returns metrics
+    /// alone. Immutable once the scenario returns, so copies of the outcome
+    /// (TeeSink) share it instead of duplicating every record.
     std::shared_ptr<const sim::SimResult> sim;
     /// Escape hatch for rich results (e.g. a searched compression policy).
     std::any payload;

@@ -520,6 +520,10 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     result.in_flight = queue_count + (busy ? 1 : 0);
     IMX_ENSURES(counters.queue_pushes ==
                 counters.queue_pops + static_cast<std::uint64_t>(queue_count));
+    // Event conservation: one record per event, and every drop or
+    // unfinished request is one of the misses.
+    IMX_ENSURES(result.records.size() == num_events);
+    IMX_ENSURES(result.dropped + result.in_flight <= result.missed_count());
     counters.runs = 1;
     result.counters = counters;
     ws.counters += counters;

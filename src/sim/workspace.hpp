@@ -7,20 +7,24 @@
 /// it) re-heap-allocated the same short-lived buffers — the training event
 /// schedule, the SimResult record vector, the recovery unit plan, the
 /// bounded-queue ring. A ScenarioWorkspace owns one reusable copy of each,
-/// sized by the largest scenario seen so far, so a worker's steady state
-/// performs no heap allocation at all.
+/// sized by the largest scenario seen so far. Only the canonical replica
+/// (replica 0) of a simulation scenario keeps a SimResult of its own, for
+/// the reports to read; every other run — training episodes and
+/// non-canonical evaluations alike — writes into the one reusable `result`,
+/// so a worker's steady state allocates no SimResult at all.
 ///
-/// It also sums the SimCounters of every run made through it. Training
-/// episodes' results never leave the workspace, so this sum is the only
+/// It also sums the SimCounters of every run made through it. Results
+/// written into `result` never leave the workspace, so this sum is the only
 /// place a sweep can see their work (docs/profiling.md).
 ///
-/// Ownership and threading: exp::run_sweep keeps a pool of workspaces and
-/// hands each scenario exactly one for the duration of its execution
-/// (confinement — no locking inside). A caller that passes no workspace
-/// gets a local one for that call. The workspace only changes *where*
-/// buffers live, never the values written through them
+/// Ownership and threading: exp::run_sweep gives each worker loop one
+/// workspace for the whole sweep, and the loop runs one scenario at a time
+/// on it (confinement — no locking inside). A caller that passes no
+/// workspace gets a local one for that call. The workspace only changes
+/// *where* buffers live, never the values written through them
 /// (tests/test_hotpath.cpp pins SimResult and CSV equality with and without
-/// a pooled workspace across every registered experiment).
+/// a worker's workspace across every registered experiment, and the
+/// metrics of non-canonical replicas against fresh runs).
 #ifndef IMX_SIM_WORKSPACE_HPP
 #define IMX_SIM_WORKSPACE_HPP
 
@@ -45,9 +49,10 @@ struct ScenarioWorkspace {
     /// (ArrivalSource::generate_into writes over it each episode).
     std::vector<Event> train_events;
 
-    /// Reused result buffer for training runs whose SimResult is consumed
-    /// immediately (Simulator::run_into reuses records capacity).
-    SimResult train_result;
+    /// Reused result buffer for every run whose SimResult is consumed
+    /// immediately: training episodes and the evaluation of every replica
+    /// but the canonical one (Simulator::run_into reuses records capacity).
+    SimResult result;
 
     /// Reused unit plan (plan_units_into writes over it each time a
     /// scenario's job commits or hops).

@@ -11,8 +11,8 @@
 /// scenarios is retained for later ones, so a worker's steady state does no
 /// heap allocation at all.
 ///
-/// Not thread-safe by design: each worker owns one arena (the runner's
-/// workspace pool hands a whole workspace to exactly one scenario at a
+/// Not thread-safe by design: each worker owns one arena (the runner gives
+/// each worker loop a whole workspace, which runs one scenario at a
 /// time).
 #ifndef IMX_UTIL_ARENA_HPP
 #define IMX_UTIL_ARENA_HPP

@@ -7,8 +7,8 @@
 //     unknown-name diagnostic), util::ParamReader (typed getters,
 //     unknown-key rejection).
 //  2. Workspace transparency: running every registered experiment's --quick
-//     grid through the runner's workspace pool produces metrics, SimResults
-//     and aggregate CSVs bitwise equal to the historical allocate-per-run
+//     grid through the runner's per-worker workspaces produces metrics,
+//     SimResults and aggregate CSVs bitwise equal to the allocate-per-run
 //     path (ScenarioContext::workspace == nullptr) — the arena and buffer
 //     reuse change where state lives, never the values written through it.
 //  3. Scheduling invariance with the workspace enabled: thread count and a
@@ -24,6 +24,11 @@
 //     asking select_exit() at every step, over a grid of queue, deadline,
 //     recovery, capacity, trace and arrival configs; and the greedy
 //     policies keep that promise on random states.
+//  6. The outcome shape: only replica 0 of a simulation scenario keeps a
+//     SimResult; every other replica runs into the workspace's result
+//     buffer and returns metrics bitwise equal to those of a fresh
+//     Simulator::run on the same inputs, with or without a workspace that
+//     holds a larger scenario's stale records.
 //
 // (The batched-vs-historical stepping equality itself is pinned stronger
 // than any in-process compare could: tests/test_kernels_dispatch.cpp hashes
@@ -55,10 +60,13 @@
 #include "exp/cli.hpp"
 #include "exp/experiment.hpp"
 #include "exp/journal.hpp"
+#include "exp/paper_scenarios.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "scratch_dir.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/greedy.hpp"
+#include "sim/policies/qlearning.hpp"
 #include "sim/policies/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workspace.hpp"
@@ -612,6 +620,182 @@ TEST(CommitFloor, GreedyFamilyWaitsBelowItsFloor) {
                     << "level " << level << " floor " << floor;
             }
         }
+    }
+}
+
+// --- the outcome shape: a SimResult for the canonical replica only ---------
+
+core::SetupConfig mini_setup_config(int event_count) {
+    core::SetupConfig config;
+    config.event_count = event_count;
+    config.duration_s = 1500.0;
+    config.total_harvest_mj = 35.0;
+    return config;
+}
+
+/// `setup` with `patch` applied the way build_paper_scenarios() applies it.
+core::ExperimentSetup patched(core::ExperimentSetup setup,
+                              const exp::SimPatch& patch) {
+    if (patch.apply) {
+        patch.apply(setup.multi_exit_sim);
+        patch.apply(setup.checkpointed_sim);
+    }
+    if (patch.apply_setup) patch.apply_setup(setup);
+    return setup;
+}
+
+/// An independent restatement of run_system_scenario()'s inputs, with every
+/// run — training episodes included — made by Simulator::run into a fresh
+/// SimResult: the evaluation run's result.
+sim::SimResult reference_run(const core::ExperimentSetup& setup,
+                             const exp::SystemSpec& system, int replica,
+                             std::uint64_t seed) {
+    const int n = static_cast<int>(setup.events.size());
+    const double duration = setup.trace.duration();
+    std::vector<sim::Event> events = setup.events;
+    if (replica != 0) {
+        std::uint64_t state = seed ^ 0x6576656eULL;
+        const sim::ArrivalContext stream{n, duration, util::splitmix64(state)};
+        events = sim::generate_arrivals(setup.config.arrival_source, stream,
+                                        setup.config.arrival_params);
+    }
+    if (system.kind == exp::SystemKind::kSonicNet) {
+        const sim::SimConfig& cfg = setup.checkpointed_sim;
+        const auto unit = baselines::step_unit_macs(cfg.mcu, cfg.dt_s);
+        auto model = baselines::make_sonic_net(1234, unit);
+        baselines::CommitAtPickupPolicy policy;
+        sim::Simulator simulator(setup.trace, cfg);
+        return simulator.run(events, model, policy);
+    }
+    core::OracleInferenceModel model(setup.network, setup.deployed_policy,
+                                     setup.exit_accuracy);
+    sim::PolicyContext context;
+    context.num_exits = setup.network.num_exits;
+    context.runtime = system.runtime;
+    if (replica != 0) {
+        std::uint64_t state = seed ^ 0x71706f6cULL;
+        context.runtime.seed = util::splitmix64(state);
+    }
+    const bool learning = system.kind == exp::SystemKind::kOursQLearning;
+    std::string name = system.policy;
+    if (name.empty()) name = learning ? "qlearning" : "greedy";
+    const auto policy = sim::make_policy(name, context);
+    sim::Simulator simulator(setup.trace, setup.multi_exit_sim);
+    if (auto* learner =
+            dynamic_cast<sim::QLearningExitPolicy*>(policy.get())) {
+        const auto uniform = sim::make_arrival_source("uniform");
+        for (int ep = 0; ep < system.train_episodes; ++ep) {
+            std::uint64_t train_seed = 2000 + static_cast<std::uint64_t>(ep);
+            if (replica != 0) {
+                std::uint64_t state = seed ^ 0x7261696eULL;
+                (void)util::splitmix64(state);
+                state += static_cast<std::uint64_t>(ep);
+                train_seed = util::splitmix64(state);
+            }
+            const auto episode = uniform->generate({n, duration, train_seed});
+            (void)simulator.run(episode, model, *policy);
+        }
+        learner->set_eval_mode(true);
+    }
+    return simulator.run(events, model, *policy);
+}
+
+struct OutcomeCase {
+    std::string name;
+    exp::SystemSpec system;
+    exp::SimPatch patch;
+};
+
+/// Greedy, Q-learning, a checkpointed baseline, a recovery cell and a
+/// bounded-queue cell under bursty arrivals.
+std::vector<OutcomeCase> outcome_cases() {
+    using exp::SystemKind;
+    const exp::SystemSpec greedy{"greedy", SystemKind::kOursStatic, 0, {}, ""};
+    const exp::SystemSpec ql{"ql", SystemKind::kOursQLearning, 3, {}, ""};
+    const exp::SystemSpec sonic{"SonicNet", SystemKind::kSonicNet, 0, {}, ""};
+    const std::string policy = "queue-slack-greedy";
+    const exp::SystemSpec qsg{"qsg", SystemKind::kOursPolicy, 0, {}, policy};
+
+    sim::RecoveryConfig checkpoint;
+    checkpoint.enabled = true;
+    checkpoint.strategy = "checkpoint";
+    checkpoint.active_power_mw = 0.02;
+    const exp::SimPatch recovery = exp::recovery_patch({"", checkpoint, 0.3});
+    const exp::SimPatch bursty = exp::arrival_patch({"", "bursty", {}});
+    const auto queue = exp::cross_patches({exp::queue_patch(4)}, {bursty})[0];
+
+    std::vector<OutcomeCase> cases;
+    cases.push_back({"greedy", greedy, {}});
+    cases.push_back({"qlearning", ql, {}});
+    cases.push_back({"checkpointed", sonic, {}});
+    cases.push_back({"recovery", greedy, recovery});
+    cases.push_back({"queue", qsg, queue});
+    return cases;
+}
+
+TEST(OutcomeShape, OnlyTheCanonicalReplicaKeepsASimResult) {
+    const std::vector<OutcomeCase> cases = outcome_cases();
+    const core::ExperimentSetup base =
+        core::make_paper_setup(mini_setup_config(60));
+    // A larger Q-learning scenario, run through the workspace before every
+    // case, so its result buffer holds more (stale) records than the case
+    // writes.
+    const core::ExperimentSetup larger =
+        core::make_paper_setup(mini_setup_config(150));
+    const exp::SystemSpec& larger_system = cases[1].system;
+    for (const OutcomeCase& c : cases) {
+        const core::ExperimentSetup setup = patched(base, c.patch);
+        for (int replica = 0; replica < 4; ++replica) {
+            const std::uint64_t seed = exp::scenario_seed(11, c.name, replica);
+            const sim::SimResult reference =
+                reference_run(setup, c.system, replica, seed);
+            ASSERT_GT(reference.processed_count(), 0);
+            for (const bool attached : {false, true}) {
+                SCOPED_TRACE(c.name + "#" + std::to_string(replica) +
+                             (attached ? " workspace" : " no workspace"));
+                sim::ScenarioWorkspace workspace;
+                exp::ScenarioContext ctx;
+                ctx.seed = seed;
+                ctx.replica = replica;
+                if (attached) {
+                    exp::ScenarioContext warm;
+                    warm.seed = 5;
+                    warm.replica = 1;
+                    warm.workspace = &workspace;
+                    (void)exp::run_system_scenario(larger, larger_system, warm);
+                    ASSERT_GT(workspace.result.records.size(),
+                              reference.records.size());
+                    ctx.workspace = &workspace;
+                }
+                const exp::ScenarioOutcome outcome =
+                    exp::run_system_scenario(setup, c.system, ctx);
+                expect_metrics_bitwise(outcome.metrics,
+                                       exp::sim_metrics(reference));
+                if (replica == 0) {
+                    ASSERT_NE(outcome.sim, nullptr);
+                    expect_sim_bitwise(*outcome.sim, reference);
+                } else {
+                    EXPECT_EQ(outcome.sim, nullptr);
+                }
+            }
+        }
+    }
+}
+
+TEST(OutcomeShape, SweepKeepsASimResultForReplicaZeroOnly) {
+    const std::vector<OutcomeCase> cases = outcome_cases();
+    exp::PaperSweep sweep;
+    sweep.traces = {{"mini", mini_setup_config(60)}};
+    sweep.systems = {cases[0].system, cases[1].system, cases[2].system};
+    sweep.replicas = 4;
+    const auto specs = exp::build_paper_scenarios(sweep);
+    ASSERT_EQ(specs.size(), 12u);
+    const auto one = exp::run_sweep(specs, exp::RunnerConfig{1});
+    const auto four = exp::run_sweep(specs, exp::RunnerConfig{4});
+    expect_outcomes_bitwise(one, four);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i].id);
+        EXPECT_EQ(one[i].sim != nullptr, specs[i].replica == 0);
     }
 }
 
