@@ -1,7 +1,7 @@
-// Microbenchmarks (google-benchmark): NN kernels and quantization, the
-// per-inference compute the MCU model abstracts.
+// Microbenchmarks (google-benchmark): the NN kernels of the DDPG
+// compression search.
 //
-// All layer benches route through the dispatched kernel layer
+// All benches route through the dispatched kernel layer
 // (src/nn/kernels/), so items/sec is MACs/sec for the *active* backend.
 // Pass `--kernel scalar|avx2` (before any --benchmark_* flag) to pin the
 // backend; the default is the IMX_KERNEL / CPU-detection dispatch. A
@@ -14,12 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "core/multi_exit_spec.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/exit_graph.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/linear.hpp"
-#include "nn/quantize.hpp"
 #include "nn/train.hpp"
 #include "util/rng.hpp"
 
@@ -36,45 +32,15 @@ nn::Tensor random_activations(nn::Shape shape, std::uint64_t seed) {
     return t;
 }
 
-void BM_Conv2dForward(benchmark::State& state) {
-    util::Rng rng(1);
-    const int channels = static_cast<int>(state.range(0));
-    nn::Conv2d conv(channels, channels, 3, 1, "c", rng);
-    const nn::Tensor x = random_activations({channels, 16, 16}, 2);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(conv.forward(x));
-    }
-    state.SetItemsProcessed(state.iterations() * conv.macs(x.shape()));
-    state.SetLabel(std::string("macs/s, kernel=") +
-                   to_string(nn::kernels::active_backend()));
-}
-BENCHMARK(BM_Conv2dForward)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_Conv2dBackward(benchmark::State& state) {
-    util::Rng rng(3);
-    nn::Conv2d conv(8, 8, 3, 1, "c", rng);
-    const nn::Tensor x = random_activations({8, 16, 16}, 4);
-    const nn::Tensor y = conv.forward(x);
-    const nn::Tensor g = random_activations(y.shape(), 5);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(conv.backward(g));
-    }
-    // Backward computes grad_input and grad_weight: ~2x the forward MACs.
-    state.SetItemsProcessed(state.iterations() * 2 * conv.macs(x.shape()));
-    state.SetLabel(std::string("macs/s, kernel=") +
-                   to_string(nn::kernels::active_backend()));
-}
-BENCHMARK(BM_Conv2dBackward);
-
 void BM_LinearForward(benchmark::State& state) {
     util::Rng rng(6);
     const int features = static_cast<int>(state.range(0));
-    nn::Linear fc(features, features, "fc", rng);
+    nn::Linear fc(features, features, rng);
     const nn::Tensor x = random_activations({features}, 7);
     for (auto _ : state) {
         benchmark::DoNotOptimize(fc.forward(x));
     }
-    state.SetItemsProcessed(state.iterations() * fc.macs(x.shape()));
+    state.SetItemsProcessed(state.iterations() * features * features);
     state.SetLabel(std::string("macs/s, kernel=") +
                    to_string(nn::kernels::active_backend()));
 }
@@ -202,57 +168,6 @@ void BM_AdamStep(benchmark::State& state) {
     state.SetLabel("lanes/s");
 }
 BENCHMARK(BM_AdamStep)->Arg(0)->Arg(4);
-
-void BM_PaperGraphFullForward(benchmark::State& state) {
-    util::Rng rng(8);
-    nn::ExitGraph graph = core::build_paper_graph(rng);
-    const nn::Tensor x = random_activations({3, 32, 32}, 9);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(graph.forward_all(x));
-    }
-    state.SetItemsProcessed(state.iterations() * graph.total_macs());
-    state.SetLabel(std::string("macs/s, kernel=") +
-                   to_string(nn::kernels::active_backend()));
-}
-BENCHMARK(BM_PaperGraphFullForward);
-
-void BM_PaperGraphExit1Only(benchmark::State& state) {
-    util::Rng rng(10);
-    nn::ExitGraph graph = core::build_paper_graph(rng);
-    const nn::Tensor x = random_activations({3, 32, 32}, 11);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(graph.forward_to_exit(x, 0));
-    }
-    state.SetItemsProcessed(state.iterations() * graph.exit_macs(0));
-    state.SetLabel(std::string("macs/s, kernel=") +
-                   to_string(nn::kernels::active_backend()));
-}
-BENCHMARK(BM_PaperGraphExit1Only);
-
-void BM_QuantizeWeights(benchmark::State& state) {
-    const int bits = static_cast<int>(state.range(0));
-    util::Rng rng(12);
-    nn::Tensor w({256, 128});
-    for (std::int64_t i = 0; i < w.numel(); ++i) {
-        w[i] = static_cast<float>(rng.normal());
-    }
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(nn::quantize_weights(w, bits));
-    }
-    state.SetItemsProcessed(state.iterations() * w.numel());
-}
-BENCHMARK(BM_QuantizeWeights)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_IntConvReference(benchmark::State& state) {
-    util::Rng rng(13);
-    nn::Conv2d conv(8, 8, 3, 1, "c", rng);
-    const nn::Tensor x = random_activations({8, 16, 16}, 14);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            nn::int_conv2d_reference(x, conv.weight(), conv.bias(), 1, 8, 8));
-    }
-}
-BENCHMARK(BM_IntConvReference);
 
 }  // namespace
 

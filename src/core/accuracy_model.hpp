@@ -93,9 +93,9 @@ private:
     SensitivityParams params_{};
     double residual_ = 0.0;
 
-    // Bounded policy -> per-exit-accuracies memo. The pipeline and the
-    // search evaluators repeatedly score the same policies; hits return the
-    // exact vector the miss computed, so results are unchanged. Mutable +
+    // Bounded policy -> per-exit-accuracies memo. The setups and the search
+    // evaluators repeatedly score the same policies; hits return the exact
+    // vector the miss computed, so results are unchanged. Mutable +
     // mutex keeps the public const API thread-safe (setups are shared
     // across sweep workers). Note the mutex makes AccuracyModel
     // non-copyable; all users construct it in place.

@@ -16,7 +16,6 @@ energy::StorageConfig paper_storage_config() {
     s.efficiency_max = 0.99;
     s.efficiency_half_power_mw = 0.0005;
     s.on_threshold_mj = 0.30;
-    s.off_threshold_mj = 0.02;
     return s;
 }
 

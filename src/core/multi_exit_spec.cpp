@@ -1,10 +1,5 @@
 #include "core/multi_exit_spec.hpp"
 
-#include "compress/surgery.hpp"
-#include "nn/basic_layers.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/linear.hpp"
-
 namespace imx::core {
 
 namespace {
@@ -119,139 +114,6 @@ compress::Policy reference_nonuniform_policy() {
 compress::Policy uniform_baseline_policy() {
     const NetworkDesc desc = make_paper_network_desc();
     return compress::make_uniform_for_targets(desc, paper_constraints());
-}
-
-nn::ExitGraph build_paper_graph(util::Rng& rng) {
-    using compress::ActQuant;
-    using nn::Conv2d;
-    using nn::Flatten;
-    using nn::Linear;
-    using nn::MaxPool2d;
-    using nn::Relu;
-
-    nn::ExitGraph graph({3, 32, 32});
-
-    // Trunk segment 0 + branch 0 (exit 1).
-    nn::Segment t0;
-    t0.push(std::make_unique<Conv2d>(3, 6, 5, 0, "Conv1", rng));
-    t0.push(std::make_unique<Relu>());
-    t0.push(std::make_unique<ActQuant>("Conv1/aq"));
-    t0.push(std::make_unique<MaxPool2d>(2));
-    nn::Segment b0;
-    b0.push(std::make_unique<Conv2d>(6, 11, 3, 0, "ConvB1", rng));
-    b0.push(std::make_unique<Relu>());
-    b0.push(std::make_unique<ActQuant>("ConvB1/aq"));
-    b0.push(std::make_unique<MaxPool2d>(2));
-    b0.push(std::make_unique<Flatten>());
-    b0.push(std::make_unique<Linear>(396, 10, "FC-B1", rng));
-    graph.add_exit(std::move(t0), std::move(b0));
-
-    // Trunk segment 1 + branch 1 (exit 2).
-    nn::Segment t1;
-    t1.push(std::make_unique<Conv2d>(6, 24, 5, 2, "Conv2", rng));
-    t1.push(std::make_unique<Relu>());
-    t1.push(std::make_unique<ActQuant>("Conv2/aq"));
-    t1.push(std::make_unique<MaxPool2d>(2));
-    nn::Segment b1;
-    b1.push(std::make_unique<Conv2d>(24, 14, 3, 1, "ConvB2", rng));
-    b1.push(std::make_unique<Relu>());
-    b1.push(std::make_unique<ActQuant>("ConvB2/aq"));
-    b1.push(std::make_unique<MaxPool2d>(2));
-    b1.push(std::make_unique<Flatten>());
-    b1.push(std::make_unique<Linear>(126, 430, "FC-B21", rng));
-    b1.push(std::make_unique<Relu>());
-    b1.push(std::make_unique<ActQuant>("FC-B21/aq"));
-    b1.push(std::make_unique<Linear>(430, 10, "FC-B22", rng));
-    graph.add_exit(std::move(t1), std::move(b1));
-
-    // Trunk segment 2 + branch 2 (exit 3, final).
-    nn::Segment t2;
-    t2.push(std::make_unique<Conv2d>(24, 24, 3, 1, "Conv3", rng));
-    t2.push(std::make_unique<Relu>());
-    t2.push(std::make_unique<ActQuant>("Conv3/aq"));
-    t2.push(std::make_unique<Conv2d>(24, 24, 3, 1, "Conv4", rng));
-    t2.push(std::make_unique<Relu>());
-    t2.push(std::make_unique<ActQuant>("Conv4/aq"));
-    t2.push(std::make_unique<MaxPool2d>(2));
-    nn::Segment b2;
-    b2.push(std::make_unique<Flatten>());
-    b2.push(std::make_unique<Linear>(216, 260, "FC-B31", rng));
-    b2.push(std::make_unique<Relu>());
-    b2.push(std::make_unique<ActQuant>("FC-B31/aq"));
-    b2.push(std::make_unique<Linear>(260, 10, "FC-B32", rng));
-    graph.add_exit(std::move(t2), std::move(b2));
-
-    return graph;
-}
-
-nn::ExitGraph build_tiny_graph(util::Rng& rng) {
-    using compress::ActQuant;
-    using nn::Conv2d;
-    using nn::Flatten;
-    using nn::Linear;
-    using nn::MaxPool2d;
-    using nn::Relu;
-
-    nn::ExitGraph graph({3, 16, 16});
-
-    nn::Segment t0;
-    t0.push(std::make_unique<Conv2d>(3, 4, 3, 1, "Conv1", rng));
-    t0.push(std::make_unique<Relu>());
-    t0.push(std::make_unique<ActQuant>("Conv1/aq"));
-    t0.push(std::make_unique<MaxPool2d>(2));
-    nn::Segment b0;
-    b0.push(std::make_unique<Conv2d>(4, 4, 3, 1, "ConvB1", rng));
-    b0.push(std::make_unique<Relu>());
-    b0.push(std::make_unique<ActQuant>("ConvB1/aq"));
-    b0.push(std::make_unique<MaxPool2d>(2));
-    b0.push(std::make_unique<Flatten>());
-    b0.push(std::make_unique<Linear>(64, 10, "FC-B1", rng));
-    graph.add_exit(std::move(t0), std::move(b0));
-
-    nn::Segment t1;
-    t1.push(std::make_unique<Conv2d>(4, 8, 3, 1, "Conv2", rng));
-    t1.push(std::make_unique<Relu>());
-    t1.push(std::make_unique<ActQuant>("Conv2/aq"));
-    t1.push(std::make_unique<MaxPool2d>(2));
-    nn::Segment b1;
-    b1.push(std::make_unique<Conv2d>(8, 8, 3, 1, "ConvB2", rng));
-    b1.push(std::make_unique<Relu>());
-    b1.push(std::make_unique<ActQuant>("ConvB2/aq"));
-    b1.push(std::make_unique<MaxPool2d>(2));
-    b1.push(std::make_unique<Flatten>());
-    b1.push(std::make_unique<Linear>(32, 32, "FC-B21", rng));
-    b1.push(std::make_unique<Relu>());
-    b1.push(std::make_unique<ActQuant>("FC-B21/aq"));
-    b1.push(std::make_unique<Linear>(32, 10, "FC-B22", rng));
-    graph.add_exit(std::move(t1), std::move(b1));
-
-    nn::Segment t2;
-    t2.push(std::make_unique<Conv2d>(8, 8, 3, 1, "Conv3", rng));
-    t2.push(std::make_unique<Relu>());
-    t2.push(std::make_unique<ActQuant>("Conv3/aq"));
-    t2.push(std::make_unique<Conv2d>(8, 8, 3, 1, "Conv4", rng));
-    t2.push(std::make_unique<Relu>());
-    t2.push(std::make_unique<ActQuant>("Conv4/aq"));
-    t2.push(std::make_unique<MaxPool2d>(2));
-    nn::Segment b2;
-    b2.push(std::make_unique<Flatten>());
-    b2.push(std::make_unique<Linear>(32, 32, "FC-B31", rng));
-    b2.push(std::make_unique<Relu>());
-    b2.push(std::make_unique<ActQuant>("FC-B31/aq"));
-    b2.push(std::make_unique<Linear>(32, 10, "FC-B32", rng));
-    graph.add_exit(std::move(t2), std::move(b2));
-
-    return graph;
-}
-
-compress::NetworkDesc make_tiny_network_desc() {
-    return make_desc_from_costs(
-        /*macs=*/{27648, 9216, 640, 18432, 9216, 1024, 320, 9216, 9216, 1024,
-                  320},
-        /*weights=*/{108, 144, 640, 288, 576, 1024, 320, 576, 576, 1024, 320},
-        /*biases=*/{4, 4, 10, 8, 8, 32, 10, 8, 8, 32, 10},
-        /*channels=*/{{{3, 4}, {4, 4}, {64, 10}, {4, 8}, {8, 8}, {32, 32},
-                       {32, 10}, {8, 8}, {8, 8}, {32, 32}, {32, 10}}});
 }
 
 }  // namespace imx::core

@@ -3,11 +3,9 @@
 // names match Fig. 4: Conv1, ConvB1, Conv2, ConvB2, Conv3, Conv4, FC-B1,
 // FC-B21, FC-B22, FC-B31, FC-B32.
 //
-// This header provides both views of the network:
-//  * an analytic compress::NetworkDesc whose per-exit MAC counts match the
-//    paper's 0.4452M / 1.2602M / 1.6202M within ~1 % (see DESIGN.md), and
-//  * a real, trainable nn::ExitGraph with the same topology (with ActQuant
-//    slots for activation quantization).
+// This header describes the network analytically: a compress::NetworkDesc
+// whose per-exit MAC counts match the paper's 0.4452M / 1.2602M / 1.6202M
+// within ~1 % (see DESIGN.md).
 #ifndef IMX_CORE_MULTI_EXIT_SPEC_HPP
 #define IMX_CORE_MULTI_EXIT_SPEC_HPP
 
@@ -16,8 +14,6 @@
 
 #include "compress/fit.hpp"
 #include "compress/network_desc.hpp"
-#include "nn/exit_graph.hpp"
-#include "util/rng.hpp"
 
 namespace imx::core {
 
@@ -54,16 +50,6 @@ compress::Policy reference_nonuniform_policy();
 
 /// The uniform baseline implied by the constraints (Fig. 1b "uniform").
 compress::Policy uniform_baseline_policy();
-
-/// Build the real trainable multi-exit network.
-nn::ExitGraph build_paper_graph(util::Rng& rng);
-
-/// A reduced copy (16x16 input, fewer channels, same 3-exit topology) for
-/// fast unit/integration tests that actually train.
-nn::ExitGraph build_tiny_graph(util::Rng& rng);
-
-/// Analytic descriptor matching build_tiny_graph (for policy application).
-compress::NetworkDesc make_tiny_network_desc();
 
 }  // namespace imx::core
 

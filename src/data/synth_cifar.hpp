@@ -1,15 +1,19 @@
 // SynthCIFAR: a procedurally generated stand-in for CIFAR-10.
 //
 // The paper trains its multi-exit LeNet on CIFAR-10; shipping or training on
-// the real dataset is out of scope for this offline reproduction (see
-// DESIGN.md substitution table), so this module synthesizes a 10-class
-// 3x32x32 image distribution with the properties the experiments need:
+// the real dataset is out of scope for this offline reproduction (see the
+// substitution rationale in core/accuracy_model.hpp), so this module
+// synthesizes a 10-class 3x32x32 image distribution with the properties a
+// trained multi-exit network needs:
 //   - classes are separable by a *hierarchy* of cues: coarse cues (dominant
 //     color) that a shallow exit can learn, plus fine cues (texture
 //     frequency/orientation, shape) that need deeper features — so early
 //     exits plateau below deep exits, as on CIFAR-10;
 //   - difficulty is controllable (noise_level, cue_strength), letting tests
 //     reproduce the "hard inputs benefit from incremental inference" effect.
+//
+// No experiment reads it: every figure takes its exit accuracies from the
+// calibrated AccuracyModel.
 #ifndef IMX_DATA_SYNTH_CIFAR_HPP
 #define IMX_DATA_SYNTH_CIFAR_HPP
 

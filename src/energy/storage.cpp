@@ -12,9 +12,8 @@ EnergyStorage::EnergyStorage(const StorageConfig& config)
     IMX_EXPECTS(config.leakage_mw >= 0.0);
     IMX_EXPECTS(config.efficiency_max > 0.0 && config.efficiency_max <= 1.0);
     IMX_EXPECTS(config.efficiency_half_power_mw >= 0.0);
-    IMX_EXPECTS(config.off_threshold_mj >= 0.0);
-    IMX_EXPECTS(config.on_threshold_mj >= config.off_threshold_mj);
-    IMX_EXPECTS(config.on_threshold_mj <= config.capacity_mj);
+    IMX_EXPECTS(config.on_threshold_mj >= 0.0 &&
+                config.on_threshold_mj <= config.capacity_mj);
     IMX_EXPECTS(config.death_threshold_mj >= 0.0 &&
                 config.death_threshold_mj <= config.capacity_mj);
 }

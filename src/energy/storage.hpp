@@ -4,9 +4,9 @@
 /// Models the essentials the paper's runtime depends on: finite capacity,
 /// charge inefficiency that worsens at low input power (the "charging
 /// efficiency" component of the Q-learning state, Sec. IV), leakage, and
-/// the turn-on/turn-off thresholds that define a power cycle. The capacity
-/// is also a sweep axis: exp::storage_patch() varies capacity_mj across a
-/// scenario grid.
+/// the turn-on and brown-out thresholds that bound a power cycle. The
+/// capacity is also a sweep axis: exp::storage_patch() varies capacity_mj
+/// across a scenario grid.
 #ifndef IMX_ENERGY_STORAGE_HPP
 #define IMX_ENERGY_STORAGE_HPP
 
@@ -26,10 +26,9 @@ struct StorageConfig {
     /// harvesters behave this way (poor efficiency in dim light).
     double efficiency_max = 0.85;
     double efficiency_half_power_mw = 0.15;
-    /// Intermittent-computing thresholds: execution may start only above
-    /// on_threshold and dies below off_threshold.
+    /// Intermittent-computing turn-on threshold: execution may start only
+    /// at or above it.
     double on_threshold_mj = 0.5;
-    double off_threshold_mj = 0.05;
     /// Brown-out death threshold of the failure model (sim/recovery/): a
     /// recovery-enabled run that sags strictly below this level mid-inference
     /// dies and must restart under its recovery strategy. 0 disables death
@@ -117,9 +116,6 @@ public:
     [[nodiscard]] double headroom() const { return config_.capacity_mj - level_mj_; }
     [[nodiscard]] bool can_turn_on() const {
         return level_mj_ >= config_.on_threshold_mj;
-    }
-    [[nodiscard]] bool must_turn_off() const {
-        return level_mj_ <= config_.off_threshold_mj;
     }
     /// \brief Below the failure model's brown-out threshold (strict, so a
     /// zero threshold never fires)?

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "nn/kernels/dispatch.hpp"
+#include "util/contracts.hpp"
 
 namespace imx::exp {
 
@@ -111,9 +112,22 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
             options.quick = true;
         } else if (std::strcmp(argv[i], "--replicas") == 0) {
             options.replicas = require_int("--replicas", require_value(i));
+            if (options.replicas < 1) {
+                std::fprintf(stderr,
+                             "error: --replicas must be >= 1, got %d\n",
+                             options.replicas);
+                std::exit(2);
+            }
             options.replicas_given = true;
         } else if (std::strcmp(argv[i], "--threads") == 0) {
             options.threads = require_int("--threads", require_value(i));
+            if (options.threads < 0) {
+                std::fprintf(stderr,
+                             "error: --threads must be >= 0 (0 = all cores), "
+                             "got %d\n",
+                             options.threads);
+                std::exit(2);
+            }
         } else if (std::strcmp(argv[i], "--csv") == 0) {
             options.csv = require_value(i);
         } else if (std::strcmp(argv[i], "--base-seed") == 0) {
@@ -148,7 +162,7 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
             options.positional.emplace_back(argv[i]);
         }
     }
-    if (options.replicas < 1) options.replicas = 1;
+    IMX_EXPECTS(options.replicas >= 1);
     if (options.resume && options.journal.empty()) {
         std::fprintf(stderr,
                      "error: --resume requires --journal PATH (the journal "

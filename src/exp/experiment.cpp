@@ -125,7 +125,7 @@ int sweep_episodes(const SweepCli& options, int full_default) {
 SweepCli resolve_options(const ExperimentSpec& spec, const SweepCli& options) {
     SweepCli resolved = options;
     if (!resolved.replicas_given) resolved.replicas = spec.replicas;
-    if (resolved.replicas < 1) resolved.replicas = 1;
+    IMX_EXPECTS(resolved.replicas >= 1);
     if (!resolved.base_seed_given) resolved.base_seed = spec.base_seed;
     return resolved;
 }

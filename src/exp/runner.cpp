@@ -4,13 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "exp/thread_pool.hpp"
 #include "sim/workspace.hpp"
 
 namespace imx::exp {
@@ -131,12 +131,25 @@ void run_sweep(const std::vector<ScenarioSpec>& specs, ResultSink& sink,
         }
     };
 
-    ThreadPool pool(threads);
-    for (sim::ScenarioWorkspace& workspace : workspaces) {
-        sim::ScenarioWorkspace* owned = &workspace;
-        pool.submit([&worker, owned] { worker(*owned); });
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads - 1);
+    try {
+        for (std::size_t t = 0; t + 1 < threads; ++t) {
+            helpers.emplace_back(worker, std::ref(workspaces[t]));
+        }
+    } catch (...) {
+        // A thread failed to start: stop the loops already running and
+        // join them before their shared state goes out of scope.
+        {
+            std::lock_guard<std::mutex> lock(delivery_mutex);
+            blocked = true;
+        }
+        caught_up.notify_all();
+        for (std::thread& helper : helpers) helper.join();
+        throw;
     }
-    pool.wait_idle();
+    worker(workspaces.back());
+    for (std::thread& helper : helpers) helper.join();
 
     if (config.profile != nullptr) {
         for (const sim::ScenarioWorkspace& workspace : workspaces) {

@@ -8,10 +8,6 @@ namespace imx::nn::kernels {
 namespace {
 
 struct AtomicCounters {
-    std::atomic<std::uint64_t> conv2d_forward_calls{0};
-    std::atomic<std::uint64_t> conv2d_forward_macs{0};
-    std::atomic<std::uint64_t> conv2d_backward_calls{0};
-    std::atomic<std::uint64_t> conv2d_backward_macs{0};
     std::atomic<std::uint64_t> gemm_calls{0};
     std::atomic<std::uint64_t> gemm_macs{0};
     std::atomic<std::uint64_t> bias_act_calls{0};
@@ -32,10 +28,6 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 KernelCounters counters_snapshot() {
     AtomicCounters& c = counters();
     KernelCounters out;
-    out.conv2d_forward_calls = c.conv2d_forward_calls.load(kRelaxed);
-    out.conv2d_forward_macs = c.conv2d_forward_macs.load(kRelaxed);
-    out.conv2d_backward_calls = c.conv2d_backward_calls.load(kRelaxed);
-    out.conv2d_backward_macs = c.conv2d_backward_macs.load(kRelaxed);
     out.gemm_calls = c.gemm_calls.load(kRelaxed);
     out.gemm_macs = c.gemm_macs.load(kRelaxed);
     out.bias_act_calls = c.bias_act_calls.load(kRelaxed);
@@ -47,10 +39,6 @@ KernelCounters counters_snapshot() {
 
 void counters_reset() {
     AtomicCounters& c = counters();
-    c.conv2d_forward_calls.store(0, kRelaxed);
-    c.conv2d_forward_macs.store(0, kRelaxed);
-    c.conv2d_backward_calls.store(0, kRelaxed);
-    c.conv2d_backward_macs.store(0, kRelaxed);
     c.gemm_calls.store(0, kRelaxed);
     c.gemm_macs.store(0, kRelaxed);
     c.bias_act_calls.store(0, kRelaxed);
@@ -62,10 +50,6 @@ void counters_reset() {
 std::string counters_report(const KernelCounters& c) {
     std::ostringstream out;
     out << "kernel counters:\n"
-        << "  conv2d_forward:  " << c.conv2d_forward_calls << " call(s), "
-        << c.conv2d_forward_macs << " MACs\n"
-        << "  conv2d_backward: " << c.conv2d_backward_calls << " call(s), "
-        << c.conv2d_backward_macs << " MACs\n"
         << "  gemm:            " << c.gemm_calls << " call(s), " << c.gemm_macs
         << " MACs\n"
         << "  bias_act:        " << c.bias_act_calls << " call(s), "
@@ -76,16 +60,6 @@ std::string counters_report(const KernelCounters& c) {
 }
 
 namespace detail {
-
-void count_conv2d_forward(std::uint64_t macs) {
-    counters().conv2d_forward_calls.fetch_add(1, kRelaxed);
-    counters().conv2d_forward_macs.fetch_add(macs, kRelaxed);
-}
-
-void count_conv2d_backward(std::uint64_t macs) {
-    counters().conv2d_backward_calls.fetch_add(1, kRelaxed);
-    counters().conv2d_backward_macs.fetch_add(macs, kRelaxed);
-}
 
 void count_gemm(std::uint64_t macs) {
     counters().gemm_calls.fetch_add(1, kRelaxed);

@@ -18,21 +18,12 @@ namespace imx::nn::kernels {
 /// the multiply-accumulates those calls performed (elements for bias_act
 /// and lanes for adam, which do no MACs).
 struct KernelCounters {
-    std::uint64_t conv2d_forward_calls = 0;
-    std::uint64_t conv2d_forward_macs = 0;
-    std::uint64_t conv2d_backward_calls = 0;
-    std::uint64_t conv2d_backward_macs = 0;
     std::uint64_t gemm_calls = 0;
     std::uint64_t gemm_macs = 0;
     std::uint64_t bias_act_calls = 0;
     std::uint64_t bias_act_elems = 0;
     std::uint64_t adam_calls = 0;
     std::uint64_t adam_lanes = 0;
-
-    [[nodiscard]] std::uint64_t total_calls() const {
-        return conv2d_forward_calls + conv2d_backward_calls + gemm_calls +
-               bias_act_calls + adam_calls;
-    }
 };
 
 /// Current totals.
@@ -46,8 +37,6 @@ void counters_reset();
 
 namespace detail {
 /// Internal: bump one kernel's tallies (called by the dispatch layer).
-void count_conv2d_forward(std::uint64_t macs);
-void count_conv2d_backward(std::uint64_t macs);
 void count_gemm(std::uint64_t macs);
 void count_bias_act(std::uint64_t elems);
 void count_adam(std::uint64_t lanes);

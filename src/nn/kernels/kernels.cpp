@@ -1,4 +1,4 @@
-// Dispatch layer: validate geometry, bump counters, route to the active
+// Dispatch layer: validate arguments, bump counters, route to the active
 // backend. Kept separate from the backend TUs so the counter/contract cost
 // is paid once per call regardless of backend.
 #include "nn/kernels/kernels.hpp"
@@ -6,43 +6,6 @@
 #include "util/contracts.hpp"
 
 namespace imx::nn::kernels {
-
-namespace {
-
-void check_geom(const Conv2dGeom& g) {
-    IMX_EXPECTS(g.in_channels > 0 && g.out_channels > 0);
-    IMX_EXPECTS(g.in_h > 0 && g.in_w > 0);
-    IMX_EXPECTS(g.kernel > 0 && g.padding >= 0);
-    IMX_EXPECTS(g.out_h() > 0 && g.out_w() > 0);
-}
-
-}  // namespace
-
-void conv2d_forward(const Conv2dGeom& geom, const float* input,
-                    const float* weight, const float* bias, float* output) {
-    check_geom(geom);
-    detail::count_conv2d_forward(static_cast<std::uint64_t>(geom.macs()));
-    if (active_backend() == Backend::kAvx2) {
-        detail::avx2_conv2d_forward(geom, input, weight, bias, output);
-    } else {
-        detail::scalar_conv2d_forward(geom, input, weight, bias, output);
-    }
-}
-
-void conv2d_backward(const Conv2dGeom& geom, const float* input,
-                     const float* weight, const float* grad_output,
-                     float* grad_input, float* grad_weight, float* grad_bias) {
-    check_geom(geom);
-    // Backward does ~2x the forward MACs (grad_input and grad_weight).
-    detail::count_conv2d_backward(2 * static_cast<std::uint64_t>(geom.macs()));
-    if (active_backend() == Backend::kAvx2) {
-        detail::avx2_conv2d_backward(geom, input, weight, grad_output,
-                                     grad_input, grad_weight, grad_bias);
-    } else {
-        detail::scalar_conv2d_backward(geom, input, weight, grad_output,
-                                       grad_input, grad_weight, grad_bias);
-    }
-}
 
 void gemm(int out_features, int in_features, const float* weight,
           const float* x, const float* bias, float* y) {

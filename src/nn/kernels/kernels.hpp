@@ -1,22 +1,18 @@
-// Runtime-dispatched NN kernels: conv2d forward/backward, GEMV-style GEMM
-// (the single-sample matrix-vector product Linear executes) and its
-// [batch x in] minibatch form (the DDPG MLPs), a fused bias+activation
-// map, and the Adam update. Call sites (Conv2d, Linear, Relu, rl::Mlp,
-// nn::Adam, and through them the exit-graph evaluation path) go through
-// these entry points; the backend — scalar reference or AVX2 — is chosen
-// per dispatch.hpp and every call bumps the counters (counters.hpp).
+// Runtime-dispatched NN kernels: GEMV-style GEMM (the single-sample
+// matrix-vector product Linear executes) and its [batch x in] minibatch
+// form (the DDPG MLPs), a fused bias+activation map, and the Adam update.
+// Call sites (Linear, Relu, rl::Mlp, nn::Adam) go through these entry
+// points; the backend — scalar reference or AVX2 — is chosen per
+// dispatch.hpp and every call bumps the counters (counters.hpp).
 //
 // Numeric contract (docs/kernels.md):
 //   * scalar is the reference: bitwise identical to the historical
 //     per-layer loops in every case, which keeps all sweep goldens pinned
 //     under IMX_KERNEL=scalar.
-//   * conv2d_forward avx2 is bitwise identical to scalar too (lanes carry
-//     independent outputs in the same per-element accumulation order, and
-//     the TU is built without FMA contraction).
-//   * gemm and the backward kernels re-associate reductions across 8
-//     lanes; agreement with scalar is bounded in ULPs measured at the
-//     magnitude of sum(|terms|) (kGemmUlpBound / kBackwardUlpBound),
-//     enforced by tests/test_kernels_diff.cpp.
+//   * gemm re-associates its reduction across 8 lanes, and gemm_backward
+//     is held to the same kind of bound; agreement with scalar is bounded
+//     in ULPs measured at the magnitude of sum(|terms|) (kGemmUlpBound /
+//     kBackwardUlpBound), enforced by tests/test_kernels_diff.cpp.
 //   * gemm_batch / gemm_backward_batch are bitwise equal to the same
 //     backend's per-sample kernel looped in sample order (no re-pinned
 //     results), and adam_update is bitwise equal across backends, all
@@ -43,42 +39,11 @@ namespace imx::nn::kernels {
 inline constexpr int kGemmUlpBound = 64;
 inline constexpr int kBackwardUlpBound = 256;
 
-/// Geometry of a stride-1, square-kernel, zero-padded 2-D convolution
-/// (the only convolution this project uses). Activations are CHW, weights
-/// [out, in, k, k] — Tensor's layouts.
-struct Conv2dGeom {
-    int in_channels = 0;
-    int out_channels = 0;
-    int in_h = 0;
-    int in_w = 0;
-    int kernel = 0;
-    int padding = 0;
-
-    [[nodiscard]] int out_h() const { return in_h + 2 * padding - kernel + 1; }
-    [[nodiscard]] int out_w() const { return in_w + 2 * padding - kernel + 1; }
-    [[nodiscard]] std::int64_t macs() const {
-        return static_cast<std::int64_t>(out_channels) * out_h() * out_w() *
-               in_channels * kernel * kernel;
-    }
-};
-
 /// Activation applied by bias_act.
 enum class Act {
     kIdentity,
     kRelu,
 };
-
-/// output[oc,oy,ox] = bias[oc] + sum_{ic,ky,kx} weight[oc,ic,ky,kx] *
-/// input[ic, oy+ky-p, ox+kx-p] (out-of-range taps read as zero).
-/// `output` must hold out_channels*out_h*out_w floats; it is overwritten.
-void conv2d_forward(const Conv2dGeom& geom, const float* input,
-                    const float* weight, const float* bias, float* output);
-
-/// Accumulates (+=) into grad_weight/grad_bias (the optimizer contract) and
-/// overwrites grad_input. `input` is the forward activation.
-void conv2d_backward(const Conv2dGeom& geom, const float* input,
-                     const float* weight, const float* grad_output,
-                     float* grad_input, float* grad_weight, float* grad_bias);
 
 /// y[r] = bias[r] + sum_c weight[r*in+c] * x[c] — the single-sample GEMM
 /// (M=out, K=in, N=1) Linear::forward executes. `y` is overwritten.
@@ -147,11 +112,6 @@ namespace detail {
 // avx2_* symbols always link; when the TU is built without AVX2 codegen
 // they hard-fail via contracts (dispatch never routes there — see
 // avx2_kernels_compiled()).
-void scalar_conv2d_forward(const Conv2dGeom& g, const float* in,
-                           const float* w, const float* b, float* out);
-void scalar_conv2d_backward(const Conv2dGeom& g, const float* in,
-                            const float* w, const float* gout, float* gin,
-                            float* gw, float* gb);
 void scalar_gemm(int out_f, int in_f, const float* w, const float* x,
                  const float* b, float* y);
 void scalar_gemm_backward(int out_f, int in_f, const float* w, const float* x,
@@ -167,10 +127,6 @@ void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
 void scalar_adam_update(const AdamStep& s, std::int64_t n, float* p,
                         const float* g, float* m, float* v);
 
-void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
-                         const float* b, float* out);
-void avx2_conv2d_backward(const Conv2dGeom& g, const float* in, const float* w,
-                          const float* gout, float* gin, float* gw, float* gb);
 void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
                const float* b, float* y);
 void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,

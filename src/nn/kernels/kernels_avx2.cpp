@@ -4,16 +4,11 @@
 // routes here after __builtin_cpu_supports("avx2") says it may.
 //
 // Vectorization strategy (docs/kernels.md):
-//   * conv2d_forward: the input is copied once into an explicitly
-//     zero-padded scratch, removing every bounds check; lanes then carry 8
-//     consecutive output columns, each an independent accumulator in the
-//     same per-element tap order as scalar — bitwise identical results.
 //   * gemm: one 8-lane partial-sum accumulator per output row with a
 //     horizontal reduction — re-associates the sum, agreement bounded by
 //     kGemmUlpBound.
-//   * backward kernels: grad_input/grad_weight updates are lane-
-//     independent but the tap order differs from scalar, and grad_bias /
-//     grad_weight reductions fold 8 lanes — bounded by kBackwardUlpBound.
+//   * gemm_backward: lanes carry independent input columns, each updated
+//     in the scalar row order; held to kBackwardUlpBound.
 //   * gemm_batch / gemm_backward_batch: bitwise equal to avx2_gemm /
 //     avx2_gemm_backward looped over the samples. Forward keeps one
 //     accumulator per (sample, row) and reduces eight rows at a time with
@@ -60,30 +55,10 @@ namespace imx::nn::kernels::detail {
 namespace {
 
 /// Per-thread scratch, reused across calls so the hot path never allocates
-/// after warm-up. Distinct buffers: backward needs the padded input and the
-/// padded grad-input alive at once.
-std::vector<float>& scratch(int which) {
-    thread_local std::vector<float> buffers[2];
-    return buffers[which];
-}
-
-/// Copy a CHW tensor into a zero-padded [c, h+2p, w+2p] scratch layout.
-void pad_input(const Conv2dGeom& g, const float* in, std::vector<float>& out) {
-    const std::size_t ph = static_cast<std::size_t>(g.in_h + 2 * g.padding);
-    const std::size_t pw = static_cast<std::size_t>(g.in_w + 2 * g.padding);
-    out.assign(static_cast<std::size_t>(g.in_channels) * ph * pw, 0.0F);
-    for (int c = 0; c < g.in_channels; ++c) {
-        for (int y = 0; y < g.in_h; ++y) {
-            const float* src =
-                in + (static_cast<std::size_t>(c) * g.in_h + y) * g.in_w;
-            float* dst = out.data() +
-                         (static_cast<std::size_t>(c) * ph +
-                          static_cast<std::size_t>(y + g.padding)) *
-                             pw +
-                         static_cast<std::size_t>(g.padding);
-            for (int x = 0; x < g.in_w; ++x) dst[x] = src[x];
-        }
-    }
+/// after warm-up.
+std::vector<float>& scratch() {
+    thread_local std::vector<float> buffer;
+    return buffer;
 }
 
 inline float hsum(__m256 v) {
@@ -487,161 +462,6 @@ void grad_x_columns(int batch, int out_f, int in_f, int first,
 
 }  // namespace
 
-void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
-                         const float* b, float* out) {
-    std::vector<float>& padded = scratch(0);
-    pad_input(g, in, padded);
-    const std::size_t ph = static_cast<std::size_t>(g.in_h + 2 * g.padding);
-    const std::size_t pw = static_cast<std::size_t>(g.in_w + 2 * g.padding);
-    const int oh = g.out_h();
-    const int ow = g.out_w();
-    const int taps = g.in_channels * g.kernel * g.kernel;
-
-    for (int oc = 0; oc < g.out_channels; ++oc) {
-        const float bias = b[oc];
-        const float* wbase = w + static_cast<std::size_t>(oc) *
-                                     static_cast<std::size_t>(taps);
-        for (int oy = 0; oy < oh; ++oy) {
-            float* out_row =
-                out + (static_cast<std::size_t>(oc) * oh + oy) *
-                          static_cast<std::size_t>(ow);
-            int ox = 0;
-            for (; ox + 8 <= ow; ox += 8) {
-                __m256 acc = _mm256_set1_ps(bias);
-                const float* wv = wbase;
-                for (int ic = 0; ic < g.in_channels; ++ic) {
-                    const float* chan = padded.data() +
-                                        static_cast<std::size_t>(ic) * ph * pw;
-                    for (int ky = 0; ky < g.kernel; ++ky) {
-                        const float* src =
-                            chan + static_cast<std::size_t>(oy + ky) * pw + ox;
-                        for (int kx = 0; kx < g.kernel; ++kx) {
-                            const __m256 wvec = _mm256_set1_ps(*wv++);
-                            acc = _mm256_add_ps(
-                                acc, _mm256_mul_ps(
-                                         wvec, _mm256_loadu_ps(src + kx)));
-                        }
-                    }
-                }
-                _mm256_storeu_ps(out_row + ox, acc);
-            }
-            // Scalar tail over the padded scratch: same tap order as the
-            // vector body (and as the scalar backend), so it stays bitwise.
-            for (; ox < ow; ++ox) {
-                float acc = bias;
-                const float* wv = wbase;
-                for (int ic = 0; ic < g.in_channels; ++ic) {
-                    const float* chan = padded.data() +
-                                        static_cast<std::size_t>(ic) * ph * pw;
-                    for (int ky = 0; ky < g.kernel; ++ky) {
-                        const float* src =
-                            chan + static_cast<std::size_t>(oy + ky) * pw + ox;
-                        for (int kx = 0; kx < g.kernel; ++kx) {
-                            acc += *wv++ * src[kx];
-                        }
-                    }
-                }
-                out_row[ox] = acc;
-            }
-        }
-    }
-}
-
-void avx2_conv2d_backward(const Conv2dGeom& g, const float* in, const float* w,
-                          const float* gout, float* gin, float* gw,
-                          float* gb) {
-    std::vector<float>& padded_in = scratch(0);
-    pad_input(g, in, padded_in);
-    const std::size_t ph = static_cast<std::size_t>(g.in_h + 2 * g.padding);
-    const std::size_t pw = static_cast<std::size_t>(g.in_w + 2 * g.padding);
-    const int oh = g.out_h();
-    const int ow = g.out_w();
-
-    // Accumulate grad-input into a zero-padded scratch; border writes land
-    // in the padding and are dropped by the copy-back, which is exactly the
-    // out-of-range-tap rule of the scalar backend.
-    std::vector<float>& padded_gin = scratch(1);
-    padded_gin.assign(static_cast<std::size_t>(g.in_channels) * ph * pw, 0.0F);
-
-    for (int oc = 0; oc < g.out_channels; ++oc) {
-        const float* go_base = gout + static_cast<std::size_t>(oc) *
-                                          static_cast<std::size_t>(oh) *
-                                          static_cast<std::size_t>(ow);
-        // grad_bias: 8-lane reduction over the full output map.
-        {
-            __m256 acc = _mm256_setzero_ps();
-            const std::int64_t n =
-                static_cast<std::int64_t>(oh) * static_cast<std::int64_t>(ow);
-            std::int64_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                acc = _mm256_add_ps(acc, _mm256_loadu_ps(go_base + i));
-            }
-            float sum = hsum(acc);
-            for (; i < n; ++i) sum += go_base[i];
-            gb[oc] += sum;
-        }
-        for (int ic = 0; ic < g.in_channels; ++ic) {
-            float* gin_chan =
-                padded_gin.data() + static_cast<std::size_t>(ic) * ph * pw;
-            const float* in_chan =
-                padded_in.data() + static_cast<std::size_t>(ic) * ph * pw;
-            for (int ky = 0; ky < g.kernel; ++ky) {
-                for (int kx = 0; kx < g.kernel; ++kx) {
-                    const std::size_t widx =
-                        ((static_cast<std::size_t>(oc) * g.in_channels + ic) *
-                             g.kernel +
-                         static_cast<std::size_t>(ky)) *
-                            g.kernel +
-                        static_cast<std::size_t>(kx);
-                    const __m256 wvec = _mm256_set1_ps(w[widx]);
-                    __m256 gw_acc = _mm256_setzero_ps();
-                    float gw_tail = 0.0F;
-                    for (int oy = 0; oy < oh; ++oy) {
-                        const float* go_row =
-                            go_base + static_cast<std::size_t>(oy) * ow;
-                        const std::size_t row_off =
-                            static_cast<std::size_t>(oy + ky) * pw +
-                            static_cast<std::size_t>(kx);
-                        const float* in_row = in_chan + row_off;
-                        float* gin_row = gin_chan + row_off;
-                        int ox = 0;
-                        for (; ox + 8 <= ow; ox += 8) {
-                            const __m256 go_vec = _mm256_loadu_ps(go_row + ox);
-                            gw_acc = _mm256_add_ps(
-                                gw_acc,
-                                _mm256_mul_ps(go_vec,
-                                              _mm256_loadu_ps(in_row + ox)));
-                            _mm256_storeu_ps(
-                                gin_row + ox,
-                                _mm256_add_ps(_mm256_loadu_ps(gin_row + ox),
-                                              _mm256_mul_ps(go_vec, wvec)));
-                        }
-                        for (; ox < ow; ++ox) {
-                            gw_tail += go_row[ox] * in_row[ox];
-                            gin_row[ox] += go_row[ox] * w[widx];
-                        }
-                    }
-                    gw[widx] += hsum(gw_acc) + gw_tail;
-                }
-            }
-        }
-    }
-
-    // Copy the interior of the padded grad-input back to CHW.
-    for (int c = 0; c < g.in_channels; ++c) {
-        for (int y = 0; y < g.in_h; ++y) {
-            const float* src = padded_gin.data() +
-                               (static_cast<std::size_t>(c) * ph +
-                                static_cast<std::size_t>(y + g.padding)) *
-                                   pw +
-                               static_cast<std::size_t>(g.padding);
-            float* dst =
-                gin + (static_cast<std::size_t>(c) * g.in_h + y) * g.in_w;
-            for (int x = 0; x < g.in_w; ++x) dst[x] = src[x];
-        }
-    }
-}
-
 void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
                const float* b, float* y) {
     for (int r = 0; r < out_f; ++r) {
@@ -785,7 +605,7 @@ void avx2_gemm_backward_batch(int batch, int out_f, int in_f, const float* w,
     const float* gy_t = nullptr;
     const auto transposed = [&] {
         if (gy_t == nullptr) {
-            std::vector<float>& buffer = scratch(0);
+            std::vector<float>& buffer = scratch();
             buffer.resize(out * static_cast<std::size_t>(ld));
             transpose_into(gy, batch, out_f, out_f, buffer.data(), ld);
             gy_t = buffer.data();
@@ -1165,16 +985,6 @@ void avx2_adam_update(const AdamStep& s, std::int64_t n, float* p,
 
 // Built without AVX2 codegen: dispatch can never route here (see
 // avx2_kernels_compiled()), so these stubs only assert the invariant.
-
-void avx2_conv2d_forward(const Conv2dGeom&, const float*, const float*,
-                         const float*, float*) {
-    IMX_ASSERT(!"avx2 kernels not compiled");
-}
-
-void avx2_conv2d_backward(const Conv2dGeom&, const float*, const float*,
-                          const float*, float*, float*, float*) {
-    IMX_ASSERT(!"avx2 kernels not compiled");
-}
 
 void avx2_gemm(int, int, const float*, const float*, const float*, float*) {
     IMX_ASSERT(!"avx2 kernels not compiled");

@@ -1,101 +1,14 @@
 // Scalar reference backend. These loops are transplanted verbatim from the
-// pre-kernel Conv2d/Linear/Relu implementations — same iteration order,
-// same accumulation order, same zero-skip short-circuits — so the scalar
-// path is bitwise identical to the historical layers and every golden
-// pinned against them stays valid under IMX_KERNEL=scalar.
+// pre-kernel Linear/Relu implementations — same iteration order, same
+// accumulation order, same zero-skip short-circuits — so the scalar path
+// is bitwise identical to the historical layers and every golden pinned
+// against them stays valid under IMX_KERNEL=scalar.
 #include "nn/kernels/kernels.hpp"
 
 #include <cmath>
 #include <cstddef>
 
 namespace imx::nn::kernels::detail {
-
-namespace {
-
-inline std::size_t w4(const Conv2dGeom& g, int oc, int ic, int ky, int kx) {
-    return ((static_cast<std::size_t>(oc) *
-                 static_cast<std::size_t>(g.in_channels) +
-             static_cast<std::size_t>(ic)) *
-                static_cast<std::size_t>(g.kernel) +
-            static_cast<std::size_t>(ky)) *
-               static_cast<std::size_t>(g.kernel) +
-           static_cast<std::size_t>(kx);
-}
-
-inline std::size_t chw(int h, int w, int c, int y, int x) {
-    return (static_cast<std::size_t>(c) * static_cast<std::size_t>(h) +
-            static_cast<std::size_t>(y)) *
-               static_cast<std::size_t>(w) +
-           static_cast<std::size_t>(x);
-}
-
-}  // namespace
-
-void scalar_conv2d_forward(const Conv2dGeom& g, const float* in,
-                           const float* w, const float* b, float* out) {
-    const int h = g.in_h;
-    const int width = g.in_w;
-    const int oh = g.out_h();
-    const int ow = g.out_w();
-    std::size_t out_idx = 0;
-    for (int oc = 0; oc < g.out_channels; ++oc) {
-        const float bias = b[oc];
-        for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-                float acc = bias;
-                for (int ic = 0; ic < g.in_channels; ++ic) {
-                    for (int ky = 0; ky < g.kernel; ++ky) {
-                        const int iy = oy + ky - g.padding;
-                        if (iy < 0 || iy >= h) continue;
-                        for (int kx = 0; kx < g.kernel; ++kx) {
-                            const int ix = ox + kx - g.padding;
-                            if (ix < 0 || ix >= width) continue;
-                            acc += w[w4(g, oc, ic, ky, kx)] *
-                                   in[chw(h, width, ic, iy, ix)];
-                        }
-                    }
-                }
-                out[out_idx++] = acc;
-            }
-        }
-    }
-}
-
-void scalar_conv2d_backward(const Conv2dGeom& g, const float* in,
-                            const float* w, const float* gout, float* gin,
-                            float* gw, float* gb) {
-    const int h = g.in_h;
-    const int width = g.in_w;
-    const int oh = g.out_h();
-    const int ow = g.out_w();
-    const std::size_t in_numel = static_cast<std::size_t>(g.in_channels) *
-                                 static_cast<std::size_t>(h) *
-                                 static_cast<std::size_t>(width);
-    for (std::size_t i = 0; i < in_numel; ++i) gin[i] = 0.0F;
-    for (int oc = 0; oc < g.out_channels; ++oc) {
-        for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-                const float go = gout[chw(oh, ow, oc, oy, ox)];
-                if (go == 0.0F) continue;
-                gb[oc] += go;
-                for (int ic = 0; ic < g.in_channels; ++ic) {
-                    for (int ky = 0; ky < g.kernel; ++ky) {
-                        const int iy = oy + ky - g.padding;
-                        if (iy < 0 || iy >= h) continue;
-                        for (int kx = 0; kx < g.kernel; ++kx) {
-                            const int ix = ox + kx - g.padding;
-                            if (ix < 0 || ix >= width) continue;
-                            gw[w4(g, oc, ic, ky, kx)] +=
-                                go * in[chw(h, width, ic, iy, ix)];
-                            gin[chw(h, width, ic, iy, ix)] +=
-                                go * w[w4(g, oc, ic, ky, kx)];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
 
 void scalar_gemm(int out_f, int in_f, const float* w, const float* x,
                  const float* b, float* y) {

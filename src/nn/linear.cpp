@@ -1,36 +1,16 @@
 #include "nn/linear.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "nn/kernels/kernels.hpp"
 
 namespace imx::nn {
 
-Linear::Linear(int in_features, int out_features, std::string name,
-               util::Rng& rng)
-    : in_features_(in_features),
-      out_features_(out_features),
-      name_(std::move(name)) {
+Linear::Linear(int in_features, int out_features, util::Rng& rng)
+    : in_features_(in_features), out_features_(out_features) {
     IMX_EXPECTS(in_features > 0 && out_features > 0);
     weight_ = Tensor::kaiming_uniform({out_features, in_features}, in_features, rng);
     bias_ = Tensor::zeros({out_features});
     grad_weight_ = Tensor::zeros(weight_.shape());
     grad_bias_ = Tensor::zeros(bias_.shape());
-}
-
-Shape Linear::output_shape(const Shape& input_shape) const {
-    IMX_EXPECTS(shape_numel(input_shape) == in_features_);
-    return {out_features_};
-}
-
-std::int64_t Linear::macs(const Shape& input_shape) const {
-    IMX_EXPECTS(shape_numel(input_shape) == in_features_);
-    return static_cast<std::int64_t>(in_features_) * out_features_;
-}
-
-std::int64_t Linear::param_count() const {
-    return weight_.numel() + bias_.numel();
 }
 
 Tensor Linear::forward(const Tensor& input) {
@@ -51,64 +31,6 @@ Tensor Linear::backward(const Tensor& grad_output) {
                            grad_input.data(), grad_weight_.data(),
                            grad_bias_.data());
     return grad_input;
-}
-
-LayerPtr Linear::clone() const {
-    util::Rng dummy(0);
-    auto copy = std::make_unique<Linear>(in_features_, out_features_, name_, dummy);
-    copy->weight_ = weight_;
-    copy->bias_ = bias_;
-    copy->grad_weight_ = grad_weight_;
-    copy->grad_bias_ = grad_bias_;
-    return copy;
-}
-
-std::vector<double> Linear::input_importance() const {
-    std::vector<double> importance(static_cast<std::size_t>(in_features_), 0.0);
-    for (int r = 0; r < out_features_; ++r) {
-        for (int c = 0; c < in_features_; ++c) {
-            importance[static_cast<std::size_t>(c)] +=
-                std::fabs(static_cast<double>(weight_.at2(r, c)));
-        }
-    }
-    return importance;
-}
-
-void Linear::prune_inputs(const std::vector<int>& keep) {
-    IMX_EXPECTS(!keep.empty());
-    IMX_EXPECTS(std::is_sorted(keep.begin(), keep.end()));
-    IMX_EXPECTS(keep.front() >= 0 && keep.back() < in_features_);
-    const int new_in = static_cast<int>(keep.size());
-    Tensor new_weight({out_features_, new_in});
-    for (int r = 0; r < out_features_; ++r) {
-        for (int j = 0; j < new_in; ++j) {
-            new_weight.at2(r, j) = weight_.at2(r, keep[static_cast<std::size_t>(j)]);
-        }
-    }
-    weight_ = std::move(new_weight);
-    grad_weight_ = Tensor::zeros(weight_.shape());
-    in_features_ = new_in;
-}
-
-void Linear::prune_outputs(const std::vector<int>& keep) {
-    IMX_EXPECTS(!keep.empty());
-    IMX_EXPECTS(std::is_sorted(keep.begin(), keep.end()));
-    IMX_EXPECTS(keep.front() >= 0 && keep.back() < out_features_);
-    const int new_out = static_cast<int>(keep.size());
-    Tensor new_weight({new_out, in_features_});
-    Tensor new_bias({new_out});
-    for (int i = 0; i < new_out; ++i) {
-        const int src = keep[static_cast<std::size_t>(i)];
-        new_bias[i] = bias_[src];
-        for (int c = 0; c < in_features_; ++c) {
-            new_weight.at2(i, c) = weight_.at2(src, c);
-        }
-    }
-    weight_ = std::move(new_weight);
-    bias_ = std::move(new_bias);
-    grad_weight_ = Tensor::zeros(weight_.shape());
-    grad_bias_ = Tensor::zeros(bias_.shape());
-    out_features_ = new_out;
 }
 
 }  // namespace imx::nn

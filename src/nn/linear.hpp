@@ -1,5 +1,4 @@
-// Fully-connected layer with backward pass and unit-surgery hooks for
-// channel pruning of flattened feature vectors.
+// Fully-connected layer with backward pass.
 #ifndef IMX_NN_LINEAR_HPP
 #define IMX_NN_LINEAR_HPP
 
@@ -12,17 +11,12 @@ namespace imx::nn {
 
 class Linear final : public Layer {
 public:
-    Linear(int in_features, int out_features, std::string name, util::Rng& rng);
+    Linear(int in_features, int out_features, util::Rng& rng);
 
     Tensor forward(const Tensor& input) override;
     Tensor backward(const Tensor& grad_output) override;
-    [[nodiscard]] Shape output_shape(const Shape& input_shape) const override;
-    [[nodiscard]] std::int64_t macs(const Shape& input_shape) const override;
-    [[nodiscard]] std::int64_t param_count() const override;
     std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
     std::vector<Tensor*> gradients() override { return {&grad_weight_, &grad_bias_}; }
-    [[nodiscard]] std::string name() const override { return name_; }
-    [[nodiscard]] LayerPtr clone() const override;
 
     [[nodiscard]] int in_features() const { return in_features_; }
     [[nodiscard]] int out_features() const { return out_features_; }
@@ -33,16 +27,9 @@ public:
     [[nodiscard]] Tensor& grad_weight() { return grad_weight_; }
     [[nodiscard]] Tensor& grad_bias() { return grad_bias_; }
 
-    /// L1 importance of each input feature (column sums, paper Eq. 2).
-    [[nodiscard]] std::vector<double> input_importance() const;
-
-    void prune_inputs(const std::vector<int>& keep);
-    void prune_outputs(const std::vector<int>& keep);
-
 private:
     int in_features_;
     int out_features_;
-    std::string name_;
     Tensor weight_;  // [out, in]
     Tensor bias_;    // [out]
     Tensor grad_weight_;

@@ -188,4 +188,15 @@ Tensor int_linear_reference(const Tensor& input, const Tensor& weight,
     return out;
 }
 
+Tensor ActQuant::forward(const Tensor& input) {
+    if (bits_ >= 32) return input;
+    Tensor out = input;
+    fake_quantize_activations(out, bits_);
+    return out;
+}
+
+Tensor ActQuant::backward(const Tensor& grad_output) {
+    return grad_output;  // straight-through estimator
+}
+
 }  // namespace imx::nn

@@ -8,12 +8,17 @@
 // The integer kernels mirror what an MCU fixed-point implementation executes
 // (int8/int16 operands, int32 accumulators) and are tested against the float
 // path to bound the simulation error of the fake-quant pipeline.
+//
+// No experiment calls this module: every figure reads its exit accuracies
+// from the calibrated AccuracyModel (core/accuracy_model.hpp). It is the
+// numeric half of Eq. 3, kept with its tests for real fine-tuning.
 #ifndef IMX_NN_QUANTIZE_HPP
 #define IMX_NN_QUANTIZE_HPP
 
 #include <cstdint>
 #include <vector>
 
+#include "nn/layer.hpp"
 #include "nn/tensor.hpp"
 
 namespace imx::nn {
@@ -45,8 +50,8 @@ void fake_quantize_activations(Tensor& activations, int bits);
 double search_weight_scale(const std::vector<float>& values, int bits);
 
 /// Integer convolution reference: int32 accumulation of quantized operands.
-/// Shapes follow Conv2d ([out,in,k,k] weights, CHW activations). Returns the
-/// float output reconstructed via (w_scale * a_scale).
+/// Stride 1, square zero `padding`, [out,in,k,k] weights, CHW activations.
+/// Returns the float output reconstructed via (w_scale * a_scale).
 Tensor int_conv2d_reference(const Tensor& input, const Tensor& weight,
                             const Tensor& bias, int padding, int weight_bits,
                             int activation_bits);
@@ -55,6 +60,22 @@ Tensor int_conv2d_reference(const Tensor& input, const Tensor& weight,
 Tensor int_linear_reference(const Tensor& input, const Tensor& weight,
                             const Tensor& bias, int weight_bits,
                             int activation_bits);
+
+/// Fake-quantizes (non-negative, post-ReLU) activations during forward;
+/// straight-through gradient in backward. bits >= 32 is a pass-through.
+class ActQuant final : public Layer {
+public:
+    explicit ActQuant(int bits = 32) : bits_(bits) {}
+
+    Tensor forward(const Tensor& input) override;
+    Tensor backward(const Tensor& grad_output) override;
+
+    void set_bits(int bits) { bits_ = bits; }
+    [[nodiscard]] int bits() const { return bits_; }
+
+private:
+    int bits_;
+};
 
 }  // namespace imx::nn
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace imx::nn {
 
@@ -13,17 +12,6 @@ std::int64_t shape_numel(const Shape& shape) {
         n *= d;
     }
     return shape.empty() ? 0 : n;
-}
-
-std::string shape_to_string(const Shape& shape) {
-    std::ostringstream oss;
-    oss << '[';
-    for (std::size_t i = 0; i < shape.size(); ++i) {
-        if (i) oss << ", ";
-        oss << shape[i];
-    }
-    oss << ']';
-    return oss.str();
 }
 
 Tensor Tensor::full(Shape shape, float value) {

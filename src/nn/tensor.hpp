@@ -1,7 +1,8 @@
-// Dense row-major float tensor. CHW layout for activations (single sample),
-// [out, in, k, k] for conv weights, [out, in] for linear weights.
+// Dense row-major float tensor: [features] activations (single sample),
+// [out, in] linear weights; CHW images and [out, in, k, k] conv weights in
+// nn/quantize's integer reference and data/synth_cifar.
 //
-// The inference targets in this project are KB-scale MCU networks, so the
+// The tensors in this project hold the DDPG agents' small MLPs, so the
 // tensor type favours simplicity and debuggability over BLAS-grade speed:
 // contiguous std::vector storage, explicit index helpers, contract-checked
 // access in every build.
@@ -10,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -23,9 +23,6 @@ using Shape = std::vector<int>;
 
 /// Number of elements a shape describes.
 std::int64_t shape_numel(const Shape& shape);
-
-/// Human-readable shape, e.g. "[6, 28, 28]".
-std::string shape_to_string(const Shape& shape);
 
 class Tensor {
 public:

@@ -1,60 +1,24 @@
-// Loss functions, optimizers, and a joint multi-exit trainer.
+// The Adam optimizer of the DDPG actor/critic updates.
 #ifndef IMX_NN_TRAIN_HPP
 #define IMX_NN_TRAIN_HPP
 
 #include <cstdint>
 #include <vector>
 
-#include "nn/exit_graph.hpp"
 #include "nn/tensor.hpp"
 
 namespace imx::nn {
 
-/// Softmax cross-entropy on raw logits for a single sample.
-/// Returns the loss; writes d(loss)/d(logits) into grad (p - onehot).
-double cross_entropy(const Tensor& logits, int label, Tensor& grad);
-
-/// Softmax probabilities of a logits tensor (double precision).
-std::vector<double> softmax_probs(const Tensor& logits);
-
-/// Optimizer interface over flat parameter/gradient lists.
-class Optimizer {
-public:
-    virtual ~Optimizer() = default;
-    Optimizer() = default;
-    Optimizer(const Optimizer&) = delete;
-    Optimizer& operator=(const Optimizer&) = delete;
-
-    /// Apply one update using the accumulated gradients (already averaged or
-    /// summed by the caller; `scale` multiplies gradients, e.g. 1/batch).
-    virtual void step(const std::vector<Tensor*>& params,
-                      const std::vector<Tensor*>& grads, float scale) = 0;
-};
-
-/// SGD with momentum and decoupled weight decay.
-class Sgd final : public Optimizer {
-public:
-    explicit Sgd(float lr, float momentum = 0.9F, float weight_decay = 0.0F);
-    void step(const std::vector<Tensor*>& params,
-              const std::vector<Tensor*>& grads, float scale) override;
-    void set_lr(float lr) { lr_ = lr; }
-    [[nodiscard]] float lr() const { return lr_; }
-
-private:
-    float lr_;
-    float momentum_;
-    float weight_decay_;
-    std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) — used by the DDPG actor/critic updates.
-class Adam final : public Optimizer {
+/// Adam (Kingma & Ba) over flat parameter/gradient lists.
+class Adam {
 public:
     explicit Adam(float lr, float beta1 = 0.9F, float beta2 = 0.999F,
                   float eps = 1e-8F);
+
+    /// Apply one update using the accumulated gradients (already averaged or
+    /// summed by the caller; `scale` multiplies gradients, e.g. 1/batch).
     void step(const std::vector<Tensor*>& params,
-              const std::vector<Tensor*>& grads, float scale) override;
-    void set_lr(float lr) { lr_ = lr; }
+              const std::vector<Tensor*>& grads, float scale);
 
 private:
     float lr_;
@@ -65,34 +29,6 @@ private:
     std::vector<Tensor> m_;
     std::vector<Tensor> v_;
 };
-
-/// Configuration for joint multi-exit training (all exits trained together
-/// with a weighted sum of cross-entropy losses, as in BranchyNet).
-struct TrainConfig {
-    int epochs = 2;
-    int batch_size = 16;
-    float lr = 0.05F;
-    float momentum = 0.9F;
-    float weight_decay = 1e-4F;
-    std::vector<double> exit_loss_weights;  // defaults to all-ones
-};
-
-/// One epoch result.
-struct EpochStats {
-    double mean_loss = 0.0;
-    std::vector<double> exit_accuracy;  // on the training batch stream
-};
-
-/// Train graph on (images, labels); returns per-epoch stats.
-std::vector<EpochStats> train_multi_exit(ExitGraph& graph,
-                                         const std::vector<Tensor>& images,
-                                         const std::vector<int>& labels,
-                                         const TrainConfig& config);
-
-/// Per-exit top-1 accuracy on an evaluation set.
-std::vector<double> evaluate_exits(ExitGraph& graph,
-                                   const std::vector<Tensor>& images,
-                                   const std::vector<int>& labels);
 
 }  // namespace imx::nn
 

@@ -14,8 +14,7 @@ Mlp::Mlp(const std::vector<int>& dims, OutputActivation out_act,
     : dims_(dims), out_act_(out_act) {
     IMX_EXPECTS(dims.size() >= 2);
     for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-        auto linear = std::make_unique<nn::Linear>(
-            dims[i], dims[i + 1], "fc" + std::to_string(i), rng);
+        auto linear = std::make_unique<nn::Linear>(dims[i], dims[i + 1], rng);
         linears_.push_back(linear.get());
         params_.push_back(&linear->weight());
         params_.push_back(&linear->bias());

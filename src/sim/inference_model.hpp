@@ -1,8 +1,8 @@
 // What the simulator needs to know about a deployed network: per-exit cost
 // and, per (event, exit), whether the classification is correct and how
 // confident the exit's softmax is. Implementations: an oracle calibrated to
-// paper accuracies (core/), a real ExitGraph on real images (core/), and the
-// fixed-cost single-exit baselines (baselines/).
+// paper accuracies (core/) and the fixed-cost single-exit baselines
+// (baselines/).
 #ifndef IMX_SIM_INFERENCE_MODEL_HPP
 #define IMX_SIM_INFERENCE_MODEL_HPP
 

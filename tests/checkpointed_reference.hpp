@@ -12,7 +12,8 @@
 //    dropped;
 //  * a run-level power state with hysteresis: the device powers on once the
 //    level reaches on_threshold_mj, paying the wakeup energy each time, and
-//    powers off at off_threshold_mj or when a step's work is unaffordable;
+//    powers off at kReferenceOffThresholdMj or when a step's work is
+//    unaffordable;
 //  * a powered step computes min(remaining, mmacs_per_second * 1e6 * dt)
 //    MACs and pays their compute plus checkpoint_count(MACs) FRAM writes,
 //    so progress survives every power-off;
@@ -36,6 +37,11 @@
 #include "util/contracts.hpp"
 
 namespace imx::test {
+
+/// The loop's power-off level: 0.02 mJ, the off threshold the canonical
+/// paper storage configuration carried when the loop was retired. The
+/// simulator has no power-off level of its own.
+inline constexpr double kReferenceOffThresholdMj = 0.02;
 
 /// Runs `events` through the historical checkpointed loop. Covers what the
 /// baseline grids use: a single-exit model and no request queue. `config`'s
@@ -103,7 +109,9 @@ inline sim::SimResult run_checkpointed_reference(
                 job.energy_spent_mj += config.mcu.wakeup_energy_mj;
             }
         }
-        if (powered && storage.must_turn_off()) powered = false;
+        if (powered && storage.level() <= kReferenceOffThresholdMj) {
+            powered = false;
+        }
         if (!powered) continue;
 
         const std::int64_t step_macs = std::min(job.macs_left, step_max_macs);

@@ -199,15 +199,21 @@ TEST(Storage, ThresholdHysteresis) {
     energy::StorageConfig cfg;
     cfg.capacity_mj = 2.0;
     cfg.on_threshold_mj = 1.0;
-    cfg.off_threshold_mj = 0.2;
+    cfg.death_threshold_mj = 0.2;
     cfg.initial_mj = 0.5;
     energy::EnergyStorage s(cfg);
     EXPECT_FALSE(s.can_turn_on());
-    EXPECT_FALSE(s.must_turn_off());
+    EXPECT_FALSE(s.below_death_threshold());
     s.reset(1.5);
     EXPECT_TRUE(s.can_turn_on());
+    EXPECT_FALSE(s.below_death_threshold());
+    s.reset(1.0);
+    EXPECT_TRUE(s.can_turn_on());  // the on threshold is inclusive
+    s.reset(0.2);
+    EXPECT_FALSE(s.below_death_threshold());  // the death threshold is strict
     s.reset(0.1);
-    EXPECT_TRUE(s.must_turn_off());
+    EXPECT_FALSE(s.can_turn_on());
+    EXPECT_TRUE(s.below_death_threshold());
 }
 
 TEST(Storage, RandomScheduleNeverViolatesInvariants) {

@@ -2,9 +2,11 @@
 // experiment registry (including the grids compiled in from the shipped
 // spec files), the shipped unregistered spec files, malformed-spec
 // diagnostics, positional-argument errors, the --base-seed / --replicas
-// resolution rules, and the coverage of the --quick stdout goldens.
+// resolution rules, the rejection of bad --replicas / --threads counts, and
+// the coverage of the --quick stdout goldens.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -464,6 +466,37 @@ TEST(OptionResolution, SpecDefaultsYieldToExplicitCliFlags) {
     resolved = exp::resolve_options(spec, cli);
     EXPECT_EQ(resolved.replicas, 1);
     EXPECT_EQ(resolved.base_seed, 7u);
+}
+
+/// parse_sweep_cli on `imx_sweep fig5-iepmj <args...>`.
+exp::SweepCli parse_cli(std::vector<std::string> args) {
+    args.insert(args.begin(), {"imx_sweep", "fig5-iepmj"});
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    return exp::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(SweepCliDeathTest, ReplicaCountsBelowOneExitWithUsageError) {
+    EXPECT_EXIT((void)parse_cli({"--replicas", "0"}),
+                testing::ExitedWithCode(2),
+                "error: --replicas must be >= 1, got 0");
+    EXPECT_EXIT((void)parse_cli({"--replicas", "-1"}),
+                testing::ExitedWithCode(2),
+                "error: --replicas must be >= 1, got -1");
+}
+
+TEST(SweepCliDeathTest, NegativeThreadCountsExitWithUsageError) {
+    EXPECT_EXIT((void)parse_cli({"--threads", "-2"}),
+                testing::ExitedWithCode(2),
+                "error: --threads must be >= 0 \\(0 = all cores\\), got -2");
+    EXPECT_EXIT((void)parse_cli({"--threads", "-1"}),
+                testing::ExitedWithCode(2), "got -1");
+}
+
+TEST(SweepCliDeathTest, ZeroThreadsStillMeansAllCores) {
+    // Parsed in a child, so a regression exits it rather than the suite.
+    EXPECT_EXIT(std::exit(parse_cli({"--threads", "0"}).threads),
+                testing::ExitedWithCode(0), "");
 }
 
 TEST(BaseSeed, ReRollsEveryStreamAndDefaultsToTheHistoricalSeed) {

@@ -1,9 +1,8 @@
-// Tests for the exp:: scenario-sweep engine: thread pool, seed derivation,
+// Tests for the exp:: scenario-sweep engine: seed derivation,
 // parallel runner determinism (1 vs N threads bitwise identical), replica
 // aggregation statistics, grid composition, and edge cases.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 #include "exp/paper_scenarios.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
-#include "exp/thread_pool.hpp"
 #include "scratch_dir.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -22,33 +20,6 @@
 namespace {
 
 using namespace imx;
-
-// --- ThreadPool -----------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-    exp::ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-    exp::ThreadPool pool(2);
-    pool.wait_idle();  // must not deadlock
-    EXPECT_EQ(pool.num_threads(), 2u);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-    exp::ThreadPool pool(0);
-    EXPECT_EQ(pool.num_threads(), 1u);
-    std::atomic<int> counter{0};
-    pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 1);
-}
 
 // --- Seed derivation ------------------------------------------------------
 

@@ -1,17 +1,14 @@
-// End-to-end integration tests: the full paper pipeline (setup -> deploy ->
-// simulate -> metrics), headline orderings, reproducibility, and the
-// real-network uniform-vs-nonuniform direction check.
+// End-to-end integration tests: the canonical experiment setup and the full
+// paper pipeline (setup -> deploy -> simulate -> metrics), headline
+// orderings and reproducibility.
 #include <gtest/gtest.h>
 
 #include "baselines/baseline_models.hpp"
-#include "compress/surgery.hpp"
 #include "core/accuracy_model.hpp"
 #include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
 #include "core/oracle_model.hpp"
 #include "sim/policies/qlearning.hpp"
-#include "data/synth_cifar.hpp"
-#include "nn/train.hpp"
 #include "sim/arrivals/registry.hpp"
 #include "sim/policies/greedy.hpp"
 #include "sim/simulator.hpp"
@@ -33,6 +30,29 @@ sim::SimResult run_baseline(const core::ExperimentSetup& setup,
     baselines::CommitAtPickupPolicy policy;
     sim::Simulator simulator(setup.trace, setup.checkpointed_sim);
     return simulator.run(setup.events, model, policy);
+}
+
+TEST(ExperimentSetup, CarriesThePaperBudget) {
+    const auto setup = core::make_paper_setup();
+    EXPECT_NEAR(setup.trace.total_energy(), 281.5, 0.1);
+    EXPECT_EQ(setup.events.size(), 500u);
+    EXPECT_NEAR(setup.trace.duration(), 13000.0, 5.0);
+    // Deployed policy fits the MCU flash target.
+    EXPECT_LE(compress::model_bytes(setup.network, setup.deployed_policy),
+              core::kSizeTargetBytes);
+    // Oracle accuracy is monotone across exits for the reference policy.
+    EXPECT_LT(setup.exit_accuracy[0], setup.exit_accuracy[1]);
+    EXPECT_LT(setup.exit_accuracy[1], setup.exit_accuracy[2]);
+}
+
+TEST(ExperimentSetup, SimConfigsShareEnvironmentDifferInMode) {
+    const auto setup = core::make_paper_setup();
+    EXPECT_FALSE(setup.multi_exit_sim.recovery.enabled);
+    EXPECT_TRUE(setup.checkpointed_sim.recovery.enabled);
+    EXPECT_EQ(setup.multi_exit_sim.storage.capacity_mj,
+              setup.checkpointed_sim.storage.capacity_mj);
+    EXPECT_EQ(setup.multi_exit_sim.mcu.energy_per_mmac_mj,
+              setup.checkpointed_sim.mcu.energy_per_mmac_mj);
 }
 
 TEST(Integration, EventAccountingAndFeasibilityInvariants) {
@@ -168,61 +188,6 @@ TEST(Integration, IncrementalInferenceRescuesLowConfidenceEvents) {
     int multi_hop = 0;
     for (const auto& rec : with_inc.records) multi_hop += rec.hops > 1 ? 1 : 0;
     EXPECT_GT(multi_hop, 0);
-}
-
-TEST(Integration, RealNetworkNonuniformPreservesEarlyExitsBetter) {
-    // Train the tiny multi-exit network on SynthCIFAR, then compress two
-    // clones to comparable budgets: uniformly vs nonuniformly (shallow-light,
-    // deep-heavy, big-FC binarized). The nonuniform variant must keep more
-    // exit-1 accuracy — the real-network analogue of Fig. 1b's direction.
-    util::Rng rng(1234);
-    nn::ExitGraph graph = core::build_tiny_graph(rng);
-    data::SynthCifarConfig dcfg;
-    dcfg.num_samples = 500;
-    dcfg.height = 16;
-    dcfg.width = 16;
-    dcfg.noise_level = 0.08;
-    dcfg.seed = 77;
-    const auto ds = data::make_synth_cifar(dcfg);
-    const auto [train, test] = data::split(ds, 0.3, 5);
-
-    nn::TrainConfig tcfg;
-    tcfg.epochs = 4;
-    tcfg.batch_size = 16;
-    tcfg.lr = 0.03F;
-    (void)nn::train_multi_exit(graph, train.images, train.labels, tcfg);
-    const auto base_acc = nn::evaluate_exits(graph, test.images, test.labels);
-    ASSERT_GT(base_acc[0], 0.2);  // learned something at exit 1
-
-    const auto desc = core::make_tiny_network_desc();
-
-    nn::ExitGraph uniform_net = graph.clone();
-    compress::Policy uniform =
-        compress::Policy::uniform(desc.num_layers(), 0.5, 2, 8);
-    compress::apply_policy(uniform_net, desc, uniform);
-
-    nn::ExitGraph nonuniform_net = graph.clone();
-    compress::Policy nonuniform = uniform;
-    const char* shallow[] = {"Conv1", "ConvB1", "FC-B1"};
-    for (const char* name : shallow) {
-        auto& lp = nonuniform[static_cast<std::size_t>(desc.layer_index(name))];
-        lp.preserve_ratio = 0.95;
-        lp.weight_bits = 8;
-    }
-    const char* deep[] = {"Conv3", "Conv4"};
-    for (const char* name : deep) {
-        auto& lp = nonuniform[static_cast<std::size_t>(desc.layer_index(name))];
-        lp.preserve_ratio = 0.35;
-    }
-    compress::apply_policy(nonuniform_net, desc, nonuniform);
-
-    const auto uni_acc =
-        nn::evaluate_exits(uniform_net, test.images, test.labels);
-    const auto non_acc =
-        nn::evaluate_exits(nonuniform_net, test.images, test.labels);
-    // Direction check on the early exit (generous margin; small nets are
-    // noisy but the seeds are fixed so this is deterministic).
-    EXPECT_GE(non_acc[0], uni_acc[0]);
 }
 
 }  // namespace

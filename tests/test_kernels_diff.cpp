@@ -1,13 +1,13 @@
-// Differential kernel harness: sweeps randomized conv/gemm shapes,
-// paddings, and pruning patterns through both dispatch backends and pins
-// their agreement to the documented numeric contract (docs/kernels.md):
-//   * conv2d_forward and bias_act: bitwise identical scalar vs AVX2;
+// Differential kernel harness: sweeps randomized gemm shapes and zero
+// patterns through both dispatch backends and pins their agreement to the
+// documented numeric contract (docs/kernels.md):
+//   * bias_act: bitwise identical scalar vs AVX2;
 //   * gemm: <= kGemmUlpBound ULPs at the reduction magnitude;
-//   * conv2d_backward / gemm_backward: <= kBackwardUlpBound ULPs at the
-//     reduction magnitude (the magnitude is sum(|terms|), recovered by
-//     running the scalar kernel on the absolute values of its inputs);
-// plus transplant proofs that the layer classes under forced-scalar
-// dispatch reproduce the historical loop results bit for bit.
+//   * gemm_backward: <= kBackwardUlpBound ULPs at the reduction magnitude
+//     (the magnitude is sum(|terms|), recovered by running the scalar
+//     kernel on the absolute values of its inputs);
+// plus a transplant proof that Linear under forced-scalar dispatch
+// reproduces the historical loop results bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <cstring>
 #include <vector>
 
-#include "nn/conv2d.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/linear.hpp"
 #include "util/rng.hpp"
@@ -24,7 +23,6 @@
 namespace {
 
 using namespace imx;
-using nn::kernels::Conv2dGeom;
 
 bool avx2_available() {
     return nn::kernels::avx2_kernels_compiled() &&
@@ -87,74 +85,6 @@ void fill_random(std::vector<float>& v, util::Rng& rng, double zero_prob) {
     }
 }
 
-/// Zero whole input channels of a conv weight tensor, mimicking what the
-/// pruning module leaves behind and exercising the zero-product paths.
-void prune_channels(std::vector<float>& w, const Conv2dGeom& g,
-                    util::Rng& rng) {
-    for (int ic = 0; ic < g.in_channels; ++ic) {
-        if (rng.uniform(0.0, 1.0) > 0.3) continue;
-        for (int oc = 0; oc < g.out_channels; ++oc) {
-            for (int k = 0; k < g.kernel * g.kernel; ++k) {
-                const std::size_t idx =
-                    (static_cast<std::size_t>(oc) * g.in_channels + ic) *
-                        g.kernel * g.kernel +
-                    static_cast<std::size_t>(k);
-                w[idx] = 0.0F;
-            }
-        }
-    }
-}
-
-Conv2dGeom random_geom(util::Rng& rng) {
-    Conv2dGeom g;
-    g.in_channels = rng.uniform_int(1, 5);
-    g.out_channels = rng.uniform_int(1, 5);
-    g.kernel = 2 * rng.uniform_int(0, 2) + 1;  // 1, 3, 5
-    g.padding = rng.uniform_int(0, 2);
-    // Heights/widths chosen so the vector body, its tail, and tiny
-    // all-tail outputs are all exercised (out_w from 1 to ~18).
-    do {
-        g.in_h = rng.uniform_int(g.kernel, 14);
-        g.in_w = rng.uniform_int(g.kernel, 18);
-    } while (g.out_h() <= 0 || g.out_w() <= 0);
-    return g;
-}
-
-TEST(KernelsDiff, Conv2dForwardScalarVsAvx2Bitwise) {
-    if (!avx2_available()) GTEST_SKIP() << "AVX2 unavailable";
-    BackendGuard guard;
-    util::Rng rng(0xc0411f0d);
-    for (int trial = 0; trial < 60; ++trial) {
-        const Conv2dGeom g = random_geom(rng);
-        std::vector<float> in(static_cast<std::size_t>(g.in_channels) *
-                              g.in_h * g.in_w);
-        std::vector<float> w(static_cast<std::size_t>(g.out_channels) *
-                             g.in_channels * g.kernel * g.kernel);
-        std::vector<float> b(static_cast<std::size_t>(g.out_channels));
-        fill_random(in, rng, 0.2);
-        fill_random(w, rng, 0.1);
-        fill_random(b, rng, 0.3);
-        prune_channels(w, g, rng);
-
-        const std::size_t out_n = static_cast<std::size_t>(g.out_channels) *
-                                  g.out_h() * g.out_w();
-        std::vector<float> out_scalar(out_n);
-        std::vector<float> out_avx2(out_n);
-        nn::kernels::force_backend(nn::kernels::Backend::kScalar);
-        nn::kernels::conv2d_forward(g, in.data(), w.data(), b.data(),
-                                    out_scalar.data());
-        nn::kernels::force_backend(nn::kernels::Backend::kAvx2);
-        nn::kernels::conv2d_forward(g, in.data(), w.data(), b.data(),
-                                    out_avx2.data());
-
-        for (std::size_t i = 0; i < out_n; ++i) {
-            ASSERT_EQ(float_bits(out_scalar[i]), float_bits(out_avx2[i]))
-                << "trial " << trial << " element " << i << ": "
-                << out_scalar[i] << " vs " << out_avx2[i];
-        }
-    }
-}
-
 TEST(KernelsDiff, GemmScalarVsAvx2WithinUlpBound) {
     if (!avx2_available()) GTEST_SKIP() << "AVX2 unavailable";
     BackendGuard guard;
@@ -189,73 +119,6 @@ TEST(KernelsDiff, GemmScalarVsAvx2WithinUlpBound) {
             EXPECT_TRUE(reduction_close(y_scalar[ri], y_avx2[ri], y_mag[ri],
                                         nn::kernels::kGemmUlpBound))
                 << "trial " << trial << " row " << r;
-        }
-    }
-}
-
-TEST(KernelsDiff, Conv2dBackwardScalarVsAvx2WithinUlpBound) {
-    if (!avx2_available()) GTEST_SKIP() << "AVX2 unavailable";
-    BackendGuard guard;
-    util::Rng rng(0xbac4a2d);
-    for (int trial = 0; trial < 40; ++trial) {
-        const Conv2dGeom g = random_geom(rng);
-        const std::size_t in_n =
-            static_cast<std::size_t>(g.in_channels) * g.in_h * g.in_w;
-        const std::size_t w_n = static_cast<std::size_t>(g.out_channels) *
-                                g.in_channels * g.kernel * g.kernel;
-        const std::size_t out_n = static_cast<std::size_t>(g.out_channels) *
-                                  g.out_h() * g.out_w();
-        std::vector<float> in(in_n);
-        std::vector<float> w(w_n);
-        std::vector<float> gout(out_n);
-        fill_random(in, rng, 0.2);
-        fill_random(w, rng, 0.1);
-        // Plenty of exact zeros: the scalar backend short-circuits go == 0.
-        fill_random(gout, rng, 0.4);
-
-        std::vector<float> gin_s(in_n);
-        std::vector<float> gw_s(w_n, 0.5F);  // nonzero: backward accumulates
-        std::vector<float> gb_s(static_cast<std::size_t>(g.out_channels),
-                                0.25F);
-        std::vector<float> gin_v(in_n);
-        std::vector<float> gw_v(w_n, 0.5F);
-        std::vector<float> gb_v(static_cast<std::size_t>(g.out_channels),
-                                0.25F);
-
-        nn::kernels::force_backend(nn::kernels::Backend::kScalar);
-        nn::kernels::conv2d_backward(g, in.data(), w.data(), gout.data(),
-                                     gin_s.data(), gw_s.data(), gb_s.data());
-        // Reduction magnitudes: the same scalar kernel on |inputs| yields
-        // sum(|terms|) for every grad element (the pre-seeds are positive).
-        std::vector<float> gin_m(in_n);
-        std::vector<float> gw_m(w_n, 0.5F);
-        std::vector<float> gb_m(static_cast<std::size_t>(g.out_channels),
-                                0.25F);
-        const std::vector<float> in_abs = abs_of(in);
-        const std::vector<float> w_abs = abs_of(w);
-        const std::vector<float> gout_abs = abs_of(gout);
-        nn::kernels::conv2d_backward(g, in_abs.data(), w_abs.data(),
-                                     gout_abs.data(), gin_m.data(),
-                                     gw_m.data(), gb_m.data());
-        nn::kernels::force_backend(nn::kernels::Backend::kAvx2);
-        nn::kernels::conv2d_backward(g, in.data(), w.data(), gout.data(),
-                                     gin_v.data(), gw_v.data(), gb_v.data());
-
-        for (std::size_t i = 0; i < in_n; ++i) {
-            ASSERT_TRUE(reduction_close(gin_s[i], gin_v[i], gin_m[i],
-                                        nn::kernels::kBackwardUlpBound))
-                << "grad_input, trial " << trial << " element " << i;
-        }
-        for (std::size_t i = 0; i < w_n; ++i) {
-            ASSERT_TRUE(reduction_close(gw_s[i], gw_v[i], gw_m[i],
-                                        nn::kernels::kBackwardUlpBound))
-                << "grad_weight, trial " << trial << " element " << i;
-        }
-        for (int oc = 0; oc < g.out_channels; ++oc) {
-            const auto oci = static_cast<std::size_t>(oc);
-            ASSERT_TRUE(reduction_close(gb_s[oci], gb_v[oci], gb_m[oci],
-                                        nn::kernels::kBackwardUlpBound))
-                << "grad_bias, trial " << trial << " channel " << oc;
         }
     }
 }
@@ -343,57 +206,8 @@ TEST(KernelsDiff, BiasActScalarVsAvx2Bitwise) {
     }
 }
 
-/// Transplant proof: under forced-scalar dispatch the Conv2d layer matches a
-/// from-first-principles reimplementation of the historical loop bit for bit
-/// (same tap order, same out-of-range skips).
-TEST(KernelsDiff, Conv2dLayerScalarMatchesHistoricalLoopBitwise) {
-    BackendGuard guard;
-    nn::kernels::force_backend(nn::kernels::Backend::kScalar);
-    util::Rng rng(0x11a7e6);
-    for (int trial = 0; trial < 10; ++trial) {
-        const int in_c = rng.uniform_int(1, 4);
-        const int out_c = rng.uniform_int(1, 4);
-        const int kernel = 3;
-        const int padding = rng.uniform_int(0, 1);
-        const int h = rng.uniform_int(4, 10);
-        const int w = rng.uniform_int(4, 10);
-        util::Rng init(static_cast<std::uint64_t>(trial) + 77);
-        nn::Conv2d conv(in_c, out_c, kernel, padding, "c", init);
-
-        nn::Tensor x({in_c, h, w});
-        for (std::int64_t i = 0; i < x.numel(); ++i) {
-            x[i] = static_cast<float>(rng.normal());
-        }
-        const nn::Tensor got = conv.forward(x);
-
-        const int oh = h + 2 * padding - kernel + 1;
-        const int ow = w + 2 * padding - kernel + 1;
-        for (int oc = 0; oc < out_c; ++oc) {
-            for (int oy = 0; oy < oh; ++oy) {
-                for (int ox = 0; ox < ow; ++ox) {
-                    float acc = conv.bias()[oc];
-                    for (int ic = 0; ic < in_c; ++ic) {
-                        for (int ky = 0; ky < kernel; ++ky) {
-                            const int iy = oy + ky - padding;
-                            if (iy < 0 || iy >= h) continue;
-                            for (int kx = 0; kx < kernel; ++kx) {
-                                const int ix = ox + kx - padding;
-                                if (ix < 0 || ix >= w) continue;
-                                acc += conv.weight().at(oc, ic, ky, kx) *
-                                       x.at(ic, iy, ix);
-                            }
-                        }
-                    }
-                    ASSERT_EQ(float_bits(got.at(oc, oy, ox)), float_bits(acc))
-                        << "trial " << trial << " (" << oc << "," << oy << ","
-                        << ox << ")";
-                }
-            }
-        }
-    }
-}
-
-/// Same transplant proof for Linear under forced-scalar dispatch.
+/// Transplant proof: under forced-scalar dispatch the Linear layer matches a
+/// from-first-principles reimplementation of the historical loop bit for bit.
 TEST(KernelsDiff, LinearLayerScalarMatchesHistoricalLoopBitwise) {
     BackendGuard guard;
     nn::kernels::force_backend(nn::kernels::Backend::kScalar);
@@ -402,7 +216,7 @@ TEST(KernelsDiff, LinearLayerScalarMatchesHistoricalLoopBitwise) {
         const int in_f = rng.uniform_int(1, 64);
         const int out_f = rng.uniform_int(1, 16);
         util::Rng init(static_cast<std::uint64_t>(trial) + 99);
-        nn::Linear fc(in_f, out_f, "fc", init);
+        nn::Linear fc(in_f, out_f, init);
         nn::Tensor x({in_f});
         for (std::int64_t i = 0; i < x.numel(); ++i) {
             x[i] = static_cast<float>(rng.normal());
@@ -413,74 +227,6 @@ TEST(KernelsDiff, LinearLayerScalarMatchesHistoricalLoopBitwise) {
             for (int c = 0; c < in_f; ++c) acc += fc.weight().at2(r, c) * x[c];
             ASSERT_EQ(float_bits(got[r]), float_bits(acc))
                 << "trial " << trial << " row " << r;
-        }
-    }
-}
-
-/// Layer-level agreement: a full forward/backward through Conv2d under both
-/// backends stays within the backward ULP bound (forward is bitwise).
-TEST(KernelsDiff, Conv2dLayerForwardBackwardAcrossBackends) {
-    if (!avx2_available()) GTEST_SKIP() << "AVX2 unavailable";
-    BackendGuard guard;
-    util::Rng data_rng(0x1a7e6);
-    for (const auto backend :
-         {nn::kernels::Backend::kScalar, nn::kernels::Backend::kAvx2}) {
-        nn::kernels::force_backend(backend);
-        util::Rng init(123);
-        nn::Conv2d conv(3, 5, 3, 1, "c", init);
-        nn::Tensor x({3, 9, 11});
-        util::Rng xr(456);
-        for (std::int64_t i = 0; i < x.numel(); ++i) {
-            x[i] = static_cast<float>(xr.normal());
-        }
-        const nn::Tensor y = conv.forward(x);
-        nn::Tensor g(y.shape());
-        util::Rng gr(789);
-        for (std::int64_t i = 0; i < g.numel(); ++i) {
-            g[i] = gr.uniform(0.0, 1.0) < 0.4
-                       ? 0.0F
-                       : static_cast<float>(gr.normal());
-        }
-        const nn::Tensor gin = conv.backward(g);
-        static nn::Tensor y_ref, gin_ref;
-        static std::vector<float> gin_mag;
-        if (backend == nn::kernels::Backend::kScalar) {
-            y_ref = y;
-            gin_ref = gin;
-            // Reduction magnitudes for gin via the scalar kernel on
-            // |inputs| (still forced-scalar here).
-            Conv2dGeom geom;
-            geom.in_channels = 3;
-            geom.out_channels = 5;
-            geom.kernel = 3;
-            geom.padding = 1;
-            geom.in_h = 9;
-            geom.in_w = 11;
-            std::vector<float> x_abs(x.data(), x.data() + x.numel());
-            std::vector<float> w_abs(
-                conv.weight().data(),
-                conv.weight().data() + conv.weight().numel());
-            std::vector<float> g_abs(g.data(), g.data() + g.numel());
-            for (float& v : x_abs) v = std::fabs(v);
-            for (float& v : w_abs) v = std::fabs(v);
-            for (float& v : g_abs) v = std::fabs(v);
-            gin_mag.assign(static_cast<std::size_t>(x.numel()), 0.0F);
-            std::vector<float> gw_m(w_abs.size(), 0.0F);
-            std::vector<float> gb_m(5, 0.0F);
-            nn::kernels::conv2d_backward(geom, x_abs.data(), w_abs.data(),
-                                         g_abs.data(), gin_mag.data(),
-                                         gw_m.data(), gb_m.data());
-        } else {
-            for (std::int64_t i = 0; i < y.numel(); ++i) {
-                ASSERT_EQ(float_bits(y_ref[i]), float_bits(y[i])) << i;
-            }
-            for (std::int64_t i = 0; i < gin.numel(); ++i) {
-                ASSERT_TRUE(reduction_close(
-                    gin_ref[i], gin[i],
-                    gin_mag[static_cast<std::size_t>(i)],
-                    nn::kernels::kBackwardUlpBound))
-                    << i;
-            }
         }
     }
 }

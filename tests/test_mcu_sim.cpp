@@ -168,7 +168,6 @@ sim::SimConfig abundant_config() {
     cfg.storage.capacity_mj = 100.0;
     cfg.storage.initial_mj = 100.0;
     cfg.storage.on_threshold_mj = 0.1;
-    cfg.storage.off_threshold_mj = 0.01;
     cfg.storage.leakage_mw = 0.0;
     cfg.mcu.mmacs_per_second = 10.0;  // fast compute
     return cfg;
@@ -246,7 +245,6 @@ TEST(Simulator, CheckpointedModeCompletesAcrossPowerCycles) {
     cfg.storage.capacity_mj = 1.0;
     cfg.storage.initial_mj = 0.0;
     cfg.storage.on_threshold_mj = 0.3;
-    cfg.storage.off_threshold_mj = 0.01;
     cfg.storage.efficiency_max = 1.0;
     cfg.storage.efficiency_half_power_mw = 0.0;
     cfg.mcu.mmacs_per_second = 0.2;

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "nn/basic_layers.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/tensor.hpp"
 #include "util/contracts.hpp"
@@ -152,94 +151,9 @@ Tensor random_tensor(nn::Shape shape, std::uint64_t seed, float lo = -1.0F,
 
 // ---------------------------------------------------------------------------
 
-TEST(Conv2dTest, KnownValueSingleChannel) {
-    util::Rng rng(1);
-    nn::Conv2d conv(1, 1, 2, 0, "c", rng);
-    // weight = [[1, 2], [3, 4]], bias = 0.5
-    conv.weight().at(0, 0, 0, 0) = 1.0F;
-    conv.weight().at(0, 0, 0, 1) = 2.0F;
-    conv.weight().at(0, 0, 1, 0) = 3.0F;
-    conv.weight().at(0, 0, 1, 1) = 4.0F;
-    conv.bias()[0] = 0.5F;
-    Tensor x({1, 2, 2});
-    x.at(0, 0, 0) = 1.0F;
-    x.at(0, 0, 1) = 2.0F;
-    x.at(0, 1, 0) = 3.0F;
-    x.at(0, 1, 1) = 4.0F;
-    const Tensor y = conv.forward(x);
-    ASSERT_EQ(y.shape(), (nn::Shape{1, 1, 1}));
-    EXPECT_NEAR(y[0], 1 + 4 + 9 + 16 + 0.5, 1e-5);
-}
-
-TEST(Conv2dTest, OutputShapeWithPadding) {
-    util::Rng rng(2);
-    nn::Conv2d conv(3, 8, 5, 2, "c", rng);
-    EXPECT_EQ(conv.output_shape({3, 14, 14}), (nn::Shape{8, 14, 14}));
-    EXPECT_EQ(conv.macs({3, 14, 14}), 8LL * 14 * 14 * 3 * 25);
-    EXPECT_EQ(conv.param_count(), 8LL * 3 * 25 + 8);
-}
-
-TEST(Conv2dTest, GradientCheckNoPadding) {
-    util::Rng rng(3);
-    nn::Conv2d conv(2, 3, 3, 0, "c", rng);
-    const Tensor x = random_tensor({2, 5, 5}, 10);
-    check_input_gradient(conv, x);
-    check_param_gradients(conv, x);
-}
-
-TEST(Conv2dTest, GradientCheckWithPadding) {
-    util::Rng rng(4);
-    nn::Conv2d conv(2, 2, 3, 1, "c", rng);
-    const Tensor x = random_tensor({2, 4, 4}, 11);
-    check_input_gradient(conv, x);
-    check_param_gradients(conv, x);
-}
-
-TEST(Conv2dTest, ImportanceMatchesManualL1) {
-    util::Rng rng(5);
-    nn::Conv2d conv(2, 2, 1, 0, "c", rng);
-    conv.weight().at(0, 0, 0, 0) = 1.0F;
-    conv.weight().at(0, 1, 0, 0) = -2.0F;
-    conv.weight().at(1, 0, 0, 0) = 3.0F;
-    conv.weight().at(1, 1, 0, 0) = -4.0F;
-    const auto imp = conv.input_channel_importance();
-    EXPECT_NEAR(imp[0], 4.0, 1e-9);
-    EXPECT_NEAR(imp[1], 6.0, 1e-9);
-}
-
-TEST(Conv2dTest, PruneInputChannelsShrinksWeights) {
-    util::Rng rng(6);
-    nn::Conv2d conv(4, 3, 3, 1, "c", rng);
-    const float w_kept = conv.weight().at(1, 2, 0, 0);
-    conv.prune_input_channels({0, 2});
-    EXPECT_EQ(conv.in_channels(), 2);
-    EXPECT_EQ(conv.weight().shape(), (nn::Shape{3, 2, 3, 3}));
-    EXPECT_EQ(conv.weight().at(1, 1, 0, 0), w_kept);
-    const Tensor x = random_tensor({2, 4, 4}, 12);
-    EXPECT_NO_THROW(conv.forward(x));
-}
-
-TEST(Conv2dTest, PruneOutputChannelsShrinksBias) {
-    util::Rng rng(7);
-    nn::Conv2d conv(2, 4, 3, 1, "c", rng);
-    conv.bias()[3] = 9.0F;
-    conv.prune_output_channels({1, 3});
-    EXPECT_EQ(conv.out_channels(), 2);
-    EXPECT_EQ(conv.bias()[1], 9.0F);
-}
-
-TEST(Conv2dTest, PruneRejectsBadKeepLists) {
-    util::Rng rng(8);
-    nn::Conv2d conv(4, 4, 3, 1, "c", rng);
-    EXPECT_THROW(conv.prune_input_channels({}), util::ContractViolation);
-    EXPECT_THROW(conv.prune_input_channels({2, 1}), util::ContractViolation);
-    EXPECT_THROW(conv.prune_input_channels({0, 0}), util::ContractViolation);
-    EXPECT_THROW(conv.prune_input_channels({0, 4}), util::ContractViolation);
-}
-
 TEST(LinearTest, KnownValue) {
     util::Rng rng(9);
-    nn::Linear fc(2, 2, "fc", rng);
+    nn::Linear fc(2, 2, rng);
     fc.weight().at2(0, 0) = 1.0F;
     fc.weight().at2(0, 1) = 2.0F;
     fc.weight().at2(1, 0) = -1.0F;
@@ -254,21 +168,10 @@ TEST(LinearTest, KnownValue) {
 
 TEST(LinearTest, GradientCheck) {
     util::Rng rng(10);
-    nn::Linear fc(5, 4, "fc", rng);
+    nn::Linear fc(5, 4, rng);
     const Tensor x = random_tensor({5}, 13);
     check_input_gradient(fc, x);
     check_param_gradients(fc, x);
-}
-
-TEST(LinearTest, PruneInputsAndOutputs) {
-    util::Rng rng(11);
-    nn::Linear fc(6, 4, "fc", rng);
-    fc.prune_inputs({0, 1, 5});
-    EXPECT_EQ(fc.in_features(), 3);
-    fc.prune_outputs({2, 3});
-    EXPECT_EQ(fc.out_features(), 2);
-    const Tensor x = random_tensor({3}, 14);
-    EXPECT_EQ(fc.forward(x).numel(), 2);
 }
 
 TEST(ReluTest, MasksNegativesAndRoutesGradient) {
@@ -286,36 +189,6 @@ TEST(ReluTest, MasksNegativesAndRoutesGradient) {
     EXPECT_EQ(gx[3], 1.0F);
 }
 
-TEST(MaxPoolTest, SelectsMaxAndRoutesGradient) {
-    nn::MaxPool2d pool(2);
-    Tensor x({1, 2, 4}, {1.0F, 5.0F, 2.0F, 0.0F,  //
-                          3.0F, 4.0F, 8.0F, 7.0F});
-    const Tensor y = pool.forward(x);
-    ASSERT_EQ(y.shape(), (nn::Shape{1, 1, 2}));
-    EXPECT_EQ(y[0], 5.0F);
-    EXPECT_EQ(y[1], 8.0F);
-    Tensor g({1, 1, 2}, {1.0F, 2.0F});
-    const Tensor gx = pool.backward(g);
-    EXPECT_EQ(gx.at(0, 0, 1), 1.0F);  // argmax of first window
-    EXPECT_EQ(gx.at(0, 1, 2), 2.0F);  // argmax of second window
-    EXPECT_EQ(gx.at(0, 0, 0), 0.0F);
-}
-
-TEST(MaxPoolTest, FloorsOddDimensions) {
-    nn::MaxPool2d pool(2);
-    EXPECT_EQ(pool.output_shape({3, 7, 7}), (nn::Shape{3, 3, 3}));
-}
-
-TEST(FlattenTest, RoundTrip) {
-    nn::Flatten flatten;
-    const Tensor x = random_tensor({2, 3, 4}, 15);
-    const Tensor y = flatten.forward(x);
-    EXPECT_EQ(y.shape(), (nn::Shape{24}));
-    const Tensor gx = flatten.backward(y);
-    EXPECT_EQ(gx.shape(), x.shape());
-    EXPECT_EQ(gx[5], x[5]);
-}
-
 TEST(TanhTest, GradientCheck) {
     nn::Tanh tanh_layer;
     const Tensor x = random_tensor({6}, 16, -2.0F, 2.0F);
@@ -331,17 +204,6 @@ TEST(SigmoidTest, GradientCheckAndRange) {
         EXPECT_LT(y[i], 1.0F);
     }
     check_input_gradient(sig, x, 1e-2F);
-}
-
-TEST(LayerTest, CloneIsDeepCopy) {
-    util::Rng rng(20);
-    nn::Conv2d conv(2, 2, 3, 1, "orig", rng);
-    auto copy = conv.clone();
-    auto* conv_copy = dynamic_cast<nn::Conv2d*>(copy.get());
-    ASSERT_NE(conv_copy, nullptr);
-    conv_copy->weight().fill(0.0F);
-    EXPECT_GT(conv.weight().abs_max(), 0.0F);  // original untouched
-    EXPECT_EQ(copy->name(), "orig");
 }
 
 }  // namespace

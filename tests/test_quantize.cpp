@@ -1,12 +1,11 @@
 // Quantization tests: scale search, round-trip error vs bitwidth (property
-// sweeps), integer reference kernels vs float kernels.
+// sweeps), integer reference kernels vs float kernels, ActQuant behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
 
-#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/quantize.hpp"
 #include "util/rng.hpp"
@@ -23,6 +22,65 @@ Tensor random_weights(nn::Shape shape, std::uint64_t seed, float scale = 1.0F) {
         t[i] = static_cast<float>(rng.normal(0.0, scale));
     }
     return t;
+}
+
+/// Float stride-1 convolution with square zero padding: CHW input,
+/// [out, in, k, k] weights.
+Tensor float_conv2d(const Tensor& input, const Tensor& weight,
+                    const Tensor& bias, int padding) {
+    const int out_c = weight.dim(0);
+    const int in_c = weight.dim(1);
+    const int k = weight.dim(2);
+    const int h = input.dim(1);
+    const int w = input.dim(2);
+    const int oh = h + 2 * padding - k + 1;
+    const int ow = w + 2 * padding - k + 1;
+    Tensor out({out_c, oh, ow});
+    for (int oc = 0; oc < out_c; ++oc) {
+        for (int oy = 0; oy < oh; ++oy) {
+            for (int ox = 0; ox < ow; ++ox) {
+                float acc = bias[oc];
+                for (int ic = 0; ic < in_c; ++ic) {
+                    for (int ky = 0; ky < k; ++ky) {
+                        const int iy = oy + ky - padding;
+                        if (iy < 0 || iy >= h) continue;
+                        for (int kx = 0; kx < k; ++kx) {
+                            const int ix = ox + kx - padding;
+                            if (ix < 0 || ix >= w) continue;
+                            acc += weight.at(oc, ic, ky, kx) *
+                                   input.at(ic, iy, ix);
+                        }
+                    }
+                }
+                out.at(oc, oy, ox) = acc;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(ActQuant, PassThroughAt32Bits) {
+    nn::ActQuant aq(32);
+    nn::Tensor x({4}, {0.1F, 0.5F, 0.9F, 0.0F});
+    const nn::Tensor y = aq.forward(x);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(y[i], x[i]);
+}
+
+TEST(ActQuant, QuantizesToGrid) {
+    nn::ActQuant aq(2);  // levels {0, 1/3, 2/3, 1} * max
+    nn::Tensor x({4}, {0.1F, 0.5F, 0.9F, 1.0F});
+    const nn::Tensor y = aq.forward(x);
+    std::set<float> levels(y.storage().begin(), y.storage().end());
+    EXPECT_LE(levels.size(), 4u);
+}
+
+TEST(ActQuant, StraightThroughGradient) {
+    nn::ActQuant aq(4);
+    nn::Tensor x({3}, {0.2F, 0.4F, 0.6F});
+    (void)aq.forward(x);
+    nn::Tensor g({3}, {1.0F, 2.0F, 3.0F});
+    const nn::Tensor gx = aq.backward(g);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(gx[i], g[i]);
 }
 
 TEST(Quantize, CodesWithinSignedRange) {
@@ -129,13 +187,14 @@ class IntKernelBitSweep : public ::testing::TestWithParam<int> {};
 TEST_P(IntKernelBitSweep, IntConvTracksFloatConv) {
     const int bits = GetParam();
     util::Rng rng(8);
-    nn::Conv2d conv(3, 4, 3, 1, "c", rng);
+    const Tensor weight = Tensor::kaiming_uniform({4, 3, 3, 3}, 3 * 3 * 3, rng);
+    const Tensor bias = Tensor::zeros({4});
     Tensor x = random_weights({3, 6, 6}, 9);
     for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = std::fabs(x[i]);
 
-    const Tensor y_float = conv.forward(x);
-    const Tensor y_int = nn::int_conv2d_reference(x, conv.weight(), conv.bias(),
-                                                  1, bits, bits);
+    const Tensor y_float = float_conv2d(x, weight, bias, 1);
+    const Tensor y_int =
+        nn::int_conv2d_reference(x, weight, bias, 1, bits, bits);
     ASSERT_EQ(y_int.shape(), y_float.shape());
     double err = 0.0;
     double mag = 0.0;
@@ -151,7 +210,7 @@ TEST_P(IntKernelBitSweep, IntConvTracksFloatConv) {
 TEST_P(IntKernelBitSweep, IntLinearTracksFloatLinear) {
     const int bits = GetParam();
     util::Rng rng(10);
-    nn::Linear fc(32, 8, "fc", rng);
+    nn::Linear fc(32, 8, rng);
     Tensor x = random_weights({32}, 11);
     for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = std::fabs(x[i]);
 

@@ -147,7 +147,6 @@ sim::SimConfig exact_config(const sim::RecoveryConfig& recovery,
     cfg.storage.efficiency_max = 1.0;
     cfg.storage.efficiency_half_power_mw = 0.0;
     cfg.storage.on_threshold_mj = 0.03125;
-    cfg.storage.off_threshold_mj = 0.015625;
     cfg.storage.death_threshold_mj = death_threshold_mj;
     cfg.mcu.wakeup_energy_mj = 0.0;
     cfg.mcu.wakeup_time_s = 0.0;
