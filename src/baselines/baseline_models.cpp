@@ -83,7 +83,8 @@ FixedBaselineModel make_sparse_net(std::uint64_t seed, std::int64_t unit_macs) {
 FixedBaselineModel make_lenet_cifar(std::uint64_t seed,
                                     std::int64_t unit_macs) {
     // LeNet adapted to CIFAR-10: 74.7 % (paper V-C); 0.72 MFLOPs inferred
-    // from the paper's energy arithmetic (DESIGN.md calibration).
+    // from the paper's energy arithmetic (docs/reproducing-figures.md,
+    // Calibration).
     return FixedBaselineModel("LeNet-Cifar", 0.72, 74.7, 240.0, seed,
                               unit_macs);
 }

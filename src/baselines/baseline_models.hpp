@@ -5,7 +5,8 @@
 //  * SpArSeNet — output of the SpArSe NAS for MCUs [Fedorov et al.]:
 //    single exit, 11.4 MFLOPs, 82.7 %.
 //  * LeNet-Cifar — hand-adapted LeNet: single exit, 0.72 MFLOPs, 74.7 %
-//    (FLOPs inferred from the paper's Fig. 5/latency arithmetic, DESIGN.md).
+//    (FLOPs inferred from the paper's Fig. 5/latency arithmetic; see
+//    docs/reproducing-figures.md, Calibration).
 // All three run SONIC's checkpointed execution as simulator unit plans
 // (docs/recovery.md): step-sized units, each committing an NVM checkpoint.
 #ifndef IMX_BASELINES_BASELINE_MODELS_HPP

@@ -12,7 +12,8 @@ namespace imx::compress {
 /// Constraint set of paper Eq. 8. The FLOPs bound applies to the network's
 /// distinct-layer total (each layer counted once); the paper's own deployed
 /// policy (Fig. 6) is infeasible under the sum-over-exits reading, so the
-/// distinct-layer total is the consistent interpretation (see DESIGN.md).
+/// distinct-layer total is the consistent interpretation (see
+/// docs/reproducing-figures.md, Calibration).
 struct Constraints {
     double f_target_macs = 0.0;   ///< bound on total_macs
     double s_target_bytes = 0.0;  ///< bound on model_bytes

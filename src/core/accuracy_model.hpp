@@ -1,10 +1,11 @@
 // Calibrated per-exit accuracy oracle: maps a compression policy to the
 // accuracy of every exit (paper Eq. 6).
 //
-// Substitution rationale (DESIGN.md): the paper obtains Acc_i by fine-tuning
-// the compressed network on CIFAR-10 (hours of GPU time per candidate would
-// be needed to reproduce the raw number). The search and runtime algorithms
-// only consume the *map* policy -> accuracy, so we model it analytically:
+// Substitution rationale (docs/reproducing-figures.md, Calibration): the
+// paper obtains Acc_i by fine-tuning the compressed network on CIFAR-10
+// (hours of GPU time per candidate would be needed to reproduce the raw
+// number). The search and runtime algorithms only consume the *map*
+// policy -> accuracy, so we model it analytically:
 //
 //   Acc_i = chance + (base_i - chance) * prod_{l in path(i)}
 //             (1 - sp_l (1-alpha_l)^1.5) (1 - sq_l q(bw_l)) (1 - sa_l q(ba_l))

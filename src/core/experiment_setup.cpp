@@ -23,7 +23,6 @@ mcu::McuConfig paper_mcu_config() {
     mcu::McuConfig m;
     m.energy_per_mmac_mj = kEnergyPerMMacMj;  // paper: 1.5 mJ / MFLOP
     m.mmacs_per_second = 0.2;                 // ~10 s for SonicNet's 2 MFLOPs
-    m.flash_budget_bytes = kSizeTargetBytes;
     m.checkpoint_energy_mj = 0.008;
     m.macs_per_task = 50000;
     m.wakeup_energy_mj = 0.005;

@@ -1,6 +1,7 @@
 // Canonical experiment configuration shared by every figure bench:
 // the solar trace, the 500-event schedule, the storage/MCU models, and the
-// deployed (compressed) network. Calibration notes in DESIGN.md:
+// deployed (compressed) network. Calibration notes (also in
+// docs/reproducing-figures.md, Calibration):
 // the paper's Fig. 5 numbers imply E_total ~= 281.5 mJ of harvested energy
 // across the 500-event run (IEpmJ 0.89 at 50.1 % all-event accuracy), with
 // SonicNet saturating at ~93 processed events of ~3 mJ each. We reproduce

@@ -67,8 +67,8 @@ NetworkDesc make_desc_from_costs(
 }  // namespace
 
 compress::NetworkDesc make_paper_network_desc() {
-    // MAC/param table derived in DESIGN.md Sec. 3 (matches paper per-exit
-    // FLOPs within ~1 %).
+    // MAC/param table of docs/reproducing-figures.md, Calibration (matches
+    // the paper's per-exit FLOPs within ~1 %).
     return make_desc_from_costs(
         /*macs=*/{352800, 85536, 3960, 705600, 148176, 54180, 4300, 254016,
                   254016, 56160, 2600},

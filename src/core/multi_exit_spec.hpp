@@ -5,7 +5,7 @@
 //
 // This header describes the network analytically: a compress::NetworkDesc
 // whose per-exit MAC counts match the paper's 0.4452M / 1.2602M / 1.6202M
-// within ~1 % (see DESIGN.md).
+// within ~1 % (see docs/reproducing-figures.md, Calibration).
 #ifndef IMX_CORE_MULTI_EXIT_SPEC_HPP
 #define IMX_CORE_MULTI_EXIT_SPEC_HPP
 

@@ -8,11 +8,8 @@ namespace imx::core {
 
 StaticTraceEvaluator::StaticTraceEvaluator(
     const energy::PowerTrace& trace, const std::vector<sim::Event>& events,
-    const energy::StorageConfig& storage, double energy_per_mmac_mj,
-    double per_inference_overhead_mj)
-    : storage_(storage),
-      energy_per_mmac_mj_(energy_per_mmac_mj),
-      overhead_mj_(per_inference_overhead_mj) {
+    const energy::StorageConfig& storage, double energy_per_mmac_mj)
+    : storage_(storage), energy_per_mmac_mj_(energy_per_mmac_mj) {
     IMX_EXPECTS(energy_per_mmac_mj > 0.0);
     IMX_EXPECTS(std::is_sorted(events.begin(), events.end(),
                                [](const sim::Event& a, const sim::Event& b) {
@@ -47,9 +44,8 @@ TraceEvalResult StaticTraceEvaluator::evaluate(
 
     std::vector<double> cost_mj(m);
     for (std::size_t i = 0; i < m; ++i) {
-        cost_mj[i] = static_cast<double>(exit_macs[i]) / 1e6 *
-                         energy_per_mmac_mj_ +
-                     overhead_mj_;
+        cost_mj[i] =
+            static_cast<double>(exit_macs[i]) / 1e6 * energy_per_mmac_mj_;
     }
 
     TraceEvalResult result;

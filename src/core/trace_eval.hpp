@@ -36,8 +36,7 @@ public:
     StaticTraceEvaluator(const energy::PowerTrace& trace,
                          const std::vector<sim::Event>& events,
                          const energy::StorageConfig& storage,
-                         double energy_per_mmac_mj,
-                         double per_inference_overhead_mj = 0.0);
+                         double energy_per_mmac_mj);
 
     /// Evaluate a deployed configuration given per-exit MACs and accuracies
     /// (accuracy in percent). Vectors must have equal length m >= 1.
@@ -53,7 +52,6 @@ private:
     std::vector<double> inter_event_energy_mj_;
     energy::StorageConfig storage_;
     double energy_per_mmac_mj_;
-    double overhead_mj_;
 };
 
 }  // namespace imx::core

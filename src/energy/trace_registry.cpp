@@ -1,10 +1,8 @@
-// Thin wrapper over util::Registry<TraceSource>: the public free functions,
-// their error messages, and the registered-name listing are byte-identical
-// to the historical hand-rolled registry. The built-in source factories
-// themselves live here.
+// The built-in harvesting sources and their fixed util::Registry table.
 #include "energy/trace_registry.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +16,15 @@ namespace imx::energy {
 
 namespace {
 
+/// Builds the trace for one context + parameter map; validates `params`
+/// (unknown keys, bad values) with std::invalid_argument via
+/// TraceParamReader.
+using TraceSourceFactory =
+    std::function<PowerTrace(const TraceSourceContext&, const TraceParams&)>;
+
+/// One table row. `param_names` lets the spec parser reject unknown keys
+/// early with file:line diagnostics. `uses_context_duration` is false for
+/// file-backed sources, which take their length from the file.
 struct TraceSource {
     TraceSourceFactory factory;
     std::string description;
@@ -149,44 +156,34 @@ PowerTrace csv_source(const TraceSourceContext& ctx,
     }
 }
 
-/// The registry instance, seeded with built-ins on first use — no
-/// static-init-order or dead-translation-unit hazards.
-util::Registry<TraceSource>& registry() {
-    static util::Registry<TraceSource> instance("trace source");
-    static const bool seeded = [] {
-        instance.add(
-            "solar",
-            {solar_source,
-             "diurnal solar profile with OU cloud attenuation (paper setup)",
-             {"peak_power_mw", "sunrise_hour", "sunset_hour",
-              "envelope_exponent", "cloud_theta", "cloud_sigma",
-              "cloud_floor", "window"}});
-        instance.add(
-            "rf-bursty",
-            {rf_bursty_source,
-             "Markov-modulated on/off RF / base-station bursts",
-             {"burst_power_mw", "idle_power_mw", "mean_on_s", "mean_off_s",
-              "power_jitter"}});
-        instance.add(
-            "ou-wind",
-            {ou_wind_source,
-             "wind/thermal-style mean-reverting (OU) drift around a mean",
-             {"mean_power_mw", "reversion_rate", "sigma", "floor_mw"}});
-        instance.add("duty-cycle",
-                     {duty_cycle_source,
-                      "deterministic square wave (duty-cycled charger)",
-                      {"power_mw", "period_s", "duty"}});
-        instance.add("constant", {constant_source,
-                                  "flat income (no-variability control)",
-                                  {"power_mw"}});
-        instance.add("csv",
-                     {csv_source,
-                      "measured trace from a time_s,power_mw CSV file",
-                      {"path"},
-                      /*uses_context_duration=*/false});
-        return true;
-    }();
-    (void)seeded;
+/// The fixed table of built-in sources, built once on first use.
+const util::Registry<TraceSource>& registry() {
+    static const util::Registry<TraceSource> instance(
+        "trace source",
+        {{"solar",
+          {solar_source,
+           "diurnal solar profile with OU cloud attenuation (paper setup)",
+           {"peak_power_mw", "sunrise_hour", "sunset_hour",
+            "envelope_exponent", "cloud_theta", "cloud_sigma", "cloud_floor",
+            "window"}}},
+         {"rf-bursty",
+          {rf_bursty_source, "Markov-modulated on/off RF / base-station bursts",
+           {"burst_power_mw", "idle_power_mw", "mean_on_s", "mean_off_s",
+            "power_jitter"}}},
+         {"ou-wind",
+          {ou_wind_source,
+           "wind/thermal-style mean-reverting (OU) drift around a mean",
+           {"mean_power_mw", "reversion_rate", "sigma", "floor_mw"}}},
+         {"duty-cycle",
+          {duty_cycle_source, "deterministic square wave (duty-cycled charger)",
+           {"power_mw", "period_s", "duty"}}},
+         {"constant",
+          {constant_source, "flat income (no-variability control)",
+           {"power_mw"}}},
+         {"csv",
+          {csv_source, "measured trace from a time_s,power_mw CSV file",
+           {"path"},
+           /*uses_context_duration=*/false}}});
     return instance;
 }
 
@@ -197,21 +194,7 @@ PowerTrace make_trace(const std::string& source,
                       const TraceParams& params) {
     IMX_EXPECTS(context.duration_s > 0.0);
     IMX_EXPECTS(context.dt_s > 0.0);
-    const TraceSourceFactory factory =
-        registry().read(source, [](const TraceSource& entry) {
-            return entry.factory;
-        });
-    return factory(context, params);
-}
-
-void register_trace_source(const std::string& name,
-                           TraceSourceFactory factory,
-                           std::string description,
-                           std::vector<std::string> param_names,
-                           bool uses_context_duration) {
-    IMX_EXPECTS(factory != nullptr);
-    registry().add(name, {std::move(factory), std::move(description),
-                          std::move(param_names), uses_context_duration});
+    return registry().get(source).factory(context, params);
 }
 
 bool has_trace_source(const std::string& name) {
@@ -221,21 +204,17 @@ bool has_trace_source(const std::string& name) {
 std::vector<std::string> trace_source_names() { return registry().names(); }
 
 std::string trace_source_description(const std::string& name) {
-    return registry().read(
-        name, [](const TraceSource& entry) { return entry.description; });
+    return registry().get(name).description;
 }
 
 std::vector<std::string> trace_source_param_names(const std::string& name) {
-    auto names = registry().read(
-        name, [](const TraceSource& entry) { return entry.param_names; });
+    auto names = registry().get(name).param_names;
     std::sort(names.begin(), names.end());
     return names;
 }
 
 bool trace_source_uses_context_duration(const std::string& name) {
-    return registry().read(name, [](const TraceSource& entry) {
-        return entry.uses_context_duration;
-    });
+    return registry().get(name).uses_context_duration;
 }
 
 }  // namespace imx::energy

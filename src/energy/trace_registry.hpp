@@ -23,15 +23,12 @@
 // Every source takes a validated key=value parameter map: unknown keys,
 // malformed numbers, and out-of-range values throw std::invalid_argument
 // naming the source, the parameter, and (for unknown keys) everything the
-// source accepts. Custom sources register at runtime through
-// register_trace_source(); see the worked example in docs/energy-sources.md.
-// The registry is mutex-guarded, so make_trace() is safe from sweep worker
-// threads.
+// source accepts. The table is fixed when first used and only read
+// afterwards, so make_trace() is safe from sweep worker threads.
 #ifndef IMX_ENERGY_TRACE_REGISTRY_HPP
 #define IMX_ENERGY_TRACE_REGISTRY_HPP
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -55,12 +52,6 @@ struct TraceSourceContext {
     std::uint64_t seed = 7;
 };
 
-/// \brief Factory signature: build the trace for one context + parameter
-/// map. Must validate `params` (reject unknown keys / bad values) with
-/// std::invalid_argument — TraceParamReader does both bookkeeping parts.
-using TraceSourceFactory =
-    std::function<PowerTrace(const TraceSourceContext&, const TraceParams&)>;
-
 /// \brief Typed, validating view over a TraceParams map.
 ///
 /// A thin subclass of util::ParamReader fixing the diagnostic prefix to
@@ -79,7 +70,7 @@ public:
 };
 
 /// \brief Build a harvesting trace from a registered source.
-/// \param source a built-in or register_trace_source()'d name.
+/// \param source a built-in source name.
 /// \param context trace length/grid/seed.
 /// \param params source parameters; unknown keys or bad values throw.
 /// \throws std::invalid_argument for unknown sources (the message lists
@@ -88,42 +79,25 @@ PowerTrace make_trace(const std::string& source,
                       const TraceSourceContext& context = {},
                       const TraceParams& params = {});
 
-/// \brief Register (or replace) a named trace source.
-/// \param name the registry key; must be non-empty.
-/// \param factory invoked by make_trace().
-/// \param description one-liner for listings (imx_sweep --list).
-/// \param param_names the parameter keys the source accepts; consumers
-///   (e.g. the spec parser) use it to reject unknown keys early with
-///   file:line diagnostics. Empty = accept any key at name-check time and
-///   rely on the factory's own validation.
-/// \param uses_context_duration whether the source honours
-///   TraceSourceContext::duration_s (every generator) or determines its own
-///   length (file-backed sources like "csv"). Quick-mode shrinking only
-///   rescales the harvest budget of sources that honour the context
-///   duration — scaling a fixed-length replay would starve it instead of
-///   shortening it.
-void register_trace_source(const std::string& name,
-                           TraceSourceFactory factory,
-                           std::string description = "",
-                           std::vector<std::string> param_names = {},
-                           bool uses_context_duration = true);
-
-/// \brief Whether `name` is currently registered.
+/// \brief Whether `name` is registered.
 [[nodiscard]] bool has_trace_source(const std::string& name);
 
-/// \brief Every registered name, sorted (built-ins plus custom ones).
+/// \brief Every registered name, sorted.
 [[nodiscard]] std::vector<std::string> trace_source_names();
 
 /// \brief One-line description of a registered source.
 [[nodiscard]] std::string trace_source_description(const std::string& name);
 
-/// \brief The parameter keys a source declared at registration (sorted);
-/// empty for sources registered without a key list.
+/// \brief The parameter keys a source accepts, sorted. The spec parser uses
+/// them to reject unknown keys early with file:line diagnostics.
 [[nodiscard]] std::vector<std::string> trace_source_param_names(
     const std::string& name);
 
-/// \brief Whether the source honours TraceSourceContext::duration_s (see
-/// register_trace_source); false for file-backed sources like "csv".
+/// \brief Whether the source honours TraceSourceContext::duration_s (every
+/// generator) or determines its own length (file-backed sources like
+/// "csv"). Quick-mode shrinking only rescales the harvest budget of sources
+/// that honour the context duration: scaling a fixed-length replay would
+/// starve it instead of shortening it.
 [[nodiscard]] bool trace_source_uses_context_duration(
     const std::string& name);
 

@@ -193,6 +193,15 @@ int positional_int(const SweepCli& options, std::size_t index, int fallback) {
     return static_cast<int>(value);
 }
 
+int positional_episodes(const SweepCli& options, int fallback) {
+    const int episodes = positional_int(options, 0, fallback);
+    if (episodes < 1) {
+        throw std::invalid_argument("episode count must be >= 1, got " +
+                                    std::to_string(episodes));
+    }
+    return episodes;
+}
+
 void require_no_positional(const SweepCli& options) {
     if (options.positional.empty()) return;
     throw std::invalid_argument("unexpected argument '" +

@@ -100,6 +100,11 @@ SweepCli parse_sweep_cli(int argc, char** argv);
 /// \throws std::invalid_argument on non-numeric or out-of-range text.
 int positional_int(const SweepCli& options, std::size_t index, int fallback);
 
+/// \brief The search experiments' optional episode count: positional
+/// argument 0, or `fallback` when absent.
+/// \throws std::invalid_argument on non-numeric text or a count below 1.
+int positional_episodes(const SweepCli& options, int fallback);
+
 /// \brief For experiments that accept no positional arguments: reject
 /// strays so a forgotten flag (`fig5-iepmj 8` instead of
 /// `fig5-iepmj --replicas 8`) cannot silently run with defaults.

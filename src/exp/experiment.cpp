@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -20,42 +19,25 @@
 #include "exp/spec_parser.hpp"
 #include "sim/policies/registry.hpp"
 #include "util/contracts.hpp"
+#include "util/registry.hpp"
 #include "util/stats.hpp"
 
 namespace imx::exp {
 
 namespace {
 
-std::mutex& registry_mutex() {
-    static std::mutex mutex;
-    return mutex;
-}
-
-/// The registry map. An ordered map so experiment_names() is sorted without
-/// a separate pass. Built-ins are seeded on first use by direct calls into
-/// the experiments_*.cpp translation units — no static-init-order or
-/// dead-translation-unit hazards.
-std::map<std::string, ExperimentFactory>& registry_locked() {
-    static std::map<std::string, ExperimentFactory> factories = [] {
-        std::map<std::string, ExperimentFactory> builtins;
-        detail::register_fig_experiments(builtins);
-        detail::register_ablation_experiments(builtins);
-        return builtins;
-    }();
-    return factories;
-}
-
-[[noreturn]] void unknown_experiment(
-    const std::string& name,
-    const std::map<std::string, ExperimentFactory>& factories) {
-    std::string known;
-    for (const auto& [key, unused] : factories) {
-        (void)unused;
-        if (!known.empty()) known += ", ";
-        known += key;
-    }
-    throw std::invalid_argument("unknown experiment '" + name +
-                                "' (registered: " + known + ")");
+/// The fixed table of built-in experiments, built once on first use by
+/// direct calls into the experiments_*.cpp translation units (no
+/// static-initializer registration a static-library link could drop).
+const util::Registry<detail::ExperimentFactory>& registry() {
+    static const util::Registry<detail::ExperimentFactory> instance(
+        "experiment", [] {
+            detail::ExperimentTable table;
+            detail::add_fig_experiments(table);
+            detail::add_ablation_experiments(table);
+            return table;
+        }());
+    return instance;
 }
 
 }  // namespace
@@ -67,9 +49,8 @@ ExperimentSpec embedded_spec(const std::string& file) {
                                  "examples/experiments/" + file);
 }
 
-void register_spec_file(
-    std::map<std::string, ExperimentFactory>& into, const std::string& file,
-    std::function<int(const ExperimentRunContext&)> report) {
+void add_spec_file(ExperimentTable& into, const std::string& file,
+                   std::function<int(const ExperimentRunContext&)> report) {
     ExperimentSpec spec = embedded_spec(file);
     const std::string name = spec.name;
     into[name] = [spec = std::move(spec), report = std::move(report)] {
@@ -314,40 +295,16 @@ std::vector<ScenarioSpec> expand_experiment(const ExperimentSpec& spec,
 }
 
 Experiment make_experiment(const std::string& name) {
-    ExperimentFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(registry_mutex());
-        const auto& factories = registry_locked();
-        const auto it = factories.find(name);
-        if (it == factories.end()) unknown_experiment(name, factories);
-        factory = it->second;
-    }
-    Experiment experiment = factory();
+    Experiment experiment = registry().get(name)();
     IMX_EXPECTS(!experiment.spec.name.empty());
     return experiment;
 }
 
-void register_experiment(const std::string& name, ExperimentFactory factory) {
-    IMX_EXPECTS(!name.empty());
-    IMX_EXPECTS(factory != nullptr);
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    registry_locked()[name] = std::move(factory);
-}
-
 bool has_experiment(const std::string& name) {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    return registry_locked().count(name) > 0;
+    return registry().contains(name);
 }
 
-std::vector<std::string> experiment_names() {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    std::vector<std::string> names;
-    for (const auto& [key, unused] : registry_locked()) {
-        (void)unused;
-        names.push_back(key);
-    }
-    return names;
-}
+std::vector<std::string> experiment_names() { return registry().names(); }
 
 std::string experiment_description(const std::string& name) {
     return make_experiment(name).spec.description;

@@ -10,12 +10,12 @@
 /// via the existing PaperSweep machinery, so a spec-file grid and a
 /// hand-written PaperSweep expand through identical code paths.
 ///
-/// The registry mirrors sim/policies/registry.hpp: mutex-guarded
-/// string -> factory, built-ins seeded on first use. The declarative
-/// built-in grids are the shipped examples/experiments/*.ini files,
-/// compiled into the library and registered with a C++ report; grids the
-/// declarative spec cannot express (custom traces, search scenarios,
-/// learning curves) register a custom `build` function instead.
+/// The registry mirrors sim/policies/registry.hpp: a fixed
+/// util::Registry table of string -> factory, built on first use. The
+/// declarative built-in grids are the shipped examples/experiments/*.ini
+/// files, compiled into the library and listed with a C++ report; grids
+/// the declarative spec cannot express (custom traces, search scenarios,
+/// learning curves) carry a custom `build` function instead.
 #ifndef IMX_EXP_EXPERIMENT_HPP
 #define IMX_EXP_EXPERIMENT_HPP
 
@@ -144,24 +144,15 @@ struct Experiment {
     std::function<int(const ExperimentRunContext&)> report;
 };
 
-/// \brief Factory signature: build a fresh Experiment (cheap — no setups
-/// are constructed until the experiment is built/run).
-using ExperimentFactory = std::function<Experiment()>;
-
 /// \brief Construct a registered experiment by name.
 /// \throws std::invalid_argument for unknown names (the message lists every
 ///   registered name, so CLI typos are self-explaining).
 Experiment make_experiment(const std::string& name);
 
-/// \brief Register (or replace) a named experiment factory.
-/// \param name the registry key; must be non-empty.
-/// \param factory invoked by make_experiment(); its spec.name should match.
-void register_experiment(const std::string& name, ExperimentFactory factory);
-
-/// \brief Whether `name` is currently registered.
+/// \brief Whether `name` is registered.
 [[nodiscard]] bool has_experiment(const std::string& name);
 
-/// \brief Every registered name, sorted (built-ins plus custom ones).
+/// \brief Every registered name, sorted.
 [[nodiscard]] std::vector<std::string> experiment_names();
 
 /// \brief One-line description of a registered experiment (for --list).

@@ -39,8 +39,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// The policy zoo for the queueless grids. They run with
 /// queue_capacity == 0, where queue-slack-greedy *is* slack-greedy by
 /// construction (docs/workloads.md) — including it would duplicate every
-/// slack-greedy cell under a second label. Custom-registered policies
-/// still appear, exactly as before.
+/// slack-greedy cell under a second label.
 std::vector<std::string> queueless_policy_names() {
     auto names = sim::policy_names();
     names.erase(std::remove(names.begin(), names.end(),
@@ -442,7 +441,7 @@ Experiment search_experiment() {
     e.build = [setup](const ExperimentSpec&, const SweepCli& options) {
         // An explicit positional episode count always wins over --quick.
         const int episodes =
-            positional_int(options, 0, options.quick ? 40 : 240);
+            positional_episodes(options, options.quick ? 40 : 240);
 
         *setup = std::make_shared<const core::ExperimentSetup>(
             core::make_paper_setup(sweep_setup_config(options)));
@@ -705,13 +704,12 @@ Experiment trace_experiment() {
 
 }  // namespace
 
-void register_ablation_experiments(
-    std::map<std::string, ExperimentFactory>& into) {
-    register_spec_file(into, "harvester_ablation.ini", harvester_report);
-    register_spec_file(into, "recovery_ablation.ini", recovery_report);
-    register_spec_file(into, "storage_deadline_policy.ini",
-                       storage_deadline_report);
-    register_spec_file(into, "traffic_ablation.ini", traffic_report);
+void add_ablation_experiments(ExperimentTable& into) {
+    add_spec_file(into, "harvester_ablation.ini", harvester_report);
+    add_spec_file(into, "recovery_ablation.ini", recovery_report);
+    add_spec_file(into, "storage_deadline_policy.ini",
+                  storage_deadline_report);
+    add_spec_file(into, "traffic_ablation.ini", traffic_report);
     into["ablation-deadline-policy"] = deadline_policy_experiment;
     into["ablation-runtime"] = runtime_experiment;
     into["ablation-search"] = search_experiment;

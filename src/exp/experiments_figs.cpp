@@ -315,7 +315,7 @@ Experiment fig4_experiment() {
     e.build = [setup](const ExperimentSpec&, const SweepCli& options) {
         // An explicit positional episode count always wins over --quick.
         const int episodes =
-            positional_int(options, 0, options.quick ? 60 : 300);
+            positional_episodes(options, options.quick ? 60 : 300);
         *setup = std::make_shared<const core::ExperimentSetup>(
             core::make_paper_setup(sweep_setup_config(options)));
         core::SearchConfig cfg;
@@ -550,14 +550,13 @@ Experiment fig7a_experiment() {
 
 }  // namespace
 
-void register_fig_experiments(
-    std::map<std::string, ExperimentFactory>& into) {
+void add_fig_experiments(ExperimentTable& into) {
     into["fig1b-exit-accuracy"] = fig1b_experiment;
     into["fig4-compression-policy"] = fig4_experiment;
-    register_spec_file(into, "paper_baselines.ini", fig5_report);
+    add_spec_file(into, "paper_baselines.ini", fig5_report);
     into["fig6-flops"] = fig6_experiment;
     into["fig7a-runtime-learning"] = fig7a_experiment;
-    register_spec_file(into, "exit_distribution.ini", fig7b_report);
+    add_spec_file(into, "exit_distribution.ini", fig7b_report);
     into["latency-table"] = latency_experiment;
 }
 

@@ -120,7 +120,7 @@ SimPatch deadline_patch(double deadline_s) {
 
 SimPatch policy_patch(const std::string& policy_name) {
     // Fail at axis construction, not mid-sweep on a worker thread: the name
-    // must already be registered (built-in or register_policy()'d).
+    // must be a registered policy.
     IMX_EXPECTS(sim::has_policy(policy_name));
     SimPatch patch;
     patch.label = "pol-" + policy_name;
@@ -232,13 +232,6 @@ std::vector<SystemSpec> paper_systems(int train_episodes) {
     systems.push_back({"SonicNet", SystemKind::kSonicNet, 0, {}, ""});
     systems.push_back({"SpArSeNet", SystemKind::kSpArSeNet, 0, {}, ""});
     systems.push_back({"LeNet-Cifar", SystemKind::kLeNetCifar, 0, {}, ""});
-    return systems;
-}
-
-std::vector<SystemSpec> paper_systems_with_static(int train_episodes) {
-    auto systems = paper_systems(train_episodes);
-    systems.insert(systems.begin() + 1,
-                   {"Ours (static LUT)", SystemKind::kOursStatic, 0, {}, ""});
     return systems;
 }
 

@@ -181,9 +181,6 @@ struct PaperSweep {
 /// The Fig. 5 comparison set: ours (Q-learning) plus the three baselines.
 std::vector<SystemSpec> paper_systems(int train_episodes = 16);
 
-/// paper_systems() plus the static-LUT variant of ours (Fig. 7 comparison).
-std::vector<SystemSpec> paper_systems_with_static(int train_episodes = 16);
-
 /// Expand the grid. Scenario ids are "trace/system[/patch]#replica"; the
 /// group (aggregation key) is the id minus the replica suffix.
 std::vector<ScenarioSpec> build_paper_scenarios(const PaperSweep& sweep);

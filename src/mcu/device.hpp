@@ -18,7 +18,6 @@ struct McuConfig {
     double energy_per_mmac_mj = 1.5;  ///< paper: 1.5 mJ per million FLOPs
     double mmacs_per_second = 0.1;    ///< active-compute throughput (MMAC/s)
     double flash_budget_bytes = 16.0 * 1024.0;  ///< weight storage target
-    double sram_bytes = 64.0 * 1024.0;
     // SONIC-style checkpointing of loop indices + partial accumulators into
     // FRAM, paid once per committed task/tile.
     double checkpoint_energy_mj = 0.02;
@@ -34,7 +33,8 @@ class McuModel {
 public:
     explicit McuModel(const McuConfig& config);
 
-    /// Defaults tuned to the paper's constants (see DESIGN.md calibration).
+    /// Defaults tuned to the paper's constants (docs/reproducing-figures.md,
+    /// Calibration).
     static McuModel msp432();
 
     [[nodiscard]] const McuConfig& config() const { return config_; }

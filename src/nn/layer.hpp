@@ -1,10 +1,12 @@
 // Layer interface: single-sample forward/backward with cached activations.
 //
-// The per-sample calls are the DDPG agents' act path and the reference the
-// minibatch path is held to: rl::Mlp::forward_batch / backward_batch run
-// whole minibatches over the Linear layers' weights (through
-// kernels::gemm_batch / gemm_backward_batch), bitwise equal to these
-// per-sample calls in sample order.
+// The per-sample calls are the reference the minibatch path is held to
+// (PerSampleDdpg in tests/test_ddpg_batch.cpp):
+// rl::Mlp::forward_batch / backward_batch run whole minibatches over the
+// Linear layers' weights (through kernels::gemm_batch /
+// gemm_backward_batch), bitwise equal to these per-sample calls in sample
+// order. The agents themselves only run the batched path; DdpgAgent::act is
+// a forward_batch of one sample.
 #ifndef IMX_NN_LAYER_HPP
 #define IMX_NN_LAYER_HPP
 

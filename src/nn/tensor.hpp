@@ -1,6 +1,6 @@
-// Dense row-major float tensor: [features] activations (single sample),
-// [out, in] linear weights; CHW images and [out, in, k, k] conv weights in
-// nn/quantize's integer reference and data/synth_cifar.
+// Dense row-major float tensor: [features] activations (single sample) and
+// [out, in] linear weights; the 3-D and 4-D accessors cover CHW images and
+// [out, in, k, k] conv weights.
 //
 // The tensors in this project hold the DDPG agents' small MLPs, so the
 // tensor type favours simplicity and debuggability over BLAS-grade speed:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/csv.hpp"
 #include "util/math.hpp"
 
 namespace imx::rl {
@@ -69,30 +68,6 @@ double QTable::max_q(std::size_t state) const {
         best = std::max(best, q(state, a));
     }
     return best;
-}
-
-void QTable::save(const std::string& path) const {
-    util::CsvWriter writer(path);
-    writer.write_header({"state", "action", "q"});
-    for (std::size_t s = 0; s < num_states_; ++s) {
-        for (std::size_t a = 0; a < num_actions_; ++a) {
-            writer.write_row(std::vector<double>{
-                static_cast<double>(s), static_cast<double>(a), q(s, a)});
-        }
-    }
-}
-
-void QTable::load(const std::string& path) {
-    const util::CsvTable table = util::read_csv(path);
-    IMX_EXPECTS(table.rows.size() == num_states_ * num_actions_);
-    const auto states = table.numeric_column("state");
-    const auto actions = table.numeric_column("action");
-    const auto values = table.numeric_column("q");
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const auto s = static_cast<std::size_t>(states[i]);
-        const auto a = static_cast<std::size_t>(actions[i]);
-        table_[index(s, a)] = values[i];
-    }
 }
 
 Discretizer::Discretizer(double lo, double hi, std::size_t bins)

@@ -5,7 +5,6 @@
 #define IMX_RL_QTABLE_HPP
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -52,11 +51,6 @@ public:
     [[nodiscard]] std::size_t footprint_bytes() const {
         return table_.size() * sizeof(double);
     }
-
-    /// Persist/restore the learned LUT (deployment: train on-device or in
-    /// simulation, flash the table). CSV format: state,action,q.
-    void save(const std::string& path) const;
-    void load(const std::string& path);
 
 private:
     [[nodiscard]] std::size_t index(std::size_t state, std::size_t action) const {

@@ -1,7 +1,4 @@
-// Thin wrapper over util::Registry<ArrivalSourceEntry>: the public free
-// functions, their error messages, and the registered-name listing are
-// byte-identical to the historical hand-rolled registry. The built-in
-// source classes themselves live here.
+// The built-in arrival sources and their fixed util::Registry table.
 #include "sim/arrivals/registry.hpp"
 
 #include <algorithm>
@@ -9,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -20,6 +18,13 @@ namespace imx::sim {
 
 namespace {
 
+/// Builds (and validates) a source for one parameter map; rejects unknown
+/// keys and bad values with std::invalid_argument via ArrivalParamReader.
+using ArrivalSourceFactory =
+    std::function<std::unique_ptr<ArrivalSource>(const ArrivalParams&)>;
+
+/// One table row. `param_names` lets the spec parser reject unknown keys
+/// early with file:line diagnostics.
 struct ArrivalSourceEntry {
     ArrivalSourceFactory factory;
     std::string description;
@@ -312,63 +317,40 @@ private:
     double time_scale_ = 1.0;
 };
 
-/// The registry instance, seeded with built-ins on first use — no
-/// static-init-order or dead-translation-unit hazards.
-util::Registry<ArrivalSourceEntry>& registry() {
-    static util::Registry<ArrivalSourceEntry> instance("arrival source");
-    static const bool seeded = [] {
-        instance.add(
-            "uniform",
-            {[](const ArrivalParams& params)
-                 -> std::unique_ptr<ArrivalSource> {
-                 return std::make_unique<UniformArrivalSource>(params);
-             },
-             "independent uniform arrival times (paper Sec. V-A stream)",
-             {}});
-        instance.add(
-            "poisson",
-            {[](const ArrivalParams& params)
-                 -> std::unique_ptr<ArrivalSource> {
-                 return std::make_unique<PoissonArrivalSource>(params);
-             },
-             "exponential inter-arrivals at the count-implied mean rate",
-             {"rate_scale"}});
-        instance.add(
-            "bursty",
-            {[](const ArrivalParams& params)
-                 -> std::unique_ptr<ArrivalSource> {
-                 return std::make_unique<BurstyArrivalSource>(params);
-             },
-             "uniformly placed bursts of jittered arrivals",
-             {"burst_min", "burst_max", "jitter_s"}});
-        instance.add(
-            "mmpp",
-            {[](const ArrivalParams& params)
-                 -> std::unique_ptr<ArrivalSource> {
-                 return std::make_unique<MmppArrivalSource>(params);
-             },
-             "Markov-modulated Poisson process (exponential idle/burst "
-             "dwells)",
-             {"mean_burst_s", "mean_idle_s", "burst_rate_factor"}});
-        instance.add(
-            "diurnal",
-            {[](const ArrivalParams& params)
-                 -> std::unique_ptr<ArrivalSource> {
-                 return std::make_unique<DiurnalArrivalSource>(params);
-             },
-             "Poisson arrivals under a day-cycle (cosine) rate profile",
-             {"depth", "peak_frac", "period_s"}});
-        instance.add(
-            "csv",
-            {[](const ArrivalParams& params)
-                 -> std::unique_ptr<ArrivalSource> {
-                 return std::make_unique<CsvArrivalSource>(params);
-             },
-             "time-stamped replay of a request trace from a CSV file",
-             {"path", "time_scale"}});
-        return true;
-    }();
-    (void)seeded;
+template <typename Source>
+std::unique_ptr<ArrivalSource> build_source(const ArrivalParams& params) {
+    return std::make_unique<Source>(params);
+}
+
+/// The fixed table of built-in sources, built once on first use.
+const util::Registry<ArrivalSourceEntry>& registry() {
+    static const util::Registry<ArrivalSourceEntry> instance(
+        "arrival source",
+        {{"uniform",
+          {build_source<UniformArrivalSource>,
+           "independent uniform arrival times (paper Sec. V-A stream)",
+           {}}},
+         {"poisson",
+          {build_source<PoissonArrivalSource>,
+           "exponential inter-arrivals at the count-implied mean rate",
+           {"rate_scale"}}},
+         {"bursty",
+          {build_source<BurstyArrivalSource>,
+           "uniformly placed bursts of jittered arrivals",
+           {"burst_min", "burst_max", "jitter_s"}}},
+         {"mmpp",
+          {build_source<MmppArrivalSource>,
+           "Markov-modulated Poisson process (exponential idle/burst "
+           "dwells)",
+           {"mean_burst_s", "mean_idle_s", "burst_rate_factor"}}},
+         {"diurnal",
+          {build_source<DiurnalArrivalSource>,
+           "Poisson arrivals under a day-cycle (cosine) rate profile",
+           {"depth", "peak_frac", "period_s"}}},
+         {"csv",
+          {build_source<CsvArrivalSource>,
+           "time-stamped replay of a request trace from a CSV file",
+           {"path", "time_scale"}}}});
     return instance;
 }
 
@@ -394,11 +376,7 @@ void ArrivalSource::generate_into(const ArrivalContext& ctx,
 
 std::unique_ptr<ArrivalSource> make_arrival_source(
     const std::string& source, const ArrivalParams& params) {
-    const ArrivalSourceFactory factory =
-        registry().read(source, [](const ArrivalSourceEntry& entry) {
-            return entry.factory;
-        });
-    auto built = factory(params);
+    auto built = registry().get(source).factory(params);
     IMX_EXPECTS(built != nullptr);
     return built;
 }
@@ -409,15 +387,6 @@ std::vector<Event> generate_arrivals(const std::string& source,
     return make_arrival_source(source, params)->generate(context);
 }
 
-void register_arrival_source(const std::string& name,
-                             ArrivalSourceFactory factory,
-                             std::string description,
-                             std::vector<std::string> param_names) {
-    IMX_EXPECTS(factory != nullptr);
-    registry().add(name, {std::move(factory), std::move(description),
-                          std::move(param_names)});
-}
-
 bool has_arrival_source(const std::string& name) {
     return registry().contains(name);
 }
@@ -425,15 +394,11 @@ bool has_arrival_source(const std::string& name) {
 std::vector<std::string> arrival_source_names() { return registry().names(); }
 
 std::string arrival_source_description(const std::string& name) {
-    return registry().read(name, [](const ArrivalSourceEntry& entry) {
-        return entry.description;
-    });
+    return registry().get(name).description;
 }
 
 std::vector<std::string> arrival_source_param_names(const std::string& name) {
-    auto names = registry().read(name, [](const ArrivalSourceEntry& entry) {
-        return entry.param_names;
-    });
+    auto names = registry().get(name).param_names;
     std::sort(names.begin(), names.end());
     return names;
 }

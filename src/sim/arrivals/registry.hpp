@@ -22,15 +22,12 @@
 // Every source takes a validated key=value parameter map: unknown keys,
 // malformed numbers, and out-of-range values throw std::invalid_argument
 // naming the source, the parameter, and (for unknown keys) everything the
-// source accepts. Custom sources register at runtime through
-// register_arrival_source(); see the worked example in docs/workloads.md.
-// The registry is mutex-guarded, so make_arrival_source() is safe from
-// sweep worker threads.
+// source accepts. The table is fixed when first used and only read
+// afterwards, so make_arrival_source() is safe from sweep worker threads.
 #ifndef IMX_SIM_ARRIVALS_REGISTRY_HPP
 #define IMX_SIM_ARRIVALS_REGISTRY_HPP
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,12 +88,6 @@ protected:
     }
 };
 
-/// \brief Factory signature: build (and validate) a source for one
-/// parameter map. Must reject unknown keys / bad values with
-/// std::invalid_argument — ArrivalParamReader does both bookkeeping parts.
-using ArrivalSourceFactory =
-    std::function<std::unique_ptr<ArrivalSource>(const ArrivalParams&)>;
-
 /// \brief Typed, validating view over an ArrivalParams map.
 ///
 /// A thin subclass of util::ParamReader fixing the diagnostic prefix to
@@ -114,7 +105,7 @@ public:
 };
 
 /// \brief Build an arrival source from a registered name.
-/// \param source a built-in or register_arrival_source()'d name.
+/// \param source a built-in source name.
 /// \param params source parameters; unknown keys or bad values throw.
 /// \throws std::invalid_argument for unknown sources (the message lists
 ///   every registered name) and for parameter-map violations.
@@ -126,30 +117,18 @@ std::vector<Event> generate_arrivals(const std::string& source,
                                      const ArrivalContext& context = {},
                                      const ArrivalParams& params = {});
 
-/// \brief Register (or replace) a named arrival source.
-/// \param name the registry key; must be non-empty.
-/// \param factory invoked by make_arrival_source().
-/// \param description one-liner for listings (imx_sweep --list).
-/// \param param_names the parameter keys the source accepts; consumers
-///   (e.g. the spec parser) use it to reject unknown keys early with
-///   file:line diagnostics. Empty = accept any key at name-check time and
-///   rely on the factory's own validation.
-void register_arrival_source(const std::string& name,
-                             ArrivalSourceFactory factory,
-                             std::string description = "",
-                             std::vector<std::string> param_names = {});
-
-/// \brief Whether `name` is currently registered.
+/// \brief Whether `name` is registered.
 [[nodiscard]] bool has_arrival_source(const std::string& name);
 
-/// \brief Every registered name, sorted (built-ins plus custom ones).
+/// \brief Every registered name, sorted.
 [[nodiscard]] std::vector<std::string> arrival_source_names();
 
 /// \brief One-line description of a registered source.
 [[nodiscard]] std::string arrival_source_description(const std::string& name);
 
-/// \brief The parameter keys a source declared at registration (sorted);
-/// empty for sources registered without a key list.
+/// \brief The parameter keys a source accepts, sorted (empty for "uniform",
+/// which takes none). The spec parser uses them to reject unknown keys
+/// early with file:line diagnostics.
 [[nodiscard]] std::vector<std::string> arrival_source_param_names(
     const std::string& name);
 

@@ -1,9 +1,7 @@
-// Thin wrapper over util::Registry<PolicyFactory>: the public free
-// functions, their error messages, and the registered-name listing are
-// byte-identical to the historical hand-rolled registry.
+// The built-in exit policies as one fixed util::Registry<PolicyFactory>.
 #include "sim/policies/registry.hpp"
 
-#include <utility>
+#include <functional>
 
 #include "util/contracts.hpp"
 #include "util/registry.hpp"
@@ -12,35 +10,40 @@ namespace imx::sim {
 
 namespace {
 
-/// The registry instance, seeded with built-ins on first use — no
-/// static-init-order or dead-translation-unit hazards.
-util::Registry<PolicyFactory>& registry() {
-    static util::Registry<PolicyFactory> instance("exit policy");
-    static const bool seeded = [] {
-        instance.add("greedy", [](const PolicyContext& ctx) {
-            return std::make_unique<GreedyAffordablePolicy>(
-                ctx.safety_margin_mj);
-        });
-        instance.add("slack-greedy", [](const PolicyContext& ctx) {
-            return std::make_unique<SlackGreedyPolicy>(ctx.safety_margin_mj,
-                                                       ctx.slack_schedule);
-        });
-        instance.add("queue-slack-greedy", [](const PolicyContext& ctx) {
-            return std::make_unique<QueueSlackGreedyPolicy>(
-                ctx.safety_margin_mj, ctx.slack_schedule);
-        });
-        instance.add("qlearning", [](const PolicyContext& ctx) {
-            return std::make_unique<QLearningExitPolicy>(ctx.num_exits,
-                                                         ctx.runtime);
-        });
-        instance.add("slack-qlearning", [](const PolicyContext& ctx) {
-            return std::make_unique<QLearningExitPolicy>(
-                ctx.num_exits, slack_aware_runtime_config(ctx.runtime),
-                ctx.slack_schedule);
-        });
-        return true;
-    }();
-    (void)seeded;
+/// Builds a fresh policy for one scenario run.
+using PolicyFactory =
+    std::function<std::unique_ptr<ExitPolicy>(const PolicyContext&)>;
+
+/// The fixed table of built-in policies, built once on first use.
+const util::Registry<PolicyFactory>& registry() {
+    static const util::Registry<PolicyFactory> instance(
+        "exit policy",
+        {{"greedy",
+          [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
+              return std::make_unique<GreedyAffordablePolicy>(
+                  ctx.safety_margin_mj);
+          }},
+         {"slack-greedy",
+          [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
+              return std::make_unique<SlackGreedyPolicy>(ctx.safety_margin_mj,
+                                                         ctx.slack_schedule);
+          }},
+         {"queue-slack-greedy",
+          [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
+              return std::make_unique<QueueSlackGreedyPolicy>(
+                  ctx.safety_margin_mj, ctx.slack_schedule);
+          }},
+         {"qlearning",
+          [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
+              return std::make_unique<QLearningExitPolicy>(ctx.num_exits,
+                                                           ctx.runtime);
+          }},
+         {"slack-qlearning",
+          [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
+              return std::make_unique<QLearningExitPolicy>(
+                  ctx.num_exits, slack_aware_runtime_config(ctx.runtime),
+                  ctx.slack_schedule);
+          }}});
     return instance;
 }
 
@@ -48,15 +51,9 @@ util::Registry<PolicyFactory>& registry() {
 
 std::unique_ptr<ExitPolicy> make_policy(const std::string& name,
                                         const PolicyContext& context) {
-    const PolicyFactory factory = registry().get(name);
-    auto policy = factory(context);
+    auto policy = registry().get(name)(context);
     IMX_EXPECTS(policy != nullptr);
     return policy;
-}
-
-void register_policy(const std::string& name, PolicyFactory factory) {
-    IMX_EXPECTS(factory != nullptr);
-    registry().add(name, std::move(factory));
 }
 
 bool has_policy(const std::string& name) {

@@ -12,13 +12,11 @@
 ///                        slack_aware_runtime_config() (slack-binned state,
 ///                        deadline-miss reward penalty).
 ///
-/// Custom policies register at runtime through register_policy(); see the
-/// worked example in docs/policies.md. The registry is mutex-guarded, so
+/// The table is fixed when first used and only read afterwards, so
 /// make_policy() is safe from sweep worker threads.
 #ifndef IMX_SIM_POLICIES_REGISTRY_HPP
 #define IMX_SIM_POLICIES_REGISTRY_HPP
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,12 +36,8 @@ struct PolicyContext {
     SlackSchedule slack_schedule{}; ///< slack-greedy depth schedule
 };
 
-/// \brief Factory signature: build a fresh policy for one scenario run.
-using PolicyFactory =
-    std::function<std::unique_ptr<ExitPolicy>(const PolicyContext&)>;
-
 /// \brief Construct a registered policy by name.
-/// \param name a built-in or register_policy()'d name.
+/// \param name a built-in policy name.
 /// \param context the construction context.
 /// \return a fresh policy instance.
 /// \throws std::invalid_argument for unknown names (the message lists every
@@ -51,15 +45,10 @@ using PolicyFactory =
 std::unique_ptr<ExitPolicy> make_policy(const std::string& name,
                                         const PolicyContext& context = {});
 
-/// \brief Register (or replace) a named policy factory.
-/// \param name the registry key; must be non-empty.
-/// \param factory invoked by make_policy(); must not return nullptr.
-void register_policy(const std::string& name, PolicyFactory factory);
-
-/// \brief Whether `name` is currently registered.
+/// \brief Whether `name` is registered.
 [[nodiscard]] bool has_policy(const std::string& name);
 
-/// \brief Every registered name, sorted (built-ins plus custom ones).
+/// \brief Every registered name, sorted.
 [[nodiscard]] std::vector<std::string> policy_names();
 
 }  // namespace imx::sim

@@ -10,7 +10,7 @@
 /// policies/greedy.hpp, the Q-learning runtime in policies/qlearning.hpp)
 /// and are constructible by name through the registry in
 /// policies/registry.hpp. docs/policies.md is the reference for the
-/// contract, every built-in's decision rule, and custom registration.
+/// contract, every built-in's decision rule, and how to add a policy.
 #ifndef IMX_SIM_POLICY_HPP
 #define IMX_SIM_POLICY_HPP
 

@@ -1,10 +1,8 @@
-// Thin wrapper over util::Registry<RegistryEntry>: the public free
-// functions, their error messages, and the registered-name listing are
-// byte-identical to the historical hand-rolled registry.
+// The built-in recovery strategies and their fixed util::Registry table.
 #include "sim/recovery/registry.hpp"
 
+#include <functional>
 #include <stdexcept>
-#include <utility>
 
 #include "util/contracts.hpp"
 #include "util/registry.hpp"
@@ -48,39 +46,38 @@ private:
     double penalty_mj_;
 };
 
+/// Builds a fresh strategy for one scenario run.
+using RecoveryFactory =
+    std::function<std::unique_ptr<RecoveryStrategy>(const RecoveryConfig&)>;
+
 struct RegistryEntry {
     RecoveryFactory factory;
     std::string description;
 };
 
-/// The registry instance, seeded with built-ins on first use — no
-/// static-init-order or dead-translation-unit hazards.
-util::Registry<RegistryEntry>& registry() {
-    static util::Registry<RegistryEntry> instance("recovery strategy");
-    static const bool seeded = [] {
-        instance.add(
-            "restart",
-            {[](const RecoveryConfig&) {
-                 return std::make_unique<RestartStrategy>();
-             },
-             "lose all in-flight progress on a power failure (free)"});
-        instance.add(
-            "checkpoint",
-            {[](const RecoveryConfig& config) {
-                 return std::make_unique<CheckpointStrategy>(config);
-             },
-             "NVM checkpoint per unit: checkpoint_mj per commit, restore_mj "
-             "at reboot"});
-        instance.add(
-            "checkpoint-free",
-            {[](const RecoveryConfig& config) {
-                 return std::make_unique<CheckpointFreeStrategy>(config);
-             },
-             "progress preserved at zero write cost; restore_penalty_mj per "
-             "surviving unit at reboot"});
-        return true;
-    }();
-    (void)seeded;
+/// The fixed table of built-in strategies, built once on first use.
+const util::Registry<RegistryEntry>& registry() {
+    static const util::Registry<RegistryEntry> instance(
+        "recovery strategy",
+        {{"restart",
+          {[](const RecoveryConfig&) -> std::unique_ptr<RecoveryStrategy> {
+               return std::make_unique<RestartStrategy>();
+           },
+           "lose all in-flight progress on a power failure (free)"}},
+         {"checkpoint",
+          {[](const RecoveryConfig& config)
+               -> std::unique_ptr<RecoveryStrategy> {
+               return std::make_unique<CheckpointStrategy>(config);
+           },
+           "NVM checkpoint per unit: checkpoint_mj per commit, restore_mj "
+           "at reboot"}},
+         {"checkpoint-free",
+          {[](const RecoveryConfig& config)
+               -> std::unique_ptr<RecoveryStrategy> {
+               return std::make_unique<CheckpointFreeStrategy>(config);
+           },
+           "progress preserved at zero write cost; restore_penalty_mj per "
+           "surviving unit at reboot"}}});
     return instance;
 }
 
@@ -95,20 +92,9 @@ std::unique_ptr<RecoveryStrategy> make_recovery_strategy(
         throw std::invalid_argument(
             "recovery cost parameters must be non-negative");
     }
-    const RecoveryFactory factory =
-        registry().read(name, [](const RegistryEntry& entry) {
-            return entry.factory;
-        });
-    auto strategy = factory(config);
+    auto strategy = registry().get(name).factory(config);
     IMX_EXPECTS(strategy != nullptr);
     return strategy;
-}
-
-void register_recovery_strategy(const std::string& name,
-                                RecoveryFactory factory,
-                                const std::string& description) {
-    IMX_EXPECTS(factory != nullptr);
-    registry().add(name, {std::move(factory), description});
 }
 
 bool has_recovery_strategy(const std::string& name) {
@@ -120,8 +106,7 @@ std::vector<std::string> recovery_strategy_names() {
 }
 
 std::string recovery_strategy_description(const std::string& name) {
-    return registry().read(
-        name, [](const RegistryEntry& entry) { return entry.description; });
+    return registry().get(name).description;
 }
 
 }  // namespace imx::sim

@@ -12,14 +12,11 @@
 ///  * "checkpoint-free" — progress preserved at zero write cost;
 ///                        restore_penalty_mj per surviving unit at reboot.
 ///
-/// Custom strategies register at runtime through
-/// register_recovery_strategy(); see the worked example in docs/recovery.md.
-/// The registry is mutex-guarded, so make_recovery_strategy() is safe from
-/// sweep worker threads.
+/// The table is fixed when first used and only read afterwards, so
+/// make_recovery_strategy() is safe from sweep worker threads.
 #ifndef IMX_SIM_RECOVERY_REGISTRY_HPP
 #define IMX_SIM_RECOVERY_REGISTRY_HPP
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,12 +25,8 @@
 
 namespace imx::sim {
 
-/// \brief Factory signature: build a fresh strategy for one scenario run.
-using RecoveryFactory =
-    std::function<std::unique_ptr<RecoveryStrategy>(const RecoveryConfig&)>;
-
 /// \brief Construct a registered recovery strategy by name.
-/// \param name a built-in or register_recovery_strategy()'d name.
+/// \param name a built-in strategy name.
 /// \param config the run's recovery configuration (cost parameters).
 /// \return a fresh strategy instance.
 /// \throws std::invalid_argument for unknown names (the message lists every
@@ -41,19 +34,10 @@ using RecoveryFactory =
 std::unique_ptr<RecoveryStrategy> make_recovery_strategy(
     const std::string& name, const RecoveryConfig& config = {});
 
-/// \brief Register (or replace) a named recovery-strategy factory.
-/// \param name the registry key; must be non-empty.
-/// \param factory invoked by make_recovery_strategy(); must not return
-///   nullptr.
-/// \param description one-line summary shown by `imx_sweep --list`.
-void register_recovery_strategy(const std::string& name,
-                                RecoveryFactory factory,
-                                const std::string& description = "");
-
-/// \brief Whether `name` is currently registered.
+/// \brief Whether `name` is registered.
 [[nodiscard]] bool has_recovery_strategy(const std::string& name);
 
-/// \brief Every registered name, sorted (built-ins plus custom ones).
+/// \brief Every registered name, sorted.
 [[nodiscard]] std::vector<std::string> recovery_strategy_names();
 
 /// \brief One-line description of a registered strategy (for --list).

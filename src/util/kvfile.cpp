@@ -1,6 +1,5 @@
 #include "util/kvfile.hpp"
 
-#include <fstream>
 #include <sstream>
 
 namespace imx::util {
@@ -55,16 +54,6 @@ std::vector<KvSection> parse_kv_text(const std::string& text,
             {key, trim(line.substr(eq + 1)), line_no});
     }
     return sections;
-}
-
-std::vector<KvSection> parse_kv_file(const std::string& path) {
-    std::ifstream file(path);
-    if (!file) {
-        throw KvParseError(path + ": cannot open file");
-    }
-    std::ostringstream contents;
-    contents << file.rdbuf();
-    return parse_kv_text(contents.str(), path);
 }
 
 }  // namespace imx::util

@@ -49,10 +49,6 @@ class KvParseError : public std::runtime_error {
 std::vector<KvSection> parse_kv_text(const std::string& text,
                                      const std::string& origin = "<string>");
 
-/// \brief Read and parse a file.
-/// \throws KvParseError when the file cannot be read or fails to parse.
-std::vector<KvSection> parse_kv_file(const std::string& path);
-
 }  // namespace imx::util
 
 #endif  // IMX_UTIL_KVFILE_HPP

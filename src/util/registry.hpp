@@ -1,33 +1,27 @@
 /// \file
-/// \brief The one string -> factory registry template behind every named
-/// axis in the repository (exit policies, trace sources, arrival sources,
-/// recovery strategies).
+/// \brief The one fixed name -> entry table behind every named axis in the
+/// repository (exit policies, trace sources, arrival sources, recovery
+/// strategies) and the experiment registry.
 ///
-/// Each of those modules historically carried its own copy of the same
-/// mutex-guarded `std::map<std::string, Entry>` plus the same
-/// "unknown <kind> '<name>' (registered: ...)" diagnostic; this template is
-/// that code written once. The public free functions of each module
-/// (`make_policy`, `make_trace`, `register_arrival_source`, ...) are now
-/// thin wrappers over one `Registry<Entry>` instance, so their signatures,
-/// error messages, and `--list` output are byte-identical to the historical
-/// hand-rolled registries (pinned by the registry error-message tests and
-/// the spec-fuzz corpus).
+/// Each module builds one `Registry<Entry>` from its built-in table and
+/// wraps it in free functions (`make_policy`, `make_trace`,
+/// `arrival_source_names`, ...). The table is complete at construction and
+/// never changes afterwards.
 ///
 /// Contract, shared by every instance:
-///  * `add()` registers or replaces; names must be non-empty.
-///  * `get()`/`read()` throw std::invalid_argument for unknown names, with
-///    a message listing every registered name so CLI typos self-explain.
+///  * Names are non-empty; the table is fixed once built.
+///  * `get()` throws std::invalid_argument for unknown names, with a message
+///    listing every registered name so CLI typos self-explain:
+///    "unknown <kind> '<name>' (registered: a, b, c)".
 ///  * Entries iterate in lexicographic name order (ordered map), so
 ///    `names()` is sorted without a separate pass.
-///  * All operations are mutex-guarded; lookups copy the entry out of the
-///    lock, so factories can themselves call back into the registry.
-///  * Instances are function-local statics seeded with built-ins on first
-///    use — no static-init-order or dead-translation-unit hazards.
+///  * Instances are function-local `static const` objects: C++ initialises
+///    them exactly once, on first use, and every later call only reads, so
+///    sweep worker threads may resolve names concurrently without a lock.
 #ifndef IMX_UTIL_REGISTRY_HPP
 #define IMX_UTIL_REGISTRY_HPP
 
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -37,65 +31,42 @@
 
 namespace imx::util {
 
-/// \brief One section of a registry listing (`imx_sweep --list`): a heading
-/// plus (name, description) rows. Produced by each registry module's
-/// `*_registry_section()` helper and rendered by exp::describe_all().
-struct RegistrySection {
-    std::string heading;
-    std::vector<std::pair<std::string, std::string>> rows;
-};
-
-/// \brief Mutex-guarded name -> Entry map with the shared diagnostic
-/// contract above. `Entry` is whatever one registration carries: a bare
-/// factory (exit policies) or a factory plus metadata (trace sources).
+/// \brief Immutable name -> Entry table with the shared diagnostic contract
+/// above. `Entry` is whatever one name carries: a bare factory (exit
+/// policies) or a factory plus metadata (trace sources).
 template <typename Entry>
 class Registry {
 public:
     /// \param kind the human-readable noun used in diagnostics, e.g.
     ///   "exit policy" -> "unknown exit policy 'x' (registered: ...)".
-    explicit Registry(std::string kind) : kind_(std::move(kind)) {}
+    /// \param entries the complete table; every name must be non-empty.
+    Registry(std::string kind, std::map<std::string, Entry> entries)
+        : kind_(std::move(kind)), entries_(std::move(entries)) {
+        for (const auto& [name, unused] : entries_) {
+            (void)unused;
+            IMX_EXPECTS(!name.empty());
+        }
+    }
 
     Registry(const Registry&) = delete;
     Registry& operator=(const Registry&) = delete;
 
-    /// \brief Register (or replace) `name`.
-    /// \param name the registry key; must be non-empty.
-    void add(const std::string& name, Entry entry) {
-        IMX_EXPECTS(!name.empty());
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_[name] = std::move(entry);
-    }
-
-    /// \brief Copy the entry for `name` out of the lock.
+    /// \brief The entry for `name`.
     /// \throws std::invalid_argument for unknown names (message lists every
     ///   registered name).
-    [[nodiscard]] Entry get(const std::string& name) const {
-        std::lock_guard<std::mutex> lock(mutex_);
+    [[nodiscard]] const Entry& get(const std::string& name) const {
         const auto it = entries_.find(name);
         if (it == entries_.end()) throw_unknown(name);
         return it->second;
     }
 
-    /// \brief Project one field out of the entry for `name` under the lock
-    /// (e.g. its description), without copying the whole entry.
-    /// \throws std::invalid_argument for unknown names.
-    template <typename Fn>
-    [[nodiscard]] auto read(const std::string& name, Fn&& fn) const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(name);
-        if (it == entries_.end()) throw_unknown(name);
-        return fn(it->second);
-    }
-
-    /// \brief Whether `name` is currently registered.
+    /// \brief Whether `name` is registered.
     [[nodiscard]] bool contains(const std::string& name) const {
-        std::lock_guard<std::mutex> lock(mutex_);
         return entries_.count(name) > 0;
     }
 
     /// \brief Every registered name, sorted.
     [[nodiscard]] std::vector<std::string> names() const {
-        std::lock_guard<std::mutex> lock(mutex_);
         std::vector<std::string> result;
         result.reserve(entries_.size());
         for (const auto& [key, unused] : entries_) {
@@ -105,23 +76,8 @@ public:
         return result;
     }
 
-    /// \brief Listing rows (name, description(entry)) for `--list` output.
-    template <typename Fn>
-    [[nodiscard]] std::vector<std::pair<std::string, std::string>> rows(
-        Fn&& describe) const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        std::vector<std::pair<std::string, std::string>> result;
-        result.reserve(entries_.size());
-        for (const auto& [key, entry] : entries_) {
-            result.emplace_back(key, describe(entry));
-        }
-        return result;
-    }
-
 private:
     [[noreturn]] void throw_unknown(const std::string& name) const {
-        // Identical, byte for byte, to the message every hand-rolled
-        // registry used to build (the mutex is held — entries_ is stable).
         std::string known;
         for (const auto& [key, unused] : entries_) {
             (void)unused;
@@ -133,7 +89,6 @@ private:
     }
 
     std::string kind_;
-    mutable std::mutex mutex_;
     std::map<std::string, Entry> entries_;
 };
 

@@ -1,11 +1,11 @@
 // Deterministic, seedable random number generation.
 //
 // Everything stochastic in this repository (solar traces, event arrivals,
-// synthetic datasets, RL exploration) draws from imx::util::Rng so that every
-// experiment is reproducible from a single seed. The generator is
-// xoshiro256** (Blackman & Vigna) seeded via splitmix64, which is both faster
-// and statistically stronger than std::mt19937 while keeping the object
-// trivially copyable (cheap to fork per-subsystem).
+// RL exploration) draws from imx::util::Rng so that every experiment is
+// reproducible from a single seed. The generator is xoshiro256** (Blackman &
+// Vigna) seeded via splitmix64, which is both faster and statistically
+// stronger than std::mt19937 while keeping the object trivially copyable
+// (cheap to fork per-subsystem).
 #ifndef IMX_UTIL_RNG_HPP
 #define IMX_UTIL_RNG_HPP
 

@@ -57,15 +57,6 @@ public:
         return data_[size_ - 1];
     }
 
-    [[nodiscard]] Span subspan(std::size_t offset) const {
-        IMX_ASSERT(offset <= size_);
-        return Span(data_ + offset, size_ - offset);
-    }
-    [[nodiscard]] Span subspan(std::size_t offset, std::size_t count) const {
-        IMX_ASSERT(offset <= size_ && count <= size_ - offset);
-        return Span(data_ + offset, count);
-    }
-
 private:
     T* data_ = nullptr;
     std::size_t size_ = 0;

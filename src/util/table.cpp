@@ -19,15 +19,6 @@ Table& Table::row(std::vector<std::string> cells) {
     return *this;
 }
 
-Table& Table::row_numeric(const std::string& label,
-                          const std::vector<double>& values, int precision) {
-    std::vector<std::string> cells;
-    cells.reserve(values.size() + 1);
-    cells.push_back(label);
-    for (const double v : values) cells.push_back(fixed(v, precision));
-    return row(std::move(cells));
-}
-
 void Table::print(std::ostream& os) const { os << to_string(); }
 
 std::string Table::to_string() const {

@@ -17,10 +17,6 @@ public:
     Table& header(std::vector<std::string> names);
     Table& row(std::vector<std::string> cells);
 
-    /// Convenience: format doubles with fixed precision.
-    Table& row_numeric(const std::string& label,
-                       const std::vector<double>& values, int precision = 3);
-
     void print(std::ostream& os) const;
     [[nodiscard]] std::string to_string() const;
 

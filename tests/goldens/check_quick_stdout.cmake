@@ -1,8 +1,9 @@
 # One stdout golden ctest: run `imx_sweep <name> [ARGS...]`, write its
 # stdout to OUT, and compare the file's SHA-256 with the pinned hash from
-# quick_stdout.sha256 (ARGS=--quick) or full_stdout.sha256 (no ARGS).
+# quick_stdout.sha256 (ARGS=--quick), full_stdout.sha256 (no ARGS) or
+# list_stdout.sha256 (NAME=--list).
 #
-#   cmake -DSWEEP=<imx_sweep> -DNAME=<experiment> -DEXPECTED=<sha256>
+#   cmake -DSWEEP=<imx_sweep> -DNAME=<experiment|--list> -DEXPECTED=<sha256>
 #         -DOUT=<file> [-DARGS=--quick] -P check_quick_stdout.cmake
 foreach(var SWEEP NAME EXPECTED OUT)
     if(NOT DEFINED ${var})

@@ -133,35 +133,6 @@ TEST(ArrivalRegistry, UnknownSourceDiagnosticListsRegisteredNames) {
     }
 }
 
-TEST(ArrivalRegistry, CustomSourceRegistersAndGenerates) {
-    sim::register_arrival_source(
-        "test-every-10s",
-        [](const sim::ArrivalParams& params) {
-            class Source final : public sim::ArrivalSource {
-            protected:
-                std::vector<sim::Event> sample(
-                    const sim::ArrivalContext& ctx) const override {
-                    std::vector<sim::Event> events;
-                    for (int i = 0; i < ctx.count; ++i) {
-                        const double t = 10.0 * (i + 1);
-                        if (t < ctx.duration_s) events.push_back({0, t});
-                    }
-                    return events;
-                }
-            };
-            sim::ArrivalParamReader reader("test-every-10s", params);
-            reader.done();
-            return std::make_unique<Source>();
-        },
-        "deterministic 10 s cadence (test fixture)");
-    ASSERT_TRUE(sim::has_arrival_source("test-every-10s"));
-    const auto events =
-        sim::generate_arrivals("test-every-10s", {4, 1000.0, 0});
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[0].time_s, 10.0);
-    EXPECT_EQ(events[3].id, 3);
-}
-
 TEST(ArrivalRegistry, ParamReaderRejectsBadValues) {
     // Unknown key.
     EXPECT_THROW(

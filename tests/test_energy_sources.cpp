@@ -107,36 +107,6 @@ TEST(TraceRegistry, UnknownSourceListsEveryRegisteredName) {
     }
 }
 
-TEST(TraceRegistry, CustomSourcesRegisterAndResolve) {
-    energy::register_trace_source(
-        "test-ramp",
-        [](const energy::TraceSourceContext& ctx,
-           const energy::TraceParams& params) {
-            energy::TraceParamReader reader("test-ramp", params);
-            const double slope = reader.positive("slope_mw_per_s", 0.001);
-            reader.done();
-            std::vector<double> samples;
-            for (double t = 0.0; t < ctx.duration_s; t += ctx.dt_s) {
-                samples.push_back(slope * t);
-            }
-            return energy::PowerTrace(ctx.dt_s, std::move(samples));
-        },
-        "linear ramp (test)", {"slope_mw_per_s"});
-    EXPECT_TRUE(energy::has_trace_source("test-ramp"));
-
-    energy::TraceSourceContext ctx;
-    ctx.duration_s = 10.0;
-    const auto trace =
-        energy::make_trace("test-ramp", ctx, {{"slope_mw_per_s", "2"}});
-    ASSERT_EQ(trace.size(), 10u);
-    EXPECT_DOUBLE_EQ(trace.samples()[9], 18.0);
-
-    // The custom source validates its own parameter map like a built-in.
-    EXPECT_THROW(
-        (void)energy::make_trace("test-ramp", ctx, {{"slop", "2"}}),
-        std::invalid_argument);
-}
-
 // --- Parameter validation per built-in source -----------------------------
 
 void expect_param_error(const std::string& source,

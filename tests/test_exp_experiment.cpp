@@ -128,22 +128,6 @@ TEST(ExperimentRegistry, UnknownNameListsEveryRegisteredName) {
     }
 }
 
-TEST(ExperimentRegistry, CustomExperimentsRegisterAndResolve) {
-    exp::register_experiment("test-custom", [] {
-        exp::Experiment e;
-        e.spec.name = "test-custom";
-        e.spec.description = "registered from a test";
-        e.spec.systems = {{"s", "ours-static", "", 0, 0}};
-        return e;
-    });
-    EXPECT_TRUE(exp::has_experiment("test-custom"));
-    const auto experiment = exp::make_experiment("test-custom");
-    EXPECT_EQ(experiment.spec.name, "test-custom");
-    const auto specs = exp::build_experiment_scenarios(experiment, {});
-    ASSERT_EQ(specs.size(), 1u);
-    EXPECT_EQ(specs[0].id, "paper-solar/s#0");
-}
-
 TEST(ExperimentRegistry, EveryNameBuildsAnExperimentOfThatName) {
     for (const std::string& name : exp::experiment_names()) {
         EXPECT_EQ(exp::make_experiment(name).spec.name, name);
@@ -204,6 +188,15 @@ TEST(PositionalArguments, ErrorsThrowInsteadOfExiting) {
     two.positional.push_back("qlearning");
     expect_invalid_argument("ablation-deadline-policy", two,
                             "unexpected argument 'qlearning'");
+}
+
+TEST(PositionalArguments, SearchEpisodeCountBelowOneIsRejected) {
+    for (const char* name : {"fig4-compression-policy", "ablation-search"}) {
+        expect_invalid_argument(name, with_positional("0"),
+                                "episode count must be >= 1, got 0");
+        expect_invalid_argument(name, with_positional("-3"),
+                                "episode count must be >= 1, got -3");
+    }
 }
 
 // --- shipped unregistered spec files --------------------------------------

@@ -1,25 +1,106 @@
 // Tests for the exp:: scenario-sweep engine: seed derivation,
 // parallel runner determinism (1 vs N threads bitwise identical), replica
-// aggregation statistics, grid composition, and edge cases.
+// aggregation statistics, grid composition, edge cases, and concurrent
+// name resolution in the registries the sweep workers read.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <exception>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "energy/trace_registry.hpp"
 #include "exp/aggregate.hpp"
+#include "exp/experiment.hpp"
 #include "exp/paper_scenarios.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "scratch_dir.hpp"
+#include "sim/arrivals/registry.hpp"
+#include "sim/policies/registry.hpp"
+#include "sim/recovery/registry.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace imx;
+
+// --- Registries under concurrency -----------------------------------------
+
+/// Resolve every name of all five registries; returns how many resolved.
+std::size_t resolve_every_name(const std::string& trace_csv,
+                               const std::string& arrivals_csv) {
+    std::size_t resolved = 0;
+    for (const auto& name : sim::policy_names()) {
+        resolved += sim::make_policy(name) != nullptr ? 1 : 0;
+    }
+    energy::TraceSourceContext trace_ctx;
+    trace_ctx.duration_s = 60.0;
+    for (const auto& name : energy::trace_source_names()) {
+        energy::TraceParams params;
+        if (name == "csv") params["path"] = trace_csv;
+        resolved += energy::make_trace(name, trace_ctx, params).size() > 0 ? 1 : 0;
+    }
+    for (const auto& name : sim::arrival_source_names()) {
+        sim::ArrivalParams params;
+        if (name == "csv") params["path"] = arrivals_csv;
+        resolved += sim::make_arrival_source(name, params) != nullptr ? 1 : 0;
+    }
+    for (const auto& name : sim::recovery_strategy_names()) {
+        resolved += sim::make_recovery_strategy(name) != nullptr ? 1 : 0;
+    }
+    for (const auto& name : exp::experiment_names()) {
+        resolved += exp::make_experiment(name).spec.name == name ? 1 : 0;
+    }
+    return resolved;
+}
+
+TEST(Registries, EightThreadsResolveEveryNameAtOnce) {
+    // Every registry is a function-local static table, built on first use
+    // and only read afterwards, with no lock. This test is the first in the
+    // binary and ctest runs each test in its own process, so these threads
+    // race the tables' construction as well as the lookups; the
+    // ThreadSanitizer CI job runs this binary.
+    const std::string dir = test::scratch_dir();
+    const std::string trace_csv = dir + "trace.csv";
+    const std::string arrivals_csv = dir + "arrivals.csv";
+    std::ofstream(trace_csv) << "time_s,power_mw\n0,0.1\n1,0.1\n2,0.1\n";
+    std::ofstream(arrivals_csv) << "1\n2\n3\n";
+
+    constexpr int kThreads = 8;
+    std::atomic<bool> go{false};
+    std::vector<std::size_t> resolved(kThreads, 0);
+    std::vector<std::string> errors(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load()) std::this_thread::yield();
+            try {
+                resolved[t] = resolve_every_name(trace_csv, arrivals_csv);
+            } catch (const std::exception& e) {
+                errors[t] = e.what();
+            }
+        });
+    }
+    go.store(true);
+    for (auto& thread : threads) thread.join();
+
+    const std::size_t expected =
+        sim::policy_names().size() + energy::trace_source_names().size() +
+        sim::arrival_source_names().size() +
+        sim::recovery_strategy_names().size() + exp::experiment_names().size();
+    EXPECT_GE(expected, 30u);
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(errors[t], "") << "thread " << t;
+        EXPECT_EQ(resolved[t], expected) << "thread " << t;
+    }
+}
 
 // --- Seed derivation ------------------------------------------------------
 

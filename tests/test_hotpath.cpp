@@ -3,7 +3,7 @@
 //
 //  1. Unit contracts of the new utility layer: util::Arena (aligned bump
 //     allocation, capacity-retaining reset), util::Registry<T> (the one
-//     registry template behind every named axis, with the shared
+//     fixed name table behind every named axis, with the shared
 //     unknown-name diagnostic), util::ParamReader (typed getters,
 //     unknown-key rejection).
 //  2. Workspace transparency: running every registered experiment's --quick
@@ -130,16 +130,13 @@ TEST(Arena, ScopeResetsOnExit) {
 
 // --- util::Registry --------------------------------------------------------
 
-TEST(RegistryTemplate, AddGetContainsAndSortedNames) {
-    util::Registry<int> registry("widget");
-    registry.add("zeta", 1);
-    registry.add("alpha", 2);
-    registry.add("mid", 3);
+TEST(RegistryTemplate, GetContainsAndSortedNames) {
+    const util::Registry<int> registry("widget",
+                                       {{"zeta", 1}, {"alpha", 2}, {"mid", 3}});
     EXPECT_TRUE(registry.contains("mid"));
     EXPECT_FALSE(registry.contains("nope"));
     EXPECT_EQ(registry.get("alpha"), 2);
-    registry.add("alpha", 9);  // replace
-    EXPECT_EQ(registry.get("alpha"), 9);
+    EXPECT_EQ(registry.get("zeta"), 1);
     const std::vector<std::string> names = registry.names();
     ASSERT_EQ(names.size(), 3u);
     EXPECT_EQ(names[0], "alpha");
@@ -148,35 +145,16 @@ TEST(RegistryTemplate, AddGetContainsAndSortedNames) {
 }
 
 TEST(RegistryTemplate, UnknownNameDiagnosticListsEveryRegisteredName) {
-    util::Registry<int> registry("exit policy");
-    registry.add("greedy", 1);
-    registry.add("qlearning", 2);
+    const util::Registry<int> registry("exit policy",
+                                       {{"greedy", 1}, {"qlearning", 2}});
     try {
         (void)registry.get("greedo");
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
-        // Byte-identical to the historical hand-rolled registries.
         EXPECT_STREQ(e.what(),
                      "unknown exit policy 'greedo' "
                      "(registered: greedy, qlearning)");
     }
-}
-
-TEST(RegistryTemplate, ReadProjectsAndRowsDescribe) {
-    struct Entry {
-        int factory;
-        std::string description;
-    };
-    util::Registry<Entry> registry("thing");
-    registry.add("b", {2, "second"});
-    registry.add("a", {1, "first"});
-    EXPECT_EQ(registry.read("a", [](const Entry& e) { return e.factory; }), 1);
-    const auto rows =
-        registry.rows([](const Entry& e) { return e.description; });
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0].first, "a");
-    EXPECT_EQ(rows[0].second, "first");
-    EXPECT_EQ(rows[1].second, "second");
 }
 
 // --- util::ParamReader -----------------------------------------------------

@@ -1,17 +1,14 @@
-// Property tests for nn::Tensor and the quantizers: random shapes, row-major
-// stride consistency, quantizer code bounds, and NaN/inf propagation through
-// the dispatched kernels (part of the kernel-harness contract in
+// Property tests for nn::Tensor and the kernels: random shapes, row-major
+// stride consistency, and NaN/inf propagation through the dispatched kernels (part of the kernel-harness contract in
 // docs/kernels.md).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include "nn/kernels/kernels.hpp"
-#include "nn/quantize.hpp"
 #include "nn/tensor.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -107,80 +104,10 @@ TEST(TensorProps, NanAndInfSurviveStorageAndNorms) {
     EXPECT_TRUE(std::isnan(t.l2_norm()) || std::isinf(t.l2_norm()));
 }
 
-TEST(QuantizeProps, WeightCodesBoundedAndReconstructionMatchesScale) {
-    util::Rng rng(0x9a27);
-    for (int trial = 0; trial < 12; ++trial) {
-        const int bits = rng.uniform_int(1, 8);
-        const int n = rng.uniform_int(4, 400);
-        nn::Tensor w({n});
-        for (std::int64_t i = 0; i < w.numel(); ++i) {
-            w[i] = static_cast<float>(rng.normal());
-        }
-        const nn::QuantResult q = nn::quantize_weights(w, bits);
-        ASSERT_GT(q.scale, 0.0);
-        ASSERT_GE(q.mse, 0.0);
-        ASSERT_EQ(static_cast<std::int64_t>(q.codes.size()), w.numel());
-        const std::int32_t lo = -(1 << (bits - 1));
-        const std::int32_t hi = (1 << (bits - 1)) - 1;
-        for (const std::int32_t code : q.codes) {
-            ASSERT_GE(code, lo);
-            ASSERT_LE(code, hi);
-        }
-
-        // Fake-quant lands every value on the code lattice.
-        nn::Tensor fq = w;
-        nn::fake_quantize_weights(fq, bits);
-        std::set<float> distinct;
-        for (std::int64_t i = 0; i < fq.numel(); ++i) distinct.insert(fq[i]);
-        ASSERT_LE(distinct.size(), static_cast<std::size_t>(1) << bits);
-    }
-}
-
-TEST(QuantizeProps, MoreBitsNeverHurtWeightMse) {
-    util::Rng rng(0xb17);
-    nn::Tensor w({512});
-    for (std::int64_t i = 0; i < w.numel(); ++i) {
-        w[i] = static_cast<float>(rng.normal());
-    }
-    double prev_mse = std::numeric_limits<double>::infinity();
-    for (const int bits : {1, 2, 4, 8}) {
-        const nn::QuantResult q = nn::quantize_weights(w, bits);
-        // Small epsilon: the scale search is a bracket, not an exact argmin.
-        EXPECT_LE(q.mse, prev_mse * 1.001 + 1e-12) << "bits=" << bits;
-        prev_mse = q.mse;
-    }
-}
-
-TEST(QuantizeProps, ActivationRoundTripStaysNonNegativeAndOnLattice) {
-    util::Rng rng(0xac7);
-    for (int trial = 0; trial < 12; ++trial) {
-        const int bits = rng.uniform_int(1, 8);
-        const int n = rng.uniform_int(4, 300);
-        nn::Tensor a({n});
-        for (std::int64_t i = 0; i < a.numel(); ++i) {
-            const float v = static_cast<float>(rng.normal());
-            a[i] = v > 0.0F ? v : 0.0F;  // post-ReLU range
-        }
-        const nn::QuantResult q = nn::quantize_activations(a, bits);
-        const std::int32_t hi = (1 << bits) - 1;
-        for (const std::int32_t code : q.codes) {
-            ASSERT_GE(code, 0);
-            ASSERT_LE(code, hi);
-        }
-        nn::Tensor fq = a;
-        nn::fake_quantize_activations(fq, bits);
-        std::set<float> distinct;
-        for (std::int64_t i = 0; i < fq.numel(); ++i) {
-            ASSERT_GE(fq[i], 0.0F) << i;
-            distinct.insert(fq[i]);
-        }
-        ASSERT_LE(distinct.size(), static_cast<std::size_t>(1) << bits);
-    }
-}
-
 /// NaN/inf propagation through the dispatched kernels, pinned for every
 /// available backend: gemm propagates them, and ReLU's documented semantics
-/// map NaN to zero (`t > 0` is false for NaN).
+/// map NaN to zero (`t > 0` is false for NaN). The suite name dates from when
+/// this file also held the quantizer properties; filters still select it.
 TEST(QuantizeProps, KernelsPropagateNanAndInf) {
     std::vector<nn::kernels::Backend> backends = {
         nn::kernels::Backend::kScalar};

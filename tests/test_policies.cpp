@@ -246,27 +246,6 @@ TEST(PolicyRegistry, UnknownNameThrowsWithKnownNames) {
     }
 }
 
-TEST(PolicyRegistry, CustomRegistrationIsConstructible) {
-    struct AlwaysZero final : sim::ExitPolicy {
-        int select_exit(const sim::EnergyState&,
-                        const sim::InferenceModel&) override {
-            return 0;
-        }
-        bool continue_inference(const sim::EnergyState&,
-                                const sim::InferenceModel&, int,
-                                double) override {
-            return false;
-        }
-    };
-    sim::register_policy("test-always-zero", [](const sim::PolicyContext&) {
-        return std::make_unique<AlwaysZero>();
-    });
-    EXPECT_TRUE(sim::has_policy("test-always-zero"));
-    FakeModel model;
-    const auto policy = sim::make_policy("test-always-zero");
-    EXPECT_EQ(policy->select_exit(ample_energy(kInf), model), 0);
-}
-
 // --- Policy axis (exp::policy_patch) --------------------------------------
 
 TEST(PolicyPatch, LabelsDimsAndValidation) {

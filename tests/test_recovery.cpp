@@ -253,28 +253,6 @@ TEST(RecoveryRegistry, NegativeCostParametersAreRejected) {
     }
 }
 
-TEST(RecoveryRegistry, CustomStrategiesRegisterAndResolve) {
-    class KeepHalf final : public sim::RecoveryStrategy {
-    public:
-        [[nodiscard]] double commit_cost_mj() const override { return 0.0; }
-        [[nodiscard]] int surviving_units(int committed) const override {
-            return committed / 2;
-        }
-        [[nodiscard]] double restore_cost_mj(int) const override {
-            return 0.0;
-        }
-    };
-    sim::register_recovery_strategy(
-        "test-keep-half",
-        [](const sim::RecoveryConfig&) { return std::make_unique<KeepHalf>(); },
-        "keeps the older half of committed units");
-    EXPECT_TRUE(sim::has_recovery_strategy("test-keep-half"));
-    EXPECT_EQ(sim::recovery_strategy_description("test-keep-half"),
-              "keeps the older half of committed units");
-    const auto strategy = sim::make_recovery_strategy("test-keep-half");
-    EXPECT_EQ(strategy->surviving_units(5), 2);
-}
-
 // --- Plan construction -----------------------------------------------------
 
 TEST(RecoveryUnits, GranularityParsesAndRoundTrips) {

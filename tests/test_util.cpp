@@ -437,7 +437,7 @@ TEST(TableTest, RendersAlignedColumns) {
     Table t("demo");
     t.header({"name", "value"});
     t.row({"alpha", "1"});
-    t.row_numeric("beta", {2.5}, 1);
+    t.row({"beta", fixed(2.5, 1)});
     const std::string s = t.to_string();
     EXPECT_NE(s.find("demo"), std::string::npos);
     EXPECT_NE(s.find("alpha"), std::string::npos);
