@@ -179,9 +179,9 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
     return options;
 }
 
-int positional_int(const SweepCli& options, std::size_t index, int fallback) {
-    if (index >= options.positional.size()) return fallback;
-    const std::string& text = options.positional[index];
+int positional_episodes(const SweepCli& options, int fallback) {
+    if (options.positional.empty()) return fallback;
+    const std::string& text = options.positional.front();
     char* end = nullptr;
     errno = 0;
     const long value = std::strtol(text.c_str(), &end, 10);
@@ -190,16 +190,11 @@ int positional_int(const SweepCli& options, std::size_t index, int fallback) {
         throw std::invalid_argument("expected an integer argument, got '" +
                                     text + "'");
     }
-    return static_cast<int>(value);
-}
-
-int positional_episodes(const SweepCli& options, int fallback) {
-    const int episodes = positional_int(options, 0, fallback);
-    if (episodes < 1) {
+    if (value < 1) {
         throw std::invalid_argument("episode count must be >= 1, got " +
-                                    std::to_string(episodes));
+                                    std::to_string(value));
     }
-    return episodes;
+    return static_cast<int>(value);
 }
 
 void require_no_positional(const SweepCli& options) {

@@ -96,10 +96,6 @@ struct SweepCli {
 ///   with --shard/--journal/--resume).
 SweepCli parse_sweep_cli(int argc, char** argv);
 
-/// \brief Positional argument `index` as an int, or `fallback` when absent.
-/// \throws std::invalid_argument on non-numeric or out-of-range text.
-int positional_int(const SweepCli& options, std::size_t index, int fallback);
-
 /// \brief The search experiments' optional episode count: positional
 /// argument 0, or `fallback` when absent.
 /// \throws std::invalid_argument on non-numeric text or a count below 1.

@@ -242,8 +242,8 @@ int recovery_report(const ExperimentRunContext& ctx) {
         "units to NVM at a per-commit write cost (recovery_mj), and "
         "rec-ckpt-free restores for a small per-unit penalty. Strategies are "
         "spec-level config (docs/recovery.md) — edit the [recovery.*] "
-        "sections of examples/experiments/recovery_ablation.ini, or register "
-        "a custom strategy, without recompiling.\n");
+        "sections of a copy of examples/experiments/recovery_ablation.ini to "
+        "try other strategy settings without recompiling.\n");
     return code;
 }
 
@@ -294,9 +294,9 @@ int traffic_report(const ExperimentRunContext& ctx) {
         "finishing each inference sooner to drain the queue; under bursty "
         "traffic that lowers tail latency and drop counts at some accuracy "
         "cost. Workloads are spec-level config (docs/workloads.md) — edit "
-        "the [arrivals.*] sections of "
-        "examples/experiments/traffic_ablation.ini, or register a custom "
-        "arrival source, without recompiling.\n");
+        "the [arrivals.*] sections of a copy of "
+        "examples/experiments/traffic_ablation.ini to try other arrival "
+        "patterns without recompiling.\n");
     return code;
 }
 

@@ -148,7 +148,8 @@ int latency_report(const ExperimentRunContext& ctx) {
     std::printf(
         "note: SpArSeNet's absolute latency exceeds the paper's 183.4 in this "
         "calibration (its 17.1 mJ inferences only complete near solar noon); "
-        "the ordering and all other factors match. See EXPERIMENTS.md.\n");
+        "the ordering and all other factors match. See "
+        "docs/reproducing-figures.md.\n");
 
     print_replica_aggregate(
         ctx.specs, ctx.outcomes,

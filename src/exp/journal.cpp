@@ -60,29 +60,60 @@ std::size_t require_count(double num, const char* what) {
     return static_cast<std::size_t>(num);
 }
 
-/// The JSON subset the header line is written in: one flat object whose
-/// values are strings, numbers or booleans. Anything else is a parse error —
-/// the reader only has to understand what journal_header_line() emits.
-struct JsonValue {
-    enum class Kind { String, Number, Bool };
-    Kind kind = Kind::Number;
-    std::string str;
-    double num = 0.0;
-    bool boolean = false;
-};
-using JsonObject = std::map<std::string, JsonValue>;
-
 /// Reads one journal line in place. Numbers are parsed with from_chars,
 /// the exact inverse of the writer's to_chars text.
 class LineParser {
 public:
     explicit LineParser(std::string_view line) : s_(line) {}
 
-    /// The header line: a flat object, fields in any order.
-    JsonObject parse_object_line() {
-        JsonObject object = parse_object();
+    /// The header line, fields in the order journal_header_line() writes
+    /// them. The version comes first, so a journal of another version is
+    /// rejected as such whatever its other fields look like.
+    JournalHeader parse_header_line() {
+        expect('{');
+        expect_key("imx_journal");
+        const double version = parse_number();
+        if (version != static_cast<double>(kJournalVersion)) {
+            fail("unsupported journal version " + std::to_string(version) +
+                 " (this build reads version " +
+                 std::to_string(kJournalVersion) + ")");
+        }
+        JournalHeader header;
+        expect(',');
+        expect_key("experiment");
+        header.experiment = parse_string();
+        expect(',');
+        expect_key("total_specs");
+        header.total_specs = require_count(parse_number(), "total_specs");
+        expect(',');
+        expect_key("shard");
+        const std::string shard = parse_string();
+        try {
+            header.shard = parse_shard_spec(shard);
+        } catch (const std::invalid_argument& e) {
+            fail(e.what());
+        }
+        expect(',');
+        expect_key("base_seed");
+        const std::string seed_text = parse_string();
+        char* end = nullptr;
+        errno = 0;
+        const unsigned long long seed =
+            std::strtoull(seed_text.c_str(), &end, 0);
+        if (end == seed_text.c_str() || *end != '\0' || errno == ERANGE) {
+            fail("bad base_seed '" + seed_text + "'");
+        }
+        header.base_seed = static_cast<std::uint64_t>(seed);
+        expect(',');
+        expect_key("quick");
+        header.quick = parse_bool();
+        expect(',');
+        expect_key("replicas");
+        header.replicas =
+            static_cast<int>(require_count(parse_number(), "replicas"));
+        expect('}');
         expect_end();
-        return object;
+        return header;
     }
 
     /// An entry line, fields in the order journal_entry_line() writes them.
@@ -165,41 +196,16 @@ private:
         expect(':');
     }
 
-    JsonObject parse_object() {
-        JsonObject object;
-        expect('{');
-        if (consume('}')) return object;
-        while (true) {
-            std::string key = parse_string();
-            expect(':');
-            object.emplace(std::move(key), parse_value());
-            if (consume(',')) continue;
-            expect('}');
-            return object;
-        }
-    }
-
-    JsonValue parse_value() {
+    bool parse_bool() {
         skip_ws();
-        if (pos_ >= s_.size()) fail("unexpected end of line");
-        JsonValue value;
-        const char c = s_[pos_];
-        if (c == '"') {
-            value.kind = JsonValue::Kind::String;
-            value.str = parse_string();
-        } else if (c == 't' || c == 'f') {
-            value.kind = JsonValue::Kind::Bool;
-            value.boolean = (c == 't');
-            const std::string_view literal = value.boolean ? "true" : "false";
-            if (s_.compare(pos_, literal.size(), literal) != 0) {
-                fail("bad literal");
+        for (const bool value : {true, false}) {
+            const std::string_view literal = value ? "true" : "false";
+            if (s_.compare(pos_, literal.size(), literal) == 0) {
+                pos_ += literal.size();
+                return value;
             }
-            pos_ += literal.size();
-        } else {
-            value.kind = JsonValue::Kind::Number;
-            value.num = parse_number();
         }
-        return value;
+        fail("expected true or false");
     }
 
     std::string parse_string() {
@@ -274,61 +280,6 @@ private:
     std::string_view s_;
     std::size_t pos_ = 0;
 };
-
-const JsonValue& require_field(const JsonObject& object, const char* key,
-                               JsonValue::Kind kind, const char* kind_name) {
-    const auto it = object.find(key);
-    if (it == object.end() || it->second.kind != kind) {
-        throw std::runtime_error(std::string("missing or mistyped field '") +
-                                 key + "' (expected a " + kind_name + ")");
-    }
-    return it->second;
-}
-
-JournalHeader header_from_object(const JsonObject& object) {
-    const double version =
-        require_field(object, "imx_journal", JsonValue::Kind::Number, "number")
-            .num;
-    if (version != static_cast<double>(kJournalVersion)) {
-        throw std::runtime_error(
-            "unsupported journal version " + std::to_string(version) +
-            " (this build reads version " + std::to_string(kJournalVersion) +
-            ")");
-    }
-    JournalHeader header;
-    header.experiment =
-        require_field(object, "experiment", JsonValue::Kind::String, "string")
-            .str;
-    header.total_specs = require_count(
-        require_field(object, "total_specs", JsonValue::Kind::Number, "number")
-            .num,
-        "total_specs");
-    try {
-        header.shard = parse_shard_spec(
-            require_field(object, "shard", JsonValue::Kind::String, "string")
-                .str);
-    } catch (const std::invalid_argument& e) {
-        throw std::runtime_error(e.what());
-    }
-    const std::string seed_text =
-        require_field(object, "base_seed", JsonValue::Kind::String, "string")
-            .str;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long seed = std::strtoull(seed_text.c_str(), &end, 0);
-    if (end == seed_text.c_str() || *end != '\0' || errno == ERANGE) {
-        throw std::runtime_error("bad base_seed '" + seed_text + "'");
-    }
-    header.base_seed = static_cast<std::uint64_t>(seed);
-    header.quick =
-        require_field(object, "quick", JsonValue::Kind::Bool, "boolean")
-            .boolean;
-    header.replicas = static_cast<int>(require_count(
-        require_field(object, "replicas", JsonValue::Kind::Number, "number")
-            .num,
-        "replicas"));
-    return header;
-}
 
 /// Reject a journal whose identity fields disagree with the run in hand.
 void check_header(const JournalHeader& got, const JournalHeader& expected,
@@ -454,7 +405,7 @@ JournalFile read_journal(const std::string& path) {
     }
     JournalFile file;
     try {
-        file.header = header_from_object(LineParser(line).parse_object_line());
+        file.header = LineParser(line).parse_header_line();
     } catch (const std::exception& e) {
         throw std::runtime_error(path + ":1: bad journal header: " + e.what());
     }

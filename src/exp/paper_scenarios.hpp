@@ -223,7 +223,7 @@ ScenarioSpec make_exit_accuracy_scenario(CompressionVariant variant,
                                          int replica = 0,
                                          std::uint64_t base_seed = kDefaultBaseSeed);
 
-// --- Compression-search scenarios (fig4 / example_compression_search) -----
+// --- Compression-search scenarios (fig4 / ablation-search) ----------------
 
 enum class SearchAlgo { kDdpg, kDdpgRefined, kRandom, kAnnealing };
 

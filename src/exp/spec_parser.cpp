@@ -156,6 +156,7 @@ void apply_sweep(const std::string& origin, const util::KvSection& section,
 }
 
 std::string join_names(const std::vector<std::string>& names) {
+    if (names.empty()) return "none";
     std::string joined;
     for (const auto& name : names) {
         if (!joined.empty()) joined += ", ";
@@ -241,18 +242,16 @@ TraceEntry parse_trace(const std::string& origin,
     // a trace key or a declared parameter of the section's source.
     const auto known_params =
         energy::trace_source_param_names(trace.config.trace_source);
-    if (!known_params.empty()) {
-        for (const auto* entry : param_entries) {
-            if (std::find(known_params.begin(), known_params.end(),
-                          entry->key) != known_params.end()) {
-                continue;
-            }
-            fail(origin, entry->line,
-                 "unknown key '" + entry->key + "' in [" + section.name +
-                     "] (neither a trace key nor a parameter of source '" +
-                     trace.config.trace_source +
-                     "', which accepts: " + join_names(known_params) + ")");
+    for (const auto* entry : param_entries) {
+        if (std::find(known_params.begin(), known_params.end(), entry->key) !=
+            known_params.end()) {
+            continue;
         }
+        fail(origin, entry->line,
+             "unknown key '" + entry->key + "' in [" + section.name +
+                 "] (neither a trace key nor a parameter of source '" +
+                 trace.config.trace_source +
+                 "', which accepts: " + join_names(known_params) + ")");
     }
 
     // A relative file `path` resolves against the spec file's directory,
@@ -444,18 +443,16 @@ ArrivalCell parse_arrival_cell(const std::string& origin,
              "[" + section.name + "] requires 'source = <name>'");
     }
     const auto known_params = sim::arrival_source_param_names(cell.source);
-    if (!known_params.empty()) {
-        for (const auto* entry : param_entries) {
-            if (std::find(known_params.begin(), known_params.end(),
-                          entry->key) != known_params.end()) {
-                continue;
-            }
-            fail(origin, entry->line,
-                 "unknown key '" + entry->key + "' in [" + section.name +
-                     "] (neither 'source' nor a parameter of source '" +
-                     cell.source +
-                     "', which accepts: " + join_names(known_params) + ")");
+    for (const auto* entry : param_entries) {
+        if (std::find(known_params.begin(), known_params.end(), entry->key) !=
+            known_params.end()) {
+            continue;
         }
+        fail(origin, entry->line,
+             "unknown key '" + entry->key + "' in [" + section.name +
+                 "] (neither 'source' nor a parameter of source '" +
+                 cell.source +
+                 "', which accepts: " + join_names(known_params) + ")");
     }
 
     // A relative file `path` resolves against the spec file's directory,

@@ -2,9 +2,10 @@
 //
 // The paper reduces the device to two constants — 1.5 mJ per million FLOPs
 // and a 1-second latency time unit with FLOPs as the latency proxy — plus a
-// weight-storage budget (tens of KB). This model makes those knobs explicit
-// and adds the checkpoint cost a SONIC-style intermittent runtime pays to
-// preserve progress across power failures (nonvolatile FRAM writes).
+// weight-storage budget (tens of KB; core::kSizeTargetBytes). This model
+// makes the compute knobs explicit and adds the checkpoint cost a SONIC-style
+// intermittent runtime pays to preserve progress across power failures
+// (nonvolatile FRAM writes).
 #ifndef IMX_MCU_DEVICE_HPP
 #define IMX_MCU_DEVICE_HPP
 
@@ -17,7 +18,6 @@ namespace imx::mcu {
 struct McuConfig {
     double energy_per_mmac_mj = 1.5;  ///< paper: 1.5 mJ per million FLOPs
     double mmacs_per_second = 0.1;    ///< active-compute throughput (MMAC/s)
-    double flash_budget_bytes = 16.0 * 1024.0;  ///< weight storage target
     // SONIC-style checkpointing of loop indices + partial accumulators into
     // FRAM, paid once per committed task/tile.
     double checkpoint_energy_mj = 0.02;
@@ -33,23 +33,13 @@ class McuModel {
 public:
     explicit McuModel(const McuConfig& config);
 
-    /// Defaults tuned to the paper's constants (docs/reproducing-figures.md,
-    /// Calibration).
-    static McuModel msp432();
-
     [[nodiscard]] const McuConfig& config() const { return config_; }
-
-    /// Pure compute energy for a MAC count (no checkpointing), mJ.
-    [[nodiscard]] double compute_energy(std::int64_t macs) const;
 
     /// Pure compute time for a MAC count, seconds.
     [[nodiscard]] double compute_time(std::int64_t macs) const;
 
     /// Number of checkpoints a SONIC-style run of `macs` commits.
     [[nodiscard]] std::int64_t checkpoint_count(std::int64_t macs) const;
-
-    /// Whether a model of the given byte size fits the flash budget.
-    [[nodiscard]] bool fits_flash(double model_bytes) const;
 
 private:
     McuConfig config_;

@@ -44,7 +44,6 @@ public:
     [[nodiscard]] std::size_t num_states() const { return num_states_; }
     [[nodiscard]] std::size_t num_actions() const { return num_actions_; }
     [[nodiscard]] double epsilon() const { return epsilon_; }
-    void set_epsilon(double epsilon) { epsilon_ = epsilon; }
 
     /// Table memory footprint in bytes — the paper argues this overhead is
     /// negligible for an MCU; tests assert it stays KB-scale.

@@ -44,12 +44,6 @@ public:
     }
 
 protected:
-    std::vector<Event> sample(const ArrivalContext& ctx) const override {
-        std::vector<Event> events;
-        sample_into(ctx, events);
-        return events;
-    }
-
     // The Q-learning training loop regenerates this stream once per episode
     // per scenario; appending into the workspace buffer makes that
     // allocation-free in steady state.
@@ -76,12 +70,6 @@ public:
     }
 
 protected:
-    std::vector<Event> sample(const ArrivalContext& ctx) const override {
-        std::vector<Event> events;
-        sample_into(ctx, events);
-        return events;
-    }
-
     void sample_into(const ArrivalContext& ctx,
                      std::vector<Event>& out) const override {
         util::Rng rng(ctx.seed);
@@ -118,23 +106,23 @@ public:
     }
 
 protected:
-    std::vector<Event> sample(const ArrivalContext& ctx) const override {
+    void sample_into(const ArrivalContext& ctx,
+                     std::vector<Event>& out) const override {
         util::Rng rng(ctx.seed);
-        std::vector<Event> events;
-        events.reserve(static_cast<std::size_t>(ctx.count));
-        while (static_cast<int>(events.size()) < ctx.count) {
+        out.clear();
+        out.reserve(static_cast<std::size_t>(ctx.count));
+        while (static_cast<int>(out.size()) < ctx.count) {
             const double burst_time = rng.uniform(0.0, ctx.duration_s);
             const auto burst_size =
                 static_cast<int>(rng.uniform_int(burst_min_, burst_max_));
-            for (int b = 0; b < burst_size &&
-                            static_cast<int>(events.size()) < ctx.count;
+            for (int b = 0;
+                 b < burst_size && static_cast<int>(out.size()) < ctx.count;
                  ++b) {
                 const double jitter = rng.uniform(0.0, jitter_s_);
-                events.push_back({0, std::min(burst_time + jitter,
-                                              ctx.duration_s - 1e-6)});
+                out.push_back({0, std::min(burst_time + jitter,
+                                           ctx.duration_s - 1e-6)});
             }
         }
-        return events;
     }
 
 private:
@@ -162,10 +150,11 @@ public:
     }
 
 protected:
-    std::vector<Event> sample(const ArrivalContext& ctx) const override {
+    void sample_into(const ArrivalContext& ctx,
+                     std::vector<Event>& out) const override {
         util::Rng rng(ctx.seed);
-        std::vector<Event> events;
-        events.reserve(static_cast<std::size_t>(ctx.count));
+        out.clear();
+        out.reserve(static_cast<std::size_t>(ctx.count));
         const double mean_rate =
             static_cast<double>(ctx.count) / ctx.duration_s;
         // Solve f * (k * r) + (1 - f) * r = mean_rate for the idle rate r,
@@ -180,7 +169,7 @@ protected:
         bool burst = false;
         double t = 0.0;
         double dwell_end = rng.exponential(1.0 / mean_idle_s_);
-        while (static_cast<int>(events.size()) < ctx.count) {
+        while (static_cast<int>(out.size()) < ctx.count) {
             const double gap =
                 rng.exponential(burst ? burst_rate : idle_rate);
             if (t + gap >= dwell_end) {
@@ -200,9 +189,8 @@ protected:
                 dwell_end = t + rng.exponential(burst ? 1.0 / mean_burst_s_
                                                       : 1.0 / mean_idle_s_);
             }
-            events.push_back({0, t});
+            out.push_back({0, t});
         }
-        return events;
     }
 
 private:
@@ -226,23 +214,23 @@ public:
     }
 
 protected:
-    std::vector<Event> sample(const ArrivalContext& ctx) const override {
+    void sample_into(const ArrivalContext& ctx,
+                     std::vector<Event>& out) const override {
         util::Rng rng(ctx.seed);
-        std::vector<Event> events;
-        events.reserve(static_cast<std::size_t>(ctx.count));
+        out.clear();
+        out.reserve(static_cast<std::size_t>(ctx.count));
         // period_s = 0 (the default) means one cycle per run: the horizon
         // is the day.
         const double period = period_s_ > 0.0 ? period_s_ : ctx.duration_s;
         const double two_pi = 2.0 * 3.14159265358979323846;
-        while (static_cast<int>(events.size()) < ctx.count) {
+        while (static_cast<int>(out.size()) < ctx.count) {
             const double t = rng.uniform(0.0, ctx.duration_s);
             const double weight =
                 1.0 + depth_ * std::cos(two_pi * (t / period - peak_frac_));
             if (rng.uniform(0.0, 1.0 + depth_) <= weight) {
-                events.push_back({0, t});
+                out.push_back({0, t});
             }
         }
-        return events;
     }
 
 private:
@@ -295,7 +283,8 @@ public:
     }
 
 protected:
-    std::vector<Event> sample(const ArrivalContext& ctx) const override {
+    void sample_into(const ArrivalContext& ctx,
+                     std::vector<Event>& out) const override {
         std::vector<double> times;
         times.reserve(times_s_.size());
         for (const double t : times_s_) {
@@ -306,10 +295,9 @@ protected:
         if (static_cast<int>(times.size()) > ctx.count) {
             times.resize(static_cast<std::size_t>(ctx.count));
         }
-        std::vector<Event> events;
-        events.reserve(times.size());
-        for (const double t : times) events.push_back({0, t});
-        return events;
+        out.clear();
+        out.reserve(times.size());
+        for (const double t : times) out.push_back({0, t});
     }
 
 private:

@@ -75,17 +75,11 @@ public:
                        std::vector<Event>& out) const;
 
 protected:
-    /// Raw arrival times in any order; generate() sorts and renumbers.
-    [[nodiscard]] virtual std::vector<Event> sample(
-        const ArrivalContext& context) const = 0;
-
-    /// sample() into a caller-owned buffer (cleared first). The default
-    /// falls back to sample(); built-in sources override it to append into
+    /// Raw arrival times in any order, replacing the contents of `out`;
+    /// generate_into() sorts and renumbers. Sources clear and append into
     /// the reused buffer so a steady-state worker makes no heap allocation.
     virtual void sample_into(const ArrivalContext& context,
-                             std::vector<Event>& out) const {
-        out = sample(context);
-    }
+                             std::vector<Event>& out) const = 0;
 };
 
 /// \brief Typed, validating view over an ArrivalParams map.

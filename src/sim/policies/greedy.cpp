@@ -14,12 +14,12 @@ namespace {
 /// Deepest exit in [0, num_exits) affordable at the current level under a
 /// depth cap — the shared core of both greedy LUTs.
 int deepest_affordable(const EnergyState& state, const InferenceModel& model,
-                       double safety_margin_mj, int max_depth) {
+                       double margin_mj, int max_depth) {
     int chosen = -1;
     const int limit = std::min(max_depth, model.num_exits() - 1);
     for (int e = 0; e <= limit; ++e) {
         const double cost = macs_energy_mj(state, model.exit_macs(e));
-        if (cost + safety_margin_mj <= state.level_mj) chosen = e;
+        if (cost + margin_mj <= state.level_mj) chosen = e;
     }
     return chosen;
 }
@@ -28,24 +28,24 @@ int deepest_affordable(const EnergyState& state, const InferenceModel& model,
 
 double cheapest_commit_mj(const EnergyState& state,
                           const InferenceModel& model,
-                          double safety_margin_mj) {
+                          double margin_mj) {
     double floor = std::numeric_limits<double>::infinity();
     for (int e = 0; e < model.num_exits(); ++e) {
         const double cost = macs_energy_mj(state, model.exit_macs(e));
-        floor = std::min(floor, cost + safety_margin_mj);
+        floor = std::min(floor, cost + margin_mj);
     }
     return floor;
 }
 
 int GreedyAffordablePolicy::select_exit(const EnergyState& state,
                                         const InferenceModel& model) {
-    return deepest_affordable(state, model, safety_margin_mj_,
+    return deepest_affordable(state, model, margin_mj_,
                               model.num_exits() - 1);
 }
 
-SlackGreedyPolicy::SlackGreedyPolicy(double safety_margin_mj,
+SlackGreedyPolicy::SlackGreedyPolicy(double margin_mj,
                                      SlackSchedule schedule)
-    : safety_margin_mj_(safety_margin_mj), schedule_(std::move(schedule)) {
+    : margin_mj_(margin_mj), schedule_(std::move(schedule)) {
     schedule_.validate();
 }
 
@@ -53,12 +53,12 @@ int SlackGreedyPolicy::select_exit(const EnergyState& state,
                                    const InferenceModel& model) {
     const int cap = schedule_.max_depth(state.deadline_slack_s,
                                         model.num_exits());
-    return deepest_affordable(state, model, safety_margin_mj_, cap);
+    return deepest_affordable(state, model, margin_mj_, cap);
 }
 
-QueueSlackGreedyPolicy::QueueSlackGreedyPolicy(double safety_margin_mj,
+QueueSlackGreedyPolicy::QueueSlackGreedyPolicy(double margin_mj,
                                                SlackSchedule schedule)
-    : safety_margin_mj_(safety_margin_mj), schedule_(std::move(schedule)) {
+    : margin_mj_(margin_mj), schedule_(std::move(schedule)) {
     schedule_.validate();
 }
 
@@ -76,7 +76,7 @@ int QueueSlackGreedyPolicy::select_exit(const EnergyState& state,
     const int cap = std::min(
         schedule_.max_depth(state.deadline_slack_s, model.num_exits()),
         max_depth_for_backlog(state.queue_backlog, model.num_exits()));
-    return deepest_affordable(state, model, safety_margin_mj_, cap);
+    return deepest_affordable(state, model, margin_mj_, cap);
 }
 
 }  // namespace imx::sim

@@ -9,12 +9,12 @@
 
 namespace imx::sim {
 
-/// \brief min over exits e of (cost of e + safety_margin_mj), with the
+/// \brief min over exits e of (cost of e + margin_mj), with the
 /// expressions the greedy LUTs test affordability with: the
 /// ExitPolicy::commit_floor_mj() of all three.
 [[nodiscard]] double cheapest_commit_mj(const EnergyState& state,
                                         const InferenceModel& model,
-                                        double safety_margin_mj);
+                                        double margin_mj);
 
 /// \brief The static-LUT baseline of Sec. IV / Fig. 7.
 ///
@@ -23,10 +23,10 @@ namespace imx::sim {
 /// EnergyState::deadline_slack_s does not influence the choice.
 class GreedyAffordablePolicy final : public ExitPolicy {
 public:
-    /// \param safety_margin_mj energy kept in reserve so the run cannot
+    /// \param margin_mj energy kept in reserve so the run cannot
     ///   brown out.
-    explicit GreedyAffordablePolicy(double safety_margin_mj = 0.0)
-        : safety_margin_mj_(safety_margin_mj) {}
+    explicit GreedyAffordablePolicy(double margin_mj = 0.0)
+        : margin_mj_(margin_mj) {}
 
     int select_exit(const EnergyState& state,
                     const InferenceModel& model) override;
@@ -38,11 +38,11 @@ public:
     /// affordable below it, under any depth cap.
     [[nodiscard]] double commit_floor_mj(
         const EnergyState& state, const InferenceModel& model) const override {
-        return cheapest_commit_mj(state, model, safety_margin_mj_);
+        return cheapest_commit_mj(state, model, margin_mj_);
     }
 
 private:
-    double safety_margin_mj_;
+    double margin_mj_;
 };
 
 /// \brief Deadline-aware variant of the greedy LUT.
@@ -55,10 +55,10 @@ private:
 /// slack) the behaviour is identical to GreedyAffordablePolicy.
 class SlackGreedyPolicy final : public ExitPolicy {
 public:
-    /// \param safety_margin_mj energy kept in reserve, as in the greedy LUT.
+    /// \param margin_mj energy kept in reserve, as in the greedy LUT.
     /// \param schedule the slack-to-depth schedule (validated on
     ///   construction: non-decreasing, first entry 0).
-    explicit SlackGreedyPolicy(double safety_margin_mj = 0.0,
+    explicit SlackGreedyPolicy(double margin_mj = 0.0,
                                SlackSchedule schedule = {});
 
     int select_exit(const EnergyState& state,
@@ -70,17 +70,11 @@ public:
     /// Greedy's floor: the depth cap only removes candidates.
     [[nodiscard]] double commit_floor_mj(
         const EnergyState& state, const InferenceModel& model) const override {
-        return cheapest_commit_mj(state, model, safety_margin_mj_);
-    }
-
-    /// \brief The schedule's depth cap for a slack value (exposed so tests
-    /// can pin the monotone shallowing directly).
-    [[nodiscard]] int max_depth_for_slack(double slack_s, int num_exits) const {
-        return schedule_.max_depth(slack_s, num_exits);
+        return cheapest_commit_mj(state, model, margin_mj_);
     }
 
 private:
-    double safety_margin_mj_;
+    double margin_mj_;
     SlackSchedule schedule_;
 };
 
@@ -97,10 +91,10 @@ private:
 /// the whole policy — is identical to SlackGreedyPolicy.
 class QueueSlackGreedyPolicy final : public ExitPolicy {
 public:
-    /// \param safety_margin_mj energy kept in reserve, as in the greedy LUT.
+    /// \param margin_mj energy kept in reserve, as in the greedy LUT.
     /// \param schedule the slack-to-depth schedule (validated on
     ///   construction).
-    explicit QueueSlackGreedyPolicy(double safety_margin_mj = 0.0,
+    explicit QueueSlackGreedyPolicy(double margin_mj = 0.0,
                                     SlackSchedule schedule = {});
 
     int select_exit(const EnergyState& state,
@@ -112,7 +106,7 @@ public:
     /// Greedy's floor: the depth cap only removes candidates.
     [[nodiscard]] double commit_floor_mj(
         const EnergyState& state, const InferenceModel& model) const override {
-        return cheapest_commit_mj(state, model, safety_margin_mj_);
+        return cheapest_commit_mj(state, model, margin_mj_);
     }
 
     /// \brief The backlog-driven depth cap (exposed so tests can pin the
@@ -121,7 +115,7 @@ public:
                                                    int num_exits);
 
 private:
-    double safety_margin_mj_;
+    double margin_mj_;
     SlackSchedule schedule_;
 };
 

@@ -116,8 +116,6 @@ public:
     /// \brief Freeze both tables (greedy, no updates) for evaluation
     /// episodes.
     void set_eval_mode(bool eval);
-    /// \brief Whether the tables are frozen.
-    [[nodiscard]] bool eval_mode() const { return eval_mode_; }
 
     /// \brief Combined LUT footprint (paper: "the overhead of Q-learning is
     /// negligible"); tests assert this stays in the KB range.
@@ -125,10 +123,6 @@ public:
 
     /// \brief The exit-selection table (read-only).
     [[nodiscard]] const rl::QTable& exit_table() const { return exit_q_; }
-    /// \brief The incremental-inference table (read-only).
-    [[nodiscard]] const rl::QTable& incremental_table() const {
-        return incremental_q_;
-    }
 
     /// \brief Flat exit-table state index for an energy situation — the
     /// (energy, rate[, slack]) discretization. Exposed so tests can pin the

@@ -19,19 +19,18 @@ const util::Registry<PolicyFactory>& registry() {
     static const util::Registry<PolicyFactory> instance(
         "exit policy",
         {{"greedy",
-          [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
-              return std::make_unique<GreedyAffordablePolicy>(
-                  ctx.safety_margin_mj);
+          [](const PolicyContext&) -> std::unique_ptr<ExitPolicy> {
+              return std::make_unique<GreedyAffordablePolicy>();
           }},
          {"slack-greedy",
           [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
-              return std::make_unique<SlackGreedyPolicy>(ctx.safety_margin_mj,
+              return std::make_unique<SlackGreedyPolicy>(0.0,
                                                          ctx.slack_schedule);
           }},
          {"queue-slack-greedy",
           [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
               return std::make_unique<QueueSlackGreedyPolicy>(
-                  ctx.safety_margin_mj, ctx.slack_schedule);
+                  0.0, ctx.slack_schedule);
           }},
          {"qlearning",
           [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {

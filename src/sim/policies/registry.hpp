@@ -32,7 +32,6 @@ namespace imx::sim {
 struct PolicyContext {
     int num_exits = 3;              ///< deployed model's exit count
     RuntimeConfig runtime{};        ///< Q-learning knobs (incl. seed)
-    double safety_margin_mj = 0.0;  ///< greedy-family brown-out reserve
     SlackSchedule slack_schedule{}; ///< slack-greedy depth schedule
 };
 

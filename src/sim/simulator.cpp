@@ -14,6 +14,9 @@ namespace imx::sim {
 
 namespace {
 
+/// EMA smoothing for the charging-rate observation in EnergyState.
+constexpr double kChargeRateEmaAlpha = 0.05;
+
 /// In-flight work for one event. The unit plan is deliberately NOT part of
 /// the job: it lives in a run-level buffer (reused through the
 /// ScenarioWorkspace) so starting a job never heap-allocates.
@@ -44,8 +47,6 @@ Simulator::Simulator(const energy::PowerTrace& trace, const SimConfig& config)
     const auto key = energy::IncomeKey::of(config.dt_s, config.storage);
     income_ = trace.income(key);
     IMX_EXPECTS(income_->key() == key);
-    IMX_EXPECTS(config.charge_rate_ema_alpha > 0.0 &&
-                config.charge_rate_ema_alpha <= 1.0);
     IMX_EXPECTS(config.queue_capacity >= 0);
     if (config.recovery.enabled) {
         // A reboot waits for can_turn_on(), so the on threshold must sit at
@@ -72,7 +73,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
 
     const mcu::McuModel device(config_.mcu);
     energy::EnergyStorage storage(config_.storage);
-    util::Ema charge_rate(config_.charge_rate_ema_alpha);
+    util::Ema charge_rate(kChargeRateEmaAlpha);
     charge_rate.update(0.0);
 
     // Failure model: the strategy exists only when it is enabled. Without
@@ -118,7 +119,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     SimCounters counters;
 
     // The start-deadline bound of steps 2b/3 — constant over the run.
-    const double wait_limit = std::min(config_.max_wait_s, config_.deadline_s);
+    const double wait_limit = config_.deadline_s;
 
     // Bitwise-identical to macs_energy_mj(energy_state(now), macs): the
     // per-MMAC energy is a run constant, so the EnergyState the historical
@@ -486,14 +487,14 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                 next_event < num_events ? events[next_event].time_s : kNever;
             const double finish_s =
                 busy && job.executing ? job.exec_finish_s : kNever;
-            const double max_wait_s =
+            const double job_wait_limit =
                 busy && job.inference_start_s < 0.0 ? wait_limit : kNever;
             const double job_arrival_s = job.arrival_s;
             std::uint64_t steps = 0;
             while (now < duration) {
                 const double next = now + dt;
                 if (arrival_s < next || next >= finish_s ||
-                    now - job_arrival_s > max_wait_s) {
+                    now - job_arrival_s > job_wait_limit) {
                     break;
                 }
                 if (!(storage.level_after(income.net_mj(step), leak_mj) <

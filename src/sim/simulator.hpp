@@ -54,11 +54,6 @@ struct SimConfig {
     double dt_s = 1.0;  ///< simulation step (paper latency unit: 1 s)
     energy::StorageConfig storage{};
     mcu::McuConfig mcu{};
-    /// EMA smoothing for the charging-rate observation in EnergyState.
-    double charge_rate_ema_alpha = 0.05;
-    /// Optional deadline: a job that has not *started executing* within this
-    /// many seconds of arrival is dropped (default: no deadline).
-    double max_wait_s = std::numeric_limits<double>::infinity();
     /// Optional *completion* deadline (the deadline sweep axis): an event
     /// whose result is not produced within deadline_s of arrival counts as a
     /// deadline miss (SimResult::deadline_miss_rate()). A job still waiting

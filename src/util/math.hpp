@@ -1,11 +1,9 @@
-// Small numeric helpers shared across the library: softmax, entropy,
-// clamping, interpolation, and safe comparisons.
+// Small numeric helpers shared across the library: clamping and a stable
+// logistic sigmoid.
 #ifndef IMX_UTIL_MATH_HPP
 #define IMX_UTIL_MATH_HPP
 
 #include <cmath>
-#include <cstddef>
-#include <vector>
 
 namespace imx::util {
 
@@ -13,11 +11,6 @@ namespace imx::util {
 template <typename T>
 constexpr T clamp(T x, T lo, T hi) {
     return x < lo ? lo : (x > hi ? hi : x);
-}
-
-/// Linear interpolation between a and b at parameter t in [0, 1].
-constexpr double lerp(double a, double b, double t) {
-    return a + (b - a) * t;
 }
 
 /// Numerically stable logistic sigmoid.
@@ -29,35 +22,6 @@ inline double sigmoid(double x) {
     const double z = std::exp(x);
     return z / (1.0 + z);
 }
-
-/// Approximate float equality with absolute + relative tolerance.
-inline bool almost_equal(double a, double b, double abs_tol = 1e-9,
-                         double rel_tol = 1e-9) {
-    const double diff = std::fabs(a - b);
-    if (diff <= abs_tol) return true;
-    const double largest = std::fmax(std::fabs(a), std::fabs(b));
-    return diff <= rel_tol * largest;
-}
-
-/// Numerically stable in-place softmax; returns the normalizing constant's log
-/// (log-sum-exp) which callers can reuse for log-likelihoods.
-double softmax_inplace(std::vector<double>& logits);
-
-/// Softmax that leaves the input untouched.
-std::vector<double> softmax(const std::vector<double>& logits);
-
-/// Shannon entropy (nats) of a probability vector. Zero entries contribute 0.
-double entropy(const std::vector<double>& probabilities);
-
-/// Entropy normalized to [0, 1] by log(n); a confidence proxy per
-/// BranchyNet-style early exit (paper Sec. IV uses entropy as confidence).
-double normalized_entropy(const std::vector<double>& probabilities);
-
-/// Index of the maximum element. Ties resolve to the lowest index.
-std::size_t argmax(const std::vector<double>& values);
-
-/// Sum of a vector (Kahan-compensated; traces can be millions of samples).
-double kahan_sum(const std::vector<double>& values);
 
 }  // namespace imx::util
 

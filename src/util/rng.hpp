@@ -4,17 +4,13 @@
 // RL exploration) draws from imx::util::Rng so that every experiment is
 // reproducible from a single seed. The generator is xoshiro256** (Blackman &
 // Vigna) seeded via splitmix64, which is both faster and statistically
-// stronger than std::mt19937 while keeping the object trivially copyable
-// (cheap to fork per-subsystem).
+// stronger than std::mt19937 while keeping the object trivially copyable.
 #ifndef IMX_UTIL_RNG_HPP
 #define IMX_UTIL_RNG_HPP
 
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "util/contracts.hpp"
 
@@ -40,9 +36,6 @@ public:
         std::uint64_t sm = seed;
         for (auto& word : state_) word = splitmix64(sm);
     }
-
-    /// Derive an independent stream; forked streams do not share state.
-    [[nodiscard]] Rng fork() { return Rng(next()); }
 
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
@@ -117,20 +110,6 @@ public:
         double u = uniform();
         while (u <= 0.0) u = uniform();  // guard log(0)
         return -std::log(u) / rate;
-    }
-
-    /// Sample an index from an unnormalized non-negative weight vector.
-    std::size_t categorical(const std::vector<double>& weights);
-
-    /// In-place Fisher-Yates shuffle.
-    template <typename T>
-    void shuffle(std::vector<T>& values) {
-        if (values.empty()) return;
-        for (std::size_t i = values.size() - 1; i > 0; --i) {
-            const auto j =
-                static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(i)));
-            std::swap(values[i], values[j]);
-        }
     }
 
 private:

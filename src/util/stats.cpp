@@ -56,17 +56,6 @@ double RunningStats::min() const { return count_ == 0 ? 0.0 : min_; }
 
 double RunningStats::max() const { return count_ == 0 ? 0.0 : max_; }
 
-double quantile(std::vector<double> sample, double q) {
-    IMX_EXPECTS(!sample.empty());
-    IMX_EXPECTS(q >= 0.0 && q <= 1.0);
-    std::sort(sample.begin(), sample.end());
-    const double pos = q * static_cast<double>(sample.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const auto hi = std::min(lo + 1, sample.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sample[lo] * (1.0 - frac) + sample[hi] * frac;
-}
-
 double percentile(const std::vector<double>& sorted, double q) {
     IMX_EXPECTS(q >= 0.0 && q <= 1.0);
     IMX_ASSERT(std::is_sorted(sorted.begin(), sorted.end(),
@@ -76,23 +65,6 @@ double percentile(const std::vector<double>& sorted, double q) {
     const auto rank = static_cast<std::size_t>(
         std::max(1.0, std::ceil(q * n)));
     return sorted[rank - 1];
-}
-
-void PercentileCollector::add(double x) { samples_.push_back(x); }
-
-void PercentileCollector::merge(const PercentileCollector& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-}
-
-double PercentileCollector::percentile(double q) const {
-    std::vector<double> sorted = samples_;
-    // NaNs break std::sort's strict weak ordering; partition them to the
-    // tail first so they land in (and propagate through) high percentiles.
-    const auto finite_end = std::partition(
-        sorted.begin(), sorted.end(), [](double x) { return !std::isnan(x); });
-    std::sort(sorted.begin(), finite_end);
-    return util::percentile(sorted, q);
 }
 
 double mean(const std::vector<double>& sample) {
@@ -107,25 +79,6 @@ double stddev(const std::vector<double>& sample) {
     RunningStats rs;
     for (const double x : sample) rs.add(x);
     return rs.stddev();
-}
-
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys) {
-    IMX_EXPECTS(xs.size() == ys.size());
-    IMX_EXPECTS(xs.size() >= 2);
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0;
-    double sxx = 0.0;
-    double syy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double dx = xs[i] - mx;
-        const double dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if (sxx == 0.0 || syy == 0.0) return 0.0;
-    return sxy / std::sqrt(sxx * syy);
 }
 
 Ema::Ema(double alpha) : alpha_(alpha) {

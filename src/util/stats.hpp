@@ -31,47 +31,20 @@ private:
     double max_ = 0.0;
 };
 
-/// Linear-interpolation quantile of an unsorted sample (copies + sorts).
-double quantile(std::vector<double> sample, double q);
-
 /// Exact nearest-rank percentile of an already-sorted sample: the smallest
 /// element with at least ceil(q * n) elements at or below it (q = 0 yields
-/// the minimum, q = 1 the maximum). Unlike quantile() this never
-/// interpolates — the result is always an actual sample value — which is
-/// what the latency columns report. An empty sample yields quiet NaN; NaN
-/// samples placed at the tail (PercentileCollector does this) propagate
-/// into high percentiles rather than silently vanishing.
+/// the minimum, q = 1 the maximum). It never interpolates — the result is
+/// always an actual sample value — which is what the latency columns report.
+/// An empty sample yields quiet NaN; NaN samples placed at the tail
+/// propagate into high percentiles rather than silently vanishing.
 /// \pre `sorted` is ascending (NaNs, if any, at the tail); \pre 0 <= q <= 1.
 double percentile(const std::vector<double>& sorted, double q);
-
-/// Streaming-safe collector for exact percentiles: add() samples in any
-/// order (O(1) amortized), merge() shard-parallel collectors, then read
-/// nearest-rank percentiles at the end. Exact — keeps every sample — so the
-/// merge of per-shard collectors equals the single-process collector
-/// element-for-element, which is what the sweep journal invariance tests
-/// pin.
-class PercentileCollector {
-public:
-    void add(double x);
-    void merge(const PercentileCollector& other);
-
-    [[nodiscard]] std::size_t count() const { return samples_.size(); }
-    /// Nearest-rank percentile of everything collected so far (sorts a
-    /// copy); NaN when nothing was collected.
-    [[nodiscard]] double percentile(double q) const;
-
-private:
-    std::vector<double> samples_;
-};
 
 /// Arithmetic mean of a sample. Empty sample yields 0.
 double mean(const std::vector<double>& sample);
 
 /// Population standard deviation of a sample. Fewer than 2 points yields 0.
 double stddev(const std::vector<double>& sample);
-
-/// Pearson correlation of two equal-length samples.
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys);
 
 /// Exponential moving average helper. update() is inline: the simulator
 /// calls it once per step and the cross-TU call dominated the two flops.

@@ -8,8 +8,7 @@
 // The model, per step of dt:
 //  * harvest the step's income (the same per-step table the simulator uses);
 //  * an arrival is picked up if no event is in flight, and lost otherwise;
-//  * a job not yet started that passes min(max_wait_s, deadline_s) is
-//    dropped;
+//  * a job not yet started that passes deadline_s is dropped;
 //  * a run-level power state with hysteresis: the device powers on once the
 //    level reaches on_threshold_mj, paying the wakeup energy each time, and
 //    powers off at kReferenceOffThresholdMj or when a step's work is
@@ -56,7 +55,6 @@ inline sim::SimResult run_checkpointed_reference(
         trace.income(energy::IncomeKey::of(config.dt_s, config.storage));
     const double dt = config.dt_s;
     const double leak_mj = config.storage.leakage_mw * dt;
-    const double wait_limit = std::min(config.max_wait_s, config.deadline_s);
     const auto step_max_macs =
         static_cast<std::int64_t>(config.mcu.mmacs_per_second * 1e6 * dt);
 
@@ -96,7 +94,7 @@ inline sim::SimResult run_checkpointed_reference(
         }
         if (!busy) continue;
         const double arrival_s = events[job.index].time_s;
-        if (job.inference_start_s < 0.0 && now - arrival_s > wait_limit) {
+        if (job.inference_start_s < 0.0 && now - arrival_s > config.deadline_s) {
             busy = false;
             continue;
         }
@@ -116,7 +114,8 @@ inline sim::SimResult run_checkpointed_reference(
 
         const std::int64_t step_macs = std::min(job.macs_left, step_max_macs);
         const double step_cost =
-            device.compute_energy(step_macs) +
+            static_cast<double>(step_macs) / 1e6 *
+                config.mcu.energy_per_mmac_mj +
             static_cast<double>(device.checkpoint_count(step_macs)) *
                 config.mcu.checkpoint_energy_mj;
         if (!storage.try_consume(step_cost)) {

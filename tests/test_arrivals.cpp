@@ -316,6 +316,9 @@ TEST(ArrivalSpec, SchemaErrorsAreHardAndAnchored) {
         valid_spec() + "[arrivals.x]\nsource = poisson\nburst_min = 2\n",
         "which accepts");
     expect_parse_error(
+        valid_spec() + "[arrivals.x]\nsource = uniform\nbogus = 1\n",
+        "spec.ini:8: unknown key 'bogus'");
+    expect_parse_error(
         valid_spec() + "[arrivals.x]\nsource = poisson\nrate_scale = -2\n",
         "rate_scale");
     expect_parse_error(valid_spec() + "[arrivals.]\nsource = uniform\n",

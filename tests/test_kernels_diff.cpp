@@ -224,7 +224,7 @@ TEST(KernelsDiff, LinearLayerScalarMatchesHistoricalLoopBitwise) {
         const nn::Tensor got = fc.forward(x);
         for (int r = 0; r < out_f; ++r) {
             float acc = fc.bias()[r];
-            for (int c = 0; c < in_f; ++c) acc += fc.weight().at2(r, c) * x[c];
+            for (int c = 0; c < in_f; ++c) acc += fc.weight()[r * in_f + c] * x[c];
             ASSERT_EQ(float_bits(got[r]), float_bits(acc))
                 << "trial " << trial << " row " << r;
         }

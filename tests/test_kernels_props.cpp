@@ -17,91 +17,10 @@ namespace {
 
 using namespace imx;
 
-TEST(TensorProps, AccessorsMatchRowMajorFlatIndexing) {
-    util::Rng rng(0x7e50);
-    for (int trial = 0; trial < 20; ++trial) {
-        const int c = rng.uniform_int(1, 6);
-        const int h = rng.uniform_int(1, 9);
-        const int w = rng.uniform_int(1, 9);
-        nn::Tensor t({c, h, w});
-        for (std::int64_t i = 0; i < t.numel(); ++i) {
-            t[i] = static_cast<float>(rng.normal());
-        }
-        ASSERT_EQ(t.numel(), static_cast<std::int64_t>(c) * h * w);
-        for (int ci = 0; ci < c; ++ci) {
-            for (int hi = 0; hi < h; ++hi) {
-                for (int wi = 0; wi < w; ++wi) {
-                    const std::int64_t flat =
-                        (static_cast<std::int64_t>(ci) * h + hi) * w + wi;
-                    ASSERT_EQ(t.at(ci, hi, wi), t[flat])
-                        << "(" << ci << "," << hi << "," << wi << ")";
-                }
-            }
-        }
-    }
-}
-
-TEST(TensorProps, ReshapeRoundTripPreservesData) {
-    util::Rng rng(0x5ea9);
-    for (int trial = 0; trial < 20; ++trial) {
-        const int a = rng.uniform_int(1, 8);
-        const int b = rng.uniform_int(1, 8);
-        const int c = rng.uniform_int(1, 8);
-        nn::Tensor t({a, b, c});
-        for (std::int64_t i = 0; i < t.numel(); ++i) {
-            t[i] = static_cast<float>(rng.normal());
-        }
-        const nn::Tensor flat = t.reshaped({a * b * c});
-        const nn::Tensor back = flat.reshaped({a, b, c});
-        ASSERT_EQ(back.shape(), t.shape());
-        for (std::int64_t i = 0; i < t.numel(); ++i) {
-            ASSERT_EQ(back[i], t[i]) << i;
-        }
-    }
-}
-
-TEST(TensorProps, ReshapeRejectsElementCountMismatch) {
-    nn::Tensor t({2, 3});
-    EXPECT_THROW((void)t.reshaped({7}), util::ContractViolation);
-}
-
 TEST(TensorProps, OutOfRangeIndexingViolatesContracts) {
     nn::Tensor t({2, 3, 4});
-    EXPECT_THROW((void)t.at(2, 0, 0), util::ContractViolation);
-    EXPECT_THROW((void)t.at(0, 3, 0), util::ContractViolation);
-    EXPECT_THROW((void)t.at(0, 0, 4), util::ContractViolation);
     EXPECT_THROW((void)t[t.numel()], util::ContractViolation);
     EXPECT_THROW((void)t[-1], util::ContractViolation);
-}
-
-TEST(TensorProps, AddScaledAndScaleAlgebra) {
-    util::Rng rng(0xa15eb9a);
-    nn::Tensor t({4, 5});
-    nn::Tensor other({4, 5});
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-        t[i] = static_cast<float>(rng.normal());
-        other[i] = static_cast<float>(rng.normal());
-    }
-    nn::Tensor copy = t;
-    copy.add_scaled(other, 0.0F);  // no-op
-    copy.scale(1.0F);              // no-op
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-        ASSERT_EQ(copy[i], t[i]) << i;
-    }
-    copy.add_scaled(other, 2.0F);
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-        ASSERT_FLOAT_EQ(copy[i], t[i] + 2.0F * other[i]) << i;
-    }
-}
-
-TEST(TensorProps, NanAndInfSurviveStorageAndNorms) {
-    nn::Tensor t({3});
-    t[0] = std::numeric_limits<float>::quiet_NaN();
-    t[1] = std::numeric_limits<float>::infinity();
-    t[2] = -1.0F;
-    EXPECT_TRUE(std::isnan(t[0]));
-    EXPECT_TRUE(std::isinf(t[1]));
-    EXPECT_TRUE(std::isnan(t.l2_norm()) || std::isinf(t.l2_norm()));
 }
 
 /// NaN/inf propagation through the dispatched kernels, pinned for every

@@ -2,6 +2,7 @@
 // of every differentiable layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/basic_layers.hpp"
@@ -17,46 +18,15 @@ using nn::Tensor;
 
 TEST(TensorTest, ShapeAndNumel) {
     Tensor t({2, 3, 4});
-    EXPECT_EQ(t.rank(), 3);
+    EXPECT_EQ(t.shape().size(), 3u);
     EXPECT_EQ(t.numel(), 24);
-    EXPECT_EQ(t.dim(1), 3);
+    EXPECT_EQ(t.shape()[1], 3);
     for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0F);
-}
-
-TEST(TensorTest, AccessorsRoundTrip) {
-    Tensor t({2, 3, 4});
-    t.at(1, 2, 3) = 7.0F;
-    EXPECT_EQ(t.at(1, 2, 3), 7.0F);
-    Tensor m({3, 5});
-    m.at2(2, 4) = -1.0F;
-    EXPECT_EQ(m.at2(2, 4), -1.0F);
-    Tensor w({2, 3, 3, 3});
-    w.at(1, 2, 0, 1) = 2.5F;
-    EXPECT_EQ(w.at(1, 2, 0, 1), 2.5F);
 }
 
 TEST(TensorTest, OutOfBoundsThrows) {
     Tensor t({2, 2, 2});
-    EXPECT_THROW((void)t.at(2, 0, 0), util::ContractViolation);
-    EXPECT_THROW((void)t.at(0, -1, 0), util::ContractViolation);
     EXPECT_THROW((void)t[8], util::ContractViolation);
-}
-
-TEST(TensorTest, ReshapePreservesData) {
-    Tensor t({2, 3});
-    for (std::int64_t i = 0; i < 6; ++i) t[i] = static_cast<float>(i);
-    const Tensor r = t.reshaped({6});
-    for (std::int64_t i = 0; i < 6; ++i) EXPECT_EQ(r[i], static_cast<float>(i));
-    EXPECT_THROW((void)t.reshaped({5}), util::ContractViolation);
-}
-
-TEST(TensorTest, AddScaledAndScale) {
-    Tensor a = Tensor::full({3}, 1.0F);
-    Tensor b = Tensor::full({3}, 2.0F);
-    a.add_scaled(b, 0.5F);
-    EXPECT_EQ(a[0], 2.0F);
-    a.scale(2.0F);
-    EXPECT_EQ(a[2], 4.0F);
 }
 
 TEST(TensorTest, KaimingBoundsRespectFanIn) {
@@ -67,7 +37,9 @@ TEST(TensorTest, KaimingBoundsRespectFanIn) {
     for (std::int64_t i = 0; i < t.numel(); ++i) {
         EXPECT_LE(std::fabs(t[i]), bound);
     }
-    EXPECT_GT(t.abs_max(), bound * 0.5F);  // actually spread out
+    float largest = 0.0F;
+    for (const float v : t.storage()) largest = std::max(largest, std::fabs(v));
+    EXPECT_GT(largest, bound * 0.5F);  // actually spread out
 }
 
 // ---------------------------------------------------------------------------
@@ -154,10 +126,10 @@ Tensor random_tensor(nn::Shape shape, std::uint64_t seed, float lo = -1.0F,
 TEST(LinearTest, KnownValue) {
     util::Rng rng(9);
     nn::Linear fc(2, 2, rng);
-    fc.weight().at2(0, 0) = 1.0F;
-    fc.weight().at2(0, 1) = 2.0F;
-    fc.weight().at2(1, 0) = -1.0F;
-    fc.weight().at2(1, 1) = 0.5F;
+    fc.weight()[0] = 1.0F;  // row-major [out, in]
+    fc.weight()[1] = 2.0F;
+    fc.weight()[2] = -1.0F;
+    fc.weight()[3] = 0.5F;
     fc.bias()[0] = 0.1F;
     fc.bias()[1] = -0.1F;
     Tensor x({2}, {3.0F, 4.0F});

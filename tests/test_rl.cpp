@@ -137,7 +137,7 @@ TEST(Mlp, ForwardShapesAndBackwardGradient) {
     EXPECT_EQ(y.numel(), 2);
 
     // Finite-difference check of d(sum y)/dx.
-    nn::Tensor ones = nn::Tensor::full({2}, 1.0F);
+    nn::Tensor ones({2}, {1.0F, 1.0F});
     mlp.zero_grad();
     const nn::Tensor analytic = mlp.backward(ones);
     const float eps = 1e-3F;

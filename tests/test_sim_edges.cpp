@@ -441,7 +441,7 @@ TEST(SimulatorEdges, WaitLimitDropInsideAWaitFreesTheDeviceAtItsStep) {
     // exit 1 (0.75 + 0.25 wakeup) at once. Dropped a step late, event 0
     // would still hold the device at step 5 and event 1 would be lost.
     auto cfg = exact_config();
-    cfg.max_wait_s = 3.0;
+    cfg.deadline_s = 3.0;
     std::vector<double> samples(5, 0.0625);
     samples.push_back(2.0);
     samples.insert(samples.end(), 10, 0.0);
