@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the runtime path: the Q-learning
 // step the paper calls "negligible overhead", DDPG training steps, policy
-// evaluation inside the search, and full trace simulations.
+// evaluation inside the search, full trace simulations, and the arrival
+// regeneration and metrics fold around each sweep replica's run.
 #include <benchmark/benchmark.h>
 
 #include "core/accuracy_model.hpp"
@@ -10,7 +11,9 @@
 #include "sim/policies/qlearning.hpp"
 #include "core/search.hpp"
 #include "core/trace_eval.hpp"
+#include "exp/scenario.hpp"
 #include "rl/ddpg.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/policies/greedy.hpp"
 #include "sim/simulator.hpp"
 
@@ -182,6 +185,45 @@ void BM_FullTraceQLearningEval(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_FullTraceQLearningEval);
+
+// The two layers around every replica's simulator run but the canonical
+// one: regenerating its arrival schedule, and folding its records into the
+// metrics of its outcome.
+
+void BM_GenerateArrivals(benchmark::State& state, const char* source) {
+    // A replica's schedule: the paper's 500 events over its 13,000 s trace,
+    // a new seed each time, into a reused buffer.
+    const core::SetupConfig paper;
+    const auto arrivals = sim::make_arrival_source(source);
+    std::vector<sim::Event> events;
+    std::uint64_t seed = paper.event_seed;
+    for (auto _ : state) {
+        arrivals->generate_into({paper.event_count, paper.duration_s, ++seed},
+                                events);
+        benchmark::DoNotOptimize(events.data());
+    }
+    state.SetItemsProcessed(state.iterations() * paper.event_count);
+}
+BENCHMARK_CAPTURE(BM_GenerateArrivals, uniform, "uniform");
+BENCHMARK_CAPTURE(BM_GenerateArrivals, bursty, "bursty");
+BENCHMARK_CAPTURE(BM_GenerateArrivals, mmpp, "mmpp");
+
+void BM_SimMetrics(benchmark::State& state) {
+    // The outcome metrics of one greedy run of the paper setup.
+    static const auto setup = core::make_paper_setup();
+    core::OracleInferenceModel model(setup.network, setup.deployed_policy,
+                                     setup.exit_accuracy);
+    sim::GreedyAffordablePolicy policy;
+    const sim::SimResult result =
+        sim::Simulator(setup.trace, setup.multi_exit_sim)
+            .run(setup.events, model, policy);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(exp::sim_metrics(result));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(result.records.size()));
+}
+BENCHMARK(BM_SimMetrics);
 
 }  // namespace
 

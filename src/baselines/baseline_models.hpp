@@ -90,6 +90,7 @@ public:
                             const sim::InferenceModel&, int, double) override {
         return false;
     }
+    [[nodiscard]] bool reads_charge_rate() const override { return false; }
 };
 
 }  // namespace imx::baselines

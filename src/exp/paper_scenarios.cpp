@@ -239,27 +239,26 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
                                     const SystemSpec& system,
                                     const ScenarioContext& ctx,
                                     std::vector<double>* learning_curve) {
-    // Replica 0 evaluates on the canonical event schedule, read in place;
-    // later replicas draw an independent arrival stream over the same trace.
-    std::vector<sim::Event> generated;
-    util::Span<const sim::Event> events(setup.events);
-    if (ctx.replica != 0) {
-        std::uint64_t state = ctx.seed ^ 0x6576656eULL;  // "even"
-        generated = sim::generate_arrivals(
-            setup.config.arrival_source,
-            {static_cast<int>(setup.events.size()), setup.trace.duration(),
-             util::splitmix64(state)},
-            setup.config.arrival_params);
-        events = util::Span<const sim::Event>(generated);
-    }
-
-    // Training episodes and non-canonical evaluations write into the
-    // worker's workspace (a local one when none is attached), so the
-    // outcome is the same either way and a worker's steady state allocates
-    // no SimResult.
+    // Training episodes, non-canonical schedules and non-canonical
+    // evaluations write into the worker's workspace (a local one when none
+    // is attached), so the outcome is the same either way and a worker's
+    // steady state allocates no SimResult and no schedule.
     sim::ScenarioWorkspace local_workspace;
     sim::ScenarioWorkspace& ws =
         ctx.workspace != nullptr ? *ctx.workspace : local_workspace;
+
+    // Replica 0 evaluates on the canonical event schedule, read in place;
+    // later replicas draw an independent arrival stream over the same trace.
+    util::Span<const sim::Event> events(setup.events);
+    if (ctx.replica != 0) {
+        std::uint64_t state = ctx.seed ^ 0x6576656eULL;  // "even"
+        sim::make_arrival_source(setup.config.arrival_source,
+                                 setup.config.arrival_params)
+            ->generate_into({static_cast<int>(setup.events.size()),
+                             setup.trace.duration(), util::splitmix64(state)},
+                            ws.events);
+        events = util::Span<const sim::Event>(ws.events);
+    }
 
     switch (system.kind) {
         case SystemKind::kOursQLearning:

@@ -22,22 +22,28 @@ std::uint64_t scenario_seed(std::uint64_t base_seed, const std::string& group,
 }
 
 MetricMap sim_metrics(const sim::SimResult& result) {
+    // One pass over the records; the latencies it collects go to a buffer
+    // each thread reuses, and the percentiles are selected, not sorted.
+    thread_local std::vector<double> latencies;
+    latencies.clear();
+    const sim::SimSummary s = result.summary(&latencies);
+    const sim::LatencyPercentiles p =
+        sim::select_latency_percentiles(latencies);
     MetricMap m;
-    m["iepmj"] = result.iepmj();
-    m["acc_all_pct"] = 100.0 * result.accuracy_all_events();
-    m["acc_processed_pct"] = 100.0 * result.accuracy_processed();
-    m["processed"] = static_cast<double>(result.processed_count());
-    m["missed"] = static_cast<double>(result.missed_count());
-    m["event_latency_s"] = result.mean_event_latency_s();
-    const std::vector<double> latencies = result.sorted_latencies_s();
-    m["p50_latency_s"] = sim::SimResult::latency_percentile_s(latencies, 0.50);
-    m["p95_latency_s"] = sim::SimResult::latency_percentile_s(latencies, 0.95);
-    m["p99_latency_s"] = sim::SimResult::latency_percentile_s(latencies, 0.99);
-    m["inference_latency_s"] = result.mean_inference_latency_s();
-    m["inference_macs_m"] = result.mean_inference_macs() / 1e6;
-    m["deadline_miss_pct"] = 100.0 * result.deadline_miss_rate();
+    m["iepmj"] = s.iepmj();
+    m["acc_all_pct"] = 100.0 * s.accuracy_all_events();
+    m["acc_processed_pct"] = 100.0 * s.accuracy_processed();
+    m["processed"] = static_cast<double>(s.processed);
+    m["missed"] = static_cast<double>(s.missed());
+    m["event_latency_s"] = s.mean_event_latency_s();
+    m["p50_latency_s"] = p.p50_s;
+    m["p95_latency_s"] = p.p95_s;
+    m["p99_latency_s"] = p.p99_s;
+    m["inference_latency_s"] = s.mean_inference_latency_s();
+    m["inference_macs_m"] = s.mean_inference_macs() / 1e6;
+    m["deadline_miss_pct"] = 100.0 * s.deadline_miss_rate();
     m["harvested_mj"] = result.total_harvested_mj;
-    m["consumed_mj"] = result.total_consumed_mj();
+    m["consumed_mj"] = s.consumed_mj;
     m["dropped"] = static_cast<double>(result.dropped);
     m["in_flight"] = static_cast<double>(result.in_flight);
     m["deaths"] = static_cast<double>(result.deaths);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -291,7 +292,8 @@ protected:
             const double scaled = t * time_scale_;
             if (scaled < ctx.duration_s) times.push_back(scaled);
         }
-        std::sort(times.begin(), times.end());
+        // Stable, so equal times (-0 and 0 among them) keep file order.
+        std::stable_sort(times.begin(), times.end());
         if (static_cast<int>(times.size()) > ctx.count) {
             times.resize(static_cast<std::size_t>(ctx.count));
         }
@@ -304,6 +306,40 @@ private:
     std::vector<double> times_s_;
     double time_scale_ = 1.0;
 };
+
+/// Sorts `events` ascending by time, equal times in their input order, in
+/// expected linear time for times spread over [0, duration_s): one counting
+/// pass into n buckets on floor(t * n / duration_s), clamped to the first
+/// and last bucket, then an insertion sort. The bucket index never
+/// decreases as t grows, so every inversion the scatter leaves sits inside
+/// one bucket; a clustered or out-of-range input still sorts exactly, only
+/// with more insertion steps. Scratch lives per thread, so a steady-state
+/// sweep worker allocates nothing here.
+void sort_by_time(std::vector<Event>& events, double duration_s) {
+    const std::size_t n = events.size();
+    if (n < 2) return;
+    thread_local std::vector<Event> scratch;
+    thread_local std::vector<std::size_t> starts;
+    scratch.assign(events.begin(), events.end());
+    starts.assign(n + 1, 0);
+    const double scale = static_cast<double>(n) / duration_s;
+    const double last = static_cast<double>(n - 1);
+    auto bucket = [scale, last](double t) -> std::size_t {
+        const double b = t * scale;
+        return b >= 1.0 ? static_cast<std::size_t>(std::min(b, last)) : 0;
+    };
+    for (const Event& e : scratch) ++starts[bucket(e.time_s) + 1];
+    for (std::size_t b = 1; b <= n; ++b) starts[b] += starts[b - 1];
+    for (const Event& e : scratch) events[starts[bucket(e.time_s)]++] = e;
+    for (std::size_t i = 1; i < n; ++i) {
+        const Event e = events[i];
+        std::size_t j = i;
+        for (; j > 0 && e.time_s < events[j - 1].time_s; --j) {
+            events[j] = events[j - 1];
+        }
+        events[j] = e;
+    }
+}
 
 template <typename Source>
 std::unique_ptr<ArrivalSource> build_source(const ArrivalParams& params) {
@@ -355,8 +391,9 @@ void ArrivalSource::generate_into(const ArrivalContext& ctx,
     IMX_EXPECTS(ctx.count >= 0);
     IMX_EXPECTS(ctx.duration_s > 0.0);
     sample_into(ctx, out);
-    std::sort(out.begin(), out.end(),
-              [](const Event& a, const Event& b) { return a.time_s < b.time_s; });
+    // Events with equal times are indistinguishable here (every source
+    // emits {0, t}), so this is the schedule any ascending sort gives.
+    sort_by_time(out, ctx.duration_s);
     for (std::size_t i = 0; i < out.size(); ++i) {
         out[i].id = static_cast<int>(i);
     }

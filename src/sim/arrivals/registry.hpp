@@ -63,8 +63,9 @@ public:
     ArrivalSource(const ArrivalSource&) = delete;
     ArrivalSource& operator=(const ArrivalSource&) = delete;
 
-    /// \brief Generate the event schedule: time-sorted over [0, duration_s),
-    /// ids renumbered 0..n-1. Deterministic for a fixed context.
+    /// \brief Generate the event schedule: time-sorted over [0, duration_s)
+    /// (equal times in sample order), ids renumbered 0..n-1. Deterministic
+    /// for a fixed context.
     [[nodiscard]] std::vector<Event> generate(
         const ArrivalContext& context) const;
 

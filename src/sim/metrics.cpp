@@ -1,6 +1,7 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "util/contracts.hpp"
@@ -8,93 +9,101 @@
 
 namespace imx::sim {
 
-int SimResult::processed_count() const {
-    int n = 0;
-    for (const auto& r : records) n += r.processed ? 1 : 0;
-    return n;
+namespace {
+
+/// The nearest-rank q-percentile of `sample`, selected in place. Sorted
+/// positions from `end` on must already hold their values (end ==
+/// sample.size() at first); the selected position becomes the new `end`,
+/// so a caller that asks for non-increasing q narrows each selection to
+/// the prefix the previous one left.
+double select_percentile(std::vector<double>& sample, std::size_t& end,
+                         double q) {
+    const std::size_t k = util::nearest_rank_index(q, sample.size());
+    IMX_EXPECTS(k <= end);
+    if (k < end) {
+        const auto first = sample.begin();
+        std::nth_element(first, first + static_cast<std::ptrdiff_t>(k),
+                         first + static_cast<std::ptrdiff_t>(end));
+        end = k;
+    }
+    return sample[k];
 }
 
-int SimResult::missed_count() const {
-    return total_events() - processed_count();
+}  // namespace
+
+double SimSummary::iepmj() const {
+    IMX_EXPECTS(harvested_mj > 0.0);
+    return static_cast<double>(correct) / harvested_mj;
 }
 
-int SimResult::correct_count() const {
-    int n = 0;
-    for (const auto& r : records) n += (r.processed && r.correct) ? 1 : 0;
-    return n;
+double SimSummary::accuracy_all_events() const {
+    if (events == 0) return 0.0;
+    return static_cast<double>(correct) / static_cast<double>(events);
 }
 
-double SimResult::iepmj() const {
-    IMX_EXPECTS(total_harvested_mj > 0.0);
-    return static_cast<double>(correct_count()) / total_harvested_mj;
-}
-
-double SimResult::accuracy_all_events() const {
-    if (records.empty()) return 0.0;
-    return static_cast<double>(correct_count()) /
-           static_cast<double>(records.size());
-}
-
-double SimResult::accuracy_processed() const {
-    const int processed = processed_count();
+double SimSummary::accuracy_processed() const {
     if (processed == 0) return 0.0;
-    return static_cast<double>(correct_count()) / static_cast<double>(processed);
+    return static_cast<double>(correct) / static_cast<double>(processed);
 }
 
-double SimResult::mean_event_latency_s() const {
-    double sum = 0.0;
-    int n = 0;
+double SimSummary::mean_event_latency_s() const {
+    return processed == 0 ? 0.0 : event_latency_sum_s / processed;
+}
+
+double SimSummary::mean_inference_latency_s() const {
+    return processed == 0 ? 0.0 : inference_latency_sum_s / processed;
+}
+
+double SimSummary::mean_inference_macs() const {
+    return processed == 0 ? 0.0 : macs_sum / processed;
+}
+
+double SimSummary::deadline_miss_rate() const {
+    IMX_EXPECTS(deadline_s > 0.0);
+    if (events == 0) return 0.0;
+    if (deadline_s == std::numeric_limits<double>::infinity()) return 0.0;
+    return static_cast<double>(events - on_time) / static_cast<double>(events);
+}
+
+LatencyPercentiles select_latency_percentiles(std::vector<double>& latencies) {
+    LatencyPercentiles p;
+    if (latencies.empty()) return p;
+    std::size_t end = latencies.size();
+    p.p99_s = select_percentile(latencies, end, 0.99);
+    p.p95_s = select_percentile(latencies, end, 0.95);
+    p.p50_s = select_percentile(latencies, end, 0.50);
+    return p;
+}
+
+SimSummary SimResult::summary(double deadline,
+                              std::vector<double>* latencies) const {
+    SimSummary s;
+    s.events = total_events();
+    s.harvested_mj = total_harvested_mj;
+    s.deadline_s = deadline;
     for (const auto& r : records) {
+        s.consumed_mj += r.energy_spent_mj;
         if (!r.processed) continue;
         IMX_ASSERT(r.completion_time_s >= r.arrival_time_s);
-        sum += r.completion_time_s - r.arrival_time_s;
-        ++n;
+        const double latency = r.completion_time_s - r.arrival_time_s;
+        ++s.processed;
+        s.correct += r.correct ? 1 : 0;
+        s.on_time += latency <= deadline ? 1 : 0;
+        s.event_latency_sum_s += latency;
+        s.inference_latency_sum_s += r.completion_time_s - r.inference_start_s;
+        s.macs_sum += static_cast<double>(r.macs);
+        if (latencies != nullptr) latencies->push_back(latency);
     }
-    return n == 0 ? 0.0 : sum / n;
+    return s;
 }
 
 double SimResult::latency_percentile_s(double q) const {
-    return latency_percentile_s(sorted_latencies_s(), q);
-}
-
-std::vector<double> SimResult::sorted_latencies_s() const {
     std::vector<double> latencies;
     latencies.reserve(records.size());
-    for (const auto& r : records) {
-        if (!r.processed) continue;
-        IMX_ASSERT(r.completion_time_s >= r.arrival_time_s);
-        latencies.push_back(r.completion_time_s - r.arrival_time_s);
-    }
-    std::sort(latencies.begin(), latencies.end());
-    return latencies;
-}
-
-double SimResult::latency_percentile_s(const std::vector<double>& sorted,
-                                       double q) {
-    if (sorted.empty()) return 0.0;
-    return util::percentile(sorted, q);
-}
-
-double SimResult::mean_inference_latency_s() const {
-    double sum = 0.0;
-    int n = 0;
-    for (const auto& r : records) {
-        if (!r.processed) continue;
-        sum += r.completion_time_s - r.inference_start_s;
-        ++n;
-    }
-    return n == 0 ? 0.0 : sum / n;
-}
-
-double SimResult::mean_inference_macs() const {
-    double sum = 0.0;
-    int n = 0;
-    for (const auto& r : records) {
-        if (!r.processed) continue;
-        sum += static_cast<double>(r.macs);
-        ++n;
-    }
-    return n == 0 ? 0.0 : sum / n;
+    (void)summary(&latencies);
+    if (latencies.empty()) return 0.0;
+    std::size_t end = latencies.size();
+    return select_percentile(latencies, end, q);
 }
 
 std::vector<int> SimResult::exit_histogram(int num_exits) const {
@@ -106,25 +115,6 @@ std::vector<int> SimResult::exit_histogram(int num_exits) const {
         ++hist[static_cast<std::size_t>(r.exit_taken)];
     }
     return hist;
-}
-
-double SimResult::deadline_miss_rate(double deadline) const {
-    IMX_EXPECTS(deadline > 0.0);
-    if (records.empty()) return 0.0;
-    if (deadline == std::numeric_limits<double>::infinity()) return 0.0;
-    int missed = 0;
-    for (const auto& r : records) {
-        const bool on_time =
-            r.processed && r.completion_time_s - r.arrival_time_s <= deadline;
-        missed += on_time ? 0 : 1;
-    }
-    return static_cast<double>(missed) / static_cast<double>(records.size());
-}
-
-double SimResult::total_consumed_mj() const {
-    double sum = 0.0;
-    for (const auto& r : records) sum += r.energy_spent_mj;
-    return sum;
 }
 
 bool SimResult::energy_feasible(double initial_buffer_mj) const {

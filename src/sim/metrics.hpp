@@ -51,6 +51,57 @@ struct SimCounters {
     }
 };
 
+/// What the scalar metrics read from a run's records, gathered in one pass
+/// (SimResult::summary()). Every count and sum accumulates in record order,
+/// so each formula below gives bit for bit what a walk of the records per
+/// metric gives. The SimResult accessors and exp::sim_metrics() all read
+/// these formulas.
+struct SimSummary {
+    int events = 0;
+    int processed = 0;
+    int correct = 0;  ///< processed and correct
+    /// Processed within `deadline_s` of arrival (every processed event
+    /// when the deadline is infinite).
+    int on_time = 0;
+    double event_latency_sum_s = 0.0;      ///< arrival -> result
+    double inference_latency_sum_s = 0.0;  ///< execution start -> result
+    double macs_sum = 0.0;                 ///< MACs of processed events
+    double consumed_mj = 0.0;              ///< energy of all events
+    double harvested_mj = 0.0;             ///< SimResult::total_harvested_mj
+    double deadline_s = std::numeric_limits<double>::infinity();
+
+    [[nodiscard]] int missed() const { return events - processed; }
+    /// Paper Eq. 1: correctly processed interesting events per harvested
+    /// mJ. \pre harvested_mj > 0.
+    [[nodiscard]] double iepmj() const;
+    /// Mean accuracy over all events (missed events count 0); 0 if none.
+    [[nodiscard]] double accuracy_all_events() const;
+    /// Mean accuracy over processed events; 0 if none.
+    [[nodiscard]] double accuracy_processed() const;
+    /// Means over processed events; 0 if none.
+    [[nodiscard]] double mean_event_latency_s() const;
+    [[nodiscard]] double mean_inference_latency_s() const;
+    [[nodiscard]] double mean_inference_macs() const;
+    /// Fraction of all events not produced within deadline_s of arrival;
+    /// 0 with no events or an infinite deadline. \pre deadline_s > 0.
+    [[nodiscard]] double deadline_miss_rate() const;
+};
+
+/// Exact nearest-rank (util::percentile()) per-event latency percentiles.
+struct LatencyPercentiles {
+    double p50_s = 0.0;
+    double p95_s = 0.0;
+    double p99_s = 0.0;
+};
+
+/// LatencyPercentiles of `latencies` (any order, as SimResult::summary()
+/// collects them), selected in place rather than sorted: std::nth_element
+/// places p99 over the whole sample, then p95 within the prefix below it,
+/// then p50 within the prefix below that. Reorders `latencies`; all 0.0
+/// for an empty sample.
+[[nodiscard]] LatencyPercentiles select_latency_percentiles(
+    std::vector<double>& latencies);
+
 struct SimResult {
     std::vector<EventRecord> records;
     double total_harvested_mj = 0.0;  ///< gross EH energy over the run
@@ -88,21 +139,39 @@ struct SimResult {
     [[nodiscard]] int total_events() const {
         return static_cast<int>(records.size());
     }
-    [[nodiscard]] int processed_count() const;
-    [[nodiscard]] int missed_count() const;
-    [[nodiscard]] int correct_count() const;
+    /// The one pass over the records that every metric below reads, with
+    /// on-time counted against `deadline` (the run's own by default).
+    /// When `latencies` is non-null, the per-event latency (arrival ->
+    /// result) of each processed event is appended to it in record order.
+    /// Asserts completion >= arrival for every processed record.
+    [[nodiscard]] SimSummary summary(
+        std::vector<double>* latencies = nullptr) const {
+        return summary(deadline_s, latencies);
+    }
+    [[nodiscard]] SimSummary summary(
+        double deadline, std::vector<double>* latencies = nullptr) const;
+
+    [[nodiscard]] int processed_count() const { return summary().processed; }
+    [[nodiscard]] int missed_count() const { return summary().missed(); }
+    [[nodiscard]] int correct_count() const { return summary().correct; }
 
     /// Paper Eq. 1: correctly processed interesting events per harvested mJ.
-    [[nodiscard]] double iepmj() const;
+    [[nodiscard]] double iepmj() const { return summary().iepmj(); }
 
     /// Mean accuracy over all N events (missed events count 0).
-    [[nodiscard]] double accuracy_all_events() const;
+    [[nodiscard]] double accuracy_all_events() const {
+        return summary().accuracy_all_events();
+    }
 
     /// Mean accuracy over processed events only.
-    [[nodiscard]] double accuracy_processed() const;
+    [[nodiscard]] double accuracy_processed() const {
+        return summary().accuracy_processed();
+    }
 
     /// Mean per-event latency (arrival -> result) over processed events, s.
-    [[nodiscard]] double mean_event_latency_s() const;
+    [[nodiscard]] double mean_event_latency_s() const {
+        return summary().mean_event_latency_s();
+    }
 
     /// Exact nearest-rank percentile of per-event latency (arrival ->
     /// result, i.e. queueing sojourn + execution) over processed events:
@@ -110,26 +179,24 @@ struct SimResult {
     /// was processed (mirrors mean_event_latency_s()).
     [[nodiscard]] double latency_percentile_s(double q) const;
 
-    /// The per-event latencies latency_percentile_s() ranks, sorted
-    /// ascending: sort once, then read any number of percentiles from it.
-    [[nodiscard]] std::vector<double> sorted_latencies_s() const;
-
-    /// latency_percentile_s() over a sorted_latencies_s() vector.
-    [[nodiscard]] static double latency_percentile_s(
-        const std::vector<double>& sorted, double q);
-
     /// Mean per-inference latency (execution start -> result), s.
-    [[nodiscard]] double mean_inference_latency_s() const;
+    [[nodiscard]] double mean_inference_latency_s() const {
+        return summary().mean_inference_latency_s();
+    }
 
     /// Mean executed MACs per processed event (the paper's per-inference
     /// latency proxy in Fig. 6).
-    [[nodiscard]] double mean_inference_macs() const;
+    [[nodiscard]] double mean_inference_macs() const {
+        return summary().mean_inference_macs();
+    }
 
     /// Events that ended at each exit (length = num_exits).
     [[nodiscard]] std::vector<int> exit_histogram(int num_exits) const;
 
     /// Total energy consumed by inference, mJ.
-    [[nodiscard]] double total_consumed_mj() const;
+    [[nodiscard]] double total_consumed_mj() const {
+        return summary().consumed_mj;
+    }
 
     /// Fraction of events (over all N) whose result was not produced within
     /// `deadline` seconds of arrival: processed-but-late events and events
@@ -137,11 +204,13 @@ struct SimResult {
     /// deadline is never missed, so the rate is 0.0. Evaluating different
     /// thresholds on the same result is monotone: a tighter deadline can
     /// only raise the rate.
-    [[nodiscard]] double deadline_miss_rate(double deadline) const;
+    [[nodiscard]] double deadline_miss_rate(double deadline) const {
+        return summary(deadline).deadline_miss_rate();
+    }
 
     /// deadline_miss_rate() at the deadline the run was simulated under.
     [[nodiscard]] double deadline_miss_rate() const {
-        return deadline_miss_rate(deadline_s);
+        return summary().deadline_miss_rate();
     }
 
     /// Eq. 5 invariant: at no prefix of the event sequence does cumulative

@@ -43,9 +43,8 @@ int GreedyAffordablePolicy::select_exit(const EnergyState& state,
                               model.num_exits() - 1);
 }
 
-SlackGreedyPolicy::SlackGreedyPolicy(double margin_mj,
-                                     SlackSchedule schedule)
-    : margin_mj_(margin_mj), schedule_(std::move(schedule)) {
+SlackGreedyPolicy::SlackGreedyPolicy(SlackSchedule schedule)
+    : schedule_(std::move(schedule)) {
     schedule_.validate();
 }
 
@@ -53,12 +52,11 @@ int SlackGreedyPolicy::select_exit(const EnergyState& state,
                                    const InferenceModel& model) {
     const int cap = schedule_.max_depth(state.deadline_slack_s,
                                         model.num_exits());
-    return deepest_affordable(state, model, margin_mj_, cap);
+    return deepest_affordable(state, model, 0.0, cap);
 }
 
-QueueSlackGreedyPolicy::QueueSlackGreedyPolicy(double margin_mj,
-                                               SlackSchedule schedule)
-    : margin_mj_(margin_mj), schedule_(std::move(schedule)) {
+QueueSlackGreedyPolicy::QueueSlackGreedyPolicy(SlackSchedule schedule)
+    : schedule_(std::move(schedule)) {
     schedule_.validate();
 }
 
@@ -76,7 +74,7 @@ int QueueSlackGreedyPolicy::select_exit(const EnergyState& state,
     const int cap = std::min(
         schedule_.max_depth(state.deadline_slack_s, model.num_exits()),
         max_depth_for_backlog(state.queue_backlog, model.num_exits()));
-    return deepest_affordable(state, model, margin_mj_, cap);
+    return deepest_affordable(state, model, 0.0, cap);
 }
 
 }  // namespace imx::sim

@@ -11,7 +11,8 @@ namespace imx::sim {
 
 /// \brief min over exits e of (cost of e + margin_mj), with the
 /// expressions the greedy LUTs test affordability with: the
-/// ExitPolicy::commit_floor_mj() of all three.
+/// ExitPolicy::commit_floor_mj() of all three (the two slack variants keep
+/// no margin, so they pass 0).
 [[nodiscard]] double cheapest_commit_mj(const EnergyState& state,
                                         const InferenceModel& model,
                                         double margin_mj);
@@ -20,7 +21,8 @@ namespace imx::sim {
 ///
 /// Greedily selects the deepest exit whose from-scratch energy cost fits the
 /// currently stored energy; never runs incremental inference. Slack-blind:
-/// EnergyState::deadline_slack_s does not influence the choice.
+/// EnergyState::deadline_slack_s does not influence the choice. Like both
+/// variants below, it never reads EnergyState::charge_rate_mw.
 class GreedyAffordablePolicy final : public ExitPolicy {
 public:
     /// \param margin_mj energy kept in reserve so the run cannot
@@ -40,6 +42,7 @@ public:
         const EnergyState& state, const InferenceModel& model) const override {
         return cheapest_commit_mj(state, model, margin_mj_);
     }
+    [[nodiscard]] bool reads_charge_rate() const override { return false; }
 
 private:
     double margin_mj_;
@@ -55,11 +58,9 @@ private:
 /// slack) the behaviour is identical to GreedyAffordablePolicy.
 class SlackGreedyPolicy final : public ExitPolicy {
 public:
-    /// \param margin_mj energy kept in reserve, as in the greedy LUT.
     /// \param schedule the slack-to-depth schedule (validated on
     ///   construction: non-decreasing, first entry 0).
-    explicit SlackGreedyPolicy(double margin_mj = 0.0,
-                               SlackSchedule schedule = {});
+    explicit SlackGreedyPolicy(SlackSchedule schedule = {});
 
     int select_exit(const EnergyState& state,
                     const InferenceModel& model) override;
@@ -70,11 +71,11 @@ public:
     /// Greedy's floor: the depth cap only removes candidates.
     [[nodiscard]] double commit_floor_mj(
         const EnergyState& state, const InferenceModel& model) const override {
-        return cheapest_commit_mj(state, model, margin_mj_);
+        return cheapest_commit_mj(state, model, 0.0);
     }
+    [[nodiscard]] bool reads_charge_rate() const override { return false; }
 
 private:
-    double margin_mj_;
     SlackSchedule schedule_;
 };
 
@@ -91,11 +92,9 @@ private:
 /// the whole policy — is identical to SlackGreedyPolicy.
 class QueueSlackGreedyPolicy final : public ExitPolicy {
 public:
-    /// \param margin_mj energy kept in reserve, as in the greedy LUT.
     /// \param schedule the slack-to-depth schedule (validated on
     ///   construction).
-    explicit QueueSlackGreedyPolicy(double margin_mj = 0.0,
-                                    SlackSchedule schedule = {});
+    explicit QueueSlackGreedyPolicy(SlackSchedule schedule = {});
 
     int select_exit(const EnergyState& state,
                     const InferenceModel& model) override;
@@ -106,8 +105,9 @@ public:
     /// Greedy's floor: the depth cap only removes candidates.
     [[nodiscard]] double commit_floor_mj(
         const EnergyState& state, const InferenceModel& model) const override {
-        return cheapest_commit_mj(state, model, margin_mj_);
+        return cheapest_commit_mj(state, model, 0.0);
     }
+    [[nodiscard]] bool reads_charge_rate() const override { return false; }
 
     /// \brief The backlog-driven depth cap (exposed so tests can pin the
     /// monotone shedding directly).
@@ -115,7 +115,6 @@ public:
                                                    int num_exits);
 
 private:
-    double margin_mj_;
     SlackSchedule schedule_;
 };
 

@@ -24,13 +24,12 @@ const util::Registry<PolicyFactory>& registry() {
           }},
          {"slack-greedy",
           [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
-              return std::make_unique<SlackGreedyPolicy>(0.0,
-                                                         ctx.slack_schedule);
+              return std::make_unique<SlackGreedyPolicy>(ctx.slack_schedule);
           }},
          {"queue-slack-greedy",
           [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {
               return std::make_unique<QueueSlackGreedyPolicy>(
-                  0.0, ctx.slack_schedule);
+                  ctx.slack_schedule);
           }},
          {"qlearning",
           [](const PolicyContext& ctx) -> std::unique_ptr<ExitPolicy> {

@@ -32,7 +32,9 @@ struct EnergyState {
     double level_mj = 0.0;
     /// Storage capacity, mJ (level_mj / capacity_mj is the paper's E).
     double capacity_mj = 0.0;
-    /// Recent harvesting rate (EMA over harvested power), mW.
+    /// Recent harvesting rate (EMA over harvested power), mW. Tracked only
+    /// for a policy whose ExitPolicy::reads_charge_rate() is true; for any
+    /// other policy the simulator skips the EMA and this stays 0.0.
     double charge_rate_mw = 0.0;
     /// MCU energy cost per million MACs, mJ (paper: 1.5 mJ / MFLOP).
     double energy_per_mmac_mj = 1.5;
@@ -100,6 +102,15 @@ public:
         const EnergyState& /*state*/, const InferenceModel& /*model*/) const {
         return -std::numeric_limits<double>::infinity();
     }
+
+    /// \brief Whether any hook reads EnergyState::charge_rate_mw.
+    ///
+    /// A property of the policy class, read once per run. When it is
+    /// false the simulator does not track the charge-rate EMA, and every
+    /// EnergyState the policy sees carries charge_rate_mw == 0.0; a policy
+    /// that never reads the field cannot tell the difference.
+    /// \return the default, true, keeps the rate tracked.
+    [[nodiscard]] virtual bool reads_charge_rate() const { return true; }
 
     /// \brief Feedback after the event resolves (reward = outcome
     /// correctness per paper Sec. IV, plus timeliness for deadline-aware

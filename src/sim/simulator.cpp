@@ -75,6 +75,9 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     energy::EnergyStorage storage(config_.storage);
     util::Ema charge_rate(kChargeRateEmaAlpha);
     charge_rate.update(0.0);
+    // Only a policy that reads EnergyState::charge_rate_mw pays for the EMA;
+    // for any other the rate stays at its initial 0.0.
+    const bool track_charge_rate = policy.reads_charge_rate();
 
     // Failure model: the strategy exists only when it is enabled. Without
     // it every plan is one unit, so nothing can die, and commits are free.
@@ -274,11 +277,11 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
 
     // Per-step energy income (the table holds exactly the converter output
     // EnergyStorage::harvest() would compute at this step's `now`); track
-    // the net charging rate the runtime sees.
+    // the net charging rate the runtime sees, if the policy reads it.
     auto harvest_step = [&](std::size_t step) {
         const double stored =
             storage.harvest_net(income.net_mj(step), leak_mj);
-        charge_rate.update(std::max(stored, 0.0) / dt);
+        if (track_charge_rate) charge_rate.update(std::max(stored, 0.0) / dt);
     };
 
     // One full simulation step.
@@ -455,11 +458,23 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         if (!job.committed) {
             return policy.commit_floor_mj(energy_state(now), model);
         }
-        // r4 before the first unit: try_start_unit()'s affordability gate.
-        if (job.inference_start_s < 0.0) {
+        // r4: try_start_unit()'s affordability gate, before the first unit
+        // and in an r3 stall between units without a stall draw (whose step
+        // then only harvests, checks for death — death_stop_mj() — and
+        // tests the gate).
+        if (job.inference_start_s < 0.0 ||
+            config_.recovery.active_power_mw == 0.0) {
             return next_unit_cost_mj() + commit_mj;
         }
-        return -kNever;  // r3: a stall draws and checks for death every step
+        return -kNever;  // r3 with a stall draw: draws and checks every step
+    };
+    // The level below which the state's step body acts: a stall (r3) dies
+    // once the harvested level falls below the death threshold. -inf in
+    // every other state, whose body does nothing at a low level.
+    auto death_stop_mj = [&]() {
+        const bool stalled = busy && !job.executing && !job.dead &&
+                             job.inference_start_s >= 0.0;
+        return stalled ? config_.storage.death_threshold_mj : -kNever;
     };
 
     // Quiet-stretch drain. Before each full step, run the harvest-only
@@ -468,11 +483,13 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     // not-yet-started job passes its wait limit, and one step before the
     // harvested level would reach the wake level (looked ahead with the
     // harvest's own clamp, so the crossing step runs the full body
-    // unchanged). Drained steps perform the identical harvest/EMA updates
-    // at the identical `now` values — the `now += dt` accumulation sequence
-    // is exactly the step-at-a-time one — so every observable value stays
-    // bitwise equal to running every step in full (tests/test_hotpath.cpp
-    // and the stdout goldens pin this).
+    // unchanged), or, in a stall, one step before it would fall below the
+    // death threshold. Drained steps perform the identical harvest/EMA
+    // updates at the identical `now` values — the `now += dt` accumulation
+    // sequence is exactly the step-at-a-time one — so every observable value
+    // stays bitwise equal to running every step in full
+    // (tests/test_hotpath.cpp, tests/test_recovery.cpp and the stdout
+    // goldens pin this).
     const double duration = trace_duration_s_;
     double now = 0.0;
     std::size_t step = 0;
@@ -490,6 +507,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             const double job_wait_limit =
                 busy && job.inference_start_s < 0.0 ? wait_limit : kNever;
             const double job_arrival_s = job.arrival_s;
+            const double stop_below_mj = death_stop_mj();
             std::uint64_t steps = 0;
             while (now < duration) {
                 const double next = now + dt;
@@ -497,10 +515,9 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                     now - job_arrival_s > job_wait_limit) {
                     break;
                 }
-                if (!(storage.level_after(income.net_mj(step), leak_mj) <
-                      wake_mj)) {
-                    break;
-                }
+                const double level =
+                    storage.level_after(income.net_mj(step), leak_mj);
+                if (!(level < wake_mj) || level < stop_below_mj) break;
                 harvest_step(step);
                 now = next;
                 ++step;

@@ -23,12 +23,14 @@
 //
 // Stepping: the run advances in fixed dt steps over the whole trace, and
 // most steps only harvest. Those — idle, a unit mid-flight, a dead device
-// recharging to reboot, a job charging for its first unit, an uncommitted
-// job below its policy's ExitPolicy::commit_floor_mj() — run in one drain
+// recharging to reboot, a job charging for its first unit, a stall between
+// units without a stall draw, an uncommitted job below its policy's
+// ExitPolicy::commit_floor_mj() — run in one drain
 // loop on the trace's per-step income table (energy/income.hpp): a load,
-// the level clamp and the charge-rate EMA per step. Every output is bitwise
-// what running each step in full gives (docs/profiling.md lists the wake
-// levels).
+// the level clamp and, for a policy that reads it
+// (ExitPolicy::reads_charge_rate()), the charge-rate EMA per step. Every
+// output is bitwise what running each step in full gives (docs/profiling.md
+// lists the wake levels).
 #ifndef IMX_SIM_SIMULATOR_HPP
 #define IMX_SIM_SIMULATOR_HPP
 

@@ -4,14 +4,15 @@
 ///
 /// A sweep worker executes thousands of scenarios back to back; before this
 /// existed, every scenario (and every Q-learning training episode inside
-/// it) re-heap-allocated the same short-lived buffers — the training event
-/// schedule, the SimResult record vector, the recovery unit plan, the
-/// bounded-queue ring. A ScenarioWorkspace owns one reusable copy of each,
-/// sized by the largest scenario seen so far. Only the canonical replica
-/// (replica 0) of a simulation scenario keeps a SimResult of its own, for
-/// the reports to read; every other run — training episodes and
-/// non-canonical evaluations alike — writes into the one reusable `result`,
-/// so a worker's steady state allocates no SimResult at all.
+/// it) re-heap-allocated the same short-lived buffers — the training and
+/// evaluation event schedules, the SimResult record vector, the recovery
+/// unit plan, the bounded-queue ring. A ScenarioWorkspace owns one reusable
+/// copy of each, sized by the largest scenario seen so far. Only the
+/// canonical replica (replica 0) of a simulation scenario keeps a SimResult
+/// of its own, for the reports to read; every other run — training
+/// episodes and non-canonical evaluations alike — writes into the one
+/// reusable `result`, so a worker's steady state allocates no SimResult at
+/// all.
 ///
 /// It also sums the SimCounters of every run made through it. Results
 /// written into `result` never leave the workspace, so this sum is the only
@@ -48,6 +49,12 @@ struct ScenarioWorkspace {
     /// Reused training-episode event schedule
     /// (ArrivalSource::generate_into writes over it each episode).
     std::vector<Event> train_events;
+
+    /// Reused evaluation schedule of every replica but the canonical one
+    /// (ArrivalSource::generate_into writes over it each scenario). Kept
+    /// apart from train_events, which a learning cell fills while this
+    /// schedule waits for its evaluation run.
+    std::vector<Event> events;
 
     /// Reused result buffer for every run whose SimResult is consumed
     /// immediately: training episodes and the evaluation of every replica

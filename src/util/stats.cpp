@@ -61,10 +61,15 @@ double percentile(const std::vector<double>& sorted, double q) {
     IMX_ASSERT(std::is_sorted(sorted.begin(), sorted.end(),
                               [](double a, double b) { return a < b; }));
     if (sorted.empty()) return std::nan("");
-    const auto n = static_cast<double>(sorted.size());
+    return sorted[nearest_rank_index(q, sorted.size())];
+}
+
+std::size_t nearest_rank_index(double q, std::size_t n) {
+    IMX_EXPECTS(q >= 0.0 && q <= 1.0);
+    IMX_EXPECTS(n > 0);
     const auto rank = static_cast<std::size_t>(
-        std::max(1.0, std::ceil(q * n)));
-    return sorted[rank - 1];
+        std::max(1.0, std::ceil(q * static_cast<double>(n))));
+    return rank - 1;
 }
 
 double mean(const std::vector<double>& sample) {

@@ -40,6 +40,12 @@ private:
 /// \pre `sorted` is ascending (NaNs, if any, at the tail); \pre 0 <= q <= 1.
 double percentile(const std::vector<double>& sorted, double q);
 
+/// The 0-based sorted index percentile() reads for a sample of n values:
+/// max(1, ceil(q * n)) - 1. A caller that selects that order statistic
+/// (std::nth_element) gets percentile()'s value without a full sort.
+/// \pre n > 0; \pre 0 <= q <= 1.
+std::size_t nearest_rank_index(double q, std::size_t n);
+
 /// Arithmetic mean of a sample. Empty sample yields 0.
 double mean(const std::vector<double>& sample);
 

@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline_models.hpp"
@@ -100,6 +105,192 @@ TEST(ArrivalPins, BurstyReproducesTheHistoricalStreamBitwise) {
     expected = sort_and_number(std::move(expected));
     expect_same_events(sim::generate_arrivals("bursty", {150, 4000.0, 123}),
                        expected);
+}
+
+TEST(ArrivalPins, MmppEqualsItsDrawsSortedByStdSort) {
+    // The mmpp source's draw loop at default parameters, restated.
+    util::Rng rng(41);
+    const int count = 300;
+    const double duration = 9000.0;
+    const double mean_burst = 120.0;
+    const double mean_idle = 600.0;
+    const double factor = 8.0;
+    std::vector<sim::Event> expected;
+    const double mean_rate = static_cast<double>(count) / duration;
+    const double burst_fraction = mean_burst / (mean_burst + mean_idle);
+    const double idle_rate =
+        mean_rate / (burst_fraction * factor + (1.0 - burst_fraction));
+    const double burst_rate = factor * idle_rate;
+    bool burst = false;
+    double t = 0.0;
+    double dwell_end = rng.exponential(1.0 / mean_idle);
+    while (static_cast<int>(expected.size()) < count) {
+        const double gap = rng.exponential(burst ? burst_rate : idle_rate);
+        if (t + gap >= dwell_end) {
+            t = dwell_end;
+            burst = !burst;
+            dwell_end = t + rng.exponential(burst ? 1.0 / mean_burst
+                                                  : 1.0 / mean_idle);
+            continue;
+        }
+        t += gap;
+        if (t >= duration) {
+            t = rng.uniform(0.0, duration);
+            dwell_end = t + rng.exponential(burst ? 1.0 / mean_burst
+                                                  : 1.0 / mean_idle);
+        }
+        expected.push_back({0, t});
+    }
+    expected = sort_and_number(std::move(expected));
+    expect_same_events(sim::generate_arrivals("mmpp", {count, duration, 41}),
+                       expected);
+}
+
+TEST(ArrivalPins, DiurnalEqualsItsDrawsSortedByStdSort) {
+    // The diurnal source's rejection loop at default parameters, restated.
+    util::Rng rng(43);
+    const int count = 300;
+    const double duration = 9000.0;
+    const double depth = 0.8;
+    const double peak_frac = 0.5;
+    const double two_pi = 2.0 * 3.14159265358979323846;
+    std::vector<sim::Event> expected;
+    while (static_cast<int>(expected.size()) < count) {
+        const double t = rng.uniform(0.0, duration);
+        const double weight =
+            1.0 + depth * std::cos(two_pi * (t / duration - peak_frac));
+        if (rng.uniform(0.0, 1.0 + depth) <= weight) expected.push_back({0, t});
+    }
+    expected = sort_and_number(std::move(expected));
+    expect_same_events(
+        sim::generate_arrivals("diurnal", {count, duration, 43}), expected);
+}
+
+// --- The schedule sort ------------------------------------------------------
+
+/// Replays fixed draws in their given order, so generate_into()'s sort is
+/// all that stands between them and the schedule.
+class ReplaySource final : public sim::ArrivalSource {
+public:
+    explicit ReplaySource(std::vector<sim::Event> draws)
+        : draws_(std::move(draws)) {}
+
+protected:
+    void sample_into(const sim::ArrivalContext&,
+                     std::vector<sim::Event>& out) const override {
+        out = draws_;
+    }
+
+private:
+    std::vector<sim::Event> draws_;
+};
+
+/// Field by field (Event has padding, so no memcmp), times bit for bit.
+void expect_same_schedule(const std::vector<sim::Event>& a,
+                          const std::vector<sim::Event>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id) << i;
+        EXPECT_EQ(std::memcmp(&a[i].time_s, &b[i].time_s, sizeof(double)), 0)
+            << i << ": " << a[i].time_s << " vs " << b[i].time_s;
+    }
+}
+
+TEST(ArrivalSort, ScheduleEqualsTheDrawsSortedByStdSort) {
+    constexpr double kDuration = 13000.0;
+    util::Rng rng(17);
+    std::vector<std::pair<std::string, std::vector<double>>> shapes;
+    for (const int n : {0, 1, 2, 3, 17, 500, 2000}) {
+        const std::string size = "/" + std::to_string(n);
+        std::vector<double> uniform;
+        for (int i = 0; i < n; ++i) {
+            uniform.push_back(rng.uniform(0.0, kDuration));
+        }
+        std::vector<double> ascending = uniform;
+        std::sort(ascending.begin(), ascending.end());
+        std::vector<double> descending(ascending.rbegin(), ascending.rend());
+        std::vector<double> bursts;  // 5 s jitter around random epochs
+        while (static_cast<int>(bursts.size()) < n) {
+            const double epoch = rng.uniform(0.0, kDuration - 5.0);
+            for (int b = 0; b < 7 && static_cast<int>(bursts.size()) < n; ++b) {
+                bursts.push_back(epoch + rng.uniform(0.0, 5.0));
+            }
+        }
+        std::vector<double> duplicates;
+        const double values[] = {0.0, 1.0, 2.5, kDuration / 2,
+                                 std::nextafter(kDuration, 0.0)};
+        for (int i = 0; i < n; ++i) {
+            duplicates.push_back(values[rng.uniform_int(0, 4)]);
+        }
+        // Everything inside the first bucket, in reverse order.
+        std::vector<double> one_bucket;
+        for (int i = n; i > 0; --i) {
+            one_bucket.push_back(static_cast<double>(i) * 1e-3);
+        }
+        // Outside [0, duration): the sort stays exact, only slower.
+        std::vector<double> out_of_range = uniform;
+        const double strays[] = {-5.0, kDuration, 2.0 * kDuration,
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+        for (std::size_t i = 0; i < out_of_range.size(); i += 3) {
+            out_of_range[i] = strays[(i / 3) % 5];
+        }
+        shapes.emplace_back("uniform" + size, uniform);
+        shapes.emplace_back("ascending" + size, ascending);
+        shapes.emplace_back("descending" + size, descending);
+        shapes.emplace_back("bursts" + size, bursts);
+        shapes.emplace_back("duplicates" + size, duplicates);
+        shapes.emplace_back("one-bucket" + size, one_bucket);
+        shapes.emplace_back("out-of-range" + size, out_of_range);
+    }
+    // Every built-in stochastic source's schedule, shuffled back into a
+    // random draw order.
+    for (const char* source : {"uniform", "poisson", "bursty", "mmpp",
+                               "diurnal"}) {
+        std::vector<double> times;
+        for (const sim::Event& e :
+             sim::generate_arrivals(source, {500, kDuration, 3})) {
+            times.push_back(e.time_s);
+        }
+        for (std::size_t i = times.size(); i > 1; --i) {
+            std::swap(times[i - 1],
+                      times[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(i - 1)))]);
+        }
+        shapes.emplace_back(std::string(source) + "/shuffled", times);
+    }
+
+    for (const auto& [name, times] : shapes) {
+        SCOPED_TRACE(name);
+        std::vector<sim::Event> draws;
+        for (const double t : times) draws.push_back({0, t});
+        const ReplaySource source(draws);
+        std::vector<sim::Event> schedule = {{9, 9.0}};  // stale contents
+        source.generate_into(
+            {static_cast<int>(draws.size()), kDuration, 1}, schedule);
+        expect_same_schedule(schedule, sort_and_number(draws));
+    }
+}
+
+TEST(ArrivalSort, CsvKeepsFileOrderAmongEqualTimes) {
+    // The csv source accepts -0, which compares equal to 0. Equal times
+    // keep their file order through both sorts, so the signs read in file
+    // order; std::sort left the order of -0 against 0 unspecified.
+    const std::string path = test::scratch_dir() + "ties.csv";
+    {
+        std::ofstream file(path);
+        file << "7\n0\n-0\n3\n0\n7\n-0\n";
+    }
+    const auto events =
+        sim::generate_arrivals("csv", {10, 100.0, 1}, {{"path", path}});
+    const double times[] = {0.0, 0.0, 0.0, 0.0, 3.0, 7.0, 7.0};
+    const bool negative[] = {false, true, false, true, false, false, false};
+    ASSERT_EQ(events.size(), 7u);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].id, static_cast<int>(i));
+        EXPECT_EQ(events[i].time_s, times[i]) << i;
+        EXPECT_EQ(std::signbit(events[i].time_s), negative[i]) << i;
+    }
 }
 
 // --- Registry API and parameter validation ---------------------------------

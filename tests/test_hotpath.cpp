@@ -29,6 +29,13 @@
 //     buffer and returns metrics bitwise equal to those of a fresh
 //     Simulator::run on the same inputs, with or without a workspace that
 //     holds a larger scenario's stale records.
+//  7. The charge rate: a policy that declares it does not read
+//     EnergyState::charge_rate_mw runs bit for bit as it does wrapped in a
+//     policy that declares it does (and so has the EMA tracked), and sees
+//     the rate as 0.
+//  8. sim_metrics(): the one-pass summary and the selected percentiles give
+//     bit for bit what one walk of the records per metric and a full sort
+//     gave, and keep that code's contract checks.
 //
 // (The batched-vs-historical stepping equality itself is pinned stronger
 // than any in-process compare could: tests/test_kernels_dispatch.cpp hashes
@@ -36,6 +43,7 @@
 // single-step-dispatch implementation.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -71,9 +79,11 @@
 #include "sim/simulator.hpp"
 #include "sim/workspace.hpp"
 #include "util/arena.hpp"
+#include "util/contracts.hpp"
 #include "util/param_reader.hpp"
 #include "util/registry.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -576,8 +586,8 @@ TEST(CommitFloor, GreedyFamilyWaitsBelowItsFloor) {
                                 rng.uniform(60.0, 200.0)};
         std::unique_ptr<sim::ExitPolicy> policies[] = {
             std::make_unique<sim::GreedyAffordablePolicy>(margin),
-            std::make_unique<sim::SlackGreedyPolicy>(margin, schedule),
-            std::make_unique<sim::QueueSlackGreedyPolicy>(margin, schedule)};
+            std::make_unique<sim::SlackGreedyPolicy>(schedule),
+            std::make_unique<sim::QueueSlackGreedyPolicy>(schedule)};
         sim::EnergyState state;
         state.capacity_mj = rng.uniform(1.0, 10.0);
         state.energy_per_mmac_mj = rng.uniform(0.5, 3.0);
@@ -597,6 +607,147 @@ TEST(CommitFloor, GreedyFamilyWaitsBelowItsFloor) {
                 EXPECT_EQ(policy->select_exit(state, model), -1)
                     << "level " << level << " floor " << floor;
             }
+        }
+    }
+}
+
+// --- the charge rate: tracked only for a policy that reads it ---------------
+
+/// Forwards every call, the commit floor included, to a policy, but
+/// declares that it reads the charge rate (or, with `reads` false, that it
+/// does not), so the simulator tracks the EMA the wrapped policy runs
+/// without. Records the largest rate any hook saw.
+class RateReader final : public sim::ExitPolicy {
+public:
+    explicit RateReader(sim::ExitPolicy& inner, bool reads = true)
+        : inner_(inner), reads_(reads) {}
+    int select_exit(const sim::EnergyState& state,
+                    const sim::InferenceModel& model) override {
+        max_rate_seen = std::max(max_rate_seen, state.charge_rate_mw);
+        return inner_.select_exit(state, model);
+    }
+    bool continue_inference(const sim::EnergyState& state,
+                            const sim::InferenceModel& model, int exit,
+                            double confidence) override {
+        max_rate_seen = std::max(max_rate_seen, state.charge_rate_mw);
+        return inner_.continue_inference(state, model, exit, confidence);
+    }
+    [[nodiscard]] double commit_floor_mj(
+        const sim::EnergyState& state,
+        const sim::InferenceModel& model) const override {
+        return inner_.commit_floor_mj(state, model);
+    }
+    [[nodiscard]] bool reads_charge_rate() const override { return reads_; }
+    void observe(const sim::EnergyState& state, int exit, bool correct,
+                 bool deadline_met) override {
+        inner_.observe(state, exit, correct, deadline_met);
+    }
+    void observe_missed() override { inner_.observe_missed(); }
+
+    double max_rate_seen = 0.0;
+
+private:
+    sim::ExitPolicy& inner_;
+    bool reads_;
+};
+
+/// A 3000 s trace from `source`, rescaled to 90 mJ.
+energy::PowerTrace short_trace(const std::string& source) {
+    energy::PowerTrace trace = energy::make_trace(source, {3000.0, 1.0, 11});
+    trace.rescale_total_energy(90.0);
+    return trace;
+}
+
+/// Runs `policy` bare and wrapped in a RateReader, and expects the same
+/// SimResult bit for bit: what the policy never reads cannot change a run.
+/// Returns the largest rate the wrapper saw.
+double expect_rate_unobservable(sim::Simulator simulator,
+                                const std::vector<sim::Event>& events,
+                                sim::InferenceModel& model,
+                                sim::ExitPolicy& bare,
+                                sim::ExitPolicy& twin) {
+    EXPECT_FALSE(bare.reads_charge_rate());
+    const sim::SimResult a = simulator.run(events, model, bare);
+    RateReader reader(twin);
+    const sim::SimResult b = simulator.run(events, model, reader);
+    expect_sim_bitwise(a, b);
+    EXPECT_GT(a.processed_count(), 0);
+    return reader.max_rate_seen;
+}
+
+TEST(ChargeRate, UnreadRateIsUnobservable) {
+    const auto desc = core::make_paper_network_desc();
+    core::OracleInferenceModel model(desc, core::reference_nonuniform_policy(),
+                                     {60.0, 68.0, 70.0});
+    sim::PolicyContext context;
+    context.num_exits = model.num_exits();
+
+    sim::SimConfig base;
+    base.storage = core::paper_storage_config();
+    base.storage.capacity_mj = 6.0;
+    base.storage.death_threshold_mj = 0.3;
+    base.mcu = core::paper_mcu_config();
+
+    // A recovery cell: checkpointed units with a stall draw, on RF bursts.
+    sim::SimConfig recovery = base;
+    recovery.recovery.enabled = true;
+    recovery.recovery.strategy = "checkpoint";
+    recovery.recovery.active_power_mw = 0.02;
+    // A queue-16 cell under MMPP arrivals and a 60 s deadline.
+    sim::SimConfig queue = base;
+    queue.queue_capacity = 16;
+    queue.deadline_s = 60.0;
+
+    const energy::PowerTrace rf = short_trace("rf-bursty");
+    const energy::PowerTrace solar = short_trace("solar");
+    const auto uniform = sim::generate_arrivals("uniform", {80, 3000.0, 5});
+    const auto mmpp = sim::generate_arrivals("mmpp", {80, 3000.0, 5});
+    double max_rate = 0.0;
+    for (const char* name : kGreedyFamily) {
+        SCOPED_TRACE(name);
+        for (const bool queued : {false, true}) {
+            const auto bare = sim::make_policy(name, context);
+            const auto twin = sim::make_policy(name, context);
+            max_rate = std::max(
+                max_rate, expect_rate_unobservable(
+                              sim::Simulator(queued ? solar : rf,
+                                             queued ? queue : recovery),
+                              queued ? mmpp : uniform, model, *bare, *twin));
+        }
+    }
+
+    // A checkpointed baseline, whose policy commits at pickup.
+    const sim::SimConfig checkpointed =
+        baselines::checkpointed_sim_config(base);
+    auto sonic = baselines::make_sonic_net(
+        1234, baselines::step_unit_macs(checkpointed.mcu, checkpointed.dt_s));
+    baselines::CommitAtPickupPolicy bare;
+    baselines::CommitAtPickupPolicy twin;
+    max_rate = std::max(max_rate,
+                        expect_rate_unobservable(
+                            sim::Simulator(solar, checkpointed), uniform,
+                            sonic, bare, twin));
+    // The wrapped runs did track a rate; otherwise this compared nothing.
+    EXPECT_GT(max_rate, 0.0);
+}
+
+TEST(ChargeRate, StaysZeroForAPolicyThatDoesNotReadIt) {
+    const auto desc = core::make_paper_network_desc();
+    core::OracleInferenceModel model(desc, core::reference_nonuniform_policy(),
+                                     {60.0, 68.0, 70.0});
+    sim::SimConfig cfg;
+    cfg.storage = core::paper_storage_config();
+    cfg.mcu = core::paper_mcu_config();
+    sim::Simulator simulator(short_trace("solar"), cfg);
+    const auto events = sim::generate_arrivals("uniform", {80, 3000.0, 5});
+    for (const bool reads : {false, true}) {
+        sim::GreedyAffordablePolicy greedy;
+        RateReader probe(greedy, reads);
+        (void)simulator.run(events, model, probe);
+        if (reads) {
+            EXPECT_GT(probe.max_rate_seen, 0.0);
+        } else {
+            EXPECT_EQ(probe.max_rate_seen, 0.0);
         }
     }
 }
@@ -775,6 +926,235 @@ TEST(OutcomeShape, SweepKeepsASimResultForReplicaZeroOnly) {
         SCOPED_TRACE(specs[i].id);
         EXPECT_EQ(one[i].sim != nullptr, specs[i].replica == 0);
     }
+}
+
+// --- sim_metrics: one pass, bit for bit the per-metric walks ---------------
+
+/// The percentile sim_metrics() read before the one-pass summary: 0.0 for
+/// no sample, else util::percentile() over the fully sorted sample.
+double sorted_percentile(const std::vector<double>& sorted, double q) {
+    return sorted.empty() ? 0.0 : util::percentile(sorted, q);
+}
+
+/// sim_metrics() as it was before the one-pass summary: one walk of the
+/// records per metric, and a full sort of the latencies.
+exp::MetricMap per_metric_walks(const sim::SimResult& r) {
+    int processed = 0;
+    for (const auto& e : r.records) processed += e.processed ? 1 : 0;
+    int correct = 0;
+    for (const auto& e : r.records) {
+        correct += (e.processed && e.correct) ? 1 : 0;
+    }
+    double latency_sum = 0.0;
+    int n = 0;
+    for (const auto& e : r.records) {
+        if (!e.processed) continue;
+        latency_sum += e.completion_time_s - e.arrival_time_s;
+        ++n;
+    }
+    std::vector<double> latencies;
+    for (const auto& e : r.records) {
+        if (!e.processed) continue;
+        latencies.push_back(e.completion_time_s - e.arrival_time_s);
+    }
+    std::sort(latencies.begin(), latencies.end());
+    double inference_sum = 0.0;
+    for (const auto& e : r.records) {
+        if (!e.processed) continue;
+        inference_sum += e.completion_time_s - e.inference_start_s;
+    }
+    double macs_sum = 0.0;
+    for (const auto& e : r.records) {
+        if (e.processed) macs_sum += static_cast<double>(e.macs);
+    }
+    double miss_rate = 0.0;
+    if (!r.records.empty() &&
+        r.deadline_s != std::numeric_limits<double>::infinity()) {
+        int missed = 0;
+        for (const auto& e : r.records) {
+            const bool on_time =
+                e.processed &&
+                e.completion_time_s - e.arrival_time_s <= r.deadline_s;
+            missed += on_time ? 0 : 1;
+        }
+        miss_rate = static_cast<double>(missed) /
+                    static_cast<double>(r.records.size());
+    }
+    double consumed = 0.0;
+    for (const auto& e : r.records) consumed += e.energy_spent_mj;
+    const int total = static_cast<int>(r.records.size());
+
+    exp::MetricMap m;
+    m["iepmj"] = static_cast<double>(correct) / r.total_harvested_mj;
+    m["acc_all_pct"] =
+        100.0 * (r.records.empty() ? 0.0
+                                   : static_cast<double>(correct) /
+                                         static_cast<double>(r.records.size()));
+    m["acc_processed_pct"] =
+        100.0 * (processed == 0 ? 0.0
+                                : static_cast<double>(correct) /
+                                      static_cast<double>(processed));
+    m["processed"] = static_cast<double>(processed);
+    m["missed"] = static_cast<double>(total - processed);
+    m["event_latency_s"] = n == 0 ? 0.0 : latency_sum / n;
+    m["p50_latency_s"] = sorted_percentile(latencies, 0.50);
+    m["p95_latency_s"] = sorted_percentile(latencies, 0.95);
+    m["p99_latency_s"] = sorted_percentile(latencies, 0.99);
+    m["inference_latency_s"] = n == 0 ? 0.0 : inference_sum / n;
+    m["inference_macs_m"] = (n == 0 ? 0.0 : macs_sum / n) / 1e6;
+    m["deadline_miss_pct"] = 100.0 * miss_rate;
+    m["harvested_mj"] = r.total_harvested_mj;
+    m["consumed_mj"] = consumed;
+    m["dropped"] = static_cast<double>(r.dropped);
+    m["in_flight"] = static_cast<double>(r.in_flight);
+    m["deaths"] = static_cast<double>(r.deaths);
+    m["recovery_mj"] = r.recovery_energy_mj;
+    m["wasted_macs_m"] = static_cast<double>(r.wasted_macs) / 1e6;
+    return m;
+}
+
+/// A random result: `processed_share` of the events processed, latencies
+/// from a four-value set when `tied` (so percentiles fall on ties), and the
+/// deadline infinite, random, or exactly one of the tied latencies.
+sim::SimResult random_result(util::Rng& rng, int events,
+                             double processed_share, bool tied,
+                             int deadline_kind) {
+    sim::SimResult r;
+    const double tied_latencies[] = {0.0, 1.0, 2.5, 10.0};
+    for (int i = 0; i < events; ++i) {
+        sim::EventRecord e;
+        e.event_id = i;
+        e.arrival_time_s = rng.uniform(0.0, 1000.0);
+        e.processed = rng.uniform(0.0, 1.0) < processed_share;
+        e.correct = rng.uniform(0.0, 1.0) < 0.7;
+        e.energy_spent_mj = rng.uniform(0.0, 3.0);
+        if (e.processed) {
+            const double latency =
+                tied ? tied_latencies[rng.uniform_int(0, 3)]
+                     : rng.uniform(0.0, 200.0);
+            e.completion_time_s = e.arrival_time_s + latency;
+            e.inference_start_s =
+                rng.uniform(e.arrival_time_s, e.completion_time_s);
+            e.macs = static_cast<std::int64_t>(rng.uniform_int(1, 3000000));
+            e.exit_taken = static_cast<int>(rng.uniform_int(0, 2));
+        }
+        r.records.push_back(e);
+    }
+    r.total_harvested_mj = rng.uniform(1.0, 500.0);
+    r.deadline_s = deadline_kind == 0 ? std::numeric_limits<double>::infinity()
+                   : deadline_kind == 1 ? rng.uniform(0.5, 150.0)
+                                        : 2.5;
+    r.deaths = static_cast<int>(rng.uniform_int(0, 5));
+    r.recovery_energy_mj = rng.uniform(0.0, 2.0);
+    r.wasted_macs = static_cast<std::int64_t>(rng.uniform_int(0, 5000000));
+    r.dropped = static_cast<int>(rng.uniform_int(0, 5));
+    r.in_flight = static_cast<int>(rng.uniform_int(0, 2));
+    return r;
+}
+
+void expect_double_bitwise(double a, double b, const char* what) {
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+        << what << ": " << a << " vs " << b;
+}
+
+TEST(SimMetrics, OnePassEqualsThePerMetricWalksBitwise) {
+    util::Rng rng(31);
+    int cases = 0;
+    for (const int events : {0, 1, 2, 7, 100, 500}) {
+        for (const double share : {0.0, 0.5, 1.0}) {
+            for (const bool tied : {false, true}) {
+                for (int deadline_kind = 0; deadline_kind < 3;
+                     ++deadline_kind) {
+                    for (int trial = 0; trial < 3; ++trial) {
+                        SCOPED_TRACE(std::to_string(events) +
+                                     " events, share " +
+                                     std::to_string(share) +
+                                     (tied ? ", tied" : "") + ", deadline " +
+                                     std::to_string(deadline_kind));
+                        const sim::SimResult r = random_result(
+                            rng, events, share, tied, deadline_kind);
+                        const exp::MetricMap old = per_metric_walks(r);
+                        expect_metrics_bitwise(exp::sim_metrics(r), old);
+                        // The accessors read the same summary.
+                        expect_double_bitwise(r.iepmj(), old.at("iepmj"),
+                                              "iepmj");
+                        expect_double_bitwise(
+                            100.0 * r.accuracy_all_events(),
+                            old.at("acc_all_pct"), "acc_all");
+                        expect_double_bitwise(
+                            100.0 * r.accuracy_processed(),
+                            old.at("acc_processed_pct"), "acc_processed");
+                        EXPECT_EQ(r.processed_count(), old.at("processed"));
+                        EXPECT_EQ(r.missed_count(), old.at("missed"));
+                        expect_double_bitwise(r.mean_event_latency_s(),
+                                              old.at("event_latency_s"),
+                                              "event_latency");
+                        expect_double_bitwise(r.latency_percentile_s(0.95),
+                                              old.at("p95_latency_s"), "p95");
+                        expect_double_bitwise(r.mean_inference_latency_s(),
+                                              old.at("inference_latency_s"),
+                                              "inference_latency");
+                        expect_double_bitwise(r.mean_inference_macs() / 1e6,
+                                              old.at("inference_macs_m"),
+                                              "inference_macs");
+                        expect_double_bitwise(
+                            100.0 * r.deadline_miss_rate(),
+                            old.at("deadline_miss_pct"), "miss");
+                        expect_double_bitwise(r.total_consumed_mj(),
+                                              old.at("consumed_mj"),
+                                              "consumed");
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 6 * 3 * 2 * 3 * 3);
+}
+
+TEST(SimMetrics, SelectedPercentilesEqualSortedOnes) {
+    util::Rng rng(8);
+    for (const int n : {1, 2, 3, 10, 99, 100, 101, 1000}) {
+        for (const bool tied : {false, true}) {
+            std::vector<double> sample;
+            for (int i = 0; i < n; ++i) {
+                sample.push_back(
+                    tied ? static_cast<double>(rng.uniform_int(0, 3))
+                         : rng.uniform(0.0, 50.0));
+            }
+            std::vector<double> sorted = sample;
+            std::sort(sorted.begin(), sorted.end());
+            const sim::LatencyPercentiles p =
+                sim::select_latency_percentiles(sample);
+            expect_double_bitwise(p.p50_s, util::percentile(sorted, 0.50),
+                                  "p50");
+            expect_double_bitwise(p.p95_s, util::percentile(sorted, 0.95),
+                                  "p95");
+            expect_double_bitwise(p.p99_s, util::percentile(sorted, 0.99),
+                                  "p99");
+        }
+    }
+    std::vector<double> empty;
+    const sim::LatencyPercentiles none = sim::select_latency_percentiles(empty);
+    EXPECT_EQ(none.p50_s, 0.0);
+    EXPECT_EQ(none.p99_s, 0.0);
+}
+
+TEST(SimMetrics, KeepsTheContractChecks) {
+    sim::SimResult r;
+    r.records.resize(2);
+    r.records[0].processed = true;
+    r.records[0].arrival_time_s = 5.0;
+    r.records[0].completion_time_s = 7.0;
+    r.total_harvested_mj = 0.0;  // IEpmJ needs a positive harvest
+    EXPECT_THROW((void)exp::sim_metrics(r), util::ContractViolation);
+    r.total_harvested_mj = 1.0;
+    r.deadline_s = 0.0;  // a deadline must be positive
+    EXPECT_THROW((void)exp::sim_metrics(r), util::ContractViolation);
+    r.deadline_s = 10.0;
+    EXPECT_NO_THROW((void)exp::sim_metrics(r));
+    r.records[0].completion_time_s = 4.0;  // completes before it arrives
+    EXPECT_THROW((void)exp::sim_metrics(r), util::ContractViolation);
 }
 
 }  // namespace

@@ -110,12 +110,12 @@ TEST(SlackGreedy, AffordabilityStillBinds) {
 }
 
 TEST(SlackGreedy, RejectsMalformedSchedules) {
-    EXPECT_THROW(sim::SlackGreedyPolicy(0.0, sim::SlackSchedule{{}}),
+    EXPECT_THROW(sim::SlackGreedyPolicy(sim::SlackSchedule{{}}),
                  util::ContractViolation);
-    EXPECT_THROW(sim::SlackGreedyPolicy(0.0, sim::SlackSchedule{{5.0, 10.0}}),
+    EXPECT_THROW(sim::SlackGreedyPolicy(sim::SlackSchedule{{5.0, 10.0}}),
                  util::ContractViolation);  // first entry must be 0
     EXPECT_THROW(
-        sim::SlackGreedyPolicy(0.0, sim::SlackSchedule{{0.0, 60.0, 30.0}}),
+        sim::SlackGreedyPolicy(sim::SlackSchedule{{0.0, 60.0, 30.0}}),
         util::ContractViolation);  // must be non-decreasing
 }
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,6 +31,7 @@
 #include "core/oracle_model.hpp"
 #include "energy/power_trace.hpp"
 #include "energy/storage.hpp"
+#include "energy/trace_registry.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/experiment.hpp"
 #include "exp/journal.hpp"
@@ -617,6 +619,74 @@ TEST(BaselineUnitPlan, InFlightBaselineStepsAreDrained) {
     EXPECT_EQ(result.counters.full_steps + result.counters.drained_steps,
               200u);
     EXPECT_GE(result.counters.drained_steps, 190u);
+}
+
+TEST(BaselineUnitPlan, ZeroDrawStallsDrainBitwiseLikeSteppedStalls) {
+    // A stall between units with no stall draw only harvests, checks for
+    // death and tests the unit gate, so the drain runs it. A denormal draw
+    // leaves every level bit unchanged but keeps the simulator stepping
+    // each stall in full: both runs must agree bit for bit.
+    using Factory = baselines::FixedBaselineModel (*)(std::uint64_t,
+                                                      std::int64_t);
+    const auto setup = core::make_paper_setup();
+    energy::PowerTrace rf =
+        energy::make_trace("rf-bursty", {setup.trace.duration(), 1.0, 11});
+    rf.rescale_total_energy(setup.trace.total_energy());
+    const energy::PowerTrace* const traces[] = {&setup.trace, &rf};
+    int deaths = 0;
+    for (const energy::PowerTrace* trace : traces) {
+        for (const Factory factory : {&baselines::make_sonic_net,
+                                      &baselines::make_sparse_net,
+                                      &baselines::make_lenet_cifar}) {
+            auto model = factory(1234, baselines::kPaperStepUnitMacs);
+            SCOPED_TRACE(model.name() +
+                         (trace == &rf ? " on rf-bursty" : " on solar"));
+            sim::SimConfig stepped_cfg = setup.checkpointed_sim;
+            ASSERT_EQ(stepped_cfg.recovery.active_power_mw, 0.0);
+            stepped_cfg.recovery.active_power_mw =
+                std::numeric_limits<double>::denorm_min();
+            baselines::CommitAtPickupPolicy policy;
+            const auto drained = sim::Simulator(*trace, setup.checkpointed_sim)
+                                     .run(setup.events, model, policy);
+            const auto stepped = sim::Simulator(*trace, stepped_cfg)
+                                     .run(setup.events, model, policy);
+            expect_records_bitwise_equal(drained, stepped);
+            EXPECT_EQ(drained.deaths, stepped.deaths);
+            EXPECT_EQ(drained.recovery_energy_mj, stepped.recovery_energy_mj);
+            EXPECT_EQ(drained.wasted_macs, stepped.wasted_macs);
+            EXPECT_EQ(drained.in_flight, stepped.in_flight);
+            EXPECT_EQ(drained.counters.full_steps +
+                          drained.counters.drained_steps,
+                      stepped.counters.full_steps +
+                          stepped.counters.drained_steps);
+            EXPECT_LT(drained.counters.full_steps,
+                      stepped.counters.full_steps);
+            deaths += drained.deaths;
+        }
+    }
+
+    // The exact-arithmetic brown-out: leakage drags the stalled device
+    // below the death threshold at a known step, which the drain must stop
+    // in front of.
+    sim::SimConfig stepped_cfg = exact_baseline_config();
+    stepped_cfg.recovery.active_power_mw =
+        std::numeric_limits<double>::denorm_min();
+    baselines::FixedBaselineModel model("m", 3.0, 100.0, 1.0, 1234, 1000000);
+    baselines::CommitAtPickupPolicy policy;
+    const std::vector<sim::Event> events = {{0, 1.0}};
+    const auto drained = sim::Simulator(dark_then_bright(),
+                                        exact_baseline_config())
+                             .run(events, model, policy);
+    const auto stepped = sim::Simulator(dark_then_bright(), stepped_cfg)
+                             .run(events, model, policy);
+    expect_records_bitwise_equal(drained, stepped);
+    EXPECT_EQ(drained.deaths, stepped.deaths);
+    EXPECT_EQ(drained.recovery_energy_mj, stepped.recovery_energy_mj);
+    EXPECT_GE(drained.deaths, 1);
+    EXPECT_LE(drained.counters.full_steps, stepped.counters.full_steps);
+    deaths += drained.deaths;
+    // Stalls did die here, so the death stop was exercised.
+    EXPECT_GT(deaths, 1);
 }
 
 TEST(CheckpointedReference, ReproducesTheHistoricalBaselineRows) {
