@@ -52,8 +52,9 @@ ExperimentSetup make_paper_setup(const SetupConfig& config) {
     events_ctx.count = config.event_count;
     events_ctx.duration_s = trace.duration();
     events_ctx.seed = config.event_seed;
-    std::vector<sim::Event> events = sim::generate_arrivals(
-        config.arrival_source, events_ctx, config.arrival_params);
+    std::shared_ptr<const sim::ArrivalSource> arrivals =
+        sim::make_arrival_source(config.arrival_source, config.arrival_params);
+    std::vector<sim::Event> events = arrivals->generate(events_ctx);
 
     ExperimentSetup setup{
         std::move(trace),
@@ -64,6 +65,7 @@ ExperimentSetup make_paper_setup(const SetupConfig& config) {
         reference_nonuniform_policy(),
         {},
         config,
+        std::move(arrivals),
     };
 
     setup.multi_exit_sim.dt_s = 1.0;

@@ -11,6 +11,7 @@
 #define IMX_CORE_EXPERIMENT_SETUP_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "compress/network_desc.hpp"
@@ -54,11 +55,14 @@ struct ExperimentSetup {
     compress::NetworkDesc network;
     compress::Policy deployed_policy;       ///< reference nonuniform policy
     std::vector<double> exit_accuracy;      ///< oracle accuracy (%) per exit
-    /// The config this setup was built from. Replica machinery and arrival
-    /// patches regenerate event streams through config.arrival_source /
-    /// config.arrival_params so non-canonical replicas stay on the same
-    /// workload process as replica 0.
+    /// The config this setup was built from (arrival patches keep its
+    /// arrival_source / arrival_params in step with `arrivals`).
     SetupConfig config;
+    /// The arrival source `events` was drawn from, built once and shared by
+    /// every copy of the setup: non-canonical replicas draw their streams
+    /// from it, so they stay on replica 0's workload process and a file-
+    /// backed source is parsed once per cell, not once per replica.
+    std::shared_ptr<const sim::ArrivalSource> arrivals;
 
     [[nodiscard]] sim::Simulator make_multi_exit_simulator() const {
         return sim::Simulator(trace, multi_exit_sim);

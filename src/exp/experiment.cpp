@@ -300,10 +300,6 @@ Experiment make_experiment(const std::string& name) {
     return experiment;
 }
 
-bool has_experiment(const std::string& name) {
-    return registry().contains(name);
-}
-
 std::vector<std::string> experiment_names() { return registry().names(); }
 
 std::string experiment_description(const std::string& name) {

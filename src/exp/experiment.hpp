@@ -149,9 +149,6 @@ struct Experiment {
 ///   registered name, so CLI typos are self-explaining).
 Experiment make_experiment(const std::string& name);
 
-/// \brief Whether `name` is registered.
-[[nodiscard]] bool has_experiment(const std::string& name);
-
 /// \brief Every registered name, sorted.
 [[nodiscard]] std::vector<std::string> experiment_names();
 

@@ -563,8 +563,9 @@ std::shared_ptr<const core::ExperimentSetup> with_trace(
     std::uint64_t event_seed) {
     auto setup = std::make_shared<core::ExperimentSetup>(base);
     trace.rescale_total_energy(cfg.total_harvest_mj);
-    setup->events = sim::generate_arrivals(
-        arrivals, {cfg.event_count, trace.duration(), event_seed});
+    setup->arrivals = sim::make_arrival_source(arrivals);
+    setup->events = setup->arrivals->generate(
+        {cfg.event_count, trace.duration(), event_seed});
     setup->trace = std::move(trace);
     setup->config.arrival_source = arrivals;
     setup->config.arrival_params.clear();
@@ -636,8 +637,8 @@ Experiment trace_experiment() {
         arrival_sweep.traces.clear();  // drop the default paper-solar spec
         for (const auto& c : kArrivalCases) {
             auto setup = std::make_shared<core::ExperimentSetup>(*base);
-            setup->events = sim::generate_arrivals(
-                c.source,
+            setup->arrivals = sim::make_arrival_source(c.source);
+            setup->events = setup->arrivals->generate(
                 {setup_cfg.event_count, base->trace.duration(), 321});
             setup->config.arrival_source = c.source;
             arrival_sweep.traces.push_back(

@@ -43,6 +43,14 @@ std::uint64_t train_seed(const ScenarioContext& ctx, int episode) {
     return util::splitmix64(state);
 }
 
+/// The uniform source every learning policy trains on, built once and
+/// read concurrently (generate_into is const).
+const sim::ArrivalSource& training_arrivals() {
+    static const std::unique_ptr<sim::ArrivalSource> uniform =
+        sim::make_arrival_source("uniform");
+    return *uniform;
+}
+
 bool is_baseline(SystemKind kind) {
     return kind == SystemKind::kSonicNet || kind == SystemKind::kSpArSeNet ||
            kind == SystemKind::kLeNetCifar;
@@ -161,22 +169,24 @@ SimPatch recovery_patch(const RecoveryCell& cell) {
 }
 
 SimPatch arrival_patch(const ArrivalCell& cell) {
-    // Fail at axis construction, not mid-sweep on a worker thread: trial-
-    // build the source so unknown names and bad parameters surface here.
-    (void)sim::make_arrival_source(cell.source, cell.params);
+    // Build the source here, once: unknown names and bad parameters fail at
+    // axis construction, not mid-sweep on a worker thread, and every cell
+    // the patch applies to shares it (a "csv" log is parsed once).
+    std::shared_ptr<const sim::ArrivalSource> arrivals =
+        sim::make_arrival_source(cell.source, cell.params);
     const std::string label = cell.label.empty() ? cell.source : cell.label;
     SimPatch patch;
     patch.label = "arr-" + label;
     patch.dims = {{"arrivals", label}};
-    patch.apply_setup = [source = cell.source,
-                         params = cell.params](core::ExperimentSetup& setup) {
+    patch.apply_setup = [source = cell.source, params = cell.params,
+                         arrivals = std::move(arrivals)](
+                            core::ExperimentSetup& setup) {
         setup.config.arrival_source = source;
         setup.config.arrival_params = params;
-        setup.events = sim::generate_arrivals(
-            source,
-            {setup.config.event_count, setup.trace.duration(),
-             setup.config.event_seed},
-            params);
+        setup.arrivals = arrivals;
+        setup.events = arrivals->generate({setup.config.event_count,
+                                           setup.trace.duration(),
+                                           setup.config.event_seed});
     };
     return patch;
 }
@@ -252,11 +262,10 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
     util::Span<const sim::Event> events(setup.events);
     if (ctx.replica != 0) {
         std::uint64_t state = ctx.seed ^ 0x6576656eULL;  // "even"
-        sim::make_arrival_source(setup.config.arrival_source,
-                                 setup.config.arrival_params)
-            ->generate_into({static_cast<int>(setup.events.size()),
-                             setup.trace.duration(), util::splitmix64(state)},
-                            ws.events);
+        setup.arrivals->generate_into(
+            {static_cast<int>(setup.events.size()), setup.trace.duration(),
+             util::splitmix64(state)},
+            ws.events);
         events = util::Span<const sim::Event>(ws.events);
     }
 
@@ -295,9 +304,9 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
                 // regardless of the evaluation workload (pinned: matches the
                 // historical Q-learning path bitwise; the bench goldens
                 // train-on-uniform / evaluate-on-cell by design).
-                const auto uniform = sim::make_arrival_source("uniform");
+                const sim::ArrivalSource& uniform = training_arrivals();
                 for (int ep = 0; ep < system.train_episodes; ++ep) {
-                    uniform->generate_into(
+                    uniform.generate_into(
                         {static_cast<int>(setup.events.size()),
                          setup.trace.duration(), train_seed(ctx, ep)},
                         ws.train_events);
@@ -329,6 +338,8 @@ std::vector<ScenarioSpec> build_paper_scenarios(const PaperSweep& sweep) {
         sweep.patches.empty() ? std::vector<SimPatch>{SimPatch{}} : sweep.patches;
 
     std::vector<ScenarioSpec> specs;
+    specs.reserve(sweep.traces.size() * patches.size() * systems.size() *
+                  static_cast<std::size_t>(std::max(sweep.replicas, 0)));
     for (const auto& trace_spec : sweep.traces) {
         // One shared, immutable setup per trace; scenarios only read it.
         auto base = trace_spec.prebuilt
@@ -362,19 +373,25 @@ std::vector<ScenarioSpec> build_paper_scenarios(const PaperSweep& sweep) {
                 if (!patch.policy.empty()) system.policy = patch.policy;
                 std::string group = trace_spec.label + "/" + system.label;
                 if (!patch.label.empty()) group += "/" + patch.label;
+                // What every replica of the cell shares, built once: its
+                // axis labels and its run closure (which holds the setup).
+                Dims::Map labels = {{"trace", trace_spec.label},
+                                    {"system", system.label}};
+                if (!patch.label.empty()) labels["patch"] = patch.label;
+                for (const auto& [k, v] : patch.dims) labels[k] = v;
+                const Dims dims(std::move(labels));
+                const SharedScenarioFn run{std::make_shared<const ScenarioFn>(
+                    [cell, system](const ScenarioContext& ctx) {
+                        return run_system_scenario(*cell, system, ctx);
+                    })};
                 for (int replica = 0; replica < sweep.replicas; ++replica) {
                     ScenarioSpec spec;
                     spec.group = group;
                     spec.id = group + "#" + std::to_string(replica);
-                    spec.dims = {{"trace", trace_spec.label},
-                                 {"system", system.label}};
-                    if (!patch.label.empty()) spec.dims["patch"] = patch.label;
-                    for (const auto& [k, v] : patch.dims) spec.dims[k] = v;
+                    spec.dims = dims;
                     spec.replica = replica;
                     spec.seed = scenario_seed(sweep.base_seed, group, replica);
-                    spec.run = [cell, system](const ScenarioContext& ctx) {
-                        return run_system_scenario(*cell, system, ctx);
-                    };
+                    spec.run = run;
                     specs.push_back(std::move(spec));
                 }
             }

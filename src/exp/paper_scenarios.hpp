@@ -149,11 +149,12 @@ struct ArrivalCell {
 
 /// Request-workload axis: regenerates the cell's event schedule through the
 /// named arrival source (sim/arrivals/registry.hpp) over the setup's own
-/// trace duration, event count, and event seed, and records the source in
-/// the setup config so replicas >= 1 draw independent streams from the same
-/// process. The source name and parameters are validated at patch
-/// construction by trial-building the source. Labels the cell
-/// "arr-<label>" with dims {"arrivals", <label>}.
+/// trace duration, event count, and event seed, and stores the source in
+/// the setup (ExperimentSetup::arrivals) so replicas >= 1 draw independent
+/// streams from the same process. The source is built, and its name and
+/// parameters validated, once at patch construction; every cell the patch
+/// applies to shares it. Labels the cell "arr-<label>" with dims
+/// {"arrivals", <label>}.
 SimPatch arrival_patch(const ArrivalCell& cell);
 
 /// Bounded-request-queue axis: sets sim::SimConfig::queue_capacity (0 = the

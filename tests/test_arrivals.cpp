@@ -498,6 +498,42 @@ TEST(ArrivalSpec, SectionsPopulateTheAxis) {
     EXPECT_NE(specs[5].id.find("q16"), std::string::npos);
 }
 
+TEST(ArrivalSpec, CsvCellReadsItsLogOnceForEveryReplica) {
+    const std::string path = test::scratch_dir() + "requests.csv";
+    {
+        std::ofstream log(path);
+        for (int i = 0; i < 40; ++i) log << 3.0 + 21.5 * i << "\n";
+    }
+    const auto spec = exp::parse_experiment_spec(
+        "[sweep]\nname = csv-replicas\nreplicas = 8\n"
+        "[trace]\nlabel = tr\nduration_s = 900\nevent_count = 40\n"
+        "total_harvest_mj = 30\n"
+        "[system]\nlabel = s\nkind = ours-policy\npolicy = slack-greedy\n"
+        "[arrivals.log]\nsource = csv\npath = " +
+        path + "\n");
+    const auto specs = exp::expand_experiment(spec, {});
+    ASSERT_EQ(specs.size(), 8u);
+    const auto first = exp::run_sweep(specs, {4});
+
+    // The cell's source was built with the grid: running the same specs
+    // again must not reopen the log.
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    std::vector<exp::ScenarioOutcome> second;
+    ASSERT_NO_THROW(second = exp::run_sweep(specs, {4}));
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        SCOPED_TRACE(specs[i].id);
+        ASSERT_EQ(second[i].metrics.size(), first[i].metrics.size());
+        auto a = first[i].metrics.begin();
+        for (const auto& [name, value] : second[i].metrics) {
+            EXPECT_EQ(name, a->first);
+            EXPECT_EQ(std::memcmp(&value, &a->second, sizeof value), 0)
+                << name;
+            ++a;
+        }
+    }
+}
+
 TEST(ArrivalSpec, SchemaErrorsAreHardAndAnchored) {
     expect_parse_error(valid_spec() + "[arrivals.x]\nsource = martian\n",
                        "unknown arrival source");

@@ -1,17 +1,22 @@
 // Tests for the exp:: scenario-sweep engine: seed derivation,
 // parallel runner determinism (1 vs N threads bitwise identical), replica
-// aggregation statistics, grid composition, edge cases, and concurrent
-// name resolution in the registries the sweep workers read.
+// aggregation statistics, grid composition, what replicas share with their
+// cell, the flat MetricMap against the ordered map it replaced, edge cases,
+// and concurrent name resolution in the registries the sweep workers read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "energy/trace_registry.hpp"
@@ -432,6 +437,160 @@ TEST(SimPatch, AppliesToScenarioConfigs) {
     EXPECT_NE(outcomes[0].metrics.at("consumed_mj"),
               outcomes[1].metrics.at("consumed_mj"));
     EXPECT_EQ(specs[1].dims.at("patch"), "tiny-storage");
+}
+
+TEST(PaperGrid, ReplicasShareTheirCellsLabelsAndClosure) {
+    for (const char* name : {"recovery-ablation", "traffic-ablation"}) {
+        SCOPED_TRACE(name);
+        exp::SweepCli options;
+        options.replicas = 4;
+        options.replicas_given = true;
+        const auto specs = exp::build_experiment_scenarios(
+            exp::make_experiment(name), options);
+        ASSERT_FALSE(specs.empty());
+        // A copy of the grid, like the one a traced benchmark pass runs,
+        // shares the same cells.
+        const auto copy = specs;
+
+        using Shared = std::pair<const exp::Dims::Map*, const exp::ScenarioFn*>;
+        std::map<std::string, Shared> cells;
+        std::map<const exp::ScenarioFn*, std::string> closure_owner;
+        for (const auto* grid : {&specs, &copy}) {
+            for (const auto& spec : *grid) {
+                const auto* run = spec.run.target<exp::SharedScenarioFn>();
+                ASSERT_NE(run, nullptr) << spec.id;
+                const Shared shared{
+                    &static_cast<const exp::Dims::Map&>(spec.dims),
+                    run->fn.get()};
+                const auto [it, first] = cells.emplace(spec.group, shared);
+                EXPECT_TRUE(first || it->second == shared) << spec.id;
+                // No two cells share a closure.
+                const auto owner =
+                    closure_owner.emplace(run->fn.get(), spec.group).first;
+                EXPECT_EQ(owner->second, spec.group) << spec.id;
+            }
+        }
+        EXPECT_EQ(cells.size() * 4, specs.size());
+    }
+}
+
+// --- MetricMap ------------------------------------------------------------
+
+/// Every (name, value) of a MetricMap, in iteration order.
+std::vector<std::pair<std::string, double>> entries(const exp::MetricMap& m) {
+    return {m.begin(), m.end()};
+}
+
+/// Every (name, value) of the reference map, in iteration order.
+std::vector<std::pair<std::string, double>> entries(
+    const std::map<std::string, double>& m) {
+    return {m.begin(), m.end()};
+}
+
+TEST(MetricMap, BehavesAsTheOrderedMapItReplaced) {
+    // Keys around the small-string size (15 chars in libstdc++) and keys
+    // that are prefixes of one another.
+    const std::vector<std::string> keys = {
+        "",
+        "a",
+        "ab",
+        "abc",
+        "b",
+        "p50_latency_s",
+        "p5",
+        "iepmj",
+        "in_flight",
+        "inference_macs_m",
+        "inference_latency_s",
+        std::string(14, 'k'),
+        std::string(15, 'k'),
+        std::string(16, 'k'),
+        std::string(17, 'k'),
+        std::string(15, 'k') + "a",
+        std::string(14, 'k') + "z",
+        "acc_processed_pct",
+        "acc_processed_pct_",
+        "zzz"};
+    util::Rng rng(0x6d6d6170ULL);
+    const auto any_key = [&] {
+        return keys[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(keys.size()) - 1))];
+    };
+    for (int trial = 0; trial < 40; ++trial) {
+        exp::MetricMap flat;
+        std::map<std::string, double> ref;
+        for (int step = 0; step < 60; ++step) {
+            const std::string key = any_key();
+            const double value = rng.uniform(-1.0, 1.0);
+            const auto op = static_cast<int>(rng.uniform_int(0, 6));
+            SCOPED_TRACE("trial " + std::to_string(trial) + " step " +
+                         std::to_string(step) + " op " + std::to_string(op) +
+                         " key '" + key + "'");
+            switch (op) {
+                case 0:  // operator[] writes, new or existing key
+                    flat[key] = value;
+                    ref[key] = value;
+                    break;
+                case 1:  // operator[] reads, inserting 0 when absent
+                    EXPECT_EQ(flat[key], ref[key]);
+                    break;
+                case 2: {
+                    const auto got = flat.emplace(key, value);
+                    const auto want = ref.emplace(key, value);
+                    EXPECT_EQ(got.second, want.second);
+                    EXPECT_EQ(got.first->first, want.first->first);
+                    EXPECT_EQ(got.first->second, want.first->second);
+                    break;
+                }
+                case 3: {  // hint at end(): in order, or out of order
+                    const auto got = flat.emplace_hint(flat.end(), key, value);
+                    const auto want = ref.emplace_hint(ref.end(), key, value);
+                    EXPECT_EQ(got->first, want->first);
+                    EXPECT_EQ(got->second, want->second);
+                    break;
+                }
+                case 4: {  // hint anywhere, right or wrong
+                    const auto at = static_cast<std::ptrdiff_t>(
+                        rng.uniform_int(0, static_cast<std::int64_t>(
+                                               flat.size())));
+                    const auto got =
+                        flat.emplace_hint(std::next(flat.begin(), at), key,
+                                          value);
+                    const auto want = ref.emplace_hint(
+                        std::next(ref.begin(), at), key, value);
+                    EXPECT_EQ(got->first, want->first);
+                    EXPECT_EQ(got->second, want->second);
+                    break;
+                }
+                case 5: {  // lookups, present and absent
+                    const auto want = ref.find(key);
+                    const auto got = flat.find(key);
+                    EXPECT_EQ(flat.count(key), ref.count(key));
+                    if (want == ref.end()) {
+                        EXPECT_TRUE(got == flat.end());
+                        EXPECT_THROW((void)flat.at(key), std::out_of_range);
+                    } else {
+                        ASSERT_TRUE(got != flat.end());
+                        EXPECT_EQ(got->first, want->first);
+                        EXPECT_EQ(flat.at(key), ref.at(key));
+                    }
+                    break;
+                }
+                default: {  // copy and ==
+                    exp::MetricMap copy = flat;
+                    EXPECT_TRUE(copy == flat);
+                    copy[key] += 1.0;
+                    EXPECT_FALSE(copy == flat);
+                    flat = copy;
+                    ref[key] += 1.0;
+                    break;
+                }
+            }
+            ASSERT_EQ(entries(flat), entries(ref));
+            EXPECT_EQ(flat.size(), ref.size());
+            EXPECT_EQ(flat.empty(), ref.empty());
+        }
+    }
 }
 
 }  // namespace
