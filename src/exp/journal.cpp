@@ -1,11 +1,13 @@
 #include "exp/journal.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -13,6 +15,7 @@
 #include <string_view>
 #include <system_error>
 #include <utility>
+#include <vector>
 
 #include "util/contracts.hpp"
 
@@ -59,6 +62,33 @@ std::size_t require_count(double num, const char* what) {
     }
     return static_cast<std::size_t>(num);
 }
+
+/// What reading a journal carries from one entry line to the next: the
+/// previous line's name table, which the next line reuses when its names
+/// are the same, and buffers for the names and values being parsed.
+struct EntryScratch {
+    std::shared_ptr<const MetricNames> table;
+    std::vector<std::string> names;  ///< a line's names; only a prefix is live
+    std::vector<double> values;
+
+    /// The metrics of a line of `count` names and values.
+    MetricMap metrics(std::size_t count) {
+        if (count == 0) return {};
+        const std::string* first = names.data();
+        const std::string* last = first + count;
+        if (!table || table->size() != count ||
+            !std::equal(first, last, table->data())) {
+            // The writer emits each name once, in map order.
+            if (std::adjacent_find(first, last, std::greater_equal<>()) !=
+                last) {
+                throw std::runtime_error(
+                    "metric names are not in ascending order");
+            }
+            table = MetricNames::make({first, last});
+        }
+        return MetricMap(table, {values.begin(), values.end()});
+    }
+};
 
 /// Reads one journal line in place. Numbers are parsed with from_chars,
 /// the exact inverse of the writer's to_chars text.
@@ -117,7 +147,7 @@ public:
     }
 
     /// An entry line, fields in the order journal_entry_line() writes them.
-    JournalEntry parse_entry_line() {
+    JournalEntry parse_entry_line(EntryScratch& scratch) {
         JournalEntry entry;
         expect('{');
         expect_key("spec_index");
@@ -132,14 +162,14 @@ public:
         expect(',');
         expect_key("metrics");
         expect('{');
+        std::size_t count = 0;
+        scratch.values.clear();
         if (!consume('}')) {
             while (true) {
-                std::string name = parse_string();
+                if (count == scratch.names.size()) scratch.names.emplace_back();
+                parse_string_into(scratch.names[count++]);
                 expect(':');
-                // The writer emits names in map order, so each lands at the
-                // end in constant time.
-                entry.metrics.emplace_hint(entry.metrics.end(),
-                                           std::move(name), parse_number());
+                scratch.values.push_back(parse_number());
                 if (consume(',')) continue;
                 expect('}');
                 break;
@@ -147,6 +177,7 @@ public:
         }
         expect('}');
         expect_end();
+        entry.metrics = scratch.metrics(count);
         return entry;
     }
 
@@ -209,8 +240,15 @@ private:
     }
 
     std::string parse_string() {
-        expect('"');
         std::string out;
+        parse_string_into(out);
+        return out;
+    }
+
+    /// parse_string() into `out`, reusing its capacity.
+    void parse_string_into(std::string& out) {
+        expect('"');
+        out.clear();
         while (true) {
             // Copy everything up to the next quote or escape at once.
             const std::size_t quote = s_.find('"', pos_);
@@ -221,7 +259,7 @@ private:
                 escape == std::string_view::npos ? quote : pos_ + escape;
             out.append(s_.substr(pos_, stop - pos_));
             pos_ = stop + 1;
-            if (s_[stop] == '"') return out;
+            if (s_[stop] == '"') return;
             if (pos_ >= s_.size()) fail("unterminated escape");
             const char e = s_[pos_++];
             switch (e) {
@@ -409,9 +447,10 @@ JournalFile read_journal(const std::string& path) {
     } catch (const std::exception& e) {
         throw std::runtime_error(path + ":1: bad journal header: " + e.what());
     }
+    EntryScratch scratch;
     for (std::size_t number = 2; std::getline(in, line); ++number) {
         try {
-            file.entries.push_back(LineParser(line).parse_entry_line());
+            file.entries.push_back(LineParser(line).parse_entry_line(scratch));
         } catch (const std::exception& e) {
             if (in.peek() == std::ifstream::traits_type::eof()) {
                 // A torn final line is what a crash mid-write leaves behind;

@@ -1,10 +1,15 @@
 #include "exp/paper_scenarios.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "baselines/baseline_models.hpp"
 #include "compress/fit.hpp"
@@ -30,6 +35,40 @@ std::string compact_number(double value) {
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "%.4g", value);
     return buffer;
+}
+
+/// The metric name of episode `ep` of an `episodes`-long learning curve,
+/// zero-padded to the curve's own width (>= 2) so that name order is
+/// episode order for any episode count.
+std::array<char, 32> curve_key(std::size_t ep, std::size_t episodes) {
+    int width = 2;
+    for (std::size_t n = episodes; n > 99; n /= 10) ++width;
+    std::array<char, 32> key{};
+    std::snprintf(key.data(), key.size(), "curve_ep%0*u", width,
+                  static_cast<unsigned>(ep + 1));
+    return key;
+}
+
+/// A learning-curve outcome's names: those of `sim` (the sim_metrics set)
+/// plus one curve key per episode. Built once per episode count and shared
+/// by every outcome with a curve that long.
+std::shared_ptr<const MetricNames> learning_curve_names(
+    const MetricMap& sim, std::size_t episodes) {
+    static std::mutex mutex;
+    static std::map<std::size_t, std::shared_ptr<const MetricNames>> tables;
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto& table = tables[episodes];
+    if (!table) {
+        std::vector<std::string> names;
+        names.reserve(sim.size() + episodes);
+        for (const auto& [name, value] : sim) names.push_back(name);
+        for (std::size_t ep = 0; ep < episodes; ++ep) {
+            names.emplace_back(curve_key(ep, episodes).data());
+        }
+        std::sort(names.begin(), names.end());
+        table = MetricNames::make(std::move(names));
+    }
+    return table;
 }
 
 /// Training-episode event seeds: the canonical 2000+ep stream for replica 0
@@ -169,11 +208,13 @@ SimPatch recovery_patch(const RecoveryCell& cell) {
 }
 
 SimPatch arrival_patch(const ArrivalCell& cell) {
-    // Build the source here, once: unknown names and bad parameters fail at
-    // axis construction, not mid-sweep on a worker thread, and every cell
-    // the patch applies to shares it (a "csv" log is parsed once).
+    // Build the source here, once, unless the spec parser already did:
+    // unknown names and bad parameters fail at axis construction, not
+    // mid-sweep on a worker thread, and every cell the patch applies to
+    // shares it (a "csv" log is parsed once).
     std::shared_ptr<const sim::ArrivalSource> arrivals =
-        sim::make_arrival_source(cell.source, cell.params);
+        cell.built ? cell.built
+                   : sim::make_arrival_source(cell.source, cell.params);
     const std::string label = cell.label.empty() ? cell.source : cell.label;
     SimPatch patch;
     patch.label = "arr-" + label;
@@ -414,16 +455,14 @@ ScenarioSpec make_learning_curve_scenario(
                 system](const ScenarioContext& ctx) {
         std::vector<double> curve;
         auto outcome = run_system_scenario(*setup, system, ctx, &curve);
-        // Zero-pad to the curve's own width (>= 2) so the lexicographic
-        // MetricMap order is episode order for any episode count.
-        int width = 2;
-        for (std::size_t n = curve.size(); n > 99; n /= 10) ++width;
-        for (std::size_t ep = 0; ep < curve.size(); ++ep) {
-            char key[32];
-            std::snprintf(key, sizeof(key), "curve_ep%0*u", width,
-                          static_cast<unsigned>(ep + 1));
-            outcome.metrics[key] = curve[ep];
+        MetricMap metrics(learning_curve_names(outcome.metrics, curve.size()));
+        for (const auto& [name, value] : outcome.metrics) {
+            metrics[name] = value;
         }
+        for (std::size_t ep = 0; ep < curve.size(); ++ep) {
+            metrics[curve_key(ep, curve.size()).data()] = curve[ep];
+        }
+        outcome.metrics = std::move(metrics);
         return outcome;
     };
     return spec;
@@ -457,15 +496,17 @@ ScenarioSpec make_exit_accuracy_scenario(CompressionVariant variant,
                 break;
         }
         const auto acc = oracle.exit_accuracy(policy);
+        static_assert(core::kPaperFullPrecisionAcc.size() == 3);
+        IMX_ASSERT(acc.size() == 3);
+        static const auto names = MetricNames::make(
+            {"exit1_acc_pct", "exit2_acc_pct", "exit3_acc_pct", "model_kb",
+             "total_macs_m"});
         ScenarioOutcome outcome;
-        for (std::size_t e = 0; e < acc.size(); ++e) {
-            outcome.metrics["exit" + std::to_string(e + 1) + "_acc_pct"] =
-                acc[e];
-        }
-        outcome.metrics["total_macs_m"] =
-            static_cast<double>(compress::total_macs(desc, policy)) / 1e6;
-        outcome.metrics["model_kb"] =
-            compress::model_bytes(desc, policy) / 1024.0;
+        outcome.metrics = MetricMap(
+            names,
+            {acc[0], acc[1], acc[2],
+             compress::model_bytes(desc, policy) / 1024.0,
+             static_cast<double>(compress::total_macs(desc, policy)) / 1e6});
         outcome.payload = policy;
         return outcome;
     };
@@ -519,17 +560,24 @@ ScenarioSpec make_search_scenario(
                 break;
         }
 
+        static const auto infeasible_names =
+            MetricNames::make({"best_racc", "evaluations", "feasible"});
+        static const auto feasible_names = MetricNames::make(
+            {"best_racc", "evaluations", "feasible", "model_kb",
+             "total_macs_m"});
         ScenarioOutcome outcome;
-        outcome.metrics["best_racc"] = result.best_reward;
-        outcome.metrics["evaluations"] = result.evaluations;
-        outcome.metrics["feasible"] = result.found_feasible ? 1.0 : 0.0;
+        const double evaluations = result.evaluations;
         if (result.found_feasible) {
-            outcome.metrics["total_macs_m"] =
-                static_cast<double>(
-                    compress::total_macs(desc, result.best_policy)) /
-                1e6;
-            outcome.metrics["model_kb"] =
-                compress::model_bytes(desc, result.best_policy) / 1024.0;
+            outcome.metrics = MetricMap(
+                feasible_names,
+                {result.best_reward, evaluations, 1.0,
+                 compress::model_bytes(desc, result.best_policy) / 1024.0,
+                 static_cast<double>(
+                     compress::total_macs(desc, result.best_policy)) /
+                     1e6});
+        } else {
+            outcome.metrics = MetricMap(
+                infeasible_names, {result.best_reward, evaluations, 0.0});
         }
         outcome.payload = std::move(result);
         return outcome;

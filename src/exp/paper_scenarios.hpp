@@ -145,16 +145,20 @@ struct ArrivalCell {
     std::string label;
     std::string source = "uniform";  ///< sim arrival-registry name
     sim::ArrivalParams params;
+    /// The source already built from `source` and `params` (the spec parser
+    /// builds it to check them), which arrival_patch() then uses instead of
+    /// building it again; null builds it there.
+    std::shared_ptr<const sim::ArrivalSource> built;
 };
 
 /// Request-workload axis: regenerates the cell's event schedule through the
 /// named arrival source (sim/arrivals/registry.hpp) over the setup's own
 /// trace duration, event count, and event seed, and stores the source in
 /// the setup (ExperimentSetup::arrivals) so replicas >= 1 draw independent
-/// streams from the same process. The source is built, and its name and
-/// parameters validated, once at patch construction; every cell the patch
-/// applies to shares it. Labels the cell "arr-<label>" with dims
-/// {"arrivals", <label>}.
+/// streams from the same process. The source (the cell's `built` one when
+/// set) is built, and its name and parameters validated, once at patch
+/// construction; every cell the patch applies to shares it. Labels the cell
+/// "arr-<label>" with dims {"arrivals", <label>}.
 SimPatch arrival_patch(const ArrivalCell& cell);
 
 /// Bounded-request-queue axis: sets sim::SimConfig::queue_capacity (0 = the

@@ -3,58 +3,116 @@
 #include <algorithm>
 #include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace imx::exp {
 
-MetricMap::const_iterator MetricMap::lower_bound(std::string_view name) const {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), name,
-        [](const value_type& entry, std::string_view key) {
-            return std::string_view(entry.first) < key;
+MetricNames::MetricNames(std::vector<std::string> names)
+    : names_(std::move(names)) {
+    for (std::size_t i = 1; i < names_.size(); ++i) {
+        IMX_EXPECTS(names_[i - 1] < names_[i]);
+    }
+}
+
+std::shared_ptr<const MetricNames> MetricNames::make(
+    std::vector<std::string> names) {
+    return std::make_shared<const MetricNames>(std::move(names));
+}
+
+std::size_t MetricNames::lower_bound(std::string_view name) const {
+    const auto it = std::lower_bound(
+        names_.begin(), names_.end(), name,
+        [](const std::string& entry, std::string_view key) {
+            return std::string_view(entry) < key;
         });
+    return static_cast<std::size_t>(it - names_.begin());
+}
+
+MetricMap::MetricMap(std::shared_ptr<const MetricNames> names)
+    : names_(std::move(names)) {
+    IMX_EXPECTS(names_ != nullptr);
+    values_.assign(names_->size(), 0.0);
+}
+
+MetricMap::MetricMap(std::shared_ptr<const MetricNames> names,
+                     std::vector<double> values)
+    : names_(std::move(names)), values_(std::move(values)) {
+    IMX_EXPECTS(names_ != nullptr && values_.size() == names_->size());
+}
+
+std::size_t MetricMap::lower_bound(std::string_view name) const {
+    return names_ ? names_->lower_bound(name) : 0;
+}
+
+bool MetricMap::has_name_at(std::size_t i, std::string_view name) const {
+    return i < values_.size() && (*names_)[i] == name;
+}
+
+void MetricMap::insert(std::size_t i, std::string_view name, double value) {
+    const auto at = static_cast<std::ptrdiff_t>(i);
+    std::vector<std::string> names;
+    names.reserve(values_.size() + 1);
+    if (names_) names.assign(names_->data(), names_->data() + values_.size());
+    names.emplace(names.begin() + at, name);
+    names_ = MetricNames::make(std::move(names));
+    values_.insert(values_.begin() + at, value);
 }
 
 MetricMap::const_iterator MetricMap::find(std::string_view name) const {
-    const auto it = lower_bound(name);
-    return it != end() && it->first == name ? it : end();
+    const std::size_t i = lower_bound(name);
+    return has_name_at(i, name) ? begin() + static_cast<std::ptrdiff_t>(i)
+                                : end();
+}
+
+std::size_t MetricMap::count(std::string_view name) const {
+    return has_name_at(lower_bound(name), name) ? 1 : 0;
 }
 
 double MetricMap::at(std::string_view name) const {
-    const auto it = find(name);
-    if (it == end()) {
+    const std::size_t i = lower_bound(name);
+    if (!has_name_at(i, name)) {
         throw std::out_of_range("MetricMap::at: no metric '" +
                                 std::string(name) + "'");
     }
-    return it->second;
+    return values_[i];
 }
 
 double& MetricMap::operator[](std::string_view name) {
-    const auto pos = entries_.begin() + (lower_bound(name) - begin());
-    if (pos != entries_.end() && pos->first == name) return pos->second;
-    return entries_.emplace(pos, std::string(name), 0.0)->second;
+    const std::size_t i = lower_bound(name);
+    if (!has_name_at(i, name)) insert(i, name, 0.0);
+    return values_[i];
 }
 
 std::pair<MetricMap::const_iterator, bool> MetricMap::emplace(
-    std::string name, double value) {
-    const auto it = lower_bound(name);
-    if (it != end() && it->first == name) return {it, false};
-    return {entries_.emplace(it, std::move(name), value), true};
+    std::string_view name, double value) {
+    const std::size_t i = lower_bound(name);
+    const bool inserted = !has_name_at(i, name);
+    if (inserted) insert(i, name, value);
+    return {begin() + static_cast<std::ptrdiff_t>(i), inserted};
 }
 
 MetricMap::const_iterator MetricMap::emplace_hint(const_iterator hint,
-                                                  std::string name,
+                                                  std::string_view name,
                                                   double value) {
     // `hint` is the right place when its predecessor sorts before `name`
     // and `hint` itself after it.
-    const bool after_prev = hint == begin() || std::prev(hint)->first < name;
-    const bool before_hint = hint == end() || name < hint->first;
-    if (!(after_prev && before_hint)) {
-        return emplace(std::move(name), value).first;
-    }
-    return entries_.emplace(hint, std::move(name), value);
+    const auto i = static_cast<std::size_t>(hint - begin());
+    const bool after_prev = i == 0 || std::string_view((*names_)[i - 1]) < name;
+    const bool before_hint =
+        i == values_.size() || name < std::string_view((*names_)[i]);
+    if (!(after_prev && before_hint)) return emplace(name, value).first;
+    insert(i, name, value);
+    return begin() + static_cast<std::ptrdiff_t>(i);
+}
+
+bool operator==(const MetricMap& a, const MetricMap& b) {
+    if (a.values_ != b.values_) return false;
+    if (a.names_ == b.names_ || a.values_.empty()) return true;
+    return *a.names_ == *b.names_;
 }
 
 const Dims::Map& Dims::empty_map() {
@@ -85,32 +143,38 @@ MetricMap sim_metrics(const sim::SimResult& result) {
     const sim::SimSummary s = result.summary(&latencies);
     const sim::LatencyPercentiles p =
         sim::select_latency_percentiles(latencies);
-    // Appended in name order with exact capacity, so no entry ever shifts.
-    MetricMap m;
-    m.reserve(19);
-    const auto put = [&m](const char* name, double value) {
-        m.emplace_hint(m.end(), name, value);
+    // In name order. The names become one table on the first call, which
+    // every later outcome shares; each outcome owns only its values.
+    const std::pair<const char*, double> entries[] = {
+        {"acc_all_pct", 100.0 * s.accuracy_all_events()},
+        {"acc_processed_pct", 100.0 * s.accuracy_processed()},
+        {"consumed_mj", s.consumed_mj},
+        {"deadline_miss_pct", 100.0 * s.deadline_miss_rate()},
+        {"deaths", static_cast<double>(result.deaths)},
+        {"dropped", static_cast<double>(result.dropped)},
+        {"event_latency_s", s.mean_event_latency_s()},
+        {"harvested_mj", result.total_harvested_mj},
+        {"iepmj", s.iepmj()},
+        {"in_flight", static_cast<double>(result.in_flight)},
+        {"inference_latency_s", s.mean_inference_latency_s()},
+        {"inference_macs_m", s.mean_inference_macs() / 1e6},
+        {"missed", static_cast<double>(s.missed())},
+        {"p50_latency_s", p.p50_s},
+        {"p95_latency_s", p.p95_s},
+        {"p99_latency_s", p.p99_s},
+        {"processed", static_cast<double>(s.processed)},
+        {"recovery_mj", result.recovery_energy_mj},
+        {"wasted_macs_m", static_cast<double>(result.wasted_macs) / 1e6},
     };
-    put("acc_all_pct", 100.0 * s.accuracy_all_events());
-    put("acc_processed_pct", 100.0 * s.accuracy_processed());
-    put("consumed_mj", s.consumed_mj);
-    put("deadline_miss_pct", 100.0 * s.deadline_miss_rate());
-    put("deaths", static_cast<double>(result.deaths));
-    put("dropped", static_cast<double>(result.dropped));
-    put("event_latency_s", s.mean_event_latency_s());
-    put("harvested_mj", result.total_harvested_mj);
-    put("iepmj", s.iepmj());
-    put("in_flight", static_cast<double>(result.in_flight));
-    put("inference_latency_s", s.mean_inference_latency_s());
-    put("inference_macs_m", s.mean_inference_macs() / 1e6);
-    put("missed", static_cast<double>(s.missed()));
-    put("p50_latency_s", p.p50_s);
-    put("p95_latency_s", p.p95_s);
-    put("p99_latency_s", p.p99_s);
-    put("processed", static_cast<double>(s.processed));
-    put("recovery_mj", result.recovery_energy_mj);
-    put("wasted_macs_m", static_cast<double>(result.wasted_macs) / 1e6);
-    return m;
+    static const auto names = [&entries] {
+        std::vector<std::string> list;
+        for (const auto& entry : entries) list.emplace_back(entry.first);
+        return MetricNames::make(std::move(list));
+    }();
+    std::vector<double> values;
+    values.reserve(std::size(entries));
+    for (const auto& entry : entries) values.push_back(entry.second);
+    return MetricMap(names, std::move(values));
 }
 
 }  // namespace imx::exp

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,52 +30,187 @@ struct ScenarioWorkspace;
 
 namespace imx::exp {
 
-/// \brief Named scalar metrics: a flat vector of (name, value) pairs kept
-/// sorted by name.
+/// \brief The names of a metric set: sorted, without duplicates, immutable
+/// once built, and shared by handle.
+///
+/// Every outcome of one producer holds the same names, so a producer builds
+/// its table once (sim_metrics keeps a function-static one) and each
+/// MetricMap it returns points at it, storing its values alone.
+class MetricNames {
+public:
+    /// \pre `names` is strictly ascending.
+    explicit MetricNames(std::vector<std::string> names);
+    /// A shared table of `names`. \pre `names` is strictly ascending.
+    [[nodiscard]] static std::shared_ptr<const MetricNames> make(
+        std::vector<std::string> names);
+
+    [[nodiscard]] const std::string& operator[](std::size_t i) const {
+        return names_[i];
+    }
+    [[nodiscard]] std::size_t size() const { return names_.size(); }
+    [[nodiscard]] const std::string* data() const { return names_.data(); }
+    /// Position of the first name not less than `name`.
+    [[nodiscard]] std::size_t lower_bound(std::string_view name) const;
+
+    friend bool operator==(const MetricNames& a, const MetricNames& b) {
+        return a.names_ == b.names_;
+    }
+
+private:
+    std::vector<std::string> names_;
+};
+
+/// \brief Named scalar metrics: a shared MetricNames table and one value per
+/// name.
 ///
 /// Iteration is in lexicographic name order, as an ordered map's would be,
 /// so every table, CSV column, journal line and aggregation is
-/// deterministic. An outcome holds one block of ~20 entries instead of
-/// ~20 tree nodes. Inserting a name past the last is an O(1) append, so a
-/// producer that writes its names in order (sim_metrics, the journal
-/// reader) never shifts an entry; any other insertion shifts the tail.
+/// deterministic. An outcome built on a producer's table owns one block of
+/// doubles; copying it copies that block and shares the table. Inserting a
+/// name the table lacks gives this map a table of its own with the name
+/// added (the shared one is never changed), so a producer with a fixed
+/// metric set builds its table once instead of inserting name by name.
 class MetricMap {
 public:
     using value_type = std::pair<std::string, double>;
-    using const_iterator = std::vector<value_type>::const_iterator;
+    class const_iterator;
+
+    MetricMap() = default;
+    /// A 0 for every name of `names`.
+    explicit MetricMap(std::shared_ptr<const MetricNames> names);
+    /// \pre `values` has one entry per name of `names`, in name order.
+    MetricMap(std::shared_ptr<const MetricNames> names,
+              std::vector<double> values);
 
     /// The value named `name`, inserted as 0 when absent.
     double& operator[](std::string_view name);
     /// \throws std::out_of_range when `name` is absent.
     [[nodiscard]] double at(std::string_view name) const;
     [[nodiscard]] const_iterator find(std::string_view name) const;
-    [[nodiscard]] std::size_t count(std::string_view name) const {
-        return find(name) == end() ? 0 : 1;
-    }
+    [[nodiscard]] std::size_t count(std::string_view name) const;
 
     /// Insert (name, value) unless `name` is present; returns the entry of
     /// that name and whether it was inserted.
-    std::pair<const_iterator, bool> emplace(std::string name, double value);
-    /// emplace() that tries `hint` first: O(1) when `name` belongs right
-    /// before `hint` (end() for a name past the last), a search otherwise.
-    const_iterator emplace_hint(const_iterator hint, std::string name,
+    std::pair<const_iterator, bool> emplace(std::string_view name,
+                                            double value);
+    /// emplace() that tries `hint` first: no search when `name` belongs
+    /// right before `hint` (end() for a name past the last).
+    const_iterator emplace_hint(const_iterator hint, std::string_view name,
                                 double value);
 
-    void reserve(std::size_t n) { entries_.reserve(n); }
-    [[nodiscard]] const_iterator begin() const { return entries_.begin(); }
-    [[nodiscard]] const_iterator end() const { return entries_.end(); }
-    [[nodiscard]] std::size_t size() const { return entries_.size(); }
-    [[nodiscard]] bool empty() const { return entries_.empty(); }
+    [[nodiscard]] const_iterator begin() const;
+    [[nodiscard]] const_iterator end() const;
+    [[nodiscard]] std::size_t size() const { return values_.size(); }
+    [[nodiscard]] bool empty() const { return values_.empty(); }
 
-    friend bool operator==(const MetricMap& a, const MetricMap& b) {
-        return a.entries_ == b.entries_;
+    /// The name table; null for a map that never held a name.
+    [[nodiscard]] const std::shared_ptr<const MetricNames>& names() const {
+        return names_;
+    }
+    /// The values, in name order.
+    [[nodiscard]] const std::vector<double>& values() const {
+        return values_;
+    }
+
+    friend bool operator==(const MetricMap& a, const MetricMap& b);
+
+private:
+    /// Position of the first name not less than `name`.
+    [[nodiscard]] std::size_t lower_bound(std::string_view name) const;
+    [[nodiscard]] bool has_name_at(std::size_t i, std::string_view name) const;
+    /// Insert `name` (absent) at position `i`, on a table of its own.
+    void insert(std::size_t i, std::string_view name, double value);
+
+    std::shared_ptr<const MetricNames> names_;
+    std::vector<double> values_;
+};
+
+/// A random-access iterator over (name, value) pairs. It dereferences to a
+/// pair of references into the map, so `it->first`, `it->second` and
+/// `const auto& [name, value] = *it` read the stored name and value.
+class MetricMap::const_iterator {
+public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = MetricMap::value_type;
+    using difference_type = std::ptrdiff_t;
+    using reference = std::pair<const std::string&, const double&>;
+    /// What operator-> returns: it holds the pair for the full expression.
+    struct pointer {
+        reference entry;
+        const reference* operator->() const { return &entry; }
+    };
+
+    const_iterator() = default;
+
+    reference operator*() const { return {*name_, *value_}; }
+    pointer operator->() const { return {**this}; }
+    reference operator[](difference_type n) const { return *(*this + n); }
+
+    const_iterator& operator++() { return *this += 1; }
+    const_iterator& operator--() { return *this -= 1; }
+    const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++*this;
+        return old;
+    }
+    const_iterator operator--(int) {
+        const_iterator old = *this;
+        --*this;
+        return old;
+    }
+    const_iterator& operator+=(difference_type n) {
+        name_ += n;
+        value_ += n;
+        return *this;
+    }
+    const_iterator& operator-=(difference_type n) { return *this += -n; }
+    friend const_iterator operator+(const_iterator it, difference_type n) {
+        return it += n;
+    }
+    friend const_iterator operator+(difference_type n, const_iterator it) {
+        return it += n;
+    }
+    friend const_iterator operator-(const_iterator it, difference_type n) {
+        return it -= n;
+    }
+    friend difference_type operator-(const const_iterator& a,
+                                     const const_iterator& b) {
+        return a.value_ - b.value_;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+        return a.value_ == b.value_;
+    }
+    friend bool operator!=(const const_iterator& a, const const_iterator& b) {
+        return a.value_ != b.value_;
+    }
+    friend bool operator<(const const_iterator& a, const const_iterator& b) {
+        return a.value_ < b.value_;
+    }
+    friend bool operator>(const const_iterator& a, const const_iterator& b) {
+        return b < a;
+    }
+    friend bool operator<=(const const_iterator& a, const const_iterator& b) {
+        return !(b < a);
+    }
+    friend bool operator>=(const const_iterator& a, const const_iterator& b) {
+        return !(a < b);
     }
 
 private:
-    /// First entry whose name is not less than `name`.
-    [[nodiscard]] const_iterator lower_bound(std::string_view name) const;
-    std::vector<value_type> entries_;
+    friend class MetricMap;
+    const_iterator(const std::string* name, const double* value)
+        : name_(name), value_(value) {}
+    const std::string* name_ = nullptr;
+    const double* value_ = nullptr;
 };
+
+inline MetricMap::const_iterator MetricMap::begin() const {
+    return {names_ ? names_->data() : nullptr, values_.data()};
+}
+
+inline MetricMap::const_iterator MetricMap::end() const {
+    return begin() + static_cast<std::ptrdiff_t>(values_.size());
+}
 
 /// What a scenario hands back to the runner.
 struct ScenarioOutcome {

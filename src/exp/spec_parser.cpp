@@ -463,12 +463,14 @@ ArrivalCell parse_arrival_cell(const std::string& origin,
         path_param->second = spec_dir + "/" + path_param->second;
     }
 
-    // Trial-build the source (file sources read their file here) and draw a
-    // tiny schedule, so bad parameter values fail with a file:line
-    // diagnostic instead of deep inside the sweep expansion.
+    // Build the source (file sources read their file here) and draw a tiny
+    // schedule, so bad parameter values fail with a file:line diagnostic
+    // instead of deep inside the sweep expansion. The cell keeps the source
+    // for arrival_patch(), so a file is read once.
     try {
-        const auto trial = sim::make_arrival_source(cell.source, cell.params);
-        (void)trial->generate({/*count=*/8, /*duration_s=*/100.0, /*seed=*/1});
+        cell.built = sim::make_arrival_source(cell.source, cell.params);
+        (void)cell.built->generate(
+            {/*count=*/8, /*duration_s=*/100.0, /*seed=*/1});
     } catch (const std::exception& e) {
         fail(origin, section.line, e.what());
     }

@@ -1,5 +1,6 @@
 #include "nn/kernels/dispatch.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -8,8 +9,12 @@ namespace imx::nn::kernels {
 
 namespace {
 
+/// The resolved env / forced selection, as its Backend value, or kUnresolved.
+/// Every kernel call reads it; only resolution, force_backend and
+/// clear_backend_override write it, under g_mutex.
+constexpr int kUnresolved = -1;
+std::atomic<int> g_active{kUnresolved};
 std::mutex g_mutex;
-std::optional<Backend> g_cached;  // resolved env / forced selection
 
 }  // namespace
 
@@ -66,20 +71,25 @@ Backend resolve_backend_from_env() {
 }
 
 Backend active_backend() {
+    const int active = g_active.load(std::memory_order_acquire);
+    if (active != kUnresolved) return static_cast<Backend>(active);
     const std::lock_guard<std::mutex> lock(g_mutex);
-    if (!g_cached.has_value()) g_cached = resolve_backend_from_env();
-    return *g_cached;
+    if (g_active.load(std::memory_order_relaxed) == kUnresolved) {
+        g_active.store(static_cast<int>(resolve_backend_from_env()),
+                       std::memory_order_release);
+    }
+    return static_cast<Backend>(g_active.load(std::memory_order_relaxed));
 }
 
 void force_backend(Backend backend) {
     if (backend == Backend::kAvx2) require_avx2_honorable();
     const std::lock_guard<std::mutex> lock(g_mutex);
-    g_cached = backend;
+    g_active.store(static_cast<int>(backend), std::memory_order_release);
 }
 
 void clear_backend_override() {
     const std::lock_guard<std::mutex> lock(g_mutex);
-    g_cached.reset();
+    g_active.store(kUnresolved, std::memory_order_release);
 }
 
 }  // namespace imx::nn::kernels

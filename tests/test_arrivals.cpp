@@ -511,13 +511,14 @@ TEST(ArrivalSpec, CsvCellReadsItsLogOnceForEveryReplica) {
         "[system]\nlabel = s\nkind = ours-policy\npolicy = slack-greedy\n"
         "[arrivals.log]\nsource = csv\npath = " +
         path + "\n");
-    const auto specs = exp::expand_experiment(spec, {});
+    // The parser built the cell's source to check it, and the grid keeps
+    // that one: expanding and running the specs, twice, must not reopen
+    // the log.
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    std::vector<exp::ScenarioSpec> specs;
+    ASSERT_NO_THROW(specs = exp::expand_experiment(spec, {}));
     ASSERT_EQ(specs.size(), 8u);
     const auto first = exp::run_sweep(specs, {4});
-
-    // The cell's source was built with the grid: running the same specs
-    // again must not reopen the log.
-    ASSERT_EQ(std::remove(path.c_str()), 0);
     std::vector<exp::ScenarioOutcome> second;
     ASSERT_NO_THROW(second = exp::run_sweep(specs, {4}));
     ASSERT_EQ(second.size(), first.size());

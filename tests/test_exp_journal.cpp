@@ -521,6 +521,31 @@ TEST(Journal, MalformedMidFileLineThrows) {
     EXPECT_THROW(exp::read_journal(path), std::runtime_error);
 }
 
+TEST(Journal, MetricNamesOutOfOrderThrow) {
+    // The writer emits each name once, in map order; a line that repeats
+    // or reorders names cannot come from it.
+    const auto specs = synthetic_grid(1, 2, 5);
+    const auto header = header_for(specs, {0, 1}, 5);
+    exp::JournalEntry entry;
+    entry.spec_index = 1;
+    entry.id = specs[1].id;
+    for (const char* names : {"\"b\": 1, \"a\": 2", "\"a\": 1, \"a\": 2"}) {
+        const std::string path = temp_path("imx_journal_unsorted.jsonl");
+        write_file(path, exp::journal_header_line(header) + "\n" +
+                             "{\"spec_index\": 0, \"id\": \"" + specs[0].id +
+                             "\", \"replica\": 0, \"metrics\": {" + names +
+                             "}}\n" + exp::journal_entry_line(entry) + "\n");
+        try {
+            (void)exp::read_journal(path);
+            ADD_FAILURE() << "accepted " << names;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("ascending"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // --- Shard + merge on a synthetic grid ------------------------------------
 
 TEST(ShardMerge, SyntheticGridMergesBitwise) {
@@ -710,6 +735,17 @@ void expect_shard_merge_exact(const std::string& name,
     const auto merged = exp::merge_journal_outcomes(
         quick_header(name, specs.size(), {0, 1}), specs, paths);
     expect_same_metrics(merged, full);
+    // The reader reuses a line's name table while the names repeat, so the
+    // outcomes merged from one journal all share one table.
+    for (int i = 0; i < 3; ++i) {
+        const auto slice = exp::shard_indices(specs.size(), {i, 3});
+        ASSERT_FALSE(slice.empty());
+        const auto& table = merged[slice.front()].metrics.names();
+        ASSERT_NE(table, nullptr);
+        for (const std::size_t g : slice) {
+            EXPECT_EQ(merged[g].metrics.names(), table) << specs[g].id;
+        }
+    }
     EXPECT_EQ(exp::aggregate_table(exp::aggregate(specs, merged), metrics, "t")
                   .to_string(),
               exp::aggregate_table(exp::aggregate(specs, full), metrics, "t")

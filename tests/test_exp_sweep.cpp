@@ -1,18 +1,21 @@
 // Tests for the exp:: scenario-sweep engine: seed derivation,
 // parallel runner determinism (1 vs N threads bitwise identical), replica
 // aggregation statistics, grid composition, what replicas share with their
-// cell, the flat MetricMap against the ordered map it replaced, edge cases,
-// and concurrent name resolution in the registries the sweep workers read.
+// cell, the MetricMap against the ordered map it replaced (on a shared name
+// table too) and the one table a grid's outcomes share, edge cases, and
+// concurrent name resolution in the registries the sweep workers read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +32,7 @@
 #include "sim/arrivals/registry.hpp"
 #include "sim/policies/registry.hpp"
 #include "sim/recovery/registry.hpp"
+#include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 
@@ -439,6 +443,52 @@ TEST(SimPatch, AppliesToScenarioConfigs) {
     EXPECT_EQ(specs[1].dims.at("patch"), "tiny-storage");
 }
 
+/// A registered simulator grid at three replicas, run on four threads.
+std::pair<std::vector<exp::ScenarioSpec>, std::vector<exp::ScenarioOutcome>>
+run_replicated_grid(const char* name) {
+    exp::SweepCli options;
+    options.quick = true;
+    options.replicas = 3;
+    options.replicas_given = true;
+    auto specs =
+        exp::build_experiment_scenarios(exp::make_experiment(name), options);
+    auto outcomes = exp::run_sweep(specs, {4});
+    return {std::move(specs), std::move(outcomes)};
+}
+
+TEST(PaperGrid, EveryOutcomeSharesOneNameTable) {
+    for (const char* name : {"recovery-ablation", "traffic-ablation"}) {
+        SCOPED_TRACE(name);
+        const auto [specs, outcomes] = run_replicated_grid(name);
+        ASSERT_EQ(outcomes.size(), specs.size());
+        const auto& table = outcomes.front().metrics.names();
+        ASSERT_NE(table, nullptr);
+        EXPECT_EQ(table->size(), 19u);
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            EXPECT_EQ(outcomes[i].metrics.names(), table) << specs[i].id;
+        }
+    }
+}
+
+TEST(PaperGrid, CountedProcessedEventsEqualTheRecordsOwn) {
+    // Simulator::run_into checks its conservation law against the count it
+    // keeps as events finish; that count must be the records' own.
+    for (const char* name : {"recovery-ablation", "traffic-ablation"}) {
+        SCOPED_TRACE(name);
+        const auto [specs, outcomes] = run_replicated_grid(name);
+        std::size_t canonical = 0;
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            if (outcomes[i].sim == nullptr) continue;
+            const sim::SimResult& result = *outcomes[i].sim;
+            EXPECT_EQ(result.counters.processed,
+                      static_cast<std::uint64_t>(result.summary().processed))
+                << specs[i].id;
+            ++canonical;
+        }
+        EXPECT_EQ(canonical * 3, specs.size());
+    }
+}
+
 TEST(PaperGrid, ReplicasShareTheirCellsLabelsAndClosure) {
     for (const char* name : {"recovery-ablation", "traffic-ablation"}) {
         SCOPED_TRACE(name);
@@ -519,6 +569,25 @@ TEST(MetricMap, BehavesAsTheOrderedMapItReplaced) {
     for (int trial = 0; trial < 40; ++trial) {
         exp::MetricMap flat;
         std::map<std::string, double> ref;
+        // Odd trials start from a shared name table, as a producer's
+        // outcomes do, with a sibling map on the same table: inserts must
+        // give `flat` a table of its own and leave the shared one, and the
+        // sibling, untouched.
+        std::shared_ptr<const exp::MetricNames> shared;
+        if (trial % 2 == 1) {
+            for (int k = 0; k < 6; ++k) ref[any_key()] = rng.uniform(-1.0, 1.0);
+            std::vector<std::string> names;
+            std::vector<double> values;
+            for (const auto& [name, value] : ref) {
+                names.push_back(name);
+                values.push_back(value);
+            }
+            shared = exp::MetricNames::make(names);
+            flat = exp::MetricMap(shared, values);
+        }
+        const exp::MetricMap sibling = flat;
+        const auto sibling_entries = entries(ref);
+        const std::size_t shared_size = ref.size();
         for (int step = 0; step < 60; ++step) {
             const std::string key = any_key();
             const double value = rng.uniform(-1.0, 1.0);
@@ -589,8 +658,52 @@ TEST(MetricMap, BehavesAsTheOrderedMapItReplaced) {
             ASSERT_EQ(entries(flat), entries(ref));
             EXPECT_EQ(flat.size(), ref.size());
             EXPECT_EQ(flat.empty(), ref.empty());
+            if (shared) {
+                // Names are only ever added, so `flat` keeps the shared
+                // table exactly as long as it has inserted nothing.
+                EXPECT_EQ(flat.names() == shared, flat.size() == shared_size);
+                EXPECT_EQ(shared->size(), shared_size);
+            }
         }
+        EXPECT_EQ(entries(sibling), sibling_entries);
+        EXPECT_EQ(sibling.names(), shared);
     }
+}
+
+TEST(MetricMap, OutcomesOnOneTableShareItAndOwnOnlyTheirValues) {
+    const auto table = exp::MetricNames::make({"a", "b", "c"});
+    const exp::MetricMap on_table(table, {1.0, 2.0, 3.0});
+    exp::MetricMap inserted;
+    inserted["c"] = 3.0;
+    inserted["a"] = 1.0;
+    inserted["b"] = 2.0;
+    // Equal by names and values, whichever tables hold the names.
+    EXPECT_TRUE(on_table == inserted);
+    EXPECT_NE(on_table.names(), inserted.names());
+    EXPECT_EQ(on_table.values(), (std::vector<double>{1.0, 2.0, 3.0}));
+
+    exp::MetricMap copy = on_table;
+    EXPECT_EQ(copy.names(), table);  // a copy shares the table
+    copy["b"] = 5.0;                 // writing a present name keeps it
+    EXPECT_EQ(copy.names(), table);
+    EXPECT_FALSE(copy == on_table);
+    copy["bb"] = 6.0;  // a new name gives the copy a table of its own
+    EXPECT_NE(copy.names(), table);
+    EXPECT_EQ(entries(copy),
+              (std::vector<std::pair<std::string, double>>{
+                  {"a", 1.0}, {"b", 5.0}, {"bb", 6.0}, {"c", 3.0}}));
+    EXPECT_EQ(table->size(), 3u);
+    EXPECT_EQ(on_table.at("b"), 2.0);
+
+    // A zeroed map on the table, and names that are not a sorted set.
+    const exp::MetricMap zeros(table);
+    EXPECT_EQ(entries(zeros), (std::vector<std::pair<std::string, double>>{
+                                  {"a", 0.0}, {"b", 0.0}, {"c", 0.0}}));
+    EXPECT_THROW((void)exp::MetricNames::make({"b", "a"}),
+                 util::ContractViolation);
+    EXPECT_THROW((void)exp::MetricNames::make({"a", "a"}),
+                 util::ContractViolation);
+    EXPECT_THROW(exp::MetricMap(table, {1.0}), util::ContractViolation);
 }
 
 }  // namespace

@@ -235,6 +235,7 @@ void expect_counters_equal(const sim::SimCounters& a,
     EXPECT_EQ(a.evaluations, b.evaluations);
     EXPECT_EQ(a.queue_pushes, b.queue_pushes);
     EXPECT_EQ(a.queue_pops, b.queue_pops);
+    EXPECT_EQ(a.processed, b.processed);
 }
 
 /// Every SimResult field except the work counters.
@@ -850,7 +851,7 @@ std::vector<OutcomeCase> outcome_cases() {
     checkpoint.strategy = "checkpoint";
     checkpoint.active_power_mw = 0.02;
     const exp::SimPatch recovery = exp::recovery_patch({"", checkpoint, 0.3});
-    const exp::SimPatch bursty = exp::arrival_patch({"", "bursty", {}});
+    const exp::SimPatch bursty = exp::arrival_patch({"", "bursty", {}, {}});
     const auto queue = exp::cross_patches({exp::queue_patch(4)}, {bursty})[0];
 
     std::vector<OutcomeCase> cases;
