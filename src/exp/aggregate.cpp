@@ -22,34 +22,23 @@ void GroupAggregator::add(const ScenarioSpec& spec,
     }
     const std::size_t gi = it->second;
     groups_[gi].replicas += 1;
-    Accumulators& acc = accumulators_[gi];
-    const MetricMap& metrics = outcome.metrics;
-    const std::vector<double>& values = metrics.values();
-    if (metrics.names() != nullptr && metrics.names() == acc.table) {
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            acc.by_position[i]->add(values[i]);
-        }
-        return;
-    }
     // Both maps are sorted by name, so walk them in lockstep: the hint is
     // the accumulator after the previous name, which is this name's
     // accumulator whenever the group's metric set is unchanged.
-    acc.by_position.clear();
-    auto hint = acc.by_name.begin();
-    for (const auto& [name, value] : metrics) {
-        hint = acc.by_name.try_emplace(hint, name);
+    auto& accumulators = accumulators_[gi];
+    auto hint = accumulators.begin();
+    for (const auto& [name, value] : outcome.metrics) {
+        hint = accumulators.try_emplace(hint, name);
         hint->second.add(value);
-        acc.by_position.push_back(&hint->second);
         ++hint;
     }
-    acc.table = metrics.names();
 }
 
 std::vector<GroupAggregate> GroupAggregator::groups() const {
     std::vector<GroupAggregate> out = groups_;
     for (std::size_t gi = 0; gi < out.size(); ++gi) {
         out[gi].metrics.clear();
-        for (const auto& [name, acc] : accumulators_[gi].by_name) {
+        for (const auto& [name, acc] : accumulators_[gi]) {
             MetricStats stats;
             stats.count = acc.count();
             stats.mean = acc.mean();

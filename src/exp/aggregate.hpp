@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,13 +48,6 @@ struct GroupAggregate {
 /// moments into GroupAggregates. Groups appear in first-add order.
 class GroupAggregator {
 public:
-    GroupAggregator() = default;
-    /// Not copyable: each group caches pointers into its own accumulators.
-    GroupAggregator(const GroupAggregator&) = delete;
-    GroupAggregator& operator=(const GroupAggregator&) = delete;
-    GroupAggregator(GroupAggregator&&) = default;
-    GroupAggregator& operator=(GroupAggregator&&) = default;
-
     void add(const ScenarioSpec& spec, const ScenarioOutcome& outcome);
     /// Finalize mean/stddev/ci95/min/max from the accumulated moments. May
     /// be called repeatedly (e.g. for progress snapshots); add() remains
@@ -65,15 +57,7 @@ public:
 private:
     std::vector<GroupAggregate> groups_;  ///< metrics filled by groups()
     std::map<std::string, std::size_t> group_index_;
-    /// One group's accumulators by name, plus the name table of the last
-    /// outcome added with the accumulator of each of its names: an outcome
-    /// on the same table adds its values by position, with no name lookup.
-    struct Accumulators {
-        std::map<std::string, util::RunningStats> by_name;
-        std::shared_ptr<const MetricNames> table;
-        std::vector<util::RunningStats*> by_position;
-    };
-    std::vector<Accumulators> accumulators_;
+    std::vector<std::map<std::string, util::RunningStats>> accumulators_;
 };
 
 /// \brief A ResultSink that aggregates the stream as it arrives, holding

@@ -342,7 +342,6 @@ void emit_profile(SweepProfile profile) {
         {"evaluations", c.evaluations},
         {"queue_pushes", c.queue_pushes},
         {"queue_pops", c.queue_pops},
-        {"processed", c.processed},
     };
     std::printf("\nsimulator work counters (docs/profiling.md):\n");
     std::printf("%-14s %16s %12s\n", "counter", "total", "per run");

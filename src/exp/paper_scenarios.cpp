@@ -4,9 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,26 +47,28 @@ std::array<char, 32> curve_key(std::size_t ep, std::size_t episodes) {
     return key;
 }
 
-/// A learning-curve outcome's names: those of `sim` (the sim_metrics set)
-/// plus one curve key per episode. Built once per episode count and shared
-/// by every outcome with a curve that long.
-std::shared_ptr<const MetricNames> learning_curve_names(
-    const MetricMap& sim, std::size_t episodes) {
-    static std::mutex mutex;
-    static std::map<std::size_t, std::shared_ptr<const MetricNames>> tables;
-    const std::lock_guard<std::mutex> lock(mutex);
-    auto& table = tables[episodes];
-    if (!table) {
-        std::vector<std::string> names;
-        names.reserve(sim.size() + episodes);
-        for (const auto& [name, value] : sim) names.push_back(name);
-        for (std::size_t ep = 0; ep < episodes; ++ep) {
-            names.emplace_back(curve_key(ep, episodes).data());
-        }
-        std::sort(names.begin(), names.end());
-        table = MetricNames::make(std::move(names));
+/// A learning-curve outcome's metrics: those of `sim` (the sim_metrics set)
+/// plus each episode's value under its curve key, on one table built from a
+/// single sort rather than by inserting name by name.
+MetricMap with_learning_curve(const MetricMap& sim,
+                              const std::vector<double>& curve) {
+    std::vector<std::pair<std::string, double>> entries;
+    entries.reserve(sim.size() + curve.size());
+    for (const auto& [name, value] : sim) entries.emplace_back(name, value);
+    for (std::size_t ep = 0; ep < curve.size(); ++ep) {
+        entries.emplace_back(curve_key(ep, curve.size()).data(), curve[ep]);
     }
-    return table;
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<std::string> names;
+    std::vector<double> values;
+    names.reserve(entries.size());
+    values.reserve(entries.size());
+    for (auto& [name, value] : entries) {
+        names.push_back(std::move(name));
+        values.push_back(value);
+    }
+    return MetricMap(MetricNames::make(std::move(names)), std::move(values));
 }
 
 /// Training-episode event seeds: the canonical 2000+ep stream for replica 0
@@ -455,14 +455,7 @@ ScenarioSpec make_learning_curve_scenario(
                 system](const ScenarioContext& ctx) {
         std::vector<double> curve;
         auto outcome = run_system_scenario(*setup, system, ctx, &curve);
-        MetricMap metrics(learning_curve_names(outcome.metrics, curve.size()));
-        for (const auto& [name, value] : outcome.metrics) {
-            metrics[name] = value;
-        }
-        for (std::size_t ep = 0; ep < curve.size(); ++ep) {
-            metrics[curve_key(ep, curve.size()).data()] = curve[ep];
-        }
-        outcome.metrics = std::move(metrics);
+        outcome.metrics = with_learning_curve(outcome.metrics, curve);
         return outcome;
     };
     return spec;

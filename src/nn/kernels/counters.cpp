@@ -1,115 +1,50 @@
 #include "nn/kernels/counters.hpp"
 
-#include <algorithm>
-#include <array>
 #include <atomic>
-#include <mutex>
 #include <sstream>
-#include <vector>
 
 namespace imx::nn::kernels {
 
 namespace {
 
+struct AtomicCounters {
+    std::atomic<std::uint64_t> gemm_calls{0};
+    std::atomic<std::uint64_t> gemm_macs{0};
+    std::atomic<std::uint64_t> bias_act_calls{0};
+    std::atomic<std::uint64_t> bias_act_elems{0};
+    std::atomic<std::uint64_t> adam_calls{0};
+    std::atomic<std::uint64_t> adam_lanes{0};
+};
+
+AtomicCounters& counters() {
+    static AtomicCounters instance;
+    return instance;
+}
+
 constexpr auto kRelaxed = std::memory_order_relaxed;
-
-/// The six tallies, in KernelCounters field order.
-enum Tally {
-    kGemmCalls,
-    kGemmMacs,
-    kBiasActCalls,
-    kBiasActElems,
-    kAdamCalls,
-    kAdamLanes,
-    kTallies
-};
-using Totals = std::array<std::uint64_t, kTallies>;
-
-KernelCounters to_counters(const Totals& t) {
-    KernelCounters out;
-    out.gemm_calls = t[kGemmCalls];
-    out.gemm_macs = t[kGemmMacs];
-    out.bias_act_calls = t[kBiasActCalls];
-    out.bias_act_elems = t[kBiasActElems];
-    out.adam_calls = t[kAdamCalls];
-    out.adam_lanes = t[kAdamLanes];
-    return out;
-}
-
-struct Slot;
-
-/// The live slots, what exited threads left, and the totals at the last
-/// counters_reset(). Never destroyed: a thread may exit after main returns.
-struct Registry {
-    std::mutex mutex;
-    std::vector<const Slot*> live;
-    Totals retired{};
-    Totals at_reset{};
-};
-
-Registry& registry() {
-    static Registry* instance = new Registry;
-    return *instance;
-}
-
-/// One thread's tallies. Only the owner writes them, with a plain load and
-/// store (no locked read-modify-write); counters_snapshot() reads them from
-/// any thread. Its own cache line, so two threads' slots never share one.
-struct alignas(64) Slot {
-    std::array<std::atomic<std::uint64_t>, kTallies> tally{};
-
-    Slot() {
-        Registry& r = registry();
-        const std::lock_guard<std::mutex> lock(r.mutex);
-        r.live.push_back(this);
-    }
-    ~Slot() {
-        Registry& r = registry();
-        const std::lock_guard<std::mutex> lock(r.mutex);
-        for (int i = 0; i < kTallies; ++i) {
-            r.retired[i] += tally[i].load(kRelaxed);
-        }
-        r.live.erase(std::find(r.live.begin(), r.live.end(), this));
-    }
-    Slot(const Slot&) = delete;
-    Slot& operator=(const Slot&) = delete;
-
-    void bump(Tally calls, Tally amount, std::uint64_t n) {
-        tally[calls].store(tally[calls].load(kRelaxed) + 1, kRelaxed);
-        tally[amount].store(tally[amount].load(kRelaxed) + n, kRelaxed);
-    }
-};
-
-Slot& this_thread_slot() {
-    thread_local Slot slot;
-    return slot;
-}
-
-/// Everything counted since process start. Call with the registry locked.
-Totals lifetime_totals(const Registry& r) {
-    Totals sum = r.retired;
-    for (const Slot* slot : r.live) {
-        for (int i = 0; i < kTallies; ++i) {
-            sum[i] += slot->tally[i].load(kRelaxed);
-        }
-    }
-    return sum;
-}
 
 }  // namespace
 
 KernelCounters counters_snapshot() {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    Totals now = lifetime_totals(r);
-    for (int i = 0; i < kTallies; ++i) now[i] -= r.at_reset[i];
-    return to_counters(now);
+    AtomicCounters& c = counters();
+    KernelCounters out;
+    out.gemm_calls = c.gemm_calls.load(kRelaxed);
+    out.gemm_macs = c.gemm_macs.load(kRelaxed);
+    out.bias_act_calls = c.bias_act_calls.load(kRelaxed);
+    out.bias_act_elems = c.bias_act_elems.load(kRelaxed);
+    out.adam_calls = c.adam_calls.load(kRelaxed);
+    out.adam_lanes = c.adam_lanes.load(kRelaxed);
+    return out;
 }
 
 void counters_reset() {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    r.at_reset = lifetime_totals(r);
+    AtomicCounters& c = counters();
+    c.gemm_calls.store(0, kRelaxed);
+    c.gemm_macs.store(0, kRelaxed);
+    c.bias_act_calls.store(0, kRelaxed);
+    c.bias_act_elems.store(0, kRelaxed);
+    c.adam_calls.store(0, kRelaxed);
+    c.adam_lanes.store(0, kRelaxed);
 }
 
 std::string counters_report(const KernelCounters& c) {
@@ -127,15 +62,18 @@ std::string counters_report(const KernelCounters& c) {
 namespace detail {
 
 void count_gemm(std::uint64_t macs) {
-    this_thread_slot().bump(kGemmCalls, kGemmMacs, macs);
+    counters().gemm_calls.fetch_add(1, kRelaxed);
+    counters().gemm_macs.fetch_add(macs, kRelaxed);
 }
 
 void count_bias_act(std::uint64_t elems) {
-    this_thread_slot().bump(kBiasActCalls, kBiasActElems, elems);
+    counters().bias_act_calls.fetch_add(1, kRelaxed);
+    counters().bias_act_elems.fetch_add(elems, kRelaxed);
 }
 
 void count_adam(std::uint64_t lanes) {
-    this_thread_slot().bump(kAdamCalls, kAdamLanes, lanes);
+    counters().adam_calls.fetch_add(1, kRelaxed);
+    counters().adam_lanes.fetch_add(lanes, kRelaxed);
 }
 
 }  // namespace detail

@@ -1,12 +1,10 @@
 // Per-kernel invocation and MAC counters (Stateful-CNN `counters.*` style):
-// every dispatched kernel call bumps a tally, so benches and tests can prove
-// which backend ran and how much arithmetic it performed without
-// instrumenting call sites. Each thread counts into its own slot (relaxed
-// atomics only that thread writes, with a plain load and store: no lock, no
-// locked add, no cache line shared with another thread); a snapshot sums the
-// live slots and what exited threads left, so process-wide totals are exact
-// while the ordering between kernels is not observable. The cost is per
-// kernel *call*, never per element, so the hot loops stay unaffected.
+// every dispatched kernel call bumps an atomic tally, so benches and tests
+// can prove which backend ran and how much arithmetic it performed without
+// instrumenting call sites. Counters are process-global and thread-safe
+// (relaxed atomics — totals are exact, ordering between kernels is not
+// observable); the cost is one atomic add per kernel *call*, never per
+// element, so the hot loops stay unaffected.
 #ifndef IMX_NN_KERNELS_COUNTERS_HPP
 #define IMX_NN_KERNELS_COUNTERS_HPP
 
@@ -31,8 +29,7 @@ struct KernelCounters {
 /// Current totals.
 [[nodiscard]] KernelCounters counters_snapshot();
 
-/// Restart every tally from zero: later snapshots count only the calls made
-/// after this one (benches call this between variants).
+/// Zero every tally (benches call this between variants).
 void counters_reset();
 
 /// Human-readable multi-line report of a snapshot, for bench output.

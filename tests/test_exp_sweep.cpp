@@ -470,25 +470,6 @@ TEST(PaperGrid, EveryOutcomeSharesOneNameTable) {
     }
 }
 
-TEST(PaperGrid, CountedProcessedEventsEqualTheRecordsOwn) {
-    // Simulator::run_into checks its conservation law against the count it
-    // keeps as events finish; that count must be the records' own.
-    for (const char* name : {"recovery-ablation", "traffic-ablation"}) {
-        SCOPED_TRACE(name);
-        const auto [specs, outcomes] = run_replicated_grid(name);
-        std::size_t canonical = 0;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            if (outcomes[i].sim == nullptr) continue;
-            const sim::SimResult& result = *outcomes[i].sim;
-            EXPECT_EQ(result.counters.processed,
-                      static_cast<std::uint64_t>(result.summary().processed))
-                << specs[i].id;
-            ++canonical;
-        }
-        EXPECT_EQ(canonical * 3, specs.size());
-    }
-}
-
 TEST(PaperGrid, ReplicasShareTheirCellsLabelsAndClosure) {
     for (const char* name : {"recovery-ablation", "traffic-ablation"}) {
         SCOPED_TRACE(name);

@@ -235,7 +235,6 @@ void expect_counters_equal(const sim::SimCounters& a,
     EXPECT_EQ(a.evaluations, b.evaluations);
     EXPECT_EQ(a.queue_pushes, b.queue_pushes);
     EXPECT_EQ(a.queue_pops, b.queue_pops);
-    EXPECT_EQ(a.processed, b.processed);
 }
 
 /// Every SimResult field except the work counters.
