@@ -21,6 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "core/accuracy_model.hpp"
+#include "core/experiment_setup.hpp"
+#include "core/multi_exit_spec.hpp"
+#include "core/search.hpp"
+#include "core/trace_eval.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/train.hpp"
 #include "rl/ddpg.hpp"
@@ -767,6 +772,50 @@ TEST_P(DdpgBatch, DiscountedTargetsMatchPerSampleTrainStep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdpgBatch,
+                         testing::Values(Backend::kScalar, Backend::kAvx2),
+                         backend_name);
+
+// ---------------------------------------------------------------------------
+// Search level
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(const void* bytes, std::size_t size) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto* p = static_cast<const unsigned char*>(bytes);
+    for (std::size_t i = 0; i < size; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+using DdpgSearchPin = BackendTest;
+
+/// The trained search on the paper setup, pinned by an FNV-1a hash of its
+/// per-episode rewards. The stdout goldens cannot see the agents' initial
+/// weights (fig4 prints a best policy found in warm-up or annealing); this
+/// hash moves with any change to an agent's weights, draws or update.
+TEST_P(DdpgSearchPin, PaperSetupEpisodeRewardsAreBitExact) {
+    const core::ExperimentSetup setup = core::make_paper_setup();
+    const core::AccuracyModel oracle(
+        setup.network, {core::kPaperFullPrecisionAcc.begin(),
+                        core::kPaperFullPrecisionAcc.end()});
+    const core::StaticTraceEvaluator trace_eval(
+        setup.trace, setup.events, core::paper_storage_config(),
+        core::kEnergyPerMMacMj);
+    const core::PolicyEvaluator evaluator(setup.network, oracle, trace_eval,
+                                          core::paper_constraints(), true);
+    core::SearchConfig cfg;
+    cfg.episodes = 48;
+    core::CompressionSearch search(evaluator, cfg);
+    const std::vector<double> rewards = search.run_ddpg().episode_reward;
+    ASSERT_EQ(rewards.size(), 48U);
+    // Both backends round alike, so one hash serves both.
+    EXPECT_EQ(fnv1a(rewards.data(), rewards.size() * sizeof(double)),
+              0x191d2015d13b5637ULL);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DdpgSearchPin,
                          testing::Values(Backend::kScalar, Backend::kAvx2),
                          backend_name);
 
