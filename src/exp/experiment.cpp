@@ -333,23 +333,27 @@ void write_csv_if_requested(const SweepCli& resolved,
 /// is byte-identical with and without the flag. Format: docs/profiling.md.
 void emit_profile(SweepProfile profile) {
     const sim::SimCounters& c = profile.counters;
-    const std::pair<const char*, std::uint64_t> rows[] = {
-        {"runs", c.runs},
-        {"full_steps", c.full_steps},
-        {"drained_steps", c.drained_steps},
-        {"decisions", c.decisions},
-        {"unit_starts", c.unit_starts},
-        {"evaluations", c.evaluations},
-        {"queue_pushes", c.queue_pushes},
-        {"queue_pops", c.queue_pops},
-    };
-    std::printf("\nsimulator work counters (docs/profiling.md):\n");
-    std::printf("%-14s %16s %12s\n", "counter", "total", "per run");
-    for (const auto& [name, total] : rows) {
-        const double per_run = c.runs > 0 ? static_cast<double>(total) /
-                                                static_cast<double>(c.runs)
-                                          : 0.0;
-        std::printf("%-14s %16" PRIu64 " %12.2f\n", name, total, per_run);
+    std::printf("\n");
+    // A grid that ran no simulator (the compression searches) has no
+    // counter table to show.
+    if (c.runs > 0) {
+        const std::pair<const char*, std::uint64_t> rows[] = {
+            {"runs", c.runs},
+            {"full_steps", c.full_steps},
+            {"drained_steps", c.drained_steps},
+            {"decisions", c.decisions},
+            {"unit_starts", c.unit_starts},
+            {"evaluations", c.evaluations},
+            {"queue_pushes", c.queue_pushes},
+            {"queue_pops", c.queue_pops},
+        };
+        std::printf("simulator work counters (docs/profiling.md):\n");
+        std::printf("%-14s %16s %12s\n", "counter", "total", "per run");
+        for (const auto& [name, total] : rows) {
+            std::printf("%-14s %16" PRIu64 " %12.2f\n", name, total,
+                        static_cast<double>(total) /
+                            static_cast<double>(c.runs));
+        }
     }
     std::vector<double>& times = profile.scenario_s;
     std::sort(times.begin(), times.end());

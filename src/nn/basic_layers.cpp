@@ -1,7 +1,5 @@
 #include "nn/basic_layers.hpp"
 
-#include <cmath>
-
 #include "nn/kernels/kernels.hpp"
 
 namespace imx::nn {
@@ -24,25 +22,6 @@ Tensor Relu::backward(const Tensor& grad_output) {
     Tensor grad = grad_output;
     for (std::int64_t i = 0; i < grad.numel(); ++i) {
         if (!mask_[static_cast<std::size_t>(i)]) grad[i] = 0.0F;
-    }
-    return grad;
-}
-
-Tensor Tanh::forward(const Tensor& input) {
-    Tensor out = input;
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        out[i] = std::tanh(out[i]);
-    }
-    cached_output_ = out;
-    return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-    IMX_EXPECTS(grad_output.numel() == cached_output_.numel());
-    Tensor grad = grad_output;
-    for (std::int64_t i = 0; i < grad.numel(); ++i) {
-        const float y = cached_output_[i];
-        grad[i] *= 1.0F - y * y;
     }
     return grad;
 }

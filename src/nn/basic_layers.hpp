@@ -1,4 +1,4 @@
-// Parameter-free layers: ReLU, Tanh, Sigmoid.
+// Parameter-free layers: ReLU, Sigmoid.
 #ifndef IMX_NN_BASIC_LAYERS_HPP
 #define IMX_NN_BASIC_LAYERS_HPP
 
@@ -23,15 +23,6 @@ public:
 
 private:
     std::vector<bool> mask_;
-};
-
-class Tanh final : public Layer {
-public:
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
-
-private:
-    Tensor cached_output_;
 };
 
 class Sigmoid final : public Layer {

@@ -1,7 +1,6 @@
 #include "rl/ddpg.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/contracts.hpp"
 #include "util/math.hpp"
@@ -73,15 +72,13 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
       rng_(config.seed),
       actor_(mlp_dims(config.state_dim, config.actor_hidden, config.action_dim),
              OutputActivation::kSigmoid, rng_),
-      actor_target_(
-          mlp_dims(config.state_dim, config.actor_hidden, config.action_dim),
-          OutputActivation::kSigmoid, rng_),
-      critic_(mlp_dims(config.state_dim + config.action_dim,
-                       config.critic_hidden, 1),
+      // Drawn and dropped so the critic keeps its pinned initial weights.
+      critic_((Mlp(mlp_dims(config.state_dim, config.actor_hidden,
+                            config.action_dim),
+                   OutputActivation::kSigmoid, rng_),
+               mlp_dims(config.state_dim + config.action_dim,
+                        config.critic_hidden, 1)),
               OutputActivation::kNone, rng_),
-      critic_target_(mlp_dims(config.state_dim + config.action_dim,
-                              config.critic_hidden, 1),
-                     OutputActivation::kNone, rng_),
       actor_opt_(config.actor_lr),
       critic_opt_(config.critic_lr),
       replay_(config.replay_capacity, config.seed ^ 0x5555),
@@ -89,9 +86,6 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
              config.ou_sigma, config.seed ^ 0xaaaa) {
     IMX_EXPECTS(config.state_dim > 0 && config.action_dim > 0);
     IMX_EXPECTS(config.batch_size > 0);
-    IMX_EXPECTS(config.gamma >= 0.0F && config.gamma < 1.0F);
-    actor_target_.copy_weights_from(actor_);
-    critic_target_.copy_weights_from(critic_);
 }
 
 std::vector<double> DdpgAgent::act(const std::vector<float>& state) {
@@ -122,39 +116,6 @@ float* put_row(float* dst, const std::vector<float>& state,
 
 }  // namespace
 
-void DdpgAgent::compute_targets(const std::vector<const Transition*>& batch) {
-    targets_.resize(batch.size());
-    live_.clear();
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-        targets_[s] = batch[s]->reward;
-        if (config_.gamma > 0.0F && !batch[s]->terminal) live_.push_back(s);
-    }
-    if (live_.empty()) return;
-    const std::size_t sd = static_cast<std::size_t>(config_.state_dim);
-    const std::size_t ad = static_cast<std::size_t>(config_.action_dim);
-    const int live = static_cast<int>(live_.size());
-    next_states_.resize(live_.size() * sd);
-    float* dst = next_states_.data();
-    for (const std::size_t s : live_) {
-        const std::vector<float>& next = batch[s]->next_state;
-        IMX_EXPECTS(next.size() == sd);
-        dst = std::copy(next.begin(), next.end(), dst);
-    }
-    const float* next_action =
-        actor_target_.forward_batch(live, next_states_.data());
-    next_critic_in_.resize(live_.size() * (sd + ad));
-    dst = next_critic_in_.data();
-    for (std::size_t k = 0; k < live_.size(); ++k) {
-        dst = put_row(dst, batch[live_[k]]->next_state, next_action + k * ad,
-                      ad);
-    }
-    const float* q_next =
-        critic_target_.forward_batch(live, next_critic_in_.data());
-    for (std::size_t k = 0; k < live_.size(); ++k) {
-        targets_[live_[k]] += config_.gamma * q_next[k];
-    }
-}
-
 void DdpgAgent::train_step() {
     if (replay_.size() < config_.batch_size) return;
     const auto batch = replay_.sample(config_.batch_size);
@@ -174,13 +135,12 @@ void DdpgAgent::train_step() {
         critic_row = put_row(critic_row, t->state, t->action.data(), ad);
     }
 
-    // Critic regression toward y = r (+ gamma * Q_target(s', mu_target(s'))).
-    compute_targets(batch);
+    // Critic regression toward y = r, the episode reward.
     critic_.zero_grad();
     const float* q = critic_.forward_batch(n, critic_in_.data());
     grad_q_.resize(batch.size());
     for (std::size_t s = 0; s < batch.size(); ++s) {
-        grad_q_[s] = 2.0F * (q[s] - targets_[s]);  // d/dq of (q - y)^2
+        grad_q_[s] = 2.0F * (q[s] - batch[s]->reward);  // d/dq of (q - y)^2
     }
     critic_.backward_batch(grad_q_.data(), /*param_grads=*/true,
                            /*input_grad=*/false);
@@ -203,11 +163,6 @@ void DdpgAgent::train_step() {
     actor_.backward_batch(grad_action, /*param_grads=*/true,
                           /*input_grad=*/false);
     actor_opt_.step(actor_.parameters(), actor_.gradients(), inv_batch);
-
-    if (config_.gamma > 0.0F) {
-        actor_target_.soft_update_from(actor_, config_.tau);
-        critic_target_.soft_update_from(critic_, config_.tau);
-    }
 }
 
 void DdpgAgent::end_episode() {

@@ -18,7 +18,9 @@
 
 namespace imx::rl {
 
-/// One transition.
+/// One transition. The critic regresses on `reward` alone (y = r), so
+/// `next_state` and `terminal` are unread; they stay only because callers
+/// brace-initialize all five fields.
 struct Transition {
     std::vector<float> state;
     std::vector<float> action;
@@ -67,8 +69,6 @@ struct DdpgConfig {
     std::vector<int> critic_hidden = {64, 64};
     float actor_lr = 1e-3F;
     float critic_lr = 1e-3F;
-    float tau = 0.01F;       ///< target soft-update rate
-    float gamma = 0.0F;      ///< 0: episode-reward broadcast (AMC-style)
     std::size_t replay_capacity = 4096;
     std::size_t batch_size = 64;
     double ou_theta = 0.15;
@@ -90,12 +90,11 @@ public:
 
     void remember(Transition t);
 
-    /// One gradient step on critic (Eq. 14) and actor (Eq. 15) plus target
-    /// soft updates. No-op until the buffer holds a full batch. The
-    /// minibatch runs through the MLPs whole (Mlp::forward_batch /
-    /// backward_batch), bitwise equal to looping over its samples. With
-    /// gamma == 0 the targets are never read, so their soft updates are
-    /// skipped.
+    /// One gradient step on critic (Eq. 14 with the episode reward as its
+    /// target, y = r) and actor (Eq. 15). No-op until the buffer holds a
+    /// full batch. The minibatch runs through the MLPs whole
+    /// (Mlp::forward_batch / backward_batch), bitwise equal to looping over
+    /// its samples.
     void train_step();
 
     /// Episode boundary: reset and decay exploration noise.
@@ -105,19 +104,12 @@ public:
 
     [[nodiscard]] const Mlp& actor() const { return actor_; }
     [[nodiscard]] const Mlp& critic() const { return critic_; }
-    [[nodiscard]] const Mlp& actor_target() const { return actor_target_; }
-    [[nodiscard]] const Mlp& critic_target() const { return critic_target_; }
 
 private:
-    /// y = r (+ gamma * Q_target(s', mu_target(s')) for non-terminal s').
-    void compute_targets(const std::vector<const Transition*>& batch);
-
     DdpgConfig config_;
     util::Rng rng_;
     Mlp actor_;
-    Mlp actor_target_;
     Mlp critic_;
-    Mlp critic_target_;
     nn::Adam actor_opt_;
     nn::Adam critic_opt_;
     ReplayBuffer replay_;
@@ -126,11 +118,7 @@ private:
     // Minibatch scratch, reused across train_step() calls.
     std::vector<float> states_;       ///< [batch x state_dim]
     std::vector<float> critic_in_;    ///< [batch x (state_dim + action_dim)]
-    std::vector<float> targets_;      ///< [batch]
     std::vector<float> grad_q_;       ///< [batch]
-    std::vector<std::size_t> live_;   ///< non-terminal samples (gamma > 0)
-    std::vector<float> next_states_;  ///< their next states
-    std::vector<float> next_critic_in_;
 };
 
 }  // namespace imx::rl

@@ -1,7 +1,6 @@
 #include "rl/mlp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "nn/kernels/kernels.hpp"
@@ -25,14 +24,8 @@ Mlp::Mlp(const std::vector<int>& dims, OutputActivation out_act,
             layers_.push_back(std::make_unique<nn::Relu>());
         }
     }
-    switch (out_act) {
-        case OutputActivation::kNone: break;
-        case OutputActivation::kTanh:
-            layers_.push_back(std::make_unique<nn::Tanh>());
-            break;
-        case OutputActivation::kSigmoid:
-            layers_.push_back(std::make_unique<nn::Sigmoid>());
-            break;
+    if (out_act == OutputActivation::kSigmoid) {
+        layers_.push_back(std::make_unique<nn::Sigmoid>());
     }
     acts_.resize(dims.size());
 }
@@ -71,11 +64,9 @@ const float* Mlp::forward_batch(int batch, const float* input) {
             nn::kernels::bias_act(n, y, 0.0F, nn::kernels::Act::kRelu, y);
         }
     }
-    // Output activations, elementwise as nn::Tanh / nn::Sigmoid compute them.
+    // Output activation, elementwise as nn::Sigmoid computes it.
     std::vector<float>& out = acts_.back();
-    if (out_act_ == OutputActivation::kTanh) {
-        for (float& v : out) v = std::tanh(v);
-    } else if (out_act_ == OutputActivation::kSigmoid) {
+    if (out_act_ == OutputActivation::kSigmoid) {
         for (float& v : out) v = nn::sigmoid(v);
     }
     return out.data();
@@ -92,16 +83,12 @@ const float* Mlp::backward_batch(const float* grad_output, bool param_grads,
     grad_next_.resize(rows * widest);
 
     // Gradient w.r.t. the last Linear's output, through the output
-    // activation (the nn::Tanh / nn::Sigmoid backward expressions).
+    // activation (the nn::Sigmoid backward expression).
     const std::vector<float>& out = acts_.back();
     for (std::size_t k = 0; k < out.size(); ++k) {
         const float y = out[k];
         float g = grad_output[k];
-        if (out_act_ == OutputActivation::kTanh) {
-            g *= 1.0F - y * y;
-        } else if (out_act_ == OutputActivation::kSigmoid) {
-            g *= y * (1.0F - y);
-        }
+        if (out_act_ == OutputActivation::kSigmoid) g *= y * (1.0F - y);
         grad_cur_[k] = g;
     }
 
@@ -132,28 +119,6 @@ const float* Mlp::backward_batch(const float* grad_output, bool param_grads,
 
 void Mlp::zero_grad() {
     for (nn::Tensor* g : grads_) g->fill(0.0F);
-}
-
-void Mlp::copy_weights_from(const Mlp& source) {
-    IMX_EXPECTS(params_.size() == source.params_.size());
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        IMX_EXPECTS(params_[i]->numel() == source.params_[i]->numel());
-        *params_[i] = *source.params_[i];
-    }
-}
-
-void Mlp::soft_update_from(const Mlp& source, float tau) {
-    IMX_EXPECTS(tau >= 0.0F && tau <= 1.0F);
-    IMX_EXPECTS(params_.size() == source.params_.size());
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        float* d = params_[i]->data();
-        const float* s = source.params_[i]->data();
-        const std::int64_t n = params_[i]->numel();
-        IMX_EXPECTS(source.params_[i]->numel() == n);
-        for (std::int64_t j = 0; j < n; ++j) {
-            d[j] = tau * s[j] + (1.0F - tau) * d[j];
-        }
-    }
 }
 
 }  // namespace imx::rl

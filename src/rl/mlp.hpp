@@ -19,7 +19,7 @@
 
 namespace imx::rl {
 
-enum class OutputActivation { kNone, kTanh, kSigmoid };
+enum class OutputActivation { kNone, kSigmoid };
 
 class Mlp {
 public:
@@ -51,7 +51,7 @@ public:
     [[nodiscard]] int out_features() const { return dims_.back(); }
 
     /// Parameter / matching gradient tensors, in layer order. Built once at
-    /// construction, so the optimizer and target updates never rebuild them.
+    /// construction, so the optimizer never rebuilds them.
     [[nodiscard]] const std::vector<nn::Tensor*>& parameters() const {
         return params_;
     }
@@ -59,12 +59,6 @@ public:
         return grads_;
     }
     void zero_grad();
-
-    /// Hard copy of another MLP's weights (target-network initialization).
-    void copy_weights_from(const Mlp& source);
-
-    /// Polyak averaging: theta_target <- tau * theta + (1 - tau) * theta_target.
-    void soft_update_from(const Mlp& source, float tau);
 
 private:
     std::vector<int> dims_;

@@ -10,7 +10,9 @@
 //     and gradient, bit-equal after every step;
 //   * agent level: DdpgAgent vs the per-sample train_step it replaced
 //     (kept here as the reference), compared after 40 steps through act()
-//     and every parameter, for gamma 0 and 0.9 with terminal transitions.
+//     and every parameter;
+//   * search level: the trained search on the paper setup, pinned by a
+//     hash of its per-episode rewards.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -579,7 +581,8 @@ std::vector<int> mlp_dims(int in, const std::vector<int>& hidden, int out) {
 /// The per-sample DDPG update DdpgAgent ran before its minibatch passes:
 /// every transition goes through the networks alone via the Layer API.
 /// Constructed in the agent's order so its networks, replay sampling and
-/// optimizers start from the same draws.
+/// optimizers start from the same draws (the agent's dropped actor-shaped
+/// draw included).
 class PerSampleDdpg {
 public:
     explicit PerSampleDdpg(const rl::DdpgConfig& config)
@@ -588,21 +591,15 @@ public:
           actor_(mlp_dims(config.state_dim, config.actor_hidden,
                           config.action_dim),
                  rl::OutputActivation::kSigmoid, rng_),
-          actor_target_(mlp_dims(config.state_dim, config.actor_hidden,
-                                 config.action_dim),
-                        rl::OutputActivation::kSigmoid, rng_),
+          dropped_(mlp_dims(config.state_dim, config.actor_hidden,
+                            config.action_dim),
+                   rl::OutputActivation::kSigmoid, rng_),
           critic_(mlp_dims(config.state_dim + config.action_dim,
                            config.critic_hidden, 1),
                   rl::OutputActivation::kNone, rng_),
-          critic_target_(mlp_dims(config.state_dim + config.action_dim,
-                                  config.critic_hidden, 1),
-                         rl::OutputActivation::kNone, rng_),
           actor_opt_(config.actor_lr),
           critic_opt_(config.critic_lr),
-          replay_(config.replay_capacity, config.seed ^ 0x5555) {
-        actor_target_.copy_weights_from(actor_);
-        critic_target_.copy_weights_from(critic_);
-    }
+          replay_(config.replay_capacity, config.seed ^ 0x5555) {}
 
     void remember(rl::Transition t) { replay_.push(std::move(t)); }
 
@@ -618,17 +615,9 @@ public:
 
         critic_.zero_grad();
         for (const rl::Transition* t : batch) {
-            float y = t->reward;
-            if (config_.gamma > 0.0F && !t->terminal) {
-                const nn::Tensor next_action =
-                    actor_target_.forward(tensor(t->next_state));
-                const nn::Tensor q_next = critic_target_.forward(
-                    joined(t->next_state, next_action.storage()));
-                y += config_.gamma * q_next[0];
-            }
             const nn::Tensor q = critic_.forward(joined(t->state, t->action));
             nn::Tensor grad({1});
-            grad[0] = 2.0F * (q[0] - y);
+            grad[0] = 2.0F * (q[0] - t->reward);
             critic_.backward(grad);
         }
         critic_opt_.step(critic_.parameters(), critic_.gradients(), inv_batch);
@@ -649,15 +638,10 @@ public:
         }
         critic_.zero_grad();
         actor_opt_.step(actor_.parameters(), actor_.gradients(), inv_batch);
-
-        actor_target_.soft_update_from(actor_, config_.tau);
-        critic_target_.soft_update_from(critic_, config_.tau);
     }
 
     const rl::Mlp& actor() const { return actor_; }
     const rl::Mlp& critic() const { return critic_; }
-    const rl::Mlp& actor_target() const { return actor_target_; }
-    const rl::Mlp& critic_target() const { return critic_target_; }
 
 private:
     static nn::Tensor tensor(const std::vector<float>& v) {
@@ -673,9 +657,8 @@ private:
     rl::DdpgConfig config_;
     util::Rng rng_;
     rl::Mlp actor_;
-    rl::Mlp actor_target_;
+    rl::Mlp dropped_;
     rl::Mlp critic_;
-    rl::Mlp critic_target_;
     ReferenceAdam actor_opt_;
     ReferenceAdam critic_opt_;
     rl::ReplayBuffer replay_;
@@ -692,20 +675,11 @@ testing::AssertionResult same_parameters(const rl::Mlp& a, const rl::Mlp& b) {
     return testing::AssertionSuccess();
 }
 
-struct AgentCase {
-    int action_dim;
-    float gamma;
-    int terminal_every;  ///< every n-th transition is terminal
-};
-
-void expect_agent_matches_reference(const AgentCase& c) {
-    SCOPED_TRACE("action_dim " + std::to_string(c.action_dim) + ", gamma " +
-                 std::to_string(c.gamma) + ", terminal every " +
-                 std::to_string(c.terminal_every));
+void expect_agent_matches_reference(int action_dim) {
+    SCOPED_TRACE("action_dim " + std::to_string(action_dim));
     rl::DdpgConfig config;
     config.state_dim = 12;  // the search's Eq. 9 observation
-    config.action_dim = c.action_dim;
-    config.gamma = c.gamma;
+    config.action_dim = action_dim;
     config.replay_capacity = 256;
     config.seed = 77;
     rl::DdpgAgent agent(config);
@@ -714,16 +688,14 @@ void expect_agent_matches_reference(const AgentCase& c) {
     util::Rng rng(505);
     std::vector<std::vector<float>> probes;
     for (int i = 0; i < 4; ++i) probes.push_back(random_vector(12, rng));
-    int pushed = 0;
     const auto push = [&](int count) {
-        for (int i = 0; i < count; ++i, ++pushed) {
-            const auto ad = static_cast<std::size_t>(c.action_dim);
+        for (int i = 0; i < count; ++i) {
+            const auto ad = static_cast<std::size_t>(action_dim);
             auto action = random_vector(ad, rng);
             for (float& a : action) a = 0.5F + 0.5F * a;
             const rl::Transition t{random_vector(12, rng), action,
                                    static_cast<float>(rng.uniform(-1.0, 1.0)),
-                                   random_vector(12, rng),
-                                   pushed % c.terminal_every == 0};
+                                   {}, false};
             agent.remember(t);
             reference.remember(t);
         }
@@ -746,29 +718,14 @@ void expect_agent_matches_reference(const AgentCase& c) {
     }
     EXPECT_TRUE(same_parameters(agent.actor(), reference.actor()));
     EXPECT_TRUE(same_parameters(agent.critic(), reference.critic()));
-    if (c.gamma > 0.0F) {
-        // With gamma == 0 the agent skips the (never read) target updates.
-        EXPECT_TRUE(
-            same_parameters(agent.actor_target(), reference.actor_target()));
-        EXPECT_TRUE(
-            same_parameters(agent.critic_target(), reference.critic_target()));
-    }
 }
 
 using DdpgBatch = BackendTest;
 
 TEST_P(DdpgBatch, EpisodeRewardBroadcastMatchesPerSampleTrainStep) {
     for (const int action_dim : {1, 2}) {
-        expect_agent_matches_reference({action_dim, 0.0F, 3});
+        expect_agent_matches_reference(action_dim);
     }
-}
-
-TEST_P(DdpgBatch, DiscountedTargetsMatchPerSampleTrainStep) {
-    for (const int action_dim : {1, 2}) {
-        expect_agent_matches_reference({action_dim, 0.9F, 3});
-    }
-    // Every transition terminal: no target network pass at all.
-    expect_agent_matches_reference({2, 0.9F, 1});
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdpgBatch,
@@ -810,7 +767,8 @@ TEST_P(DdpgSearchPin, PaperSetupEpisodeRewardsAreBitExact) {
     core::CompressionSearch search(evaluator, cfg);
     const std::vector<double> rewards = search.run_ddpg().episode_reward;
     ASSERT_EQ(rewards.size(), 48U);
-    // Both backends round alike, so one hash serves both.
+    // The backends' gemm sums differ by a few ULPs, which in 48 episodes
+    // change no discretized policy, so one hash serves both.
     EXPECT_EQ(fnv1a(rewards.data(), rewards.size() * sizeof(double)),
               0x191d2015d13b5637ULL);
 }

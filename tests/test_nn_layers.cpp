@@ -161,12 +161,6 @@ TEST(ReluTest, MasksNegativesAndRoutesGradient) {
     EXPECT_EQ(gx[3], 1.0F);
 }
 
-TEST(TanhTest, GradientCheck) {
-    nn::Tanh tanh_layer;
-    const Tensor x = random_tensor({6}, 16, -2.0F, 2.0F);
-    check_input_gradient(tanh_layer, x, 1e-2F);
-}
-
 TEST(SigmoidTest, GradientCheckAndRange) {
     nn::Sigmoid sig;
     const Tensor x = random_tensor({6}, 18, -3.0F, 3.0F);

@@ -153,18 +153,6 @@ TEST(Mlp, ForwardShapesAndBackwardGradient) {
     }
 }
 
-TEST(Mlp, SoftUpdateBlendsWeights) {
-    util::Rng rng(4);
-    rl::Mlp a({2, 4, 1}, rl::OutputActivation::kNone, rng);
-    rl::Mlp b({2, 4, 1}, rl::OutputActivation::kNone, rng);
-    const float a0 = (*a.parameters()[0])[0];
-    const float b0 = (*b.parameters()[0])[0];
-    b.soft_update_from(a, 0.25F);
-    EXPECT_NEAR((*b.parameters()[0])[0], 0.25F * a0 + 0.75F * b0, 1e-6F);
-    b.copy_weights_from(a);
-    EXPECT_EQ((*b.parameters()[0])[0], a0);
-}
-
 TEST(Ddpg, LearnsContinuousBandit) {
     // Centered reward -4 (a - 0.7)^2: optimum at a = 0.7. (Centering matters:
     // with a large constant offset the critic's action gradient drowns — the
