@@ -60,10 +60,9 @@ std::vector<std::int64_t> FixedBaselineModel::segment_macs(int from_exit,
 
 sim::ExitOutcome FixedBaselineModel::evaluate(int event_id, int exit) {
     IMX_EXPECTS(exit == 0);
-    // Same latent-difficulty construction as core::OracleInferenceModel.
-    std::uint64_t s = seed_ ^ (static_cast<std::uint64_t>(event_id) *
-                               0x9e3779b97f4a7c15ULL);
-    const double u = static_cast<double>(util::splitmix64(s) >> 11) * 0x1.0p-53;
+    // The latent difficulty core::OracleInferenceModel draws for the event.
+    const double u =
+        util::hash_uniform(seed_, static_cast<std::uint64_t>(event_id), 0);
     sim::ExitOutcome out;
     out.correct = u < accuracy_ / 100.0;
     out.confidence = 1.0;  // single exit: no early-exit decision to make

@@ -125,33 +125,9 @@ double AccuracyModel::accuracy(const compress::Policy& policy, int exit) const {
 
 std::vector<double> AccuracyModel::exit_accuracy(
     const compress::Policy& policy) const {
-    // Bit-exact key over every per-layer decision.
-    std::string key;
-    key.reserve(policy.size() * (sizeof(double) + 2 * sizeof(int)));
-    for (std::size_t i = 0; i < policy.size(); ++i) {
-        const compress::LayerPolicy& lp = policy[i];
-        append_double_bits(key, lp.preserve_ratio);
-        char buf[2 * sizeof(int)];
-        std::memcpy(buf, &lp.weight_bits, sizeof(int));
-        std::memcpy(buf + sizeof(int), &lp.activation_bits, sizeof(int));
-        key.append(buf, sizeof(buf));
-    }
-    {
-        const std::lock_guard<std::mutex> lock(memo_mutex_);
-        const auto it = accuracy_memo_.find(key);
-        if (it != accuracy_memo_.end()) return it->second;
-    }
     std::vector<double> out;
     out.reserve(static_cast<std::size_t>(desc_->num_exits));
     for (int e = 0; e < desc_->num_exits; ++e) out.push_back(accuracy(policy, e));
-    {
-        // Bounded: searches stream thousands of distinct candidates; drop
-        // the whole map rather than grow without limit.
-        constexpr std::size_t kMemoCapacity = 1 << 14;
-        const std::lock_guard<std::mutex> lock(memo_mutex_);
-        if (accuracy_memo_.size() >= kMemoCapacity) accuracy_memo_.clear();
-        accuracy_memo_.emplace(std::move(key), out);
-    }
     return out;
 }
 

@@ -21,9 +21,7 @@
 #define IMX_CORE_ACCURACY_MODEL_HPP
 
 #include <array>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "compress/network_desc.hpp"
@@ -93,15 +91,6 @@ private:
     double chance_ = 10.0;  // 10-class chance level, %
     SensitivityParams params_{};
     double residual_ = 0.0;
-
-    // Bounded policy -> per-exit-accuracies memo. The setups and the search
-    // evaluators repeatedly score the same policies; hits return the exact
-    // vector the miss computed, so results are unchanged. Mutable +
-    // mutex keeps the public const API thread-safe (setups are shared
-    // across sweep workers). Note the mutex makes AccuracyModel
-    // non-copyable; all users construct it in place.
-    mutable std::mutex memo_mutex_;
-    mutable std::unordered_map<std::string, std::vector<double>> accuracy_memo_;
 };
 
 }  // namespace imx::core

@@ -8,18 +8,6 @@
 
 namespace imx::core {
 
-namespace {
-
-/// Stateless hash -> U(0,1); decorrelated streams via distinct salts.
-double hash_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-    std::uint64_t s = seed ^ (a * 0x9e3779b97f4a7c15ULL) ^
-                      (b * 0xc2b2ae3d27d4eb4fULL);
-    const std::uint64_t z = util::splitmix64(s);
-    return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
 OracleInferenceModel::OracleInferenceModel(
     const compress::NetworkDesc& desc, const compress::Policy& policy,
     std::vector<double> exit_accuracy_percent, const OracleModelConfig& config)
@@ -105,19 +93,10 @@ std::vector<std::int64_t> OracleInferenceModel::segment_macs(
                          [static_cast<std::size_t>(to_exit)];
 }
 
-double OracleInferenceModel::difficulty(int event_id) const {
-    if (!difficulty_valid_ || difficulty_event_ != event_id) {
-        difficulty_event_ = event_id;
-        difficulty_u_ = hash_uniform(config_.seed,
-                                     static_cast<std::uint64_t>(event_id), 0);
-        difficulty_valid_ = true;
-    }
-    return difficulty_u_;
-}
-
 sim::ExitOutcome OracleInferenceModel::evaluate(int event_id, int exit) {
     IMX_EXPECTS(exit >= 0 && exit < num_exits());
-    const double u = difficulty(event_id);
+    const auto id = static_cast<std::uint64_t>(event_id);
+    const double u = util::hash_uniform(config_.seed, id, 0);
     const double acc = accuracy_[static_cast<std::size_t>(exit)] / 100.0;
 
     sim::ExitOutcome outcome;
@@ -125,8 +104,8 @@ sim::ExitOutcome OracleInferenceModel::evaluate(int event_id, int exit) {
 
     const double margin = acc - u;
     const double jitter =
-        (hash_uniform(config_.seed, static_cast<std::uint64_t>(event_id),
-                      static_cast<std::uint64_t>(exit) + 1) -
+        (util::hash_uniform(config_.seed, id,
+                            static_cast<std::uint64_t>(exit) + 1) -
          0.5) *
         2.0 * config_.confidence_noise;
     outcome.confidence = util::clamp(

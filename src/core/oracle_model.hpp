@@ -1,12 +1,13 @@
 // sim::InferenceModel backed by the calibrated accuracy oracle.
 //
-// Each event carries a latent difficulty u ~ U(0,1) (hashed from its id, so
-// outcomes are reproducible and consistent across exits): exit i classifies
-// the event correctly iff u < Acc_i. When Acc_i increases with exit depth
-// (the common case), an event solved by a shallow exit stays solved by
-// deeper ones and hard events (large u) are exactly the ones incremental
-// inference can rescue — the behaviour BranchyNet-style cascades show on
-// real data.
+// Each event carries a latent difficulty u ~ U(0,1) (util::hash_uniform of
+// its id, so outcomes are reproducible and consistent across exits, and a
+// baselines::FixedBaselineModel with the same seed faces the same u): exit i
+// classifies the event correctly iff u < Acc_i. When Acc_i increases with
+// exit depth (the common case), an event solved by a shallow exit stays
+// solved by deeper ones and hard events (large u) are exactly the ones
+// incremental inference can rescue — the behaviour BranchyNet-style cascades
+// show on real data.
 //
 // Confidence is modeled as 1 - normalized entropy via a logistic link on the
 // margin (Acc_i - u): comfortably easy events produce confident, low-entropy
@@ -50,9 +51,6 @@ public:
         return accuracy_;
     }
 
-    /// Latent difficulty of an event (exposed for tests).
-    [[nodiscard]] double difficulty(int event_id) const;
-
 private:
     std::vector<std::int64_t> exit_macs_;
     /// macs_of_layers_[e] = policy-compressed MACs of every layer on exit
@@ -66,11 +64,6 @@ private:
     std::vector<double> accuracy_;
     double model_bytes_ = 0.0;
     OracleModelConfig config_;
-    /// Last-event difficulty memo: the simulator evaluates the same event
-    /// at several exits in a row, and the latent u depends only on the id.
-    mutable int difficulty_event_ = -1;
-    mutable bool difficulty_valid_ = false;
-    mutable double difficulty_u_ = 0.0;
 };
 
 }  // namespace imx::core

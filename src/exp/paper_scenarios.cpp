@@ -22,7 +22,6 @@
 #include "sim/workspace.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
-#include "util/span.hpp"
 
 namespace imx::exp {
 
@@ -113,7 +112,7 @@ baselines::FixedBaselineModel make_baseline(SystemKind kind,
 /// report (canonical_sim), so only replica 0 keeps one; every other replica
 /// runs into the workspace's reusable result buffer and returns its metrics.
 ScenarioOutcome evaluate(sim::Simulator& simulator,
-                         util::Span<const sim::Event> events,
+                         const std::vector<sim::Event>& events,
                          sim::InferenceModel& model, sim::ExitPolicy& policy,
                          const ScenarioContext& ctx,
                          sim::ScenarioWorkspace& ws) {
@@ -300,15 +299,15 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
 
     // Replica 0 evaluates on the canonical event schedule, read in place;
     // later replicas draw an independent arrival stream over the same trace.
-    util::Span<const sim::Event> events(setup.events);
     if (ctx.replica != 0) {
         std::uint64_t state = ctx.seed ^ 0x6576656eULL;  // "even"
         setup.arrivals->generate_into(
             {static_cast<int>(setup.events.size()), setup.trace.duration(),
              util::splitmix64(state)},
             ws.events);
-        events = util::Span<const sim::Event>(ws.events);
     }
+    const std::vector<sim::Event>& events =
+        ctx.replica == 0 ? setup.events : ws.events;
 
     switch (system.kind) {
         case SystemKind::kOursQLearning:

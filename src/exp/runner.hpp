@@ -7,8 +7,7 @@
 /// increasing spec-index order (out-of-order completions are buffered), the
 /// delivered stream — and anything folded over it in order, like the
 /// aggregation layer — is bitwise identical for any thread count. The
-/// vector-returning overload is a thin CollectSink wrapper kept for callers
-/// that want the historical "two parallel vectors" shape.
+/// vector-returning overload is a thin CollectSink wrapper.
 #ifndef IMX_EXP_RUNNER_HPP
 #define IMX_EXP_RUNNER_HPP
 

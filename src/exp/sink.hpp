@@ -44,10 +44,9 @@ public:
     virtual void finish() = 0;
 };
 
-/// The in-memory sink: collects outcomes into the index-addressed vector
-/// run_sweep() has always returned. Preserves the historical behavior
-/// bitwise — the vector-returning run_sweep() overload is a thin wrapper
-/// over this sink.
+/// The in-memory sink: collects outcomes into an index-addressed vector.
+/// The vector-returning run_sweep() overload is a thin wrapper over this
+/// sink.
 class CollectSink final : public ResultSink {
 public:
     /// \param expected pre-sizes the vector (the sweep's spec count).

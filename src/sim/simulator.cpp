@@ -56,16 +56,17 @@ Simulator::Simulator(const energy::PowerTrace& trace, const SimConfig& config)
     }
 }
 
-SimResult Simulator::run(util::Span<const Event> events, InferenceModel& model,
-                         ExitPolicy& policy, ScenarioWorkspace* workspace) {
+SimResult Simulator::run(const std::vector<Event>& events,
+                         InferenceModel& model, ExitPolicy& policy,
+                         ScenarioWorkspace* workspace) {
     SimResult result;
     run_into(events, model, policy, result, workspace);
     return result;
 }
 
-void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
-                         ExitPolicy& policy, SimResult& out,
-                         ScenarioWorkspace* workspace) {
+void Simulator::run_into(const std::vector<Event>& events,
+                         InferenceModel& model, ExitPolicy& policy,
+                         SimResult& out, ScenarioWorkspace* workspace) {
     IMX_EXPECTS(std::is_sorted(events.begin(), events.end(),
                                [](const Event& a, const Event& b) {
                                    return a.time_s < b.time_s;
@@ -92,9 +93,6 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     ScenarioWorkspace local_workspace;
     ScenarioWorkspace& ws =
         workspace != nullptr ? *workspace : local_workspace;
-    // Reset up front (not at exit) so an exception can never leave a stale
-    // cursor for the next scenario that borrows this workspace.
-    ws.arena.reset();
 
     SimResult& result = out;
     result.records.clear();
@@ -132,13 +130,11 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     };
 
     // Bounded FIFO request queue (indices into events/records), held as a
-    // fixed-capacity ring in the workspace arena. Never touched when
+    // fixed-capacity ring in the workspace. Never touched when
     // queue_capacity == 0 — the historical single-context model.
     const int cap = config_.queue_capacity;
-    std::size_t* queue_slots =
-        cap > 0 ? ws.arena.allocate_array<std::size_t>(
-                      static_cast<std::size_t>(cap))
-                : nullptr;
+    std::vector<std::size_t>& queue_slots = ws.queue;
+    if (cap > 0) queue_slots.resize(static_cast<std::size_t>(cap));
     std::size_t queue_head = 0;
     int queue_count = 0;
     auto queue_push = [&](std::size_t index) {

@@ -48,7 +48,6 @@
 #include "sim/policy.hpp"
 #include "sim/recovery/strategy.hpp"
 #include "sim/workspace.hpp"
-#include "util/span.hpp"
 
 namespace imx::sim {
 
@@ -94,18 +93,16 @@ public:
     /// The policy may be learning (its observe() hooks fire); run() does not
     /// reset policy state, so successive runs implement learning episodes.
     ///
-    /// `events` is a span view (std::vector<Event> converts implicitly) —
-    /// arena-backed buffers and sub-ranges flow through without copies.
     /// `workspace`, when non-null, provides reusable per-worker buffers
     /// (queue ring, unit plan) and sums the run's SimCounters; null runs on
     /// a local ScenarioWorkspace. Either way the results are the same.
-    SimResult run(util::Span<const Event> events, InferenceModel& model,
+    SimResult run(const std::vector<Event>& events, InferenceModel& model,
                   ExitPolicy& policy, ScenarioWorkspace* workspace = nullptr);
 
     /// run() into a caller-owned result (record capacity reused) — the
     /// allocation-free path for training episodes whose SimResult is
     /// consumed immediately. Produces exactly the values run() would.
-    void run_into(util::Span<const Event> events, InferenceModel& model,
+    void run_into(const std::vector<Event>& events, InferenceModel& model,
                   ExitPolicy& policy, SimResult& out,
                   ScenarioWorkspace* workspace = nullptr);
 

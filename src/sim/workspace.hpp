@@ -35,16 +35,13 @@
 
 #include "sim/event_gen.hpp"
 #include "sim/metrics.hpp"
-#include "util/arena.hpp"
 
 namespace imx::sim {
 
 struct ScenarioWorkspace {
-    /// Bump-allocated POD scratch for buffers whose size is only known at
-    /// run start (the simulator's bounded-queue ring lives here). Reset at
-    /// the end of every Simulator::run; capacity is retained across
-    /// scenarios.
-    util::Arena arena;
+    /// Reused bounded-queue ring (Simulator::run_into resizes it to the
+    /// run's queue_capacity; untouched when that is 0).
+    std::vector<std::size_t> queue;
 
     /// Reused training-episode event schedule
     /// (ArrivalSource::generate_into writes over it each episode).

@@ -25,6 +25,17 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
     return z ^ (z >> 31);
 }
 
+/// Stateless hash of (seed, a, b) to U(0,1): one splitmix64 step, distinct
+/// `b` salts give decorrelated streams over the same `a`. The latent event
+/// difficulty that core::OracleInferenceModel and the fixed baselines share
+/// is hash_uniform(seed, event_id, 0).
+inline double hash_uniform(std::uint64_t seed, std::uint64_t a,
+                           std::uint64_t b) {
+    std::uint64_t s = seed ^ (a * 0x9e3779b97f4a7c15ULL) ^
+                      (b * 0xc2b2ae3d27d4eb4fULL);
+    return static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256** PRNG with convenience distributions.
 class Rng {
 public:

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baseline_models.hpp"
+#include "compress/network_desc.hpp"
+#include "core/multi_exit_spec.hpp"
+#include "core/oracle_model.hpp"
 #include "util/contracts.hpp"
 
 namespace {
@@ -53,6 +56,18 @@ TEST(Baselines, SharedSeedGivesSharedDifficulty) {
         if (weak.evaluate(ev, 0).correct) {
             EXPECT_TRUE(strong.evaluate(ev, 0).correct) << "event " << ev;
         }
+    }
+
+    // Across models: a baseline and our network's oracle with the same seed
+    // and accuracy judge every event alike (one latent difficulty).
+    const compress::NetworkDesc desc = core::make_paper_network_desc();
+    core::OracleModelConfig config;
+    config.seed = 42;
+    core::OracleInferenceModel oracle(desc, core::uniform_baseline_policy(),
+                                      {50.0, 50.0, 50.0}, config);
+    for (int ev = 0; ev < 1000; ++ev) {
+        EXPECT_EQ(weak.evaluate(ev, 0).correct, oracle.evaluate(ev, 0).correct)
+            << "event " << ev;
     }
 }
 

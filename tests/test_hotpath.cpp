@@ -1,16 +1,15 @@
 // Bitwise-equality suite for the simulator hot-path overhaul (`ctest -L
 // hotpath`). Four pillars:
 //
-//  1. Unit contracts of the new utility layer: util::Arena (aligned bump
-//     allocation, capacity-retaining reset), util::Registry<T> (the one
+//  1. Unit contracts of the new utility layer: util::Registry<T> (the one
 //     fixed name table behind every named axis, with the shared
 //     unknown-name diagnostic), util::ParamReader (typed getters,
 //     unknown-key rejection).
 //  2. Workspace transparency: running every registered experiment's --quick
 //     grid through the runner's per-worker workspaces produces metrics,
 //     SimResults and aggregate CSVs bitwise equal to the allocate-per-run
-//     path (ScenarioContext::workspace == nullptr) — the arena and buffer
-//     reuse change where state lives, never the values written through it.
+//     path (ScenarioContext::workspace == nullptr) — buffer reuse changes
+//     where state lives, never the values written through it.
 //  3. Scheduling invariance with the workspace enabled: thread count and a
 //     3-way shard/journal/merge split leave the aggregate byte-identical.
 //  4. Measurement neutrality: the simulator's work counters are always on
@@ -78,7 +77,6 @@
 #include "sim/policies/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workspace.hpp"
-#include "util/arena.hpp"
 #include "util/contracts.hpp"
 #include "util/param_reader.hpp"
 #include "util/registry.hpp"
@@ -88,55 +86,6 @@
 namespace {
 
 using namespace imx;
-
-// --- util::Arena -----------------------------------------------------------
-
-TEST(Arena, BumpAllocationIsAlignedAndCounted) {
-    util::Arena arena(256);
-    void* a = arena.allocate(10, 8);
-    void* b = arena.allocate(1, 64);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 8, 0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-    EXPECT_GE(arena.bytes_used(), 11u);
-    // Zero-byte requests still return a usable, aligned, non-null pointer.
-    EXPECT_NE(arena.allocate(0), nullptr);
-}
-
-TEST(Arena, ResetKeepsCapacityAndRecyclesBlocks) {
-    util::Arena arena(256);
-    int* first = arena.allocate_array<int>(8);
-    first[0] = 41;
-    const std::size_t reserved = arena.bytes_reserved();
-    EXPECT_GT(reserved, 0u);
-    arena.reset();
-    EXPECT_EQ(arena.bytes_used(), 0u);
-    EXPECT_EQ(arena.bytes_reserved(), reserved);
-    // Same block, same cursor: the steady state re-hands the same memory.
-    int* again = arena.allocate_array<int>(8);
-    EXPECT_EQ(first, again);
-}
-
-TEST(Arena, OversizedRequestGetsItsOwnBlock) {
-    util::Arena arena(64);
-    char* big = arena.allocate_array<char>(1000);
-    ASSERT_NE(big, nullptr);
-    big[999] = 'x';  // must be writable end to end
-    EXPECT_GE(arena.bytes_reserved(), 1000u);
-    // Smaller allocations still work afterwards.
-    EXPECT_NE(arena.allocate(16), nullptr);
-}
-
-TEST(Arena, ScopeResetsOnExit) {
-    util::Arena arena;
-    {
-        util::Arena::Scope scope(arena);
-        (void)arena.allocate(128);
-        EXPECT_GT(arena.bytes_used(), 0u);
-    }
-    EXPECT_EQ(arena.bytes_used(), 0u);
-}
 
 // --- util::Registry --------------------------------------------------------
 
@@ -418,14 +367,13 @@ TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     EXPECT_EQ(base.counters.evaluations,
               static_cast<std::uint64_t>(base.processed_count()));
 
-    // run() with a workspace: arena-backed queue ring, same values.
+    // run() with a workspace: its reused queue ring, same values.
     sim::ScenarioWorkspace workspace;
     sim::GreedyAffordablePolicy policy_b;
     baselines::FixedBaselineModel model_b = baselines::make_lenet_cifar();
     const sim::SimResult with_ws =
         simulator.run(events, model_b, policy_b, &workspace);
     expect_sim_bitwise(base, with_ws);
-    EXPECT_GT(workspace.arena.bytes_reserved(), 0u);
 
     // run_into() reusing a result buffer (twice, to exercise reuse).
     sim::SimResult reused;
@@ -441,6 +389,31 @@ TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     sim::SimCounters three_runs;
     for (int i = 0; i < 3; ++i) three_runs += base.counters;
     expect_counters_equal(workspace.counters, three_runs);
+
+    // The same workspace's ring shrunk to capacity 1, then grown back to 4,
+    // under a burst that overflows it: each run is bitwise a fresh run
+    // without a workspace.
+    const std::vector<sim::Event> burst = {{0, 2.0}, {1, 2.5}, {2, 3.0},
+                                           {3, 3.5}, {4, 4.0}, {5, 40.0}};
+    for (const int capacity : {1, 4}) {
+        sim::SimConfig burst_cfg = cfg;
+        burst_cfg.queue_capacity = capacity;
+        sim::Simulator burst_sim(trace, burst_cfg);
+        sim::GreedyAffordablePolicy fresh_policy;
+        baselines::FixedBaselineModel fresh_model =
+            baselines::make_lenet_cifar();
+        const sim::SimResult fresh =
+            burst_sim.run(burst, fresh_model, fresh_policy);
+        sim::GreedyAffordablePolicy ws_policy;
+        baselines::FixedBaselineModel ws_model = baselines::make_lenet_cifar();
+        const sim::SimResult through_ws =
+            burst_sim.run(burst, ws_model, ws_policy, &workspace);
+        expect_sim_bitwise(fresh, through_ws);
+        EXPECT_EQ(workspace.queue.size(), static_cast<std::size_t>(capacity));
+        EXPECT_GT(through_ws.counters.queue_pushes, 0u) << capacity;
+        // One slot overflows under the burst; four slots hold it.
+        EXPECT_EQ(through_ws.dropped > 0, capacity == 1) << capacity;
+    }
 }
 
 // --- the commit floor: skipping select_exit() is invisible -----------------
