@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "nn/kernels/kernels.hpp"
-#include "nn/linear.hpp"
 #include "nn/train.hpp"
 #include "util/rng.hpp"
 
@@ -32,46 +31,38 @@ nn::Tensor random_activations(nn::Shape shape, std::uint64_t seed) {
     return t;
 }
 
-void BM_LinearForward(benchmark::State& state) {
-    util::Rng rng(6);
-    const int features = static_cast<int>(state.range(0));
-    nn::Linear fc(features, features, rng);
-    const nn::Tensor x = random_activations({features}, 7);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(fc.forward(x));
-    }
-    state.SetItemsProcessed(state.iterations() * features * features);
-    state.SetLabel(std::string("macs/s, kernel=") +
-                   to_string(nn::kernels::active_backend()));
-}
-BENCHMARK(BM_LinearForward)->Arg(64)->Arg(256);
-
-// Minibatch kernels at the DDPG shapes: a 64-transition minibatch through
-// the actor/critic layers (12/13/14 -> 64, 64 -> 64, 64 -> 1/2). Args are
-// {out, in}; items/sec is MACs/sec.
+// Forward kernels at the DDPG shapes. Args are {out, in, batch}: a
+// 64-transition minibatch through the actor/critic layers (12/13/14 -> 64,
+// 64 -> 64, 64 -> 1/2), and DdpgAgent::act's batch of one through the
+// actor (12 -> 64 -> 64 -> 1/2). items/sec is MACs/sec.
 constexpr int kDdpgBatch = 64;
 
 void ddpg_shapes(benchmark::internal::Benchmark* b) {
     for (const auto& [out, in] : {std::pair{64, 12}, std::pair{64, 13},
                                   std::pair{64, 14}, std::pair{64, 64},
                                   std::pair{1, 64}, std::pair{2, 64}}) {
-        b->Args({out, in});
+        b->Args({out, in, kDdpgBatch});
+    }
+    for (const auto& [out, in] : {std::pair{64, 12}, std::pair{64, 64},
+                                  std::pair{1, 64}, std::pair{2, 64}}) {
+        b->Args({out, in, 1});
     }
 }
 
 void BM_GemmBatch(benchmark::State& state) {
     const int out = static_cast<int>(state.range(0));
     const int in = static_cast<int>(state.range(1));
+    const int batch = static_cast<int>(state.range(2));
     const nn::Tensor w = random_activations({out, in}, 15);
     const nn::Tensor bias = random_activations({out}, 16);
-    const nn::Tensor x = random_activations({kDdpgBatch, in}, 17);
-    nn::Tensor y({kDdpgBatch, out});
+    const nn::Tensor x = random_activations({batch, in}, 17);
+    nn::Tensor y({batch, out});
     for (auto _ : state) {
-        nn::kernels::gemm_batch(kDdpgBatch, out, in, w.data(), x.data(),
+        nn::kernels::gemm_batch(batch, out, in, w.data(), x.data(),
                                 bias.data(), y.data());
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetItemsProcessed(state.iterations() * kDdpgBatch * out * in);
+    state.SetItemsProcessed(state.iterations() * batch * out * in);
     state.SetLabel(std::string("macs/s, kernel=") +
                    to_string(nn::kernels::active_backend()));
 }

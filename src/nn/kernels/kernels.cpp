@@ -7,33 +7,6 @@
 
 namespace imx::nn::kernels {
 
-void gemm(int out_features, int in_features, const float* weight,
-          const float* x, const float* bias, float* y) {
-    IMX_EXPECTS(out_features > 0 && in_features > 0);
-    detail::count_gemm(static_cast<std::uint64_t>(out_features) *
-                       static_cast<std::uint64_t>(in_features));
-    if (active_backend() == Backend::kAvx2) {
-        detail::avx2_gemm(out_features, in_features, weight, x, bias, y);
-    } else {
-        detail::scalar_gemm(out_features, in_features, weight, x, bias, y);
-    }
-}
-
-void gemm_backward(int out_features, int in_features, const float* weight,
-                   const float* x, const float* grad_y, float* grad_x,
-                   float* grad_weight, float* grad_bias) {
-    IMX_EXPECTS(out_features > 0 && in_features > 0);
-    detail::count_gemm(2 * static_cast<std::uint64_t>(out_features) *
-                       static_cast<std::uint64_t>(in_features));
-    if (active_backend() == Backend::kAvx2) {
-        detail::avx2_gemm_backward(out_features, in_features, weight, x,
-                                   grad_y, grad_x, grad_weight, grad_bias);
-    } else {
-        detail::scalar_gemm_backward(out_features, in_features, weight, x,
-                                     grad_y, grad_x, grad_weight, grad_bias);
-    }
-}
-
 void gemm_batch(int batch, int out_features, int in_features,
                 const float* weight, const float* x, const float* bias,
                 float* y) {

@@ -1,22 +1,22 @@
-// Runtime-dispatched NN kernels: GEMV-style GEMM (the single-sample
-// matrix-vector product Linear executes) and its [batch x in] minibatch
-// form (the DDPG MLPs), a fused bias+activation map, and the Adam update.
-// Call sites (Linear, Relu, rl::Mlp, nn::Adam) go through these entry
-// points; the backend — scalar reference or AVX2 — is chosen per
-// dispatch.hpp and every call bumps the counters (counters.hpp).
+// Runtime-dispatched NN kernels of the DDPG MLPs (rl::Mlp, nn::Adam): the
+// [batch x in] minibatch GEMM forward and backward, a fused
+// bias+activation map, and the Adam update. The backend — scalar reference
+// or AVX2 — is chosen per dispatch.hpp and every call bumps the counters
+// (counters.hpp).
 //
 // Numeric contract (docs/kernels.md):
 //   * scalar is the reference: bitwise identical to the historical
 //     per-layer loops in every case, which keeps all sweep goldens pinned
 //     under IMX_KERNEL=scalar.
-//   * gemm re-associates its reduction across 8 lanes, and gemm_backward
-//     is held to the same kind of bound; agreement with scalar is bounded
-//     in ULPs measured at the magnitude of sum(|terms|) (kGemmUlpBound /
-//     kBackwardUlpBound), enforced by tests/test_kernels_diff.cpp.
-//   * gemm_batch / gemm_backward_batch are bitwise equal to the same
-//     backend's per-sample kernel looped in sample order (no re-pinned
-//     results), and adam_update is bitwise equal across backends, all
-//     enforced by tests/test_ddpg_batch.cpp.
+//   * AVX2 gemm_batch re-associates each dot product across 8 lanes;
+//     agreement with scalar is bounded in ULPs measured at the magnitude
+//     of sum(|terms|) (kGemmUlpBound), enforced by
+//     tests/test_kernels_diff.cpp.
+//   * gemm_backward_batch and adam_update are bitwise equal across
+//     backends (tests/test_kernels_diff.cpp, tests/test_ddpg_batch.cpp).
+//   * on each backend, gemm_batch / gemm_backward_batch are bitwise equal
+//     to the per-sample loops restated in tests/network_reference.hpp,
+//     run once per sample in sample order (tests/test_ddpg_batch.cpp).
 #ifndef IMX_NN_KERNELS_KERNELS_HPP
 #define IMX_NN_KERNELS_KERNELS_HPP
 
@@ -27,17 +27,16 @@
 
 namespace imx::nn::kernels {
 
-/// Documented scalar-vs-avx2 ULP tolerances (see docs/kernels.md for the
-/// derivation). Re-associating a K-term reduction into 8 partial sums
-/// perturbs the result by a small multiple of eps at the magnitude of
-/// sum(|terms|) — NOT of the result, which cancellation can leave
-/// arbitrarily small. The bounds below are therefore ULPs *at the
+/// The documented scalar-vs-avx2 ULP tolerance of gemm_batch (see
+/// docs/kernels.md for the derivation). Re-associating a K-term reduction
+/// into 8 partial sums perturbs the result by a small multiple of eps at
+/// the magnitude of sum(|terms|) — NOT of the result, which cancellation
+/// can leave arbitrarily small. The bound is therefore in ULPs *at the
 /// reduction magnitude*: |scalar - avx2| must not exceed
-/// bound * 2^-23 * max(|scalar|, |avx2|, sum(|terms|)). They carry an
+/// bound * 2^-23 * max(|scalar|, |avx2|, sum(|terms|)). It carries an
 /// order of magnitude of headroom for the shapes this project runs
 /// (K <= 16384).
 inline constexpr int kGemmUlpBound = 64;
-inline constexpr int kBackwardUlpBound = 256;
 
 /// Activation applied by bias_act.
 enum class Act {
@@ -45,31 +44,26 @@ enum class Act {
     kRelu,
 };
 
-/// y[r] = bias[r] + sum_c weight[r*in+c] * x[c] — the single-sample GEMM
-/// (M=out, K=in, N=1) Linear::forward executes. `y` is overwritten.
-void gemm(int out_features, int in_features, const float* weight,
-          const float* x, const float* bias, float* y);
-
-/// Backward of gemm: grad_weight[r,c] += g[r]*x[c], grad_bias[r] += g[r],
-/// grad_x[c] = sum_r g[r]*weight[r,c]. `grad_x` is overwritten.
-void gemm_backward(int out_features, int in_features, const float* weight,
-                   const float* x, const float* grad_y, float* grad_x,
-                   float* grad_weight, float* grad_bias);
-
-/// Minibatch gemm: x is [batch x in] and y [batch x out], both row-major.
-/// Bitwise equal to calling gemm() on the same backend once per sample, in
-/// sample order: every (sample, row) output keeps its own accumulator in
-/// the per-sample kernel's order. `y` is overwritten.
+/// Minibatch gemm: y[s,r] = bias[r] + sum_c weight[r*in+c] * x[s,c], with
+/// x [batch x in] and y [batch x out], both row-major. Every (sample, row)
+/// output keeps its own accumulator in the backend's per-sample order, so
+/// a sample's result does not depend on the batch around it. `y` is
+/// overwritten.
 void gemm_batch(int batch, int out_features, int in_features,
                 const float* weight, const float* x, const float* bias,
                 float* y);
 
-/// Minibatch gemm_backward over [batch x in] inputs and [batch x out]
-/// output gradients. Bitwise equal to calling gemm_backward() on the same
-/// backend once per sample, in sample order: grad_weight and grad_bias see
-/// the per-sample add sequence (samples innermost, zero gradients skipped
-/// as the per-sample kernel skips them), and each grad_x element sums the
-/// output rows in order. grad_x holds only the input columns
+/// The single-sample gemm: gemm_batch over a batch of one.
+inline void gemm(int out_features, int in_features, const float* weight,
+                 const float* x, const float* bias, float* y) {
+    gemm_batch(1, out_features, in_features, weight, x, bias, y);
+}
+
+/// Backward of gemm_batch over [batch x in] inputs and [batch x out]
+/// output gradients: grad_weight[r,c] += g[s,r]*x[s,c] and grad_bias[r] +=
+/// g[s,r], samples innermost and in order, each zero g[s,r] skipped for
+/// grad_weight; grad_x[s,c] = sum_r g[s,r]*weight[r,c], rows in order from
+/// zero, zero g[s,r] skipped. grad_x holds only the input columns
 /// [grad_x_first, in): it is [batch x (in - grad_x_first)], overwritten;
 /// each column's sum is independent of the others, so the columns it
 /// holds are bitwise those of the full gradient. Any of grad_x,
@@ -112,10 +106,6 @@ namespace detail {
 // avx2_* symbols always link; when the TU is built without AVX2 codegen
 // they hard-fail via contracts (dispatch never routes there — see
 // avx2_kernels_compiled()).
-void scalar_gemm(int out_f, int in_f, const float* w, const float* x,
-                 const float* b, float* y);
-void scalar_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                          const float* gy, float* gx, float* gw, float* gb);
 void scalar_gemm_batch(int batch, int out_f, int in_f, const float* w,
                        const float* x, const float* b, float* y);
 void scalar_gemm_backward_batch(int batch, int out_f, int in_f,
@@ -127,10 +117,6 @@ void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
 void scalar_adam_update(const AdamStep& s, std::int64_t n, float* p,
                         const float* g, float* m, float* v);
 
-void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
-               const float* b, float* y);
-void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                        const float* gy, float* gx, float* gw, float* gb);
 void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
                      const float* x, const float* b, float* y);
 void avx2_gemm_backward_batch(int batch, int out_f, int in_f, const float* w,

@@ -4,20 +4,18 @@
 // routes here after __builtin_cpu_supports("avx2") says it may.
 //
 // Vectorization strategy (docs/kernels.md):
-//   * gemm: one 8-lane partial-sum accumulator per output row with a
-//     horizontal reduction — re-associates the sum, agreement bounded by
-//     kGemmUlpBound.
-//   * gemm_backward: lanes carry independent input columns, each updated
-//     in the scalar row order; held to kBackwardUlpBound.
-//   * gemm_batch / gemm_backward_batch: bitwise equal to avx2_gemm /
-//     avx2_gemm_backward looped over the samples. Forward keeps one
-//     accumulator per (sample, row) and reduces eight rows at a time with
-//     a lane-exact hsum; backward holds up to 64 gradient columns in
-//     registers while the (nonzero) samples or rows stream past in order.
-//     Narrow shapes turn the lanes around so that enough add chains are
-//     in flight: a grad_w of fewer than 32 columns carries eight rows per
-//     vector, and a grad_x column range of fewer than 16 columns carries
-//     eight samples per vector.
+//   * gemm_batch: each (sample, row) output is one dot product: 8-lane
+//     partial sums, a horizontal reduction, the scalar tail, then the bias
+//     — re-associates the sum, agreement with scalar bounded by
+//     kGemmUlpBound. Rows go eight at a time, reduced with a lane-exact
+//     8-way hsum, while the samples stream past.
+//   * gemm_backward_batch: bitwise equal to scalar. Every lane does the
+//     scalar multiply-then-add in the scalar order; up to 64 gradient
+//     columns sit in registers while the (nonzero) samples or rows stream
+//     past in order. Narrow shapes turn the lanes around so that enough
+//     add chains are in flight: a grad_w of fewer than 32 columns carries
+//     eight rows per vector, and a grad_x column range of fewer than 16
+//     columns carries eight samples per vector.
 //   * adam_update: bitwise equal to the scalar loop; groups of eight lanes
 //     whose first moment is subnormal or nearly so are kept exactly or
 //     emulated in double, so no instruction sees a subnormal operand.
@@ -187,7 +185,7 @@ inline __m256i tail_mask(int count) {
 /// columns [c0, c0 + 8*NV) plus `tail` masked columns when kTail. The
 /// block lives in NV (+1) registers across the whole term list — one
 /// dependency chain per register — and every lane performs exactly the
-/// per-sample kernel's `dst + scale*row` sequence.
+/// scalar kernel's `dst + scale*row` sequence.
 template <int NV, bool kTail>
 void accumulate_block(const Terms& terms, int n, int c0, int tail,
                       float* dst) {
@@ -266,7 +264,7 @@ void transpose8(__m256 r[8]) {
 
 /// One grad_w term where its sample's gradient `go` is nonzero, else -0.0f,
 /// which adds as an exact no-op to every value (-0 included). NaN
-/// gradients contribute, as the per-sample `go == 0` skip lets them.
+/// gradients contribute, as the scalar `go == 0` skip lets them.
 struct SkipZero {
     explicit SkipZero(__m256 go)
         : keep(_mm256_cmp_ps(go, _mm256_setzero_ps(), _CMP_NEQ_UQ)),
@@ -280,8 +278,8 @@ struct SkipZero {
 
 /// grad_w rows [r0, r0+8), columns [c0, c0+NC): lanes carry the eight
 /// rows and one register per column holds their running sums while the
-/// samples stream past in order, so each element sees the per-sample
-/// kernel's add sequence, with NC independent chains in flight. Unless
+/// samples stream past in order, so each element sees the scalar kernel's
+/// add sequence, with NC independent chains in flight. Unless
 /// kMasked, zero-gradient terms are added unmasked: go * x is then +-0,
 /// an exact no-op on a sum that is not -0, which holds when every x is
 /// finite and no seed is -0 (grad_w_rows8 checks; a sum that is not -0
@@ -462,15 +460,6 @@ void grad_x_columns(int batch, int out_f, int in_f, int first,
 
 }  // namespace
 
-void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
-               const float* b, float* y) {
-    for (int r = 0; r < out_f; ++r) {
-        const float* wrow =
-            w + static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        y[r] = b[r] + dot1(wrow, x, in_f);
-    }
-}
-
 void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
                      const float* x, const float* b, float* y) {
     const std::size_t in = static_cast<std::size_t>(in_f);
@@ -480,7 +469,7 @@ void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
     // Rows in blocks of eight, the samples streaming past: lane k of a
     // block is row r+k's dot1(), the scalar tail vectorized across the
     // rows from pre-packed tail columns. The bias add comes after the whole
-    // dot product, as in avx2_gemm.
+    // dot product, as in the leftover rows below.
     int r8 = 0;
     for (; r8 + 8 <= out_f; r8 += 8) {
         const float* w0 = w + static_cast<std::size_t>(r8) * in;
@@ -520,37 +509,6 @@ void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
         for (int s = 0; s < batch; ++s) {
             y[static_cast<std::size_t>(s) * out + static_cast<std::size_t>(r)] =
                 b[r] + dot1(wrow, x + static_cast<std::size_t>(s) * in, in_f);
-        }
-    }
-}
-
-void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                        const float* gy, float* gx, float* gw, float* gb) {
-    for (int c = 0; c < in_f; ++c) gx[c] = 0.0F;
-    for (int r = 0; r < out_f; ++r) {
-        const float go = gy[r];
-        gb[r] += go;
-        if (go == 0.0F) continue;
-        const std::size_t off =
-            static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        const float* wrow = w + off;
-        float* gwrow = gw + off;
-        const __m256 go_vec = _mm256_set1_ps(go);
-        int c = 0;
-        for (; c + 8 <= in_f; c += 8) {
-            _mm256_storeu_ps(
-                gwrow + c,
-                _mm256_add_ps(_mm256_loadu_ps(gwrow + c),
-                              _mm256_mul_ps(go_vec, _mm256_loadu_ps(x + c))));
-            _mm256_storeu_ps(
-                gx + c,
-                _mm256_add_ps(_mm256_loadu_ps(gx + c),
-                              _mm256_mul_ps(go_vec,
-                                            _mm256_loadu_ps(wrow + c))));
-        }
-        for (; c < in_f; ++c) {
-            gwrow[c] += go * x[c];
-            gx[c] += go * wrow[c];
         }
     }
 }
@@ -985,15 +943,6 @@ void avx2_adam_update(const AdamStep& s, std::int64_t n, float* p,
 
 // Built without AVX2 codegen: dispatch can never route here (see
 // avx2_kernels_compiled()), so these stubs only assert the invariant.
-
-void avx2_gemm(int, int, const float*, const float*, const float*, float*) {
-    IMX_ASSERT(!"avx2 kernels not compiled");
-}
-
-void avx2_gemm_backward(int, int, const float*, const float*, const float*,
-                        float*, float*, float*) {
-    IMX_ASSERT(!"avx2 kernels not compiled");
-}
 
 void avx2_gemm_batch(int, int, int, const float*, const float*, const float*,
                      float*) {

@@ -1,5 +1,5 @@
-// Scalar reference backend. These loops are transplanted verbatim from the
-// pre-kernel Linear/Relu implementations — same iteration order, same
+// Scalar reference backend. The gemm loops are the pre-kernel Linear
+// layer's loops run sample by sample — same iteration order, same
 // accumulation order, same zero-skip short-circuits — so the scalar path
 // is bitwise identical to the historical layers and every golden pinned
 // against them stays valid under IMX_KERNEL=scalar.
@@ -10,48 +10,27 @@
 
 namespace imx::nn::kernels::detail {
 
-void scalar_gemm(int out_f, int in_f, const float* w, const float* x,
-                 const float* b, float* y) {
-    for (int r = 0; r < out_f; ++r) {
-        float acc = b[r];
-        const float* wrow =
-            w + static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        for (int c = 0; c < in_f; ++c) acc += wrow[c] * x[c];
-        y[r] = acc;
-    }
-}
-
-void scalar_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                          const float* gy, float* gx, float* gw, float* gb) {
-    for (int c = 0; c < in_f; ++c) gx[c] = 0.0F;
-    for (int r = 0; r < out_f; ++r) {
-        const float go = gy[r];
-        gb[r] += go;
-        if (go == 0.0F) continue;
-        const std::size_t off =
-            static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        const float* wrow = w + off;
-        float* gwrow = gw + off;
-        for (int c = 0; c < in_f; ++c) {
-            gwrow[c] += go * x[c];
-            gx[c] += go * wrow[c];
-        }
-    }
-}
-
-// The batched kernels replay the per-sample loops above sample by sample:
-// each output element sees the same operations in the same order, only
-// the loop nest around them changes.
+// Each (sample, row) output is one running sum from the bias, columns in
+// order.
 void scalar_gemm_batch(int batch, int out_f, int in_f, const float* w,
                        const float* x, const float* b, float* y) {
     const std::size_t in = static_cast<std::size_t>(in_f);
     const std::size_t out = static_cast<std::size_t>(out_f);
     for (int s = 0; s < batch; ++s) {
-        scalar_gemm(out_f, in_f, w, x + static_cast<std::size_t>(s) * in, b,
-                    y + static_cast<std::size_t>(s) * out);
+        const float* xs = x + static_cast<std::size_t>(s) * in;
+        float* ys = y + static_cast<std::size_t>(s) * out;
+        for (int r = 0; r < out_f; ++r) {
+            float acc = b[r];
+            const float* wrow = w + static_cast<std::size_t>(r) * in;
+            for (int c = 0; c < in_f; ++c) acc += wrow[c] * xs[c];
+            ys[r] = acc;
+        }
     }
 }
 
+// grad_w and grad_b take the samples innermost, in order, skipping a zero
+// gradient for grad_w; each grad_x element sums the rows in order from
+// zero, skipping zero gradients.
 void scalar_gemm_backward_batch(int batch, int out_f, int in_f,
                                 const float* w, const float* x,
                                 const float* gy, float* gx, float* gw,

@@ -1,10 +1,9 @@
-// Dense row-major float tensor: [features] activations (single sample) and
-// [out, in] linear weights.
+// Dense row-major float tensor: the [out, in] weights and [out] biases of
+// the DDPG agents' small MLPs (rl::Mlp), their gradients and Adam moments.
 //
-// The tensors in this project hold the DDPG agents' small MLPs, so the
-// tensor type favours simplicity and debuggability over BLAS-grade speed:
-// contiguous std::vector storage and contract-checked flat access in every
-// build.
+// The tensor type favours simplicity and debuggability over BLAS-grade
+// speed: contiguous std::vector storage and contract-checked flat access
+// in every build. The hot loops run on raw pointers (data()).
 #ifndef IMX_NN_TENSOR_HPP
 #define IMX_NN_TENSOR_HPP
 

@@ -1,6 +1,7 @@
 #include "rl/mlp.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "nn/kernels/kernels.hpp"
@@ -8,40 +9,36 @@
 
 namespace imx::rl {
 
+namespace {
+
+/// The logistic function, split by sign so neither branch overflows exp().
+float sigmoid(float x) {
+    return x >= 0.0F ? 1.0F / (1.0F + std::exp(-x))
+                     : std::exp(x) / (1.0F + std::exp(x));
+}
+
+}  // namespace
+
 Mlp::Mlp(const std::vector<int>& dims, OutputActivation out_act,
          util::Rng& rng)
     : dims_(dims), out_act_(out_act) {
     IMX_EXPECTS(dims.size() >= 2);
     for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-        auto linear = std::make_unique<nn::Linear>(dims[i], dims[i + 1], rng);
-        linears_.push_back(linear.get());
-        params_.push_back(&linear->weight());
-        params_.push_back(&linear->bias());
-        grads_.push_back(&linear->grad_weight());
-        grads_.push_back(&linear->grad_bias());
-        layers_.push_back(std::move(linear));
-        if (i + 2 < dims.size()) {
-            layers_.push_back(std::make_unique<nn::Relu>());
-        }
+        const int in = dims[i];
+        const int out = dims[i + 1];
+        IMX_EXPECTS(in > 0 && out > 0);
+        layers_.push_back({nn::Tensor::kaiming_uniform({out, in}, in, rng),
+                           nn::Tensor::zeros({out}),
+                           nn::Tensor::zeros({out, in}),
+                           nn::Tensor::zeros({out})});
     }
-    if (out_act == OutputActivation::kSigmoid) {
-        layers_.push_back(std::make_unique<nn::Sigmoid>());
+    for (Layer& layer : layers_) {
+        params_.push_back(&layer.weight);
+        params_.push_back(&layer.bias);
+        grads_.push_back(&layer.grad_weight);
+        grads_.push_back(&layer.grad_bias);
     }
     acts_.resize(dims.size());
-}
-
-nn::Tensor Mlp::forward(const nn::Tensor& input) {
-    nn::Tensor x = input;
-    for (auto& layer : layers_) x = layer->forward(x);
-    return x;
-}
-
-nn::Tensor Mlp::backward(const nn::Tensor& grad_output) {
-    nn::Tensor g = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-        g = (*it)->backward(g);
-    }
-    return g;
 }
 
 const float* Mlp::forward_batch(int batch, const float* input) {
@@ -52,22 +49,21 @@ const float* Mlp::forward_batch(int batch, const float* input) {
         acts_[i].resize(rows * static_cast<std::size_t>(dims_[i]));
     }
     std::copy(input, input + acts_[0].size(), acts_[0].begin());
-    const std::size_t last = linears_.size();
+    const std::size_t last = layers_.size();
     for (std::size_t i = 0; i < last; ++i) {
-        nn::Linear& fc = *linears_[i];
+        const Layer& fc = layers_[i];
         float* y = acts_[i + 1].data();
-        nn::kernels::gemm_batch(batch, fc.out_features(), fc.in_features(),
-                                fc.weight().data(), acts_[i].data(),
-                                fc.bias().data(), y);
+        nn::kernels::gemm_batch(batch, dims_[i + 1], dims_[i],
+                                fc.weight.data(), acts_[i].data(),
+                                fc.bias.data(), y);
         if (i + 1 < last) {
             const auto n = static_cast<std::int64_t>(acts_[i + 1].size());
             nn::kernels::bias_act(n, y, 0.0F, nn::kernels::Act::kRelu, y);
         }
     }
-    // Output activation, elementwise as nn::Sigmoid computes it.
     std::vector<float>& out = acts_.back();
     if (out_act_ == OutputActivation::kSigmoid) {
-        for (float& v : out) v = nn::sigmoid(v);
+        for (float& v : out) v = sigmoid(v);
     }
     return out.data();
 }
@@ -82,8 +78,8 @@ const float* Mlp::backward_batch(const float* grad_output, bool param_grads,
     grad_cur_.resize(rows * widest);
     grad_next_.resize(rows * widest);
 
-    // Gradient w.r.t. the last Linear's output, through the output
-    // activation (the nn::Sigmoid backward expression).
+    // Gradient w.r.t. the last layer's output, through the output
+    // activation: the sigmoid's derivative is y * (1 - y).
     const std::vector<float>& out = acts_.back();
     for (std::size_t k = 0; k < out.size(); ++k) {
         const float y = out[k];
@@ -92,16 +88,16 @@ const float* Mlp::backward_batch(const float* grad_output, bool param_grads,
         grad_cur_[k] = g;
     }
 
-    for (std::size_t i = linears_.size(); i-- > 0;) {
+    for (std::size_t i = layers_.size(); i-- > 0;) {
         const bool want_gx = i > 0 || input_grad;
         if (!want_gx && !param_grads) break;
-        nn::Linear& fc = *linears_[i];
+        Layer& fc = layers_[i];
         float* gx = want_gx ? grad_next_.data() : nullptr;
         nn::kernels::gemm_backward_batch(
-            batch_, fc.out_features(), fc.in_features(), fc.weight().data(),
-            acts_[i].data(), grad_cur_.data(), gx,
-            param_grads ? fc.grad_weight().data() : nullptr,
-            param_grads ? fc.grad_bias().data() : nullptr,
+            batch_, dims_[i + 1], dims_[i], fc.weight.data(), acts_[i].data(),
+            grad_cur_.data(), gx,
+            param_grads ? fc.grad_weight.data() : nullptr,
+            param_grads ? fc.grad_bias.data() : nullptr,
             i == 0 ? input_grad_first : 0);
         if (!want_gx) break;
         if (i > 0) {

@@ -1,20 +1,19 @@
 // Small fully-connected network used by the DDPG actor and critic.
 //
-// Two ways through it: the single-sample Layer API (forward/backward, a
-// fresh Tensor per layer) and the minibatch path (forward_batch /
-// backward_batch over [batch x features] rows in reused member buffers,
-// through kernels::gemm_batch / gemm_backward_batch). Each sample of the
-// minibatch path is bitwise what the single-sample path computes for it,
-// and its parameter gradients are bitwise the per-sample backward calls
-// accumulated in sample order.
+// forward_batch / backward_batch run [batch x features] rows in reused
+// member buffers, one kernels::gemm_batch / gemm_backward_batch call per
+// layer; the actor's act() is a batch of one. Each sample's output is
+// bitwise what a per-sample pass computes for it, and the parameter
+// gradients are bitwise the per-sample backward passes accumulated in
+// sample order (tests/network_reference.hpp restates that per-sample
+// path; PerSampleDdpg in tests/test_ddpg_batch.cpp holds the agent to
+// it).
 #ifndef IMX_RL_MLP_HPP
 #define IMX_RL_MLP_HPP
 
 #include <vector>
 
-#include "nn/basic_layers.hpp"
-#include "nn/layer.hpp"
-#include "nn/linear.hpp"
+#include "nn/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace imx::rl {
@@ -23,13 +22,16 @@ enum class OutputActivation { kNone, kSigmoid };
 
 class Mlp {
 public:
-    /// dims = {in, hidden..., out}; hidden layers use ReLU.
+    /// dims = {in, hidden..., out}; hidden layers use ReLU. Each layer's
+    /// weight is drawn Kaiming-uniform from `rng` and its bias is zero,
+    /// layer by layer.
     Mlp(const std::vector<int>& dims, OutputActivation out_act, util::Rng& rng);
 
-    nn::Tensor forward(const nn::Tensor& input);
-    /// Returns gradient w.r.t. the input (the DDPG actor update needs
-    /// dQ/daction from the critic).
-    nn::Tensor backward(const nn::Tensor& grad_output);
+    // parameters() points into layers_, so a copy would alias the source.
+    Mlp(const Mlp&) = delete;
+    Mlp& operator=(const Mlp&) = delete;
+    Mlp(Mlp&&) = default;
+    Mlp& operator=(Mlp&&) = default;
 
     /// Minibatch forward of `batch` row-major input rows of in_features()
     /// floats. Returns the [batch x out_features()] output, valid until the
@@ -50,8 +52,9 @@ public:
     [[nodiscard]] int in_features() const { return dims_.front(); }
     [[nodiscard]] int out_features() const { return dims_.back(); }
 
-    /// Parameter / matching gradient tensors, in layer order. Built once at
-    /// construction, so the optimizer never rebuilds them.
+    /// Parameter / matching gradient tensors, in layer order: each layer's
+    /// [out x in] weight, then its bias. Built once at construction, so the
+    /// optimizer never rebuilds them.
     [[nodiscard]] const std::vector<nn::Tensor*>& parameters() const {
         return params_;
     }
@@ -61,15 +64,22 @@ public:
     void zero_grad();
 
 private:
+    /// One fully-connected layer: y = weight * x + bias, weight [out x in].
+    struct Layer {
+        nn::Tensor weight;
+        nn::Tensor bias;
+        nn::Tensor grad_weight;
+        nn::Tensor grad_bias;
+    };
+
     std::vector<int> dims_;
     OutputActivation out_act_;
-    std::vector<nn::LayerPtr> layers_;
-    std::vector<nn::Linear*> linears_;  ///< the Linear layers of layers_
+    std::vector<Layer> layers_;  ///< layer i maps dims_[i] to dims_[i + 1]
     std::vector<nn::Tensor*> params_;
     std::vector<nn::Tensor*> grads_;
 
     // Minibatch buffers, grown on demand and reused. acts_[i] holds the
-    // [batch x dims_[i]] input of Linear i (acts_.back() the output); the
+    // [batch x dims_[i]] input of layer i (acts_.back() the output); the
     // activations are applied in place, and ReLU's backward mask is read
     // back from its output (out > 0 exactly when in > 0).
     int batch_ = 0;

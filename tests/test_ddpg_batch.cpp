@@ -1,16 +1,16 @@
 // Minibatch kernels and the batched DDPG train step, held bitwise to their
 // per-sample references on each dispatch backend:
-//   * kernel level: gemm_batch / gemm_backward_batch vs a per-sample
-//     gemm / gemm_backward loop in sample order, over the DDPG layer
-//     widths and the edges of every vector path, odd batch sizes,
-//     zero-heavy, NaN and infinite output gradients, -0 seeds, null
-//     outputs and grad_x column ranges;
+//   * kernel level: gemm_batch / gemm_backward_batch vs the per-sample
+//     loops of tests/network_reference.hpp (forward in the backend's own
+//     order) run in sample order, over the DDPG layer widths and the edges
+//     of every vector path, odd batch sizes, zero-heavy, NaN and infinite
+//     output gradients, -0 seeds, null outputs and grad_x column ranges;
 //   * adam_update vs the loop Adam::step used to run (kept here as the
 //     reference), over every class of subnormal, zero and normal moment
 //     and gradient, bit-equal after every step;
 //   * agent level: DdpgAgent vs the per-sample train_step it replaced
-//     (kept here as the reference), compared after 40 steps through act()
-//     and every parameter;
+//     (kept here as the reference, on network_reference.hpp's per-sample
+//     MLP), compared after 40 steps through act() and every parameter;
 //   * search level: the trained search on the paper setup, pinned by a
 //     hash of its per-episode rewards.
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "core/multi_exit_spec.hpp"
 #include "core/search.hpp"
 #include "core/trace_eval.hpp"
+#include "network_reference.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/train.hpp"
 #include "rl/ddpg.hpp"
@@ -141,8 +142,9 @@ TEST_P(GemmBatch, ForwardMatchesPerSampleLoop) {
         const auto x = random_vector(b * in, rng, 0.3);
         std::vector<float> expected(b * out);
         for (std::size_t s = 0; s < b; ++s) {
-            nn::kernels::gemm(c.out, c.in, w.data(), x.data() + s * in,
-                              bias.data(), expected.data() + s * out);
+            test::reference_gemm(GetParam(), c.out, c.in, w.data(),
+                                 x.data() + s * in, bias.data(),
+                                 expected.data() + s * out);
         }
         std::vector<float> got(b * out);
         nn::kernels::gemm_batch(c.batch, c.out, c.in, w.data(), x.data(),
@@ -151,7 +153,8 @@ TEST_P(GemmBatch, ForwardMatchesPerSampleLoop) {
     }
 }
 
-/// Per-sample reference: gemm_backward once per sample, in order.
+/// Per-sample reference: the restated gemm backward once per sample, in
+/// order.
 struct BackwardResult {
     std::vector<float> gx;
     std::vector<float> gw;
@@ -167,9 +170,10 @@ BackwardResult per_sample_backward(const GemmCase& c,
     const auto out = static_cast<std::size_t>(c.out);
     seed.gx.assign(static_cast<std::size_t>(c.batch) * in, 0.0F);
     for (std::size_t s = 0; s < static_cast<std::size_t>(c.batch); ++s) {
-        nn::kernels::gemm_backward(c.out, c.in, w.data(), x.data() + s * in,
-                                   gy.data() + s * out, seed.gx.data() + s * in,
-                                   seed.gw.data(), seed.gb.data());
+        test::reference_gemm_backward(c.out, c.in, w.data(), x.data() + s * in,
+                                      gy.data() + s * out,
+                                      seed.gx.data() + s * in, seed.gw.data(),
+                                      seed.gb.data());
     }
     return seed;
 }
@@ -579,7 +583,8 @@ std::vector<int> mlp_dims(int in, const std::vector<int>& hidden, int out) {
 }
 
 /// The per-sample DDPG update DdpgAgent ran before its minibatch passes:
-/// every transition goes through the networks alone via the Layer API.
+/// every transition goes through the networks alone, on
+/// test::ReferenceMlp.
 /// Constructed in the agent's order so its networks, replay sampling and
 /// optimizers start from the same draws (the agent's dropped actor-shaped
 /// draw included).
@@ -597,6 +602,10 @@ public:
           critic_(mlp_dims(config.state_dim + config.action_dim,
                            config.critic_hidden, 1),
                   rl::OutputActivation::kNone, rng_),
+          actor_pass_(actor_, rl::OutputActivation::kSigmoid,
+                      nn::kernels::active_backend()),
+          critic_pass_(critic_, rl::OutputActivation::kNone,
+                       nn::kernels::active_backend()),
           actor_opt_(config.actor_lr),
           critic_opt_(config.critic_lr),
           replay_(config.replay_capacity, config.seed ^ 0x5555) {}
@@ -604,8 +613,8 @@ public:
     void remember(rl::Transition t) { replay_.push(std::move(t)); }
 
     std::vector<double> act(const std::vector<float>& state) {
-        const nn::Tensor out = actor_.forward(tensor(state));
-        return std::vector<double>(out.storage().begin(), out.storage().end());
+        const std::vector<float> out = actor_pass_.forward(state);
+        return std::vector<double>(out.begin(), out.end());
     }
 
     void train_step() {
@@ -615,26 +624,20 @@ public:
 
         critic_.zero_grad();
         for (const rl::Transition* t : batch) {
-            const nn::Tensor q = critic_.forward(joined(t->state, t->action));
-            nn::Tensor grad({1});
-            grad[0] = 2.0F * (q[0] - t->reward);
-            critic_.backward(grad);
+            const std::vector<float> q =
+                critic_pass_.forward(joined(t->state, t->action));
+            critic_pass_.backward({2.0F * (q[0] - t->reward)});
         }
         critic_opt_.step(critic_.parameters(), critic_.gradients(), inv_batch);
 
         actor_.zero_grad();
         for (const rl::Transition* t : batch) {
-            const nn::Tensor action = actor_.forward(tensor(t->state));
+            const std::vector<float> action = actor_pass_.forward(t->state);
             critic_.zero_grad();
-            critic_.forward(joined(t->state, action.storage()));
-            nn::Tensor grad_q({1});
-            grad_q[0] = -1.0F;
-            const nn::Tensor grad_input = critic_.backward(grad_q);
-            nn::Tensor grad_action({config_.action_dim});
-            for (int i = 0; i < config_.action_dim; ++i) {
-                grad_action[i] = grad_input[config_.state_dim + i];
-            }
-            actor_.backward(grad_action);
+            critic_pass_.forward(joined(t->state, action));
+            const std::vector<float> grad_input = critic_pass_.backward({-1.0F});
+            actor_pass_.backward(std::vector<float>(
+                grad_input.begin() + config_.state_dim, grad_input.end()));
         }
         critic_.zero_grad();
         actor_opt_.step(actor_.parameters(), actor_.gradients(), inv_batch);
@@ -644,14 +647,11 @@ public:
     const rl::Mlp& critic() const { return critic_; }
 
 private:
-    static nn::Tensor tensor(const std::vector<float>& v) {
-        return nn::Tensor({static_cast<int>(v.size())}, v);
-    }
-    static nn::Tensor joined(const std::vector<float>& a,
-                             const std::vector<float>& b) {
+    static std::vector<float> joined(const std::vector<float>& a,
+                                     const std::vector<float>& b) {
         std::vector<float> v(a);
         v.insert(v.end(), b.begin(), b.end());
-        return tensor(v);
+        return v;
     }
 
     rl::DdpgConfig config_;
@@ -659,6 +659,8 @@ private:
     rl::Mlp actor_;
     rl::Mlp dropped_;
     rl::Mlp critic_;
+    test::ReferenceMlp actor_pass_;
+    test::ReferenceMlp critic_pass_;
     ReferenceAdam actor_opt_;
     ReferenceAdam critic_opt_;
     rl::ReplayBuffer replay_;

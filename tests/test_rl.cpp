@@ -1,11 +1,11 @@
 // RL substrate tests: tabular Q-learning (Eq. 16), discretizers, replay
-// buffer, OU noise, MLP gradients, and DDPG on a continuous bandit.
+// buffer, OU noise, and DDPG on a continuous bandit (the MLP's gradient
+// checks are in test_nn_layers.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "rl/ddpg.hpp"
-#include "rl/mlp.hpp"
 #include "rl/qtable.hpp"
 #include "util/contracts.hpp"
 #include "util/stats.hpp"
@@ -127,30 +127,6 @@ TEST(OuNoise, SigmaControlsSpread) {
         s_large.add(large.sample()[0]);
     }
     EXPECT_LT(s_small.stddev(), s_large.stddev());
-}
-
-TEST(Mlp, ForwardShapesAndBackwardGradient) {
-    util::Rng rng(3);
-    rl::Mlp mlp({4, 8, 2}, rl::OutputActivation::kNone, rng);
-    nn::Tensor x({4}, {0.1F, -0.2F, 0.3F, 0.4F});
-    const nn::Tensor y = mlp.forward(x);
-    EXPECT_EQ(y.numel(), 2);
-
-    // Finite-difference check of d(sum y)/dx.
-    nn::Tensor ones({2}, {1.0F, 1.0F});
-    mlp.zero_grad();
-    const nn::Tensor analytic = mlp.backward(ones);
-    const float eps = 1e-3F;
-    for (int i = 0; i < 4; ++i) {
-        nn::Tensor xp = x;
-        xp[i] += eps;
-        nn::Tensor xm = x;
-        xm[i] -= eps;
-        const nn::Tensor yp = mlp.forward(xp);
-        const nn::Tensor ym = mlp.forward(xm);
-        const float num = ((yp[0] + yp[1]) - (ym[0] + ym[1])) / (2 * eps);
-        EXPECT_NEAR(analytic[i], num, 5e-2F);
-    }
 }
 
 TEST(Ddpg, LearnsContinuousBandit) {
